@@ -14,6 +14,16 @@ extension (a fixed bounded extension standing in for the quotient norm), and
 the time derivative is evaluated through the mild identity du/dt = Delta u + f
 rather than by finite differences, so the report never mixes time-stepping
 error into the estimate it measures.
+
+For p = 2 a node costs two |k|^2 shell reductions (see littlewood_paley): the
+energy E_u of the state, which gives the interpolation norm and, because
+sum_{a,b} |xi_a xi_b|^2 = |xi|^4, the Hessian norm as |xi|^4 E_u shell by
+shell; and the energy of the pointwise du/dt = -|xi|^2 u_hat + f_hat.  The
+latter is summed as it stands: expanded into |xi|^4 E_u - 2 Re<...> + E_f it
+cancels catastrophically for a steady datum, where du/dt is round-off.  The
+symbols are radial, so the shell sums are exact regroupings of the lattice
+sums.  Both drivers refuse an initial datum or forcing whose spectrum leaks
+out of the bank window, reading the leakage from the same shell energies.
 """
 
 from __future__ import annotations
@@ -23,9 +33,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import FormField, Grid
+from .fields import FormField, Grid, SpectralField
 from .halfspace import HalfField, extend, leray_halfspace, restrict
-from .littlewood_paley import FilterBank, SpaceParams, besov_norm, completeness_ok
+from .littlewood_paley import (FilterBank, SpaceParams, completeness_ok,
+                               lp_besov_norm, require_in_window,
+                               shell_besov_norm)
 from .operators import resolvent
 
 
@@ -89,17 +101,24 @@ def _forcing_callable(f):
 
 
 class _Stepper:
-    """Shared spectral stepping core working on extended spectra."""
+    """Shared spectral stepping core working on extended spectra.
+
+    The state arrays are owned by the stepper and updated in place; spectra()
+    hands out copies.
+    """
 
     def __init__(self, u0: HalfField, time_grid: TimeGrid):
         self.grid = u0.grid
         self.flavor = u0.flavor
-        self.time_grid = time_grid
-        self.absq = self.grid.freq_sq()
+        absq = self.grid.freq_sq()
         dt = time_grid.dt
-        self.full_step = np.exp(-dt * self.absq)
-        self.half_step = np.exp(-0.5 * dt * self.absq)
+        self.full_step = np.exp(-dt * absq)
+        self.dt_half_step = dt * np.exp(-0.5 * dt * absq)
         self.state = {m: np.fft.fftn(a) for m, a in extend(u0).comps.items()}
+        # dt e^{(dt/2) Delta} f_hat for the forcing dict last seen: a constant
+        # forcing passes the same dict at every step
+        self._forcing = None
+        self._terms = {}
 
     def field(self) -> HalfField:
         full = FormField(self.grid, {m: np.fft.ifftn(a)
@@ -110,16 +129,19 @@ class _Stepper:
         return {m: a.copy() for m, a in self.state.items()}
 
     def advance(self, f_mid_hat: dict[int, np.ndarray] | None):
-        dt = self.time_grid.dt
-        for m in self.state:
-            self.state[m] = self.full_step * self.state[m]
-        if f_mid_hat is not None:
-            for m, spec in f_mid_hat.items():
-                term = dt * self.half_step * spec
-                if m in self.state:
-                    self.state[m] = self.state[m] + term
-                else:
-                    self.state[m] = term
+        for a in self.state.values():
+            a *= self.full_step
+        if f_mid_hat is None:
+            return
+        if f_mid_hat is not self._forcing:
+            self._forcing = f_mid_hat
+            self._terms = {m: self.dt_half_step * spec
+                           for m, spec in f_mid_hat.items()}
+        for m, term in self._terms.items():
+            if m in self.state:
+                self.state[m] += term
+            else:
+                self.state[m] = term.copy()
 
 
 def _spectra_of(u: HalfField) -> dict[int, np.ndarray]:
@@ -199,13 +221,10 @@ def solve_hodge_stokes(f, u0: HalfField, horizon: float, steps: int,
         raise ValueError("the Hodge-Stokes solver uses the tangential flavor")
     pu0 = _project_half(u0)
     defect = (u0 - pu0).l2_norm()
-    if defect > sol_tol * max(u0.l2_norm(), 1e-300):
-        if not auto_project:
-            raise ValueError(f"initial datum is not solenoidal (projector moves "
-                             f"it by {defect:.3e}); pass auto_project=True")
-        u0 = pu0
-    else:
-        u0 = pu0
+    if defect > sol_tol * max(u0.l2_norm(), 1e-300) and not auto_project:
+        raise ValueError(f"initial datum is not solenoidal (projector moves "
+                         f"it by {defect:.3e}); pass auto_project=True")
+    u0 = pu0
 
     forcing = _forcing_callable(f)
     snaps = getattr(forcing, "snapshots", None)
@@ -281,27 +300,6 @@ class MaxRegReport:
         return out
 
 
-def _besov_of_extension(comps_hat: dict[int, np.ndarray], grid: Grid,
-                        bank: FilterBank, params: SpaceParams) -> float:
-    """Besov norm from extended spectra; p = 2 stays fully spectral."""
-    if params.p != 2.0 or not params.homogeneous:
-        full = FormField(grid, {m: np.fft.ifftn(a) for m, a in comps_hat.items()})
-        return besov_norm(params, full, bank)
-    js = list(bank.window)
-    scale = grid.cell_volume / grid.points ** grid.n
-    norms = []
-    for j in js:
-        sym = bank.psi[j]
-        total = sum(float(np.sum(sym ** 2 * np.abs(a) ** 2))
-                    for a in comps_hat.values())
-        norms.append(math.sqrt(total * scale))
-    weights = 2.0 ** (params.s * np.asarray(js, dtype=float))
-    vals = weights * np.asarray(norms)
-    if math.isinf(params.q):
-        return float(vals.max()) if vals.size else 0.0
-    return float(np.sum(vals ** params.q) ** (1.0 / params.q))
-
-
 def _hessian_spectra(comps_hat: dict[int, np.ndarray], grid: Grid) -> dict:
     """Spectra of all second derivatives, stacked as extra components."""
     out = {}
@@ -317,56 +315,113 @@ def _hessian_spectra(comps_hat: dict[int, np.ndarray], grid: Grid) -> dict:
 
 
 class _MaxRegAccumulator:
-    """Streams node data into the three norms of the regularity estimate."""
+    """Streams node data into the three norms of the regularity estimate.
+
+    Construction runs the guards both drivers share: the completeness
+    predicate of the interpolation space and, for q = infinity, the caller's
+    word that the datum is operator-regular.  Node 0 carries the initial
+    datum: its interpolation norm is the rhs_u0 term.  The datum and every
+    distinct forcing spectrum, the inputs, are guarded against window
+    leakage; derived spectra are not.  The norm of a forcing dict seen at
+    consecutive nodes is computed once.
+    """
 
     def __init__(self, grid: Grid, bank: FilterBank, params: SpaceParams,
-                 tg: TimeGrid, forcing_hat):
+                 tg: TimeGrid, forcing_hat, a_regular_checked: bool):
+        interp = SpaceParams(params.s + 2.0 - 2.0 / params.q, params.p,
+                             params.q, homogeneous=params.homogeneous)
+        if not completeness_ok(interp, grid.n):
+            raise ValueError(
+                f"refusing the report: the space with s = {interp.s}, p = {interp.p}, "
+                f"q = {interp.q} fails the completeness predicate in dimension {grid.n} "
+                f"(needs s < n/p, or q = 1 and s <= n/p)")
+        if math.isinf(params.q) and not a_regular_checked:
+            raise ValueError("q = infinity reports need operator-regular initial "
+                             "data; build it with make_a_regular and pass "
+                             "a_regular_checked=True")
         self.grid = grid
         self.bank = bank
         self.params = params
-        self.interp = SpaceParams(params.s + 2.0 - 2.0 / params.q, params.p,
-                                  params.q, homogeneous=params.homogeneous)
+        self.interp = interp
         self.tg = tg
-        self.forcing_hat = forcing_hat  # callable t -> dict of spectra, or None
-        self.absq = grid.freq_sq()
+        self.forcing_hat = forcing_hat  # callable (m, t) -> dict of spectra, or None
+        self.neg_absq = -grid.freq_sq()
+        self._work = np.empty(grid.shape, dtype=complex)
         self.sup_norm = 0.0
+        self.rhs_u0 = 0.0
         self.evol_acc = 0.0
         self.evol_max = 0.0
         self.rhs_acc = 0.0
         self.rhs_max = 0.0
+        self._fhat = None  # forcing spectra whose norm is self._rhs
+        self._rhs = 0.0
 
     def _weight(self, m: int) -> float:
         if m == 0 or m == self.tg.steps:
             return 0.5 * self.tg.dt
         return self.tg.dt
 
-    def node(self, m: int, t: float, state: dict[int, np.ndarray]):
-        grid, bank, params = self.grid, self.bank, self.params
-        self.sup_norm = max(self.sup_norm,
-                            _besov_of_extension(state, grid, bank, self.interp))
-        fhat = self.forcing_hat(t) if self.forcing_hat is not None else None
-        # mild identity: du/dt = Delta u + f, both spectral
-        dudt = {k: -self.absq * a for k, a in state.items()}
+    def _besov(self, params: SpaceParams, spectra: dict[int, np.ndarray],
+               energy: np.ndarray) -> float:
+        if params.p == 2.0:
+            return shell_besov_norm(params, energy, self.bank)
+        return lp_besov_norm(params, SpectralField(self.grid, spectra), self.bank)
+
+    def _forcing_norm(self, fhat: dict[int, np.ndarray]) -> float:
+        energy = self.bank.shell_energy(fhat.values())
+        require_in_window(self.bank, energy, self.params.homogeneous)
+        return self._besov(self.params, fhat, energy)
+
+    def _time_derivative(self, state, fhat):
+        """Spectra of the mild du/dt = Delta u + f, component by component.
+
+        The components come one at a time in a single work array, refilled
+        in place; a consumer that keeps them must copy.
+        """
+        for k, a in state.items():
+            np.multiply(self.neg_absq, a, out=self._work)
+            if fhat is not None and k in fhat:
+                self._work += fhat[k]
+            yield k, self._work
         if fhat is not None:
             for k, a in fhat.items():
-                dudt[k] = dudt[k] + a if k in dudt else a
-        dt_norm = _besov_of_extension(dudt, grid, bank, params)
-        if params.p == 2.0 and params.homogeneous:
-            # the pointwise Hessian magnitude collapses to the |xi|^2 multiplier
-            hess = {k: self.absq * a for k, a in state.items()}
+                if k not in state:
+                    yield k, a
+
+    def node(self, m: int, t: float, state: dict[int, np.ndarray]):
+        grid, bank, params = self.grid, self.bank, self.params
+        fhat = self.forcing_hat(m, t) if self.forcing_hat is not None else None
+        if fhat is not self._fhat:
+            self._fhat = fhat
+            self._rhs = 0.0 if fhat is None else self._forcing_norm(fhat)
+        e_u = bank.shell_energy(state.values())
+        if m == 0:
+            require_in_window(bank, e_u, params.homogeneous)
+        interp = self._besov(self.interp, state, e_u)
+        dudt = self._time_derivative(state, fhat)
+        if params.p == 2.0:
+            # summed pointwise: du/dt is round-off for a steady datum, and its
+            # Gram expansion |xi|^4 E_u - 2 Re<|xi|^2 u, f> + E_f cancels to NaN
+            e_dt = bank.shell_energy(a for _, a in dudt)
+            dt_norm = shell_besov_norm(params, e_dt, bank)
+            # |Hessian|^2 = |xi|^4 |u_hat|^2 pointwise
+            hess_norm = shell_besov_norm(params, bank.shell_absq ** 2 * e_u, bank)
         else:
+            dudt = SpectralField(grid, {k: a.copy() for k, a in dudt})
+            dt_norm = lp_besov_norm(params, dudt, bank)
             hess = _hessian_spectra(state, grid)
-        hess_norm = _besov_of_extension(hess, grid, bank, params)
+            hess_norm = lp_besov_norm(params, SpectralField(grid, hess), bank)
+        if m == 0:
+            self.rhs_u0 = interp
+        self.sup_norm = max(self.sup_norm, interp)
         evol = dt_norm + hess_norm
-        rhs = (_besov_of_extension(fhat, grid, bank, params)
-               if fhat is not None else 0.0)
         w = self._weight(m)
         if math.isinf(params.q):
             self.evol_max = max(self.evol_max, evol)
-            self.rhs_max = max(self.rhs_max, rhs)
+            self.rhs_max = max(self.rhs_max, self._rhs)
         else:
             self.evol_acc += w * evol ** params.q
-            self.rhs_acc += w * rhs ** params.q
+            self.rhs_acc += w * self._rhs ** params.q
 
     def lq_evolution(self) -> float:
         if math.isinf(self.params.q):
@@ -378,14 +433,14 @@ class _MaxRegAccumulator:
             return self.rhs_max
         return self.rhs_acc ** (1.0 / self.params.q)
 
-
-def _check_completeness(params: SpaceParams, n: int):
-    interp = SpaceParams(params.s + 2.0 - 2.0 / params.q, params.p, params.q)
-    if not completeness_ok(interp, n):
-        raise ValueError(
-            f"refusing the report: the space with s = {interp.s}, p = {interp.p}, "
-            f"q = {interp.q} fails the completeness predicate in dimension {n} "
-            f"(needs s < n/p, or q = 1 and s <= n/p)")
+    def report(self, system: str) -> MaxRegReport:
+        """The measurement once every node has been seen."""
+        lhs = self.sup_norm + self.lq_evolution()
+        rhs = self.lq_forcing() + self.rhs_u0
+        ratio = 0.0 if lhs == 0.0 else lhs / rhs
+        return MaxRegReport(system, self.params.s, self.params.p, self.params.q,
+                            self.tg.horizon, self.sup_norm, self.lq_evolution(),
+                            self.lq_forcing(), self.rhs_u0, ratio)
 
 
 def make_a_regular(seed_field: HalfField, lam: float = 1.0) -> HalfField:
@@ -404,35 +459,22 @@ def max_reg_report(traj: Trajectory, params: SpaceParams, system: str,
     forcing norm plus the interpolation norm of the initial datum.  The ratio
     of the two sides is the reported quantity.
     """
-    grid = traj.u0.grid
-    _check_completeness(params, grid.n)
-    if math.isinf(params.q) and not a_regular_checked:
-        raise ValueError("q = infinity reports need operator-regular initial "
-                         "data; build it with make_a_regular and pass "
-                         "a_regular_checked=True")
     tg = traj.time_grid
-
+    # a constant forcing is stored as one object at every node: transform it once
     f_spectra = {}
-    for m, fm in enumerate(traj.f):
-        if fm is not None:
-            f_spectra[m] = {k: np.fft.fftn(a) for k, a in extend(fm).comps.items()}
+    for fm in traj.f:
+        if fm is not None and id(fm) not in f_spectra:
+            f_spectra[id(fm)] = _spectra_of(fm)
 
-    acc = _MaxRegAccumulator(grid, bank, params, tg, None)
-    nodes = tg.nodes()
-    for m, um in enumerate(traj.u):
-        state = {k: np.fft.fftn(a) for k, a in extend(um).comps.items()}
-        acc.forcing_hat = (lambda t, _m=m: f_spectra.get(_m)) \
-            if f_spectra else None
-        acc.node(m, nodes[m], state)
+    def forcing_hat(m, t):
+        fm = traj.f[m]
+        return None if fm is None else f_spectra[id(fm)]
 
-    u0_hat = {k: np.fft.fftn(a) for k, a in extend(traj.u0).comps.items()}
-    rhs_u0 = _besov_of_extension(u0_hat, grid, bank, acc.interp)
-    lhs = acc.sup_norm + acc.lq_evolution()
-    rhs = acc.lq_forcing() + rhs_u0
-    ratio = 0.0 if lhs == 0.0 else lhs / rhs
-    return MaxRegReport(system, params.s, params.p, params.q, tg.horizon,
-                        acc.sup_norm, acc.lq_evolution(), acc.lq_forcing(),
-                        rhs_u0, ratio)
+    acc = _MaxRegAccumulator(traj.u0.grid, bank, params, tg, forcing_hat,
+                             a_regular_checked)
+    for m, (um, t) in enumerate(zip(traj.u, tg.nodes())):
+        acc.node(m, t, _spectra_of(um))
+    return acc.report(system)
 
 
 def streaming_max_reg(system: str, f, u0: HalfField, horizon: float, steps: int,
@@ -443,14 +485,7 @@ def streaming_max_reg(system: str, f, u0: HalfField, horizon: float, steps: int,
     Produces the same numbers as max_reg_report on the stored trajectory;
     used for sweeps whose snapshots would not fit comfortably in memory.
     """
-    grid = u0.grid
-    _check_completeness(params, grid.n)
-    if math.isinf(params.q) and not a_regular_checked:
-        raise ValueError("q = infinity reports need operator-regular initial "
-                         "data; build it with make_a_regular and pass "
-                         "a_regular_checked=True")
     if system == "hodge_stokes" or system == "navier_slip":
-        solver = solve_hodge_stokes
         if f is None:
             eff = None
         elif isinstance(f, HalfField):
@@ -458,29 +493,23 @@ def streaming_max_reg(system: str, f, u0: HalfField, horizon: float, steps: int,
         else:
             eff = lambda t: _project_half(f(t))
     elif system == "hodge_heat":
-        solver, eff = solve_hodge_heat, f
+        eff = f
     else:
         raise ValueError(f"unknown system {system!r}")
-
-    tg = TimeGrid(horizon, steps)
 
     if eff is None:
         forcing_hat = None
     elif isinstance(eff, HalfField):
         const_hat = _spectra_of(eff)
 
-        def forcing_hat(t):
+        def forcing_hat(m, t):
             return const_hat
     else:
-        cache = {}
+        def forcing_hat(m, t):
+            return _spectra_of(eff(t))
 
-        def forcing_hat(t):
-            if t not in cache:
-                cache.clear()  # keep at most one node in memory
-                cache[t] = _spectra_of(eff(t))
-            return cache[t]
-
-    acc = _MaxRegAccumulator(u0.grid, bank, params, tg, forcing_hat)
+    acc = _MaxRegAccumulator(u0.grid, bank, params, TimeGrid(horizon, steps),
+                             forcing_hat, a_regular_checked)
 
     def observer(m, t, stepper):
         acc.node(m, t, stepper.state)
@@ -488,17 +517,7 @@ def streaming_max_reg(system: str, f, u0: HalfField, horizon: float, steps: int,
     if system == "hodge_heat":
         solve_hodge_heat(eff, u0, horizon, steps, observer=observer,
                          store=False)
-        u0_eff = u0
     else:
         solve_hodge_stokes(f, u0, horizon, steps, observer=observer,
                            auto_project=True, store=False)
-        u0_eff = _project_half(u0)
-
-    u0_hat = {k: np.fft.fftn(a) for k, a in extend(u0_eff).comps.items()}
-    rhs_u0 = _besov_of_extension(u0_hat, u0.grid, bank, acc.interp)
-    lhs = acc.sup_norm + acc.lq_evolution()
-    rhs = acc.lq_forcing() + rhs_u0
-    ratio = 0.0 if lhs == 0.0 else lhs / rhs
-    return MaxRegReport(system, params.s, params.p, params.q, horizon,
-                        acc.sup_norm, acc.lq_evolution(), acc.lq_forcing(),
-                        rhs_u0, ratio)
+    return acc.report(system)

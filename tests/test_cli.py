@@ -135,6 +135,15 @@ def test_maxreg_csv_with_rejected_row(tmp_path):
     assert float(spread[0]["spread"]) < 1.1
 
 
+def test_maxreg_data_outside_bank_window_is_config_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, {
+        "grid": {"n": 2, "points": 64, "length": 8.0}, "bank": [0, 1],
+        "spq": [[0.0, 2.0, 1.0]], "T": [1.0], "M": 8, "radii": [5.0, 9.0]})
+    code = main(["maxreg", "--config", cfg, "--out", str(tmp_path)])
+    assert code == 2
+    assert "escapes the bank window" in capsys.readouterr().err
+
+
 def test_outputs_deterministic_for_fixed_seed(tmp_path):
     cfg = write_config(tmp_path, {
         "grid": {"n": 2, "points": 64, "length": 16.0},

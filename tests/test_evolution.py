@@ -5,15 +5,15 @@ import math
 import numpy as np
 import pytest
 
-from hodgehalf.evolution import (SpaceParams, TimeGrid, make_a_regular,
-                                 max_reg_report, solve_hodge_heat,
-                                 solve_hodge_stokes, solve_navier_slip,
-                                 streaming_max_reg)
+from hodgehalf.evolution import (SpaceParams, TimeGrid, _Stepper,
+                                 make_a_regular, max_reg_report,
+                                 solve_hodge_heat, solve_hodge_stokes,
+                                 solve_navier_slip, streaming_max_reg)
 from hodgehalf.fields import Grid, synthesize, TestFunctionSpec
 from hodgehalf.halfspace import (HalfField, d_half, delta_half, extend,
                                  leray_halfspace, random_half_field, restrict,
                                  tangential_trace)
-from hodgehalf.littlewood_paley import default_bank
+from hodgehalf.littlewood_paley import build_bank, default_bank
 from hodgehalf.operators import frac_laplacian, laplacian
 from hodgehalf.verify import momentum_residual_ratios
 
@@ -116,6 +116,42 @@ def test_heat_snapshot_forcing_matches_callable(grid):
     assert diff <= 1e-3 * traj_b.u[-1].l2_norm()
     with pytest.raises(ValueError):
         solve_hodge_heat(snaps[:-1], u0, 1.0, 16)
+
+
+def test_stepper_in_place_updates_leave_inputs_alone():
+    grid = Grid(2, 32, 8.0)
+    tg = TimeGrid(1.0, 8)
+    # the forcing carries a mask the datum lacks: the state gets a copy of
+    # the cached forcing term there, not the term itself
+    u0 = random_half_field(grid, "Ht", [0b01], seed=25, kind="annulus_band",
+                           radii=(1.0, 2.5))
+    f = random_half_field(grid, "Ht", [0b01, 0b10], seed=26,
+                          kind="annulus_band", radii=(1.0, 2.5))
+    f_hat = {m: np.fft.fftn(a) for m, a in extend(f).comps.items()}
+    f_kept = {m: a.copy() for m, a in f_hat.items()}
+    stepper = _Stepper(u0, tg)
+    assert 0b10 not in stepper.state and 0b10 in f_hat
+
+    absq = grid.freq_sq()
+    naive = {m: np.fft.fftn(a) for m, a in extend(u0).comps.items()}
+    snapshots = []
+    for _ in range(tg.steps):
+        stepper.advance(f_hat)
+        # u <- e^{dt Delta} u + dt e^{(dt/2) Delta} f_hat
+        naive = {m: np.exp(-tg.dt * absq) * naive.get(m, 0.0)
+                 + tg.dt * np.exp(-0.5 * tg.dt * absq) * f_hat[m]
+                 for m in f_hat}
+        scale = max(np.abs(a).max() for a in naive.values())
+        assert set(stepper.state) == set(naive)
+        for m, a in naive.items():
+            assert np.abs(stepper.state[m] - a).max() <= 1e-14 * scale
+        snap = stepper.spectra()
+        snapshots.append((snap, {m: a.copy() for m, a in snap.items()}))
+    for m, a in f_hat.items():
+        assert np.array_equal(a, f_kept[m])
+    for snap, kept in snapshots:
+        for m, a in snap.items():
+            assert np.array_equal(a, kept[m])
 
 
 # ---------------------------------------------------------------------------
@@ -281,6 +317,23 @@ def test_max_reg_q_infinity_needs_regular_datum(grid):
     rep = streaming_max_reg("hodge_stokes", f, regular, 1.0, 8, params, bank,
                             a_regular_checked=True)
     assert np.isfinite(rep.ratio)
+
+
+def test_max_reg_refuses_data_outside_the_bank_window(grid):
+    # |xi| in [5, 9] lies wholly outside the window [0, 1]: leakage 1.0
+    bank = build_bank(grid, 0, 1)
+    f = random_half_field(grid, "Ht", [0b01, 0b10], seed=27,
+                          kind="annulus_band", radii=(5.0, 9.0))
+    u0 = steady_datum(f)
+    zero = HalfField.zero(grid, "Ht", [0b01, 0b10])
+    params = SpaceParams(0.0, 2.0, 1.0)
+    for forcing, datum in ((f, u0), (f, zero), (None, u0)):
+        with pytest.raises(ValueError, match="escapes the bank window"):
+            streaming_max_reg("hodge_stokes", forcing, datum, 1.0, 16, params,
+                              bank)
+        traj = solve_hodge_stokes(forcing, datum, 1.0, 4, auto_project=True)
+        with pytest.raises(ValueError, match="escapes the bank window"):
+            max_reg_report(traj, params, "hodge_stokes", bank)
 
 
 def test_max_reg_report_row_shape(grid):

@@ -9,7 +9,7 @@ from hodgehalf.fields import FormField, Grid, random_form
 from hodgehalf.littlewood_paley import (SpaceParams, besov_norm, build_bank,
                                         completeness_ok, default_bank,
                                         dyadic_block, low_pass, radial_cutoff,
-                                        sobolev_norm)
+                                        shell_besov_norm, sobolev_norm)
 from hodgehalf.operators import laplacian
 
 
@@ -205,6 +205,78 @@ def test_besov_leakage_rejected(grid, bank):
     # a gaussian bump has a nonzero mean: low-frequency mass below the window
     with pytest.raises(ValueError):
         besov_norm(SpaceParams(0.0, 2.0, 2.0), u, bank)
+
+
+# the shell evaluator against a point-by-point lattice sum; the 3-d window
+# [0, 1] needs pi/L in [2/3, 3/4] on a 16-point axis
+SHELL_CASES = [(Grid(2, 64, 8.0), 0, 2), (Grid(3, 16, 4.5), 0, 1)]
+
+
+def lattice_besov_p2(params, spectra, grid, j_min, j_max):
+    """p = 2 Besov norm summed over every lattice point, no shell tables."""
+    axes = np.meshgrid(*[2 * np.pi * np.fft.fftfreq(grid.points, grid.spacing)]
+                       * grid.n, indexing="ij")
+    absxi = np.sqrt(sum(x ** 2 for x in axes))
+    density = sum(np.abs(a) ** 2 for a in spectra)
+
+    def annulus(j):
+        return radial_cutoff(absxi / 2.0 ** (j + 1)) - radial_cutoff(absxi / 2.0 ** j)
+
+    if params.homogeneous:
+        blocks = [(j, annulus(j)) for j in range(j_min, j_max + 1)]
+    else:
+        blocks = [(-1, radial_cutoff(absxi))] + [
+            (j, annulus(j)) for j in range(max(j_min, 0), j_max + 1)]
+    scale = grid.cell_volume / grid.points ** grid.n
+    vals = np.array([2.0 ** (params.s * j) * math.sqrt(np.sum(sym ** 2 * density) * scale)
+                     for j, sym in blocks])
+    if math.isinf(params.q):
+        return float(vals.max())
+    return float(np.sum(vals ** params.q) ** (1.0 / params.q))
+
+
+def random_spectra(grid, seed, count=2):
+    rng = np.random.default_rng(seed)
+    return [rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
+            for _ in range(count)]
+
+
+def assert_shell_matches_lattice(bank, spectra):
+    grid = bank.grid
+    energy = bank.shell_energy(spectra)
+    for homogeneous in (True, False):
+        for q in (1.0, 2.0, math.inf):
+            params = SpaceParams(0.5, 2.0, q, homogeneous=homogeneous)
+            want = lattice_besov_p2(params, spectra, grid, bank.j_min, bank.j_max)
+            got = shell_besov_norm(params, energy, bank)
+            assert abs(got - want) <= 1e-12 * want, (homogeneous, q, got, want)
+
+
+@pytest.mark.parametrize("grid_, j_min, j_max", SHELL_CASES)
+def test_shell_evaluator_matches_lattice_sum(grid_, j_min, j_max):
+    bank = build_bank(grid_, j_min, j_max)
+    assert bank.shell_absq.size < grid_.points ** grid_.n
+    assert_shell_matches_lattice(bank, random_spectra(grid_, seed=40))
+
+
+@pytest.mark.parametrize("grid_, j_min, j_max", SHELL_CASES)
+def test_shell_oracle_catches_a_zeroed_band(grid_, j_min, j_max):
+    spectra = random_spectra(grid_, seed=41)
+    for row in range(j_max - j_min + 1):
+        bank = build_bank(grid_, j_min, j_max)
+        bank.shell_psi_sq[row] = 0.0
+        with pytest.raises(AssertionError):
+            assert_shell_matches_lattice(bank, spectra)
+
+
+def test_besov_p2_matches_lattice_sum(grid, bank):
+    # besov_norm on in-window data runs the same shell evaluator
+    u = random_form(grid, [0, 1], seed=12, kind="annulus_band", radii=(1.0, 3.0))
+    spectra = [np.fft.fftn(a) for a in u.comps.values()]
+    for params in (SpaceParams(0.5, 2.0, 1.0),
+                   SpaceParams(0.5, 2.0, 2.0, homogeneous=False)):
+        want = lattice_besov_p2(params, spectra, grid, bank.j_min, bank.j_max)
+        assert abs(besov_norm(params, u, bank) - want) <= 1e-12 * want
 
 
 def test_besov_inhomogeneous_accepts_low_frequencies(grid, bank):
