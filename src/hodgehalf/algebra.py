@@ -20,6 +20,7 @@ use in this library (lattice frequencies, unit normals, basis vectors).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,6 +80,24 @@ def insert_sign(axis: int, mask: int) -> int:
         return 0
     below = bin(mask & ((1 << axis) - 1)).count("1")
     return -1 if below & 1 else 1
+
+
+@functools.lru_cache(maxsize=None)
+def raising(n: int) -> tuple:
+    """Incidence table of e_axis ^ . in dimension n: entry [mask] lists
+    (axis, target, sign), ascending in axis, with e_axis ^ dx_mask = sign dx_target."""
+    return tuple(tuple((axis, mask | 1 << axis, insert_sign(axis, mask))
+                       for axis in range(n) if not mask >> axis & 1)
+                 for mask in range(1 << n))
+
+
+@functools.lru_cache(maxsize=None)
+def lowering(n: int) -> tuple:
+    """Incidence table of the adjoint e_axis _| . : entry [mask] lists
+    (axis, target, sign), ascending in axis, with e_axis _| dx_mask = sign dx_target."""
+    return tuple(tuple((axis, mask ^ 1 << axis, insert_sign(axis, mask ^ 1 << axis))
+                       for axis in range(n) if mask >> axis & 1)
+                 for mask in range(1 << n))
 
 
 @dataclass

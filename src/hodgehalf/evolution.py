@@ -114,7 +114,7 @@ class _Stepper:
         dt = time_grid.dt
         self.full_step = np.exp(-dt * absq)
         self.dt_half_step = dt * np.exp(-0.5 * dt * absq)
-        self.state = {m: np.fft.fftn(a) for m, a in extend(u0).comps.items()}
+        self.state = _spectra_of(u0)
         # dt e^{(dt/2) Delta} f_hat for the forcing dict last seen: a constant
         # forcing passes the same dict at every step
         self._forcing = None
@@ -155,7 +155,9 @@ def solve_hodge_heat(f, u0: HalfField, horizon: float, steps: int,
     The boundary conditions ride on the flavor of u0 and hold at every node.
     ``f`` may be None, a constant HalfField, a callable t -> HalfField, or a
     list of node snapshots (midpoints are then averaged, still second order).
-    ``observer(m, t, stepper)`` runs at every node when provided; pass
+    ``observer(m, t, state, f_hat)`` runs at every node when provided, with
+    the stepper's extended state spectra (owned by the stepper, updated in
+    place) and the node forcing spectra (None without forcing); pass
     store=False to keep only the endpoint snapshots (streaming use).
     """
     tg = TimeGrid(horizon, steps)
@@ -186,18 +188,25 @@ def solve_hodge_heat(f, u0: HalfField, horizon: float, steps: int,
             return _spectra_of(0.5 * (snaps_in[m] + snaps_in[m + 1]))
         return _spectra_of(forcing(t_mid))
 
+    def observe(m):
+        if observer is None:
+            return
+        if forcing is None or constant_hat is not None:
+            f_hat = constant_hat
+        else:
+            f_hat = _spectra_of(f_at(times[m], m))
+        observer(m, times[m], stepper.state, f_hat)
+
     u_nodes = [stepper.field()]
     f_nodes = [f_at(times[0], 0)]
-    if observer is not None:
-        observer(0, times[0], stepper)
+    observe(0)
     for m in range(steps):
         t_mid = times[m] + 0.5 * tg.dt
         stepper.advance(f_mid_hat(m, t_mid))
         if store:
             u_nodes.append(stepper.field())
             f_nodes.append(f_at(times[m + 1], m + 1))
-        if observer is not None:
-            observer(m + 1, times[m + 1], stepper)
+        observe(m + 1)
     if not store:
         u_nodes.append(stepper.field())
         f_nodes.append(f_at(times[-1], steps))
@@ -327,7 +336,7 @@ class _MaxRegAccumulator:
     """
 
     def __init__(self, grid: Grid, bank: FilterBank, params: SpaceParams,
-                 tg: TimeGrid, forcing_hat, a_regular_checked: bool):
+                 tg: TimeGrid, a_regular_checked: bool):
         interp = SpaceParams(params.s + 2.0 - 2.0 / params.q, params.p,
                              params.q, homogeneous=params.homogeneous)
         if not completeness_ok(interp, grid.n):
@@ -344,7 +353,6 @@ class _MaxRegAccumulator:
         self.params = params
         self.interp = interp
         self.tg = tg
-        self.forcing_hat = forcing_hat  # callable (m, t) -> dict of spectra, or None
         self.neg_absq = -grid.freq_sq()
         self._work = np.empty(grid.shape, dtype=complex)
         self.sup_norm = 0.0
@@ -388,9 +396,9 @@ class _MaxRegAccumulator:
                 if k not in state:
                     yield k, a
 
-    def node(self, m: int, t: float, state: dict[int, np.ndarray]):
+    def node(self, m: int, t: float, state: dict[int, np.ndarray],
+             fhat: dict[int, np.ndarray] | None):
         grid, bank, params = self.grid, self.bank, self.params
-        fhat = self.forcing_hat(m, t) if self.forcing_hat is not None else None
         if fhat is not self._fhat:
             self._fhat = fhat
             self._rhs = 0.0 if fhat is None else self._forcing_norm(fhat)
@@ -466,14 +474,9 @@ def max_reg_report(traj: Trajectory, params: SpaceParams, system: str,
         if fm is not None and id(fm) not in f_spectra:
             f_spectra[id(fm)] = _spectra_of(fm)
 
-    def forcing_hat(m, t):
-        fm = traj.f[m]
-        return None if fm is None else f_spectra[id(fm)]
-
-    acc = _MaxRegAccumulator(traj.u0.grid, bank, params, tg, forcing_hat,
-                             a_regular_checked)
-    for m, (um, t) in enumerate(zip(traj.u, tg.nodes())):
-        acc.node(m, t, _spectra_of(um))
+    acc = _MaxRegAccumulator(traj.u0.grid, bank, params, tg, a_regular_checked)
+    for m, (um, fm, t) in enumerate(zip(traj.u, traj.f, tg.nodes())):
+        acc.node(m, t, _spectra_of(um), None if fm is None else f_spectra[id(fm)])
     return acc.report(system)
 
 
@@ -485,39 +488,13 @@ def streaming_max_reg(system: str, f, u0: HalfField, horizon: float, steps: int,
     Produces the same numbers as max_reg_report on the stored trajectory;
     used for sweeps whose snapshots would not fit comfortably in memory.
     """
-    if system == "hodge_stokes" or system == "navier_slip":
-        if f is None:
-            eff = None
-        elif isinstance(f, HalfField):
-            eff = _project_half(f)
-        else:
-            eff = lambda t: _project_half(f(t))
-    elif system == "hodge_heat":
-        eff = f
-    else:
+    if system not in ("hodge_heat", "hodge_stokes", "navier_slip"):
         raise ValueError(f"unknown system {system!r}")
-
-    if eff is None:
-        forcing_hat = None
-    elif isinstance(eff, HalfField):
-        const_hat = _spectra_of(eff)
-
-        def forcing_hat(m, t):
-            return const_hat
-    else:
-        def forcing_hat(m, t):
-            return _spectra_of(eff(t))
-
     acc = _MaxRegAccumulator(u0.grid, bank, params, TimeGrid(horizon, steps),
-                             forcing_hat, a_regular_checked)
-
-    def observer(m, t, stepper):
-        acc.node(m, t, stepper.state)
-
+                             a_regular_checked)
     if system == "hodge_heat":
-        solve_hodge_heat(eff, u0, horizon, steps, observer=observer,
-                         store=False)
+        solve_hodge_heat(f, u0, horizon, steps, observer=acc.node, store=False)
     else:
-        solve_hodge_stokes(f, u0, horizon, steps, observer=observer,
+        solve_hodge_stokes(f, u0, horizon, steps, observer=acc.node,
                            auto_project=True, store=False)
     return acc.report(system)

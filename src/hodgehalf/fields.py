@@ -88,28 +88,41 @@ def _check_same_grid(a: Grid, b: Grid):
         raise ValueError(f"grid mismatch: {a} vs {b}")
 
 
-class FormField:
-    """Algebra-valued samples: one complex array per multi-index bitmask.
+class FieldCore:
+    """Components keyed by multi-index bitmask, one complex array each.
 
     Absent components are identically zero.  Instances are treated as values;
-    operations return new fields.
+    operations return new fields, rebuilt through ``_like`` so a subclass
+    keeps its tags.  Subclasses fix the sample shape and add their norms.
+    ``checked`` subclasses refuse masks outside 0 <= mask < 2^n and
+    non-finite samples.
     """
 
-    def __init__(self, grid: Grid, comps: dict[int, np.ndarray]):
+    checked = False
+
+    def __init__(self, grid: Grid, comps: dict[int, np.ndarray], shape: tuple):
         self.grid = grid
+        self._shape = shape
         self.comps = {}
         for mask, arr in comps.items():
+            mask = int(mask)
             arr = np.asarray(arr, dtype=complex)
-            if arr.shape != grid.shape:
+            if arr.shape != shape:
                 raise ValueError(f"component {mask}: shape {arr.shape} does not "
-                                 f"match grid shape {grid.shape}")
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"component {mask} has non-finite samples")
-            self.comps[int(mask)] = arr
+                                 f"match the sample shape {shape}")
+            if self.checked:
+                if not 0 <= mask < 1 << grid.n:
+                    raise ValueError(f"component mask {mask} is out of range "
+                                     f"for dimension {grid.n}")
+                if not np.all(np.isfinite(arr)):
+                    raise ValueError(f"component {mask} has non-finite samples")
+            self.comps[mask] = arr
 
-    @classmethod
-    def zero(cls, grid: Grid, masks=(0,)) -> "FormField":
-        return cls(grid, {m: np.zeros(grid.shape, dtype=complex) for m in masks})
+    def _like(self, comps: dict[int, np.ndarray]):
+        return type(self)(self.grid, comps)
+
+    def _check_like(self, other):
+        _check_same_grid(self.grid, other.grid)
 
     def degrees(self) -> list[int]:
         return sorted({degree(m) for m in self.comps})
@@ -120,27 +133,43 @@ class FormField:
     def component(self, mask: int) -> np.ndarray:
         if mask in self.comps:
             return self.comps[mask]
-        return np.zeros(self.grid.shape, dtype=complex)
+        return np.zeros(self._shape, dtype=complex)
 
-    def copy(self) -> "FormField":
-        return FormField(self.grid, {m: a.copy() for m, a in self.comps.items()})
+    def copy(self):
+        return self._like({m: a.copy() for m, a in self.comps.items()})
 
-    def map(self, fn) -> "FormField":
-        return FormField(self.grid, {m: fn(a) for m, a in self.comps.items()})
+    def map(self, fn):
+        return self._like({m: fn(a) for m, a in self.comps.items()})
 
-    def __add__(self, other: "FormField") -> "FormField":
-        _check_same_grid(self.grid, other.grid)
+    def _merge(self, other, op):
+        self._check_like(other)
         masks = set(self.comps) | set(other.comps)
-        return FormField(self.grid, {m: self.component(m) + other.component(m)
-                                     for m in masks})
+        return self._like({m: op(self.component(m), other.component(m))
+                           for m in masks})
 
-    def __sub__(self, other: "FormField") -> "FormField":
-        return self + (-1.0) * other
+    def __add__(self, other):
+        return self._merge(other, np.add)
 
-    def __mul__(self, c) -> "FormField":
-        return FormField(self.grid, {m: a * c for m, a in self.comps.items()})
+    def __sub__(self, other):
+        return self._merge(other, np.subtract)
+
+    def __mul__(self, c):
+        return self._like({m: a * c for m, a in self.comps.items()})
 
     __rmul__ = __mul__
+
+
+class FormField(FieldCore):
+    """Algebra-valued samples: one complex array per multi-index bitmask."""
+
+    checked = True
+
+    def __init__(self, grid: Grid, comps: dict[int, np.ndarray]):
+        super().__init__(grid, comps, grid.shape)
+
+    @classmethod
+    def zero(cls, grid: Grid, masks=(0,)) -> "FormField":
+        return cls(grid, {m: np.zeros(grid.shape, dtype=complex) for m in masks})
 
     # -- quadrature ---------------------------------------------------------
 
@@ -163,41 +192,40 @@ class FormField:
 
     def lp_norm(self, p: float) -> float:
         """Quadrature L^p norm of the pointwise magnitude; p = inf is the max."""
-        if p < 1:
-            raise ValueError("p must satisfy 1 <= p <= inf")
-        mag = self.pointwise_abs()
-        if np.isinf(p):
-            return float(mag.max())
-        return float((np.sum(mag ** p) * self.grid.cell_volume) ** (1.0 / p))
+        return lp_quadrature(self.pointwise_abs(), self.grid, p)
 
     def mean(self, mask: int = 0) -> complex:
         return complex(np.mean(self.component(mask)))
 
 
-class SpectralField:
-    """Fourier coefficients of a FormField, same component layout."""
+class SpectralField(FieldCore):
+    """Fourier coefficients of a FormField, same component layout.
+
+    Unchecked: its data is derived, and derived spectra may stack extra
+    components (such as Hessian entries) past 2^n.
+    """
 
     def __init__(self, grid: Grid, comps: dict[int, np.ndarray]):
-        self.grid = grid
-        self.comps = {int(m): np.asarray(a, dtype=complex) for m, a in comps.items()}
-
-    def masks(self) -> list[int]:
-        return sorted(self.comps)
-
-    def component(self, mask: int) -> np.ndarray:
-        if mask in self.comps:
-            return self.comps[mask]
-        return np.zeros(self.grid.shape, dtype=complex)
+        super().__init__(grid, comps, grid.shape)
 
     def apply_multiplier(self, symbol: np.ndarray) -> "SpectralField":
         """Multiply every component by a frequency symbol array."""
-        return SpectralField(self.grid, {m: a * symbol for m, a in self.comps.items()})
+        return self.map(lambda a: a * symbol)
 
     def l2_norm(self) -> float:
         """Parseval L^2 norm matching FormField.l2_norm."""
         total = sum(float(np.sum(np.abs(a) ** 2)) for a in self.comps.values())
         scale = self.grid.cell_volume / self.grid.points ** self.grid.n
         return float(np.sqrt(total * scale))
+
+
+def lp_quadrature(mag: np.ndarray, grid: Grid, p: float) -> float:
+    """Quadrature L^p norm of pointwise magnitudes on the grid; p = inf is the max."""
+    if p < 1:
+        raise ValueError("p must satisfy 1 <= p <= inf")
+    if np.isinf(p):
+        return float(mag.max())
+    return float((np.sum(mag ** p) * grid.cell_volume) ** (1.0 / p))
 
 
 def forward_fft(u: FormField) -> SpectralField:
@@ -352,7 +380,11 @@ def save_field(path: str, u, metadata: dict | None = None):
 
 
 def load_field(path: str):
-    """Read a field written by save_field; returns FormField or HalfField."""
+    """Read a field written by save_field; returns FormField or HalfField.
+
+    A container whose header, sidecar and payload size disagree is refused
+    with a ValueError that names the file.
+    """
     from .halfspace import HalfField, half_shape
 
     with open(path + ".json") as fh:
@@ -360,18 +392,35 @@ def load_field(path: str):
     with open(path, "rb") as fh:
         if fh.read(4) != _MAGIC:
             raise ValueError(f"{path}: not a field container")
-        n, points, length, ncomp = struct.unpack("<iid i", fh.read(20))
-        masks = struct.unpack(f"<{ncomp}i", fh.read(4 * ncomp))
+        head = fh.read(20)
+        if len(head) != 20:
+            raise ValueError(f"{path}: truncated header")
+        n, points, length, ncomp = struct.unpack("<iid i", head)
+        raw_masks = fh.read(4 * max(ncomp, 0))
+        if len(raw_masks) != 4 * ncomp:
+            raise ValueError(f"{path}: truncated or corrupt header")
+        masks = list(struct.unpack(f"<{ncomp}i", raw_masks))
+        payload = fh.read()
+    header = {"n": n, "points": points, "length": length, "masks": masks}
+    for key, value in header.items():
+        if meta.get(key) != value:
+            raise ValueError(f"{path}: header has {key} = {value}, sidecar "
+                             f"has {meta.get(key)}")
+    if len(set(masks)) != ncomp:
+        raise ValueError(f"{path}: repeated component masks {masks}")
+    try:
         grid = Grid(n, points, length)
-        if meta.get("field_type") == "half":
-            shape = half_shape(grid)
-        else:
-            shape = grid.shape
+        half = meta.get("field_type") == "half"
+        shape = half_shape(grid) if half else grid.shape
         count = int(np.prod(shape))
-        comps = {}
-        for m in masks:
-            raw = np.frombuffer(fh.read(8 * count), dtype="<c8")
-            comps[m] = raw.reshape(shape).astype(complex)
-    if meta.get("field_type") == "half":
-        return HalfField(grid, meta["flavor"], comps)
-    return FormField(grid, comps)
+        if len(payload) != 8 * count * ncomp:
+            raise ValueError(f"payload has {len(payload)} bytes, expected "
+                             f"{8 * count * ncomp} for {ncomp} components of "
+                             f"shape {shape}")
+        data = np.frombuffer(payload, dtype="<c8").reshape((ncomp,) + shape)
+        comps = {m: data[i].astype(complex) for i, m in enumerate(masks)}
+        if half:
+            return HalfField(grid, meta["flavor"], comps)
+        return FormField(grid, comps)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc

@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from .algebra import degree
-from .fields import FormField, Grid, _check_same_grid, random_form
+from .fields import FieldCore, FormField, Grid, _check_same_grid, random_form
 from .operators import _lam_value, d, delta, heat, leray_wholespace, resolvent
 
 FLAVORS = ("D", "N", "Ht", "Hn")
@@ -46,68 +46,35 @@ def component_parity(flavor: str, mask: int, n: int) -> int:
     raise ValueError(f"unknown boundary flavor {flavor!r}")
 
 
-class HalfField:
+class HalfField(FieldCore):
     """Algebra-valued samples on the half-grid x_n >= 0, tagged with a flavor."""
+
+    checked = True
 
     def __init__(self, grid: Grid, flavor: str, comps: dict[int, np.ndarray]):
         if flavor not in FLAVORS:
             raise ValueError(f"unknown boundary flavor {flavor!r}")
         if grid.n < 2:
             raise ValueError("half-space fields need dimension >= 2")
-        self.grid = grid
         self.flavor = flavor
-        self.comps = {}
-        shape = half_shape(grid)
-        for mask, arr in comps.items():
-            arr = np.asarray(arr, dtype=complex)
-            if arr.shape != shape:
-                raise ValueError(f"component {mask}: shape {arr.shape} does not "
-                                 f"match half-grid shape {shape}")
-            self.comps[int(mask)] = arr
+        super().__init__(grid, comps, half_shape(grid))
 
     @classmethod
     def zero(cls, grid: Grid, flavor: str, masks=(0,)) -> "HalfField":
         shape = half_shape(grid)
         return cls(grid, flavor, {m: np.zeros(shape, dtype=complex) for m in masks})
 
-    def masks(self) -> list[int]:
-        return sorted(self.comps)
+    def _like(self, comps: dict[int, np.ndarray]) -> "HalfField":
+        return HalfField(self.grid, self.flavor, comps)
 
-    def degrees(self) -> list[int]:
-        return sorted({degree(m) for m in self.comps})
-
-    def component(self, mask: int) -> np.ndarray:
-        if mask in self.comps:
-            return self.comps[mask]
-        return np.zeros(half_shape(self.grid), dtype=complex)
-
-    def with_flavor(self, flavor: str) -> "HalfField":
-        return HalfField(self.grid, flavor, self.comps)
-
-    def copy(self) -> "HalfField":
-        return HalfField(self.grid, self.flavor,
-                         {m: a.copy() for m, a in self.comps.items()})
-
-    def _check_flavor(self, other: "HalfField"):
+    def _check_like(self, other: "HalfField"):
+        super()._check_like(other)
         if self.flavor != other.flavor:
             raise ValueError(f"boundary flavor mismatch: {self.flavor} vs "
                              f"{other.flavor}")
 
-    def __add__(self, other: "HalfField") -> "HalfField":
-        _check_same_grid(self.grid, other.grid)
-        self._check_flavor(other)
-        masks = set(self.comps) | set(other.comps)
-        return HalfField(self.grid, self.flavor,
-                         {m: self.component(m) + other.component(m) for m in masks})
-
-    def __sub__(self, other: "HalfField") -> "HalfField":
-        return self + (-1.0) * other
-
-    def __mul__(self, c) -> "HalfField":
-        return HalfField(self.grid, self.flavor,
-                         {m: a * c for m, a in self.comps.items()})
-
-    __rmul__ = __mul__
+    def with_flavor(self, flavor: str) -> "HalfField":
+        return HalfField(self.grid, flavor, self.comps)
 
     def boundary_row(self, mask: int) -> np.ndarray:
         return self.component(mask)[..., 0]
@@ -118,12 +85,12 @@ class HalfField:
         Valid only for matching flavors (matching componentwise parities make
         every product even in x_n); mixed flavors are rejected.
         """
-        _check_same_grid(self.grid, other.grid)
-        self._check_flavor(other)
+        self._check_like(other)
         return 0.5 * extend(self).l2_inner(extend(other))
 
     def l2_norm(self) -> float:
-        return float(np.sqrt(max(self.l2_inner(self).real, 0.0)))
+        ext = extend(self)
+        return float(np.sqrt(max((0.5 * ext.l2_inner(ext)).real, 0.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +194,7 @@ def scalar_resolvent(lam, f_rows: np.ndarray, grid: Grid, bc: str) -> np.ndarray
 # boundary traces
 # ---------------------------------------------------------------------------
 
-class BoundaryForm:
+class BoundaryForm(FieldCore):
     """A form on the boundary plane, indexed by tangential multi-indices.
 
     For tangential traces the stored mask is the surviving index I' of a
@@ -237,16 +204,16 @@ class BoundaryForm:
 
     def __init__(self, grid: Grid, comps: dict[int, np.ndarray],
                  wedged_normal: bool = False):
-        self.grid = grid
-        self.comps = {int(m): np.asarray(a, dtype=complex)
-                      for m, a in comps.items()}
         self.wedged_normal = wedged_normal
+        super().__init__(grid, comps, (grid.points,) * (grid.n - 1))
 
-    def component(self, mask: int) -> np.ndarray:
-        shape = (self.grid.points,) * (self.grid.n - 1)
-        if mask in self.comps:
-            return self.comps[mask]
-        return np.zeros(shape, dtype=complex)
+    def _like(self, comps: dict[int, np.ndarray]) -> "BoundaryForm":
+        return BoundaryForm(self.grid, comps, self.wedged_normal)
+
+    def _check_like(self, other: "BoundaryForm"):
+        super()._check_like(other)
+        if self.wedged_normal != other.wedged_normal:
+            raise ValueError("cannot combine a tangential and a normal trace")
 
     def l2_norm(self) -> float:
         cell = self.grid.spacing ** (self.grid.n - 1)

@@ -28,7 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import FormField, Grid, SpectralField, forward_fft, inverse_fft
+from .fields import (FormField, Grid, SpectralField, forward_fft, inverse_fft,
+                     lp_quadrature)
 
 LEAK_TOL = 1e-10
 
@@ -264,9 +265,13 @@ def lp_besov_norm(params: SpaceParams, uh: SpectralField,
     else:
         blocks = [bank.phi_unit] + [bank.psi[j] for j in labels[1:]]
     weights = 2.0 ** (params.s * np.asarray(labels, dtype=float))
-    norms = np.asarray([inverse_fft(uh.apply_multiplier(sym)).lp_norm(params.p)
-                        for sym in blocks])
-    return _lq_aggregate(norms, weights, params.q)
+    # the magnitude is taken here, not through a FormField: derived spectra
+    # may stack more components than a form has (evolution._hessian_spectra)
+    norms = []
+    for sym in blocks:
+        mag_sq = sum(np.abs(np.fft.ifftn(a * sym)) ** 2 for a in uh.comps.values())
+        norms.append(lp_quadrature(np.sqrt(mag_sq), bank.grid, params.p))
+    return _lq_aggregate(np.asarray(norms), weights, params.q)
 
 
 def sobolev_norm(params: SpaceParams, u: FormField, bank: FilterBank) -> float:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import insert_sign
+from .algebra import lowering, raising
 from .fields import FormField, SpectralField, forward_fft, inverse_fft
 
 MEAN_FREE_TOL = 1e-12
@@ -59,44 +59,33 @@ def _lam_value(lam) -> complex:
 # d, delta, Hodge-Dirac
 # ---------------------------------------------------------------------------
 
-def _d_hat(uh: SpectralField) -> SpectralField:
-    """Symbol i xi ^ . applied to the coefficient algebra at every frequency."""
-    grid = uh.grid
-    xi = grid.freqs()
+def _apply_incidence(table, coef, comps: dict[int, np.ndarray]) -> dict:
+    """Sum sign * coef[axis] * comps[mask] into the targets of an incidence
+    table (algebra.raising or algebra.lowering); axes whose coefficient is
+    None are skipped."""
     out: dict[int, np.ndarray] = {}
-    for mask, arr in uh.comps.items():
-        for axis in range(grid.n):
-            s = insert_sign(axis, mask)
-            if s == 0:
+    for mask, arr in comps.items():
+        for axis, target, sign in table[mask]:
+            if coef[axis] is None:
                 continue
-            target = mask | (1 << axis)
-            term = (1j * s) * (xi[axis] * arr)
+            term = (sign * coef[axis]) * arr
             if target in out:
                 out[target] += term
             else:
                 out[target] = term
-    return SpectralField(grid, out)
+    return out
+
+
+def _d_hat(uh: SpectralField) -> SpectralField:
+    """Symbol i xi ^ . applied to the coefficient algebra at every frequency."""
+    coef = [1j * xi for xi in uh.grid.freqs()]
+    return SpectralField(uh.grid, _apply_incidence(raising(uh.grid.n), coef, uh.comps))
 
 
 def _delta_hat(uh: SpectralField) -> SpectralField:
     """Symbol -i xi _| . , the coderivative side of the same sign table."""
-    grid = uh.grid
-    xi = grid.freqs()
-    out: dict[int, np.ndarray] = {}
-    for mask, arr in uh.comps.items():
-        m = mask
-        while m:
-            low = m & -m
-            axis = low.bit_length() - 1
-            target = mask ^ low
-            s = insert_sign(axis, target)
-            term = (-1j * s) * (xi[axis] * arr)
-            if target in out:
-                out[target] += term
-            else:
-                out[target] = term
-            m ^= low
-    return SpectralField(grid, out)
+    coef = [-1j * xi for xi in uh.grid.freqs()]
+    return SpectralField(uh.grid, _apply_incidence(lowering(uh.grid.n), coef, uh.comps))
 
 
 def d(u: FormField) -> FormField:
@@ -112,12 +101,7 @@ def delta(u: FormField) -> FormField:
 def hodge_dirac(u: FormField) -> FormField:
     """d + delta; its square is minus the componentwise Laplacian."""
     uh = forward_fft(u)
-    dh = _d_hat(uh)
-    eh = _delta_hat(uh)
-    comps = dict(dh.comps)
-    for mask, arr in eh.comps.items():
-        comps[mask] = comps[mask] + arr if mask in comps else arr
-    return inverse_fft(SpectralField(u.grid, comps))
+    return inverse_fft(_d_hat(uh) + _delta_hat(uh))
 
 
 # ---------------------------------------------------------------------------
@@ -204,42 +188,20 @@ def hodge_star_field(u: FormField) -> FormField:
     return FormField(u.grid, out)
 
 
+def _const_action(table, vec, u: FormField) -> FormField:
+    coef = [None if a == 0 else a for a in np.asarray(vec)]
+    out = _apply_incidence(table, coef, u.comps)
+    return FormField(u.grid, out) if out else FormField.zero(u.grid)
+
+
 def wedge_const(vec, u: FormField) -> FormField:
     """Wedge a constant real covector onto a field, pointwise."""
-    grid = u.grid
-    a = np.asarray(vec)
-    out: dict[int, np.ndarray] = {}
-    for mask, arr in u.comps.items():
-        for axis in range(grid.n):
-            if a[axis] == 0:
-                continue
-            s = insert_sign(axis, mask)
-            if s == 0:
-                continue
-            target = mask | (1 << axis)
-            term = (s * a[axis]) * arr
-            out[target] = out[target] + term if target in out else term
-    return FormField(grid, out) if out else FormField.zero(grid)
+    return _const_action(raising(u.grid.n), vec, u)
 
 
 def interior_const(vec, u: FormField) -> FormField:
     """Contract a field with a constant real covector, pointwise."""
-    grid = u.grid
-    a = np.asarray(vec)
-    out: dict[int, np.ndarray] = {}
-    for mask, arr in u.comps.items():
-        m = mask
-        while m:
-            low = m & -m
-            axis = low.bit_length() - 1
-            m ^= low
-            if a[axis] == 0:
-                continue
-            target = mask ^ low
-            s = insert_sign(axis, target)
-            term = (s * a[axis]) * arr
-            out[target] = out[target] + term if target in out else term
-    return FormField(grid, out) if out else FormField.zero(grid)
+    return _const_action(lowering(u.grid.n), vec, u)
 
 
 # ---------------------------------------------------------------------------
@@ -261,11 +223,7 @@ def leray_wholespace(u: FormField) -> tuple[FormField, FormField]:
     nz = absq > 0
     inv[nz] = 1.0 / absq[nz]
     g = _d_hat(w.apply_multiplier(inv))
-    gu = inverse_fft(g)
-    pu_comps = {m: uh.component(m) - g.component(m)
-                for m in set(uh.comps) | set(g.comps)}
-    pu = inverse_fft(SpectralField(grid, pu_comps))
-    return pu, gu
+    return inverse_fft(uh - g), inverse_fft(g)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
 """Command-line driver: exit codes, CSV reports, field container round trips."""
 
 import csv
+import importlib.util
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 
@@ -69,6 +71,51 @@ def test_decompose_gradient_field(tmp_path, capsys):
 def test_decompose_missing_field_is_config_error(tmp_path):
     cfg = write_config(tmp_path, {"field": str(tmp_path / "absent.hhf")})
     assert main(["decompose", "--config", cfg, "--out", str(tmp_path)]) == 2
+
+
+def test_decompose_bad_container_is_config_error(tmp_path, capsys):
+    grid = Grid(2, 32, 8.0)
+    u = random_half_field(grid, "Ht", [1, 2], seed=1, kind="annulus_band",
+                          radii=(1.0, 2.5))
+    field_path = str(tmp_path / "cut.hhf")
+    save_field(field_path, u)
+    with open(field_path, "r+b") as fh:
+        fh.truncate(os.path.getsize(field_path) - 8)
+    cfg = write_config(tmp_path, {"field": field_path})
+    assert main(["decompose", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert f"{field_path}: payload has" in capsys.readouterr().err
+
+
+def test_bench_tracer_wraps_and_restores(tmp_path):
+    # the benchmark's --trace mode patches these names where they are bound
+    from hodgehalf import cli, halfspace
+
+    spec = importlib.util.spec_from_file_location(
+        "bench_tracer", Path(__file__).resolve().parents[1] / "bench" / "tracer.py")
+    tracer_mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer_mod)
+    originals = [(cli, "run_solve", cli.run_solve),
+                 (cli.COMMANDS, "solve", cli.COMMANDS["solve"]),
+                 (halfspace, "extend", halfspace.extend),
+                 (np.fft, "fftn", np.fft.fftn)]
+    l2_norm = halfspace.HalfField.__dict__["l2_norm"]
+    cfg = write_config(tmp_path, {
+        "grid": {"n": 2, "points": 16, "length": 8.0},
+        "system": "navier_slip", "T": 0.1, "M": 2})
+    tracer = tracer_mod.Tracer()
+    tracer.install()
+    try:
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path)]) == 0
+        stats = tracer.take()
+    finally:
+        tracer.uninstall()
+    assert stats["calls"]["cli.run_solve"] == 1
+    assert stats["calls"]["halfspace.HalfField.l2_norm"] > 0
+    assert stats["fft"]["cli.run_solve"] == stats["fft_calls"] > 0
+    for owner, key, orig in originals:
+        now = owner[key] if isinstance(owner, dict) else getattr(owner, key)
+        assert now is orig, key
+    assert halfspace.HalfField.__dict__["l2_norm"] is l2_norm
 
 
 def test_solve_free_decay_matches_semigroup(tmp_path):

@@ -1,6 +1,9 @@
 """Grid, FFT transport, test-function synthesis, norms, and serialization."""
 
+import json
 import math
+import re
+import struct
 
 import numpy as np
 import pytest
@@ -161,6 +164,12 @@ def test_nonfinite_rejected(grid2):
         FormField(grid2, {0: arr})
 
 
+@pytest.mark.parametrize("mask", [-1, 4, 99])
+def test_out_of_range_mask_rejected(grid2, mask):
+    with pytest.raises(ValueError, match="out of range"):
+        FormField(grid2, {mask: np.zeros(grid2.shape)})
+
+
 def test_triangle_inequality(grid2):
     u = random_form(grid2, [1], seed=5, width=2.0)
     v = random_form(grid2, [1], seed=6, width=2.0)
@@ -204,4 +213,69 @@ def test_load_rejects_garbage(tmp_path):
     with open(path + ".json", "w") as fh:
         fh.write("{}")
     with pytest.raises(ValueError):
+        load_field(path)
+
+
+def _saved_field(tmp_path, grid2):
+    path = str(tmp_path / "field.hhf")
+    save_field(path, random_form(grid2, [1, 2], seed=9, width=2.0))
+    return path
+
+
+@pytest.mark.parametrize("change", [-8, -1, 1, 8])
+def test_load_rejects_wrong_payload_size(tmp_path, grid2, change):
+    path = _saved_field(tmp_path, grid2)
+    with open(path, "rb") as fh:
+        data = fh.read()
+    with open(path, "wb") as fh:
+        fh.write(data[:change] if change < 0 else data + b"\x00" * change)
+    with pytest.raises(ValueError, match=re.escape(f"{path}: payload has")):
+        load_field(path)
+
+
+@pytest.mark.parametrize("key,value", [("n", 3), ("points", 32),
+                                       ("length", 8.0), ("masks", [1, 3])])
+def test_load_rejects_sidecar_disagreeing_with_header(tmp_path, grid2, key,
+                                                      value):
+    path = _saved_field(tmp_path, grid2)
+    with open(path + ".json") as fh:
+        meta = json.load(fh)
+    meta[key] = value
+    with open(path + ".json", "w") as fh:
+        json.dump(meta, fh)
+    with pytest.raises(ValueError, match=re.escape(f"{path}: header has {key}")):
+        load_field(path)
+
+
+def test_load_rejects_out_of_range_mask(tmp_path, grid2):
+    # mask 99 names axes a 2-D field does not have
+    path = _saved_field(tmp_path, grid2)
+    _rewrite_header(path, [1, 99])
+    with pytest.raises(ValueError, match=re.escape(f"{path}: component mask 99")):
+        load_field(path)
+
+
+def _rewrite_header(path, masks, ncomp=None):
+    with open(path, "r+b") as fh:
+        fh.seek(20)
+        fh.write(struct.pack("<i", len(masks) if ncomp is None else ncomp))
+        fh.write(struct.pack(f"<{len(masks)}i", *masks))
+    with open(path + ".json") as fh:
+        meta = json.load(fh)
+    meta["masks"] = masks
+    with open(path + ".json", "w") as fh:
+        json.dump(meta, fh)
+
+
+def test_load_rejects_corrupt_header(tmp_path, grid2):
+    path = _saved_field(tmp_path, grid2)
+    _rewrite_header(path, [1, 1])
+    with pytest.raises(ValueError, match="repeated component masks"):
+        load_field(path)
+    _rewrite_header(path, [1, 2], ncomp=-2)
+    with pytest.raises(ValueError, match="corrupt header"):
+        load_field(path)
+    with open(path, "r+b") as fh:
+        fh.truncate(12)
+    with pytest.raises(ValueError, match="truncated header"):
         load_field(path)

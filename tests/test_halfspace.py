@@ -6,8 +6,8 @@ import pytest
 from hodgehalf.fields import Grid, TestFunctionSpec, random_form, synthesize
 from hodgehalf.halfspace import (HalfField, component_parity, d_half,
                                  delta_half, extend, half_domain_integral,
-                                 half_l2_inner, hodge_bc_residual, hodge_heat,
-                                 hodge_resolvent, hodge_stokes_apply,
+                                 half_l2_inner, half_shape, hodge_bc_residual,
+                                 hodge_heat, hodge_resolvent, hodge_stokes_apply,
                                  leray_halfspace, navier_slip_residual,
                                  normal_derivative_at_boundary, normal_trace,
                                  q_projector, random_half_field, reflect_normal,
@@ -102,6 +102,26 @@ def test_half_field_shape_validation(grid2):
         HalfField(grid2, "Ht", {0: np.zeros(grid2.shape)})
     with pytest.raises(ValueError):
         HalfField(grid2, "X", {})
+    with pytest.raises(ValueError, match="out of range"):
+        HalfField(grid2, "Ht", {4: np.zeros(half_shape(grid2))})
+
+
+def test_traces_of_different_kinds_do_not_add(grid2):
+    u = random_half_field(grid2, "Ht", [0b01, 0b10], seed=3, width=2.0)
+    tangential, normal = tangential_trace(u), normal_trace(u)
+    assert (tangential + tangential).wedged_normal is False
+    with pytest.raises(ValueError, match="tangential and a normal"):
+        tangential + normal
+
+
+def test_half_field_rejects_nonfinite_samples(grid2):
+    # the seam row of an odd component never reaches the extension, so an
+    # unchecked NaN there would hide behind l2_norm() == 0.0
+    rows = np.zeros(half_shape(grid2), dtype=complex)
+    rows[..., -1] = np.nan
+    assert component_parity("Ht", 0b10, 2) == -1
+    with pytest.raises(ValueError, match="non-finite"):
+        HalfField(grid2, "Ht", {0b10: rows})
 
 
 # ---------------------------------------------------------------------------

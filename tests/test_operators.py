@@ -374,16 +374,115 @@ def test_leray_rejects_nonzero_mean(grid2):
         leray_wholespace(u)
 
 
-def test_interior_const_matches_algebra(grid2):
-    rng = np.random.default_rng(31)
-    vec = rng.standard_normal(2)
-    u = random_form(grid2, [1, 2, 3], seed=32, width=2.0)
-    got = interior_const(vec, u)
-    # oracle: contract the coefficient algebra at one sample point
-    idx = (5, 9)
-    coeff = AlgebraElement.zero(2)
-    for m in u.comps:
-        coeff.coeffs[m] = u.comps[m][idx]
-    expected = interior(vec, coeff)
-    for m in got.comps:
-        assert abs(got.comps[m][idx] - expected.coeffs[m]) < 1e-12
+# ---------------------------------------------------------------------------
+# the sign table: field operators against the exact algebra
+# ---------------------------------------------------------------------------
+
+ALL_MASKS = [(n, mask) for n in (2, 3, 4) for mask in range(1 << n)]
+
+
+def _const_case(op, n, mask, seed=31):
+    """(call giving the field result, algebra oracle, sample point) for a
+    constant covector acting on one random component."""
+    grid = Grid(n, 8, 16.0)
+    rng = np.random.default_rng(seed + mask)
+    vec = rng.standard_normal(n)
+    vec[0] = 0.0  # a zero entry is skipped; d and delta cover axis 0
+    u = FormField(grid, {mask: rng.standard_normal(grid.shape)
+                         + 1j * rng.standard_normal(grid.shape)})
+    idx = (5,) + (3,) * (n - 1)
+    coeff = AlgebraElement.basis(n, mask) * u.comps[mask][idx]
+    if op is wedge_const:
+        expected = wedge(AlgebraElement.one_form(vec), coeff)
+    else:
+        expected = interior(vec, coeff)
+    return lambda: op(vec, u), expected, idx
+
+
+def _mode_case(op, n, seed=7):
+    """(call giving the field result, algebra oracle, mode samples) for d or
+    delta on a single Fourier mode carrying every mask."""
+    grid = Grid(n, 8, 16.0)
+    xi0 = np.pi / 16 * np.array([1, -2, 3, 2][:n], dtype=float)
+    rng = np.random.default_rng(seed + n)
+    coeff = AlgebraElement(n, rng.standard_normal(1 << n)
+                           + 1j * rng.standard_normal(1 << n))
+    mode = synthesize(TestFunctionSpec("single_mode", mode=tuple(xi0)), grid, (0,))
+    u = FormField(grid, {m: coeff.coeffs[m] * mode.comps[0] for m in range(1 << n)})
+    if op is d:
+        expected = wedge(AlgebraElement.one_form(1j * xi0), coeff)
+    else:
+        expected = (-1j) * interior(xi0, coeff)
+    return lambda: op(u), expected, mode.comps[0]
+
+
+def _const_error(case) -> float:
+    run, expected, idx = case
+    got = run()
+    return max(abs(got.component(m)[idx] - expected.coeffs[m])
+               for m in range(1 << got.grid.n))
+
+
+def _mode_error(case) -> float:
+    run, expected, mode = case
+    got = run()
+    return max(float(np.abs(got.component(m) - expected.coeffs[m] * mode).max())
+               for m in range(1 << got.grid.n))
+
+
+def _check_const_action(op):
+    for n, mask in ALL_MASKS:
+        case = _const_case(op, n, mask)
+        assert _const_error(case) < 1e-12, (n, mask)
+        # zero covector entries are skipped: no all-zero component appears
+        support = {m for m in range(1 << n) if case[1].coeffs[m] != 0}
+        assert set(case[0]().comps) == (support or {0}), (n, mask)
+
+
+def test_wedge_const_matches_algebra():
+    _check_const_action(wedge_const)
+
+
+def test_interior_const_matches_algebra():
+    _check_const_action(interior_const)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("op", [d, delta], ids=["d", "delta"])
+def test_single_mode_matches_algebra_symbol(op, n):
+    assert _mode_error(_mode_case(op, n)) < 1e-10
+
+
+def test_flipped_table_sign_fails_the_algebra_checks(monkeypatch):
+    # e_1 ^ dx_2 = +dx_{12} in dimension 3; the mutation makes it -dx_{12},
+    # and with it the adjoint entry e_1 _| dx_{12} = +dx_2
+    from hodgehalf import algebra
+
+    n, axis, mask = 3, 1, 0b100
+    assert algebra.insert_sign(axis, mask) == 1
+    cases = [_const_case(wedge_const, n, mask),
+             _const_case(interior_const, n, mask | 1 << axis)]
+    modes = [_mode_case(d, n), _mode_case(delta, n)]
+    original = algebra.insert_sign
+    table_row = algebra.raising(n)[mask]
+
+    def flipped(a, m):
+        return -original(a, m) if (a, m) == (axis, mask) else original(a, m)
+
+    monkeypatch.setattr(algebra, "insert_sign", flipped)
+    algebra.raising.cache_clear()
+    algebra.lowering.cache_clear()
+    try:
+        assert algebra.raising(n)[mask] != table_row
+        for case in cases:
+            assert _const_error(case) > 1e-6
+        for case in modes:
+            assert _mode_error(case) > 1e-6
+    finally:
+        monkeypatch.undo()
+        algebra.raising.cache_clear()
+        algebra.lowering.cache_clear()
+    for case in cases:
+        assert _const_error(case) < 1e-12
+    for case in modes:
+        assert _mode_error(case) < 1e-10
