@@ -213,8 +213,50 @@ def solve_hodge_heat(f, u0: HalfField, horizon: float, steps: int,
     return Trajectory(tg, u_nodes, f_nodes, u0, u0.flavor)
 
 
-def _project_half(u: HalfField) -> HalfField:
-    return leray_halfspace(u)[0]
+def _projected_datum(u0: HalfField, auto_project: bool,
+                     sol_tol: float = 1e-9) -> HalfField:
+    """Leray projection of a Stokes datum; refuses one it moves unless asked."""
+    if u0.flavor != "Ht":
+        raise ValueError("the Hodge-Stokes solver uses the tangential flavor")
+    pu0 = leray_halfspace(u0)[0]
+    defect = (u0 - pu0).l2_norm()
+    if defect > sol_tol * max(u0.l2_norm(), 1e-300) and not auto_project:
+        raise ValueError(f"initial datum is not solenoidal (projector moves "
+                         f"it by {defect:.3e}); pass auto_project=True")
+    return pu0
+
+
+def _split_forcing(f, tg: TimeGrid, keep_gradients: bool):
+    """Leray-split a forcing once per distinct input: (projected, gradients).
+
+    ``projected`` is the forcing argument for solve_hodge_heat.  A constant
+    forcing is split once, snapshots once each, a callable at every
+    evaluation.  With ``keep_gradients`` the node gradient parts come back
+    as a list (one shared field for a constant forcing; for a callable, those
+    of its node evaluations); otherwise, and without forcing, ``gradients``
+    is None and no gradient part outlives its split.
+    """
+    forcing = _forcing_callable(f)
+    if forcing is None:
+        return None, None
+    if isinstance(f, HalfField):
+        pf, gf = leray_halfspace(f)
+        return pf, [gf] * (tg.steps + 1) if keep_gradients else None
+    snaps = getattr(forcing, "snapshots", None)
+    if snaps is not None:
+        parts = [leray_halfspace(s) for s in snaps]
+        return ([p for p, _ in parts],
+                [g for _, g in parts] if keep_gradients else None)
+    node_of = {t: m for m, t in enumerate(tg.nodes())}
+    gradients = [None] * (tg.steps + 1) if keep_gradients else None
+
+    def projected(t):
+        pf, gf = leray_halfspace(forcing(t))
+        if gradients is not None and t in node_of:
+            gradients[node_of[t]] = gf
+        return pf
+
+    return projected, gradients
 
 
 def solve_hodge_stokes(f, u0: HalfField, horizon: float, steps: int,
@@ -224,56 +266,38 @@ def solve_hodge_stokes(f, u0: HalfField, horizon: float, steps: int,
 
     u0 must be solenoidal with vanishing tangential trace (checked via the
     Leray projector; pass auto_project=True to project instead of failing).
-    The forcing is projected at every evaluation.
+    The forcing is projected once per distinct input: once if constant, once
+    per snapshot, once per evaluation of a callable.
     """
-    if u0.flavor != "Ht":
-        raise ValueError("the Hodge-Stokes solver uses the tangential flavor")
-    pu0 = _project_half(u0)
-    defect = (u0 - pu0).l2_norm()
-    if defect > sol_tol * max(u0.l2_norm(), 1e-300) and not auto_project:
-        raise ValueError(f"initial datum is not solenoidal (projector moves "
-                         f"it by {defect:.3e}); pass auto_project=True")
-    u0 = pu0
-
-    forcing = _forcing_callable(f)
-    snaps = getattr(forcing, "snapshots", None)
-    if snaps is not None:
-        projected = [None if s is None else _project_half(s) for s in snaps]
-        traj = solve_hodge_heat(projected, u0, horizon, steps,
-                                observer=observer, store=store)
-    elif forcing is None:
-        traj = solve_hodge_heat(None, u0, horizon, steps, observer=observer,
-                                store=store)
-    elif isinstance(f, HalfField):
-        traj = solve_hodge_heat(_project_half(f), u0, horizon, steps,
-                                observer=observer, store=store)
-    else:
-        traj = solve_hodge_heat(lambda t: _project_half(forcing(t)), u0,
-                                horizon, steps, observer=observer, store=store)
-    return traj
+    pu0 = _projected_datum(u0, auto_project, sol_tol)
+    projected, _ = _split_forcing(f, TimeGrid(horizon, steps),
+                                  keep_gradients=False)
+    return solve_hodge_heat(projected, pu0, horizon, steps, observer=observer,
+                            store=store)
 
 
 def solve_navier_slip(f, u0: HalfField, horizon: float, steps: int,
-                      auto_project: bool = False) -> tuple[Trajectory, list]:
+                      auto_project: bool = False,
+                      observer=None) -> tuple[Trajectory, list]:
     """Stokes flow of a vector field under Navier-slip boundary conditions.
 
     Returns the velocity trajectory and the pressure-gradient snapshots
     grad p(t_m) = (I - P) f(t_m), the exact complement of the projected
-    forcing; on the flat boundary the slip conditions coincide with the
-    tangential Hodge conditions, so the velocity solve is the Stokes one.
+    forcing, read from the same Leray split that projects the forcing; on the
+    flat boundary the slip conditions coincide with the tangential Hodge
+    conditions, so the velocity solve is the Stokes one.  For a constant or
+    absent forcing every entry of grad p is the same field, as the entries
+    of ``Trajectory.f`` are, so callers must not mutate them in place.
+    ``observer`` is passed to solve_hodge_heat.
     """
     if u0.degrees() != [1]:
         raise ValueError("the Navier-slip system runs on vector fields")
-    forcing = _forcing_callable(f)
-    traj = solve_hodge_stokes(f, u0, horizon, steps, auto_project=auto_project)
-    snaps = getattr(forcing, "snapshots", None)
-    grad_p = []
-    for m, t in enumerate(traj.times()):
-        if forcing is None:
-            grad_p.append(HalfField.zero(u0.grid, u0.flavor, u0.masks()))
-        else:
-            ft = snaps[m] if snaps is not None else forcing(t)
-            grad_p.append(leray_halfspace(ft)[1])
+    pu0 = _projected_datum(u0, auto_project)
+    projected, grad_p = _split_forcing(f, TimeGrid(horizon, steps),
+                                    keep_gradients=True)
+    traj = solve_hodge_heat(projected, pu0, horizon, steps, observer=observer)
+    if grad_p is None:
+        grad_p = [HalfField.zero(u0.grid, u0.flavor, u0.masks())] * (steps + 1)
     return traj, grad_p
 
 

@@ -22,8 +22,10 @@ from __future__ import annotations
 import numpy as np
 
 from .algebra import degree
-from .fields import FieldCore, FormField, Grid, _check_same_grid, random_form
-from .operators import _lam_value, d, delta, heat, leray_wholespace, resolvent
+from .fields import (FieldCore, FormField, Grid, SpectralField, _check_same_grid,
+                     inverse_fft, random_form)
+from .operators import (_delta_hat, _lam_value, d, delta, heat,
+                        leray_wholespace, resolvent)
 
 FLAVORS = ("D", "N", "Ht", "Hn")
 
@@ -166,6 +168,17 @@ def d_half(u: HalfField) -> HalfField:
 def delta_half(u: HalfField) -> HalfField:
     """Coderivative through the extension; the flavor is preserved."""
     return restrict(delta(extend(u)), u.flavor)
+
+
+def delta_half_from_spectra(grid: Grid, flavor: str,
+                            spectra: dict[int, np.ndarray]) -> HalfField:
+    """delta_half of the half-field whose flavored extension has these spectra.
+
+    For callers that already hold the extension spectra (the evolution
+    stepper does): it skips the forward transforms of delta_half and keeps
+    its restriction, so it gives the same field for every flavor.
+    """
+    return restrict(inverse_fft(_delta_hat(SpectralField(grid, spectra))), flavor)
 
 
 def hodge_resolvent(lam, f: HalfField) -> HalfField:

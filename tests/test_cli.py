@@ -3,10 +3,12 @@
 import csv
 import importlib.util
 import json
+import math
 import os
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from hodgehalf.cli import main
 from hodgehalf.fields import Grid, save_field
@@ -31,6 +33,7 @@ def test_verify_algebra_suite_passes(tmp_path, capsys):
     assert "wedge_anticommutativity" in out
     rows = read_csv(tmp_path / "verify.csv")
     assert all(row["status"] == "ok" for row in rows)
+    assert all(float(row["scale"]) > 0 for row in rows)
 
 
 def test_verify_unknown_suite_is_config_error(tmp_path, capsys):
@@ -145,6 +148,94 @@ def test_solve_free_decay_matches_semigroup(tmp_path):
         t = float(row["t"])
         expected = heat(t, U0).l2_norm() / np.sqrt(2.0)
         assert abs(float(row["l2"]) - expected) <= 1e-10 * max(expected, 1e-30)
+
+
+def _solve_rows(tmp_path, payload, seed):
+    cfg = write_config(tmp_path, payload)
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path),
+                 "--seed", str(seed)]) == 0
+    return read_csv(tmp_path / "solve.csv")
+
+
+@pytest.mark.parametrize("system, flavor", [
+    ("hodge_heat", "D"), ("hodge_heat", "N"), ("hodge_heat", "Ht"),
+    ("hodge_heat", "Hn"), ("hodge_stokes", "Ht"), ("navier_slip", "Ht")])
+def test_solve_divergence_matches_delta_half(tmp_path, system, flavor):
+    # the CLI reads delta u from the stepper's spectra; the oracle rebuilds
+    # the run through the solver API and applies delta_half to each node
+    from hodgehalf.cli import RunConfig, _corpus_field
+    from hodgehalf.evolution import (solve_hodge_heat, solve_hodge_stokes,
+                                     solve_navier_slip)
+    from hodgehalf.halfspace import delta_half
+
+    grid = Grid(2, 32, 8.0)
+    rows = _solve_rows(tmp_path, {
+        "grid": {"n": 2, "points": 32, "length": 8.0}, "system": system,
+        "flavor": flavor, "T": 1.0, "M": 8}, seed=5)
+    cfg_obj = RunConfig(command="solve", seed=5)
+    u0 = _corpus_field(cfg_obj, grid, flavor=flavor)
+    f = random_half_field(grid, flavor, u0.masks(), seed=6,
+                          kind="annulus_band", radii=(1.0, 2.5))
+    if system == "hodge_heat":
+        traj = solve_hodge_heat(f, u0, 1.0, 8)
+    elif system == "hodge_stokes":
+        traj = solve_hodge_stokes(f, u0, 1.0, 8, auto_project=True)
+    else:
+        traj, _ = solve_navier_slip(f, u0, 1.0, 8, auto_project=True)
+    assert len(rows) == len(traj.u) == 9
+    for row, um in zip(rows, traj.u):
+        want = delta_half(um).l2_norm()
+        # the CSV prints 12 significant digits: allow half its last place
+        printed = 0.5 * 10.0 ** (math.floor(math.log10(want)) - 11) if want else 0.0
+        assert abs(float(row["divergence"]) - want) \
+            <= 1e-12 * float(row["l2"]) + printed
+
+
+def test_solve_divergence_sees_an_unprojected_forcing(tmp_path, monkeypatch):
+    # mutation: the forcing split returns the forcing itself as the projected
+    # part, so the flow leaves the solenoidal class and the column must say so
+    from hodgehalf import evolution
+    from hodgehalf.halfspace import HalfField
+
+    payload = {"grid": {"n": 2, "points": 32, "length": 8.0},
+               "system": "navier_slip", "T": 1.0, "M": 8}
+    rows = _solve_rows(tmp_path, payload, seed=5)
+    assert all(float(r["divergence"]) <= 1e-9 * float(r["l2"]) for r in rows)
+
+    real = evolution.leray_halfspace
+    calls = []
+
+    def leaky(u):
+        calls.append(u)
+        if len(calls) == 1:  # the datum keeps its projection
+            return real(u)
+        return u, HalfField.zero(u.grid, u.flavor, u.masks())
+
+    monkeypatch.setattr(evolution, "leray_halfspace", leaky)
+    rows = _solve_rows(tmp_path, payload, seed=5)
+    assert len(calls) == 2
+    assert any(float(r["divergence"]) > 1e-9 * float(r["l2"]) for r in rows)
+
+
+@pytest.mark.parametrize("n, points", [(2, 32), (3, 16)])
+def test_solve_fft_count(tmp_path, monkeypatch, n, points):
+    # 2n to draw the datum and the forcing, 3n per Leray split of each, n for
+    # the forcing spectra, n for the stepper; per node n inverse transforms
+    # for the stored field and one for its divergence
+    counts = {"fftn": 0, "ifftn": 0}
+    for kind in counts:
+        orig = getattr(np.fft, kind)
+
+        def counted(*args, _orig=orig, _kind=kind, **kwargs):
+            counts[_kind] += 1
+            return _orig(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, kind, counted)
+    steps = 4
+    _solve_rows(tmp_path, {"grid": {"n": n, "points": points, "length": 8.0},
+                           "system": "navier_slip", "T": 1.0, "M": steps},
+                seed=0)
+    assert sum(counts.values()) == 10 * n + (steps + 1) * (n + 1)
 
 
 def test_normtable_zero_field(tmp_path):

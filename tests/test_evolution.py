@@ -246,6 +246,49 @@ def test_navier_slip_momentum_self_convergence(grid):
         assert 3.6 <= r <= 4.4
 
 
+@pytest.mark.parametrize("kind", ["constant", "snapshots", "callable"])
+def test_navier_slip_pressure_comes_from_the_forcing_split(grid, monkeypatch,
+                                                           kind):
+    # one Leray split per distinct forcing input, shared by the projected
+    # forcing and grad p; the datum takes one more
+    from hodgehalf import evolution
+
+    u0 = solenoidal_field(grid, 27)
+    g = random_half_field(grid, "Ht", [0b01, 0b10], seed=28,
+                          kind="annulus_band", radii=(1.0, 2.5))
+    steps = 8
+    times = TimeGrid(1.0, steps).nodes()
+    if kind == "constant":
+        forcing, splits = g, 2
+        node_inputs = [g] * (steps + 1)
+    elif kind == "snapshots":
+        forcing, splits = [float(np.cos(t)) * g for t in times], steps + 2
+        node_inputs = forcing
+    else:
+        # split at every midpoint and every stored node
+        forcing, splits = (lambda t: float(np.cos(t)) * g), 2 * steps + 2
+        node_inputs = [forcing(t) for t in times]
+    calls = []
+
+    def counted(u):
+        calls.append(u)
+        return leray_halfspace(u)
+
+    monkeypatch.setattr(evolution, "leray_halfspace", counted)
+    traj, grad_p = solve_navier_slip(forcing, u0, 1.0, steps)
+    assert len(calls) == splits
+    assert len(grad_p) == steps + 1
+    for gp, f_m in zip(grad_p, node_inputs):
+        want = leray_halfspace(f_m)[1]
+        assert gp.masks() == want.masks()
+        for mask in want.masks():
+            assert np.array_equal(gp.component(mask), want.component(mask))
+    if kind == "constant":
+        # one field at every node, as Trajectory.f holds one projected forcing
+        assert all(gp is grad_p[0] for gp in grad_p)
+        assert all(fm is traj.f[0] for fm in traj.f)
+
+
 def test_navier_slip_needs_vector_fields(grid):
     u0 = random_half_field(grid, "Ht", [0], seed=19, width=1.5)
     with pytest.raises(ValueError):
