@@ -15,14 +15,20 @@ the time derivative is evaluated through the mild identity du/dt = Delta u + f
 rather than by finite differences, so the report never mixes time-stepping
 error into the estimate it measures.
 
-For p = 2 a node costs two |k|^2 shell reductions (see littlewood_paley): the
-energy E_u of the state, which gives the interpolation norm and, because
+For p = 2 a report needs only |k|^2 shell energies (see littlewood_paley):
+E_u of the state, which gives the interpolation norm and, because
 sum_{a,b} |xi_a xi_b|^2 = |xi|^4, the Hessian norm as |xi|^4 E_u shell by
-shell; and the energy of the pointwise du/dt = -|xi|^2 u_hat + f_hat.  The
-latter is summed as it stands: expanded into |xi|^4 E_u - 2 Re<...> + E_f it
-cancels catastrophically for a steady datum, where du/dt is round-off.  The
-symbols are radial, so the shell sums are exact regroupings of the lattice
-sums.  Both drivers refuse an initial datum or forcing whose spectrum leaks
+shell; and E_dt of du/dt.  The symbols are radial, so the shell sums are
+exact regroupings of the lattice sums.  A stepped node reduces the stepper's
+spectra, du/dt = -|xi|^2 u_hat + f_hat summed pointwise.  With a constant or
+absent forcing streaming_max_reg does not step: the stepper's recurrence sums
+in closed form, and five per-shell Gram sums of the datum and the forcing give
+E_u and E_dt at every node (_closed_form_rows).  There du/dt is written in
+the basis (r, f), r = u0 - f / |xi|^2 the datum less the steady state, since
+in the basis (u0, f) a steady datum leaves du/dt as the difference of O(1)
+terms.  The stepper still runs for callable or snapshot forcings, for p != 2,
+and in max_reg_report, the oracle the closed form is tested against.
+Both drivers refuse an initial datum or forcing whose spectrum leaks
 out of the bank window, reading the leakage from the same shell energies.
 """
 
@@ -188,28 +194,29 @@ def solve_hodge_heat(f, u0: HalfField, horizon: float, steps: int,
             return _spectra_of(0.5 * (snaps_in[m] + snaps_in[m + 1]))
         return _spectra_of(forcing(t_mid))
 
-    def observe(m):
-        if observer is None:
-            return
-        if forcing is None or constant_hat is not None:
-            f_hat = constant_hat
-        else:
-            f_hat = _spectra_of(f_at(times[m], m))
-        observer(m, times[m], stepper.state, f_hat)
+    u_nodes, f_nodes = [], []
 
-    u_nodes = [stepper.field()]
-    f_nodes = [f_at(times[0], 0)]
-    observe(0)
+    def visit(m):
+        # one evaluation of the node forcing serves the snapshot and observer
+        keep = store or m in (0, steps)
+        if not keep and observer is None:
+            return
+        f_m = f_at(times[m], m)
+        if keep:
+            u_nodes.append(stepper.field())
+            f_nodes.append(f_m)
+        if observer is not None:
+            if forcing is None or constant_hat is not None:
+                f_hat = constant_hat
+            else:
+                f_hat = _spectra_of(f_m)
+            observer(m, times[m], stepper.state, f_hat)
+
+    visit(0)
     for m in range(steps):
         t_mid = times[m] + 0.5 * tg.dt
         stepper.advance(f_mid_hat(m, t_mid))
-        if store:
-            u_nodes.append(stepper.field())
-            f_nodes.append(f_at(times[m + 1], m + 1))
-        observe(m + 1)
-    if not store:
-        u_nodes.append(stepper.field())
-        f_nodes.append(f_at(times[-1], steps))
+        visit(m + 1)
     return Trajectory(tg, u_nodes, f_nodes, u0, u0.flavor)
 
 
@@ -354,9 +361,11 @@ class _MaxRegAccumulator:
     predicate of the interpolation space and, for q = infinity, the caller's
     word that the datum is operator-regular.  Node 0 carries the initial
     datum: its interpolation norm is the rhs_u0 term.  The datum and every
-    distinct forcing spectrum, the inputs, are guarded against window
-    leakage; derived spectra are not.  The norm of a forcing dict seen at
-    consecutive nodes is computed once.
+    distinct forcing, the inputs, are guarded against window leakage;
+    derived spectra are not.  The norm of a forcing seen at consecutive nodes
+    is computed once.  At p = 2 the nodes arrive as rows of shell energies
+    (E_u, E_dt), from the stepper's spectra (node) or from the closed form
+    (shell_rows directly).
     """
 
     def __init__(self, grid: Grid, bank: FilterBank, params: SpaceParams,
@@ -388,21 +397,20 @@ class _MaxRegAccumulator:
         self._fhat = None  # forcing spectra whose norm is self._rhs
         self._rhs = 0.0
 
-    def _weight(self, m: int) -> float:
-        if m == 0 or m == self.tg.steps:
-            return 0.5 * self.tg.dt
-        return self.tg.dt
+    def forcing(self, energy: np.ndarray | None, fhat=None):
+        """Take the forcing of the nodes to come from its shell energy.
 
-    def _besov(self, params: SpaceParams, spectra: dict[int, np.ndarray],
-               energy: np.ndarray) -> float:
-        if params.p == 2.0:
-            return shell_besov_norm(params, energy, self.bank)
-        return lp_besov_norm(params, SpectralField(self.grid, spectra), self.bank)
-
-    def _forcing_norm(self, fhat: dict[int, np.ndarray]) -> float:
-        energy = self.bank.shell_energy(fhat.values())
+        None means no forcing; ``fhat``, its spectra, is needed for p != 2.
+        """
+        if energy is None:
+            self._rhs = 0.0
+            return
         require_in_window(self.bank, energy, self.params.homogeneous)
-        return self._besov(self.params, fhat, energy)
+        if self.params.p == 2.0:
+            self._rhs = shell_besov_norm(self.params, energy, self.bank)
+        else:
+            self._rhs = lp_besov_norm(self.params, SpectralField(self.grid, fhat),
+                                      self.bank)
 
     def _time_derivative(self, state, fhat):
         """Spectra of the mild du/dt = Delta u + f, component by component.
@@ -422,38 +430,50 @@ class _MaxRegAccumulator:
 
     def node(self, m: int, t: float, state: dict[int, np.ndarray],
              fhat: dict[int, np.ndarray] | None):
+        """One node of a stepped trajectory, from its spectra."""
         grid, bank, params = self.grid, self.bank, self.params
         if fhat is not self._fhat:
             self._fhat = fhat
-            self._rhs = 0.0 if fhat is None else self._forcing_norm(fhat)
+            self.forcing(None if fhat is None
+                         else bank.shell_energy(fhat.values()), fhat)
         e_u = bank.shell_energy(state.values())
-        if m == 0:
-            require_in_window(bank, e_u, params.homogeneous)
-        interp = self._besov(self.interp, state, e_u)
         dudt = self._time_derivative(state, fhat)
         if params.p == 2.0:
-            # summed pointwise: du/dt is round-off for a steady datum, and its
-            # Gram expansion |xi|^4 E_u - 2 Re<|xi|^2 u, f> + E_f cancels to NaN
             e_dt = bank.shell_energy(a for _, a in dudt)
-            dt_norm = shell_besov_norm(params, e_dt, bank)
-            # |Hessian|^2 = |xi|^4 |u_hat|^2 pointwise
-            hess_norm = shell_besov_norm(params, bank.shell_absq ** 2 * e_u, bank)
-        else:
-            dudt = SpectralField(grid, {k: a.copy() for k, a in dudt})
-            dt_norm = lp_besov_norm(params, dudt, bank)
-            hess = _hessian_spectra(state, grid)
-            hess_norm = lp_besov_norm(params, SpectralField(grid, hess), bank)
+            self.shell_rows(m, e_u[None], e_dt[None])
+            return
         if m == 0:
-            self.rhs_u0 = interp
-        self.sup_norm = max(self.sup_norm, interp)
-        evol = dt_norm + hess_norm
-        w = self._weight(m)
-        if math.isinf(params.q):
-            self.evol_max = max(self.evol_max, evol)
+            require_in_window(bank, e_u, params.homogeneous)
+        interp = lp_besov_norm(self.interp, SpectralField(grid, state), bank)
+        dudt = SpectralField(grid, {k: a.copy() for k, a in dudt})
+        hess = SpectralField(grid, _hessian_spectra(state, grid))
+        evol = lp_besov_norm(params, dudt, bank) + lp_besov_norm(params, hess, bank)
+        self._add(m, np.array([interp]), np.array([evol]))
+
+    def shell_rows(self, m0: int, e_u: np.ndarray, e_dt: np.ndarray):
+        """p = 2 nodes m0, m0 + 1, ... from rows of shell energies of u, du/dt."""
+        bank, params = self.bank, self.params
+        if m0 == 0:
+            require_in_window(bank, e_u[0], params.homogeneous)
+        interp = shell_besov_norm(self.interp, e_u, bank)
+        # |Hessian|^2 = |xi|^4 |u_hat|^2 pointwise
+        evol = (shell_besov_norm(params, e_dt, bank)
+                + shell_besov_norm(params, bank.shell_absq ** 2 * e_u, bank))
+        self._add(m0, interp, evol)
+
+    def _add(self, m0: int, interp: np.ndarray, evol: np.ndarray):
+        tg, q = self.tg, self.params.q
+        m = m0 + np.arange(interp.size)
+        w = np.where((m == 0) | (m == tg.steps), 0.5 * tg.dt, tg.dt)
+        if m0 == 0:
+            self.rhs_u0 = float(interp[0])
+        self.sup_norm = max(self.sup_norm, float(interp.max()))
+        if math.isinf(q):
+            self.evol_max = max(self.evol_max, float(evol.max()))
             self.rhs_max = max(self.rhs_max, self._rhs)
         else:
-            self.evol_acc += w * evol ** params.q
-            self.rhs_acc += w * self._rhs ** params.q
+            self.evol_acc += float(np.sum(w * evol ** q))
+            self.rhs_acc += float(np.sum(w)) * self._rhs ** q
 
     def lq_evolution(self) -> float:
         if math.isinf(self.params.q):
@@ -473,6 +493,105 @@ class _MaxRegAccumulator:
         return MaxRegReport(system, self.params.s, self.params.p, self.params.q,
                             self.tg.horizon, self.sup_norm, self.lq_evolution(),
                             self.lq_forcing(), self.rhs_u0, ratio)
+
+
+# nodes x shells entries per block of the closed-form tables, about the size
+# of one lattice array
+_BLOCK_ENTRIES = 1 << 14
+
+
+def _x_over_sinh(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """x / sinh x and 1 - x / sinh x for x >= 0, each to a few ulps.
+
+    Below x = 1 both come from the series sinh x - x = x^3 sum_j x^{2j} /
+    (2j + 3)! (nine terms, remainder under 1e-19 relative), so the small
+    1 - x / sinh x is not a difference of nearly equal numbers; above, from
+    x / sinh x = 2x e^{-x} / (1 - e^{-2x}), which cannot overflow.
+    """
+    small = x < 1.0
+    xs = np.where(small, x, 0.0)
+    x2 = xs * xs
+    series = np.zeros_like(xs)
+    for j in reversed(range(9)):
+        series = series * x2 + 1.0 / math.factorial(2 * j + 3)
+    excess = xs * x2 * series
+    sinh = xs + excess
+    pos = sinh > 0
+    rho = np.divide(xs, sinh, out=np.ones_like(xs), where=pos)
+    rest = np.divide(excess, sinh, out=np.zeros_like(xs), where=pos)
+    xl = np.where(small, 1.0, x)
+    rho_large = 2.0 * xl * np.exp(-xl) / -np.expm1(-2.0 * xl)
+    return (np.where(small, rho, rho_large),
+            np.where(small, rest, 1.0 - rho_large))
+
+
+@dataclass
+class _ShellGrams:
+    """Per-shell Gram sums Re sum_comp sum_{|k|^2 = s} conj(a) b of the data.
+
+    u: the datum u0_hat, f: the forcing f_hat, r = u0_hat - f_hat / |xi|^2
+    (u0_hat on the zero shell), the datum less the steady state of f.
+    """
+
+    uu: np.ndarray
+    uf: np.ndarray
+    ff: np.ndarray
+    rr: np.ndarray
+    rf: np.ndarray
+
+
+def _shell_grams(bank: FilterBank, u_hat: dict[int, np.ndarray],
+                 f_hat: dict[int, np.ndarray]) -> _ShellGrams:
+    absq = bank.grid.freq_sq()
+    inv_absq = np.divide(1.0, absq, out=np.zeros_like(absq), where=absq > 0)
+    r_hat = dict(u_hat)
+    for k, f in f_hat.items():
+        r_hat[k] = r_hat[k] - inv_absq * f if k in r_hat else -inv_absq * f
+
+    def cross(a, b):
+        density = np.zeros(bank.grid.shape)
+        for k in a.keys() & b.keys():
+            density += a[k].real * b[k].real + a[k].imag * b[k].imag
+        return bank.shell_sum(density)
+
+    return _ShellGrams(bank.shell_energy(u_hat.values()), cross(u_hat, f_hat),
+                       bank.shell_energy(f_hat.values()),
+                       bank.shell_energy(r_hat.values()), cross(r_hat, f_hat))
+
+
+def _closed_form_rows(bank: FilterBank, tg: TimeGrid, gram: _ShellGrams):
+    """Shell energies (E_u, E_dt) of the stepped trajectory, blocks of nodes.
+
+    The stepper's recurrence u_{m+1} = e^{-dt lam} u_m + dt e^{-dt lam / 2} f
+    with a constant f sums to u_m = a u0 + g f, with a = e^{-t_m lam},
+    g = (1 - a)(x / sinh x) / lam and x = lam dt / 2, and its mild time
+    derivative -lam u_m + f to -lam a r + c f, with c = (1 - a)(1 - x / sinh x)
+    (lam = 0: g = t_m, c = 1).  Each coefficient depends on |k|^2 alone, so
+    the energies are quadratic forms in the per-shell Gram sums.  In the
+    (r, f) basis a steady datum (r ~ 0) leaves E_dt ~ c^2 G_ff with no
+    cancellation of O(1) terms.  Yields (m0, E_u, E_dt), rows m0, m0 + 1, ...
+    """
+    lam = bank.shell_absq
+    flat = lam == 0.0
+    rho, rest = _x_over_sinh(0.5 * tg.dt * lam)
+    rho_over_lam = np.divide(rho, lam, out=np.zeros_like(lam), where=~flat)
+    times = tg.nodes()
+    block = max(1, _BLOCK_ENTRIES // lam.size)
+    for m0 in range(0, times.size, block):
+        t = times[m0:m0 + block, None]
+        a = np.exp(-t * lam)
+        one_minus_a = -np.expm1(-t * lam)
+        g = one_minus_a * rho_over_lam
+        g[:, flat] = t
+        c = one_minus_a * rest
+        c[:, flat] = 1.0
+        la = lam * a
+        e_u = a * a * gram.uu + 2.0 * a * g * gram.uf + g * g * gram.ff
+        e_dt = la * la * gram.rr - 2.0 * la * c * gram.rf + c * c * gram.ff
+        # round-off can take a near-zero quadratic form below 0
+        np.maximum(e_u, 0.0, out=e_u)
+        np.maximum(e_dt, 0.0, out=e_dt)
+        yield m0, e_u, e_dt
 
 
 def make_a_regular(seed_field: HalfField, lam: float = 1.0) -> HalfField:
@@ -511,12 +630,23 @@ def streaming_max_reg(system: str, f, u0: HalfField, horizon: float, steps: int,
 
     Produces the same numbers as max_reg_report on the stored trajectory;
     used for sweeps whose snapshots would not fit comfortably in memory.
+    At p = 2 with a constant or absent forcing the nodes come from the
+    closed form, with no time stepping and no transform per node.
     """
     if system not in ("hodge_heat", "hodge_stokes", "navier_slip"):
         raise ValueError(f"unknown system {system!r}")
-    acc = _MaxRegAccumulator(u0.grid, bank, params, TimeGrid(horizon, steps),
-                             a_regular_checked)
-    if system == "hodge_heat":
+    tg = TimeGrid(horizon, steps)
+    acc = _MaxRegAccumulator(u0.grid, bank, params, tg, a_regular_checked)
+    if params.p == 2.0 and (f is None or isinstance(f, HalfField)):
+        if system != "hodge_heat":
+            u0 = _projected_datum(u0, auto_project=True)
+            f, _ = _split_forcing(f, tg, keep_gradients=False)
+        f_hat = {} if f is None else _spectra_of(f)
+        gram = _shell_grams(bank, _spectra_of(u0), f_hat)
+        acc.forcing(None if f is None else gram.ff)
+        for m0, e_u, e_dt in _closed_form_rows(bank, tg, gram):
+            acc.shell_rows(m0, e_u, e_dt)
+    elif system == "hodge_heat":
         solve_hodge_heat(f, u0, horizon, steps, observer=acc.node, store=False)
     else:
         solve_hodge_stokes(f, u0, horizon, steps, observer=acc.node,

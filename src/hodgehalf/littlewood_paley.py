@@ -141,6 +141,10 @@ class FilterBank:
             density += sq
             np.square(a.imag, out=sq)
             density += sq
+        return self.shell_sum(density)
+
+    def shell_sum(self, density: np.ndarray) -> np.ndarray:
+        """Sum a lattice density over each |k|^2 shell."""
         return np.bincount(self.shell_index, weights=density.ravel(),
                            minlength=self.shell_absq.size)
 
@@ -200,10 +204,14 @@ def low_pass(bank: FilterBank, u: FormField) -> FormField:
     return inverse_fft(forward_fft(u).apply_multiplier(bank.low))
 
 
-def _lq_aggregate(values: np.ndarray, weights: np.ndarray, q: float) -> float:
+def _lq_aggregate(values: np.ndarray, weights: np.ndarray, q: float):
+    """l^q sum over the last axis of weights * values; a float for one row."""
+    terms = weights * values
     if math.isinf(q):
-        return float(np.max(weights * values)) if values.size else 0.0
-    return float(np.sum((weights * values) ** q) ** (1.0 / q))
+        out = np.max(terms, axis=-1, initial=0.0)
+    else:
+        out = np.sum(terms ** q, axis=-1) ** (1.0 / q)
+    return float(out) if out.ndim == 0 else out
 
 
 def _block_labels(params: SpaceParams, bank: FilterBank) -> list[int]:
@@ -218,19 +226,23 @@ def _block_labels(params: SpaceParams, bank: FilterBank) -> list[int]:
 
 
 def shell_besov_norm(params: SpaceParams, energy: np.ndarray,
-                     bank: FilterBank) -> float:
+                     bank: FilterBank):
     """p = 2 Besov norm from per-shell energies (FilterBank.shell_energy).
 
+    ``energy`` has shape (shells,) or (rows, shells), one row per node of a
+    trajectory, say; the result is a float or one norm per row.
     The caller guards the window (require_in_window) where the data is an
     input; a derived quantity such as a time derivative that is round-off
     everywhere carries no meaningful leakage fraction.
     """
     labels = _block_labels(params, bank)
-    band_sq = bank.shell_psi_sq @ energy
+    band_sq = (bank.shell_psi_sq @ energy.T).T
     if not params.homogeneous:
         # the j >= 0 scales close the window
-        band_sq = np.concatenate(([bank.shell_phi_unit_sq @ energy],
-                                  band_sq[len(band_sq) - len(labels) + 1:]))
+        low = np.asarray(bank.shell_phi_unit_sq @ energy.T)
+        band_sq = np.concatenate((low[..., None],
+                                  band_sq[..., bank.shell_psi_sq.shape[0]
+                                          - len(labels) + 1:]), axis=-1)
     scale = bank.grid.cell_volume / bank.grid.points ** bank.grid.n
     weights = 2.0 ** (params.s * np.asarray(labels, dtype=float))
     return _lq_aggregate(np.sqrt(band_sq * scale), weights, params.q)

@@ -289,6 +289,35 @@ def test_navier_slip_pressure_comes_from_the_forcing_split(grid, monkeypatch,
         assert all(fm is traj.f[0] for fm in traj.f)
 
 
+def test_node_forcing_is_evaluated_once_per_node(grid, monkeypatch):
+    # the stored snapshot and the observer share one evaluation of a callable
+    # forcing: 8 midpoints + 9 nodes + the datum = 18 Leray splits either way
+    from hodgehalf import evolution
+
+    u0 = solenoidal_field(grid, 29)
+    g = random_half_field(grid, "Ht", [0b01, 0b10], seed=30,
+                          kind="annulus_band", radii=(1.0, 2.5))
+    calls = []
+
+    def counted(u):
+        calls.append(u)
+        return leray_halfspace(u)
+
+    monkeypatch.setattr(evolution, "leray_halfspace", counted)
+    runs = []
+    for observer in (None, lambda m, t, state, f_hat: None):
+        calls.clear()
+        runs.append(solve_navier_slip(lambda t: float(np.cos(t)) * g, u0,
+                                      1.0, 8, observer=observer))
+        assert len(calls) == 18
+    (plain, grad_plain), (observed, grad_observed) = runs
+    for a, b in zip(plain.u + plain.f + grad_plain,
+                    observed.u + observed.f + grad_observed):
+        assert a.masks() == b.masks()
+        for mask in a.masks():
+            assert np.array_equal(a.component(mask), b.component(mask))
+
+
 def test_navier_slip_needs_vector_fields(grid):
     u0 = random_half_field(grid, "Ht", [0], seed=19, width=1.5)
     with pytest.raises(ValueError):
@@ -391,3 +420,170 @@ def test_max_reg_report_row_shape(grid):
                 "rhs_u0", "ratio"):
         assert key in row
     assert row["ratio"] > 0
+
+
+# ---------------------------------------------------------------------------
+# closed-form p = 2 reports
+# ---------------------------------------------------------------------------
+
+REPORT_FIELDS = ("sup_interp_norm", "lq_evolution_norm", "rhs_forcing_norm",
+                 "rhs_initial_norm", "ratio")
+
+
+def _closed_form_cases(grid):
+    f = random_half_field(grid, "Ht", [0b01, 0b10], seed=30,
+                          kind="annulus_band", radii=(1.0, 2.2))
+    steady = steady_datum(f)
+    p2 = SpaceParams(0.0, 2.0, 1.0)
+    cases = {f"stokes-{name}": ("hodge_stokes", f, datum, p2, False)
+             for name, datum in (("steady", steady), ("zero", 0.0 * steady),
+                                 ("anti_steady", -1.0 * steady),
+                                 ("twice_steady", 2.0 * steady))}
+    cases["stokes-no_forcing"] = ("hodge_stokes", None, steady, p2, False)
+    cases["stokes-q1.5"] = ("hodge_stokes", f, steady,
+                            SpaceParams(0.0, 2.0, 1.5), False)
+    cases["stokes-q_inf"] = ("hodge_stokes", f, make_a_regular(steady),
+                             SpaceParams(-1.5, 2.0, math.inf), True)
+    cases["stokes-inhomogeneous"] = ("hodge_stokes", f, steady,
+                                     SpaceParams(0.0, 2.0, 1.0,
+                                                 homogeneous=False), False)
+    for flavor in ("D", "N", "Ht", "Hn"):
+        g = random_half_field(grid, flavor, [0, 0b01, 0b10, 0b11], seed=31,
+                              kind="annulus_band", radii=(1.0, 2.2))
+        datum = restrict(frac_laplacian(-2.0, extend(g)), flavor)
+        cases[f"heat-{flavor}"] = ("hodge_heat", g, datum, p2, False)
+    # a mean on the zero shell, lam = 0, which only inhomogeneous norms admit
+    g = random_half_field(grid, "N", [0], seed=35, kind="annulus_band",
+                          radii=(1.0, 2.2))
+    with_mean = HalfField(grid, "N", {0: g.comps[0] + 0.3})
+    cases["heat-N-mean-inhomogeneous"] = (
+        "hodge_heat", with_mean, 2.0 * with_mean,
+        SpaceParams(0.0, 2.0, 1.0, homogeneous=False), False)
+    # the forcing carries a mask the datum lacks
+    u0 = random_half_field(grid, "Ht", [0b01], seed=32, kind="annulus_band",
+                           radii=(1.0, 2.2))
+    cases["heat-forcing_mask_absent_from_u0"] = ("hodge_heat", f, u0, p2, False)
+    return cases
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("horizon", [1.0, 100.0])
+def test_closed_form_report_matches_the_stepped_trajectory(grid, monkeypatch,
+                                                           horizon):
+    from hodgehalf import evolution
+
+    bank = default_bank(grid)
+    steps = 32
+    for name, (system, f, u0, params, regular) in _closed_form_cases(grid).items():
+        if system == "hodge_heat":
+            traj = solve_hodge_heat(f, u0, horizon, steps)
+        else:
+            traj = solve_hodge_stokes(f, u0, horizon, steps, auto_project=True)
+        stepped = max_reg_report(traj, params, system, bank,
+                                 a_regular_checked=regular)
+        with monkeypatch.context() as patch:
+            # the closed form takes no step
+            patch.setattr(evolution, "_Stepper", None)
+            closed = streaming_max_reg(system, f, u0, horizon, steps, params,
+                                       bank, a_regular_checked=regular)
+        for key in REPORT_FIELDS:
+            want, got = getattr(stepped, key), getattr(closed, key)
+            assert abs(got - want) <= 1e-12 * abs(want), (name, key, got, want)
+        if name == "stokes-zero":
+            assert closed.rhs_initial_norm == 0.0
+        elif name != "stokes-no_forcing":
+            assert closed.rhs_forcing_norm > 0.0 and closed.ratio > 0.0
+
+
+def test_max_reg_time_quadrature_is_the_trapezoid_rule(grid):
+    # the weights of a constant integrand sum to T: half-weight end nodes
+    from hodgehalf.littlewood_paley import besov_norm
+
+    bank = default_bank(grid)
+    f = random_half_field(grid, "Ht", [0b01, 0b10], seed=36,
+                          kind="annulus_band", radii=(1.0, 2.2))
+    u0 = steady_datum(f)
+    for params in (SpaceParams(0.0, 2.0, 1.0), SpaceParams(-0.5, 2.0, 2.0)):
+        norm = besov_norm(params, extend(leray_halfspace(f)[0]), bank)
+        for stepped in (False, True):
+            horizon = 10.0
+            if stepped:
+                traj = solve_hodge_stokes(f, u0, horizon, 8, auto_project=True)
+                rep = max_reg_report(traj, params, "hodge_stokes", bank)
+            else:
+                rep = streaming_max_reg("hodge_stokes", f, u0, horizon, 8,
+                                        params, bank)
+            want = horizon ** (1.0 / params.q) * norm
+            assert abs(rep.rhs_forcing_norm - want) <= 1e-12 * want
+
+
+def test_closed_form_time_derivative_against_long_double():
+    # steady datum at T = 1: du/dt = c f with c ~ 1e-6 is all that is left,
+    # the hard case for both float64 routes; the reference runs the stepper's
+    # recurrence in long double from the same float64 spectra
+    from hodgehalf.evolution import (_closed_form_rows, _projected_datum,
+                                     _shell_grams, _spectra_of)
+
+    grid = Grid(2, 64, 8.0)
+    bank = default_bank(grid)
+    f = random_half_field(grid, "Ht", [0b01, 0b10], seed=33,
+                          kind="annulus_band", radii=(1.0, 2.2))
+    pf = leray_halfspace(f)[0]
+    u0 = _projected_datum(steady_datum(f), auto_project=True)
+    tg = TimeGrid(1.0, 256)
+    u_hat, f_hat = _spectra_of(u0), _spectra_of(pf)
+    closed = np.concatenate([e_dt for _, _, e_dt in _closed_form_rows(
+        bank, tg, _shell_grams(bank, u_hat, f_hat))])
+
+    absq = grid.freq_sq()
+    stepped = []
+    solve_hodge_heat(pf, u0, 1.0, tg.steps, store=False,
+                     observer=lambda m, t, state, fh: stepped.append(
+                         bank.shell_energy(-absq * state[k] + fh[k]
+                                           for k in state)))
+    lam = absq.astype(np.longdouble)
+    dt = np.longdouble(tg.horizon) / tg.steps
+    full, half = np.exp(-dt * lam), dt * np.exp(-0.5 * dt * lam)
+    u = {k: a.astype(np.clongdouble) for k, a in u_hat.items()}
+    g = {k: a.astype(np.clongdouble) for k, a in f_hat.items()}
+    reference = []
+    for _ in range(tg.steps + 1):
+        density = sum(np.abs(-lam * u[k] + g[k]) ** 2 for k in u)
+        reference.append(bank.shell_sum(density.astype(float)))
+        u = {k: full * u[k] + half * g[k] for k in u}
+    reference = np.array(reference)
+
+    def error(rows):
+        # node 0's du/dt is the round-off of the datum's steadiness, which no
+        # float64 route resolves; from node 1 on it is c f
+        diff = np.abs(rows - reference)[1:].sum(axis=1)
+        return float((diff / reference[1:].sum(axis=1)).max())
+
+    assert error(closed) <= 2.0 * error(np.array(stepped))
+    assert error(closed) < 1e-7
+
+
+def test_closed_form_fft_count_does_not_grow_with_steps(grid, monkeypatch):
+    # neither the transforms nor the lattice-to-shell reductions (one
+    # np.bincount each; two per node when stepping) depend on the node count
+    bank = default_bank(grid)
+    f = random_half_field(grid, "Ht", [0b01, 0b10], seed=34,
+                          kind="annulus_band", radii=(1.0, 2.2))
+    u0 = steady_datum(f)
+    counts = []
+    count = {}
+    for module, name in ((np.fft, "fftn"), (np.fft, "ifftn"), (np, "bincount")):
+        orig = getattr(module, name)
+
+        def counted(*args, _orig=orig, _name=name, **kwargs):
+            count[_name] += 1
+            return _orig(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    for steps in (8, 256):
+        count.update(fftn=0, ifftn=0, bincount=0)
+        streaming_max_reg("hodge_stokes", f, u0, 10.0, steps,
+                          SpaceParams(0.0, 2.0, 1.0), bank)
+        counts.append(dict(count))
+    assert counts[0] == counts[1]
+    assert counts[0]["fftn"] > 0 and counts[0]["bincount"] == 5

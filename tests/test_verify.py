@@ -1,10 +1,14 @@
 """Verification suites: every check compares nonzero quantities."""
 
+import numpy as np
 import pytest
 
+from hodgehalf import halfspace, verify
 from hodgehalf.fields import Grid, random_form
+from hodgehalf.halfspace import d_half, random_half_field, scalar_resolvent
 from hodgehalf.operators import d
-from hodgehalf.verify import SUITES, VerifyOutcome, _zero_scale, run_suite
+from hodgehalf.verify import (SUITES, VerifyOutcome, _zero_scale, run_suite,
+                              series_resolvent)
 
 
 @pytest.mark.parametrize("suite", SUITES)
@@ -39,3 +43,64 @@ def test_nilpotence_past_the_top_degree_is_vacuous():
     assert ddv.l2_norm() == 0.0
     assert out.worst["d_squared_zero"]["status"] == "vacuous"
     assert out.failed == 1
+
+
+@pytest.mark.parametrize("n, points", [(2, 64), (3, 16)])
+def test_series_resolvent_matches_the_reflection_route(n, points):
+    # the sine / cosine series solve of the decoupling check agrees with the
+    # extension route it audits, and the two boundary rules differ
+    grid = Grid(n, points, 8.0)
+    normal = 1 << (n - 1)
+    f = random_half_field(grid, "Ht", [0, normal], seed=4, kind="annulus_band",
+                          radii=(1.0, 3.0))
+    lam = 2.0 * np.exp(0.3j)
+    for bc in ("D", "N"):
+        for rows in f.comps.values():
+            want = scalar_resolvent(lam, rows, grid, bc)
+            got = series_resolvent(lam, rows, grid, bc)
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    rows = f.comps[0]
+    swapped = series_resolvent(lam, rows, grid, "D")
+    want = scalar_resolvent(lam, rows, grid, "N")
+    assert np.abs(swapped - want).max() > 1e-3 * np.abs(want).max()
+
+
+def test_decoupling_check_fails_when_the_dn_rule_is_swapped(monkeypatch):
+    swap = {"D": "N", "N": "D"}
+    monkeypatch.setattr(verify, "series_resolvent",
+                        lambda lam, rows, grid, bc: series_resolvent(
+                            lam, rows, grid, swap[bc]))
+    info = run_suite("halfspace", seed=0).worst["neumann_dirichlet_decoupling"]
+    assert info["status"] == "fail" and info["residual"] > 1e-3
+
+
+def test_swapped_tangential_parity_fails_a_suite(monkeypatch):
+    # mutation smoke test: under 'Ht' the normal-bearing components extend
+    # evenly and the others oddly, the 'Hn' rule
+    original = halfspace.component_parity
+
+    def swapped(flavor, mask, n):
+        return original("Hn" if flavor == "Ht" else flavor, mask, n)
+
+    monkeypatch.setattr(halfspace, "component_parity", swapped)
+    failed = {(suite, check) for suite in ("halfspace", "traces")
+              for check, info in run_suite(suite, seed=0).worst.items()
+              if info["status"] != "ok"}
+    assert ("halfspace", "neumann_dirichlet_decoupling") in failed
+    monkeypatch.undo()
+    for suite in ("halfspace", "traces"):
+        assert run_suite(suite, seed=0).status == "ok"
+
+
+def test_pressure_check_takes_each_gradient_field_once(monkeypatch):
+    # a constant forcing gives one gradient field shared by all 9 nodes
+    calls = []
+
+    def counted(u):
+        calls.append(u)
+        return d_half(u)
+
+    monkeypatch.setattr(verify, "d_half", counted)
+    info = run_suite("evolution", seed=0).worst["pressure_curl_free"]
+    assert len(calls) == 1
+    assert info["status"] == "ok" and info["scale"] > 0
