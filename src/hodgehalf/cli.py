@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -166,10 +167,11 @@ def run_decompose(cfg: RunConfig) -> int:
     os.makedirs(cfg.out_dir, exist_ok=True)
     save_field(os.path.join(cfg.out_dir, "p_part.hhf"), pu)
     save_field(os.path.join(cfg.out_dir, "g_part.hhf"), gu)
-    norm = max(u.l2_norm(), 1e-300)
+    u_norm = u.l2_norm()
+    norm = max(u_norm, 1e-300)
     report = {
         "input": path,
-        "norm": u.l2_norm(),
+        "norm": u_norm,
         "zero_mode_removed": removed_mean,
         "p_mass_fraction": (pu.l2_norm() / norm) ** 2,
         "g_mass_fraction": (gu.l2_norm() / norm) ** 2,
@@ -389,8 +391,15 @@ COMMANDS = {"verify": run_verify, "decompose": run_decompose,
             "normtable": run_normtable}
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process (parsing leaves it as
+    it was)."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         cfg = RunConfig.from_args(args.command, args)
         return COMMANDS[args.command](cfg)

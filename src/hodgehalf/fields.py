@@ -70,6 +70,18 @@ class Grid:
         return [xi.reshape((1,) * m + (-1,) + (1,) * (self.n - m - 1))
                 for m in range(self.n)]
 
+    def odd_freqs(self) -> list[np.ndarray]:
+        """freqs() with the Nyquist entry k = N/2 set to 0, for odd symbols.
+
+        The Nyquist mode is its own mirror image (-N/2 = N/2 mod N), so an odd
+        symbol such as i xi can only be equivariant under x -> -x there if it
+        vanishes.
+        """
+        xi = self.freq_axis()
+        xi[self.points // 2] = 0.0
+        return [xi.reshape((1,) * m + (-1,) + (1,) * (self.n - m - 1))
+                for m in range(self.n)]
+
     def freq_sq(self) -> np.ndarray:
         """|xi|^2 on the full lattice."""
         out = np.zeros(self.shape)

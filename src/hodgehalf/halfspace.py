@@ -49,7 +49,15 @@ def component_parity(flavor: str, mask: int, n: int) -> int:
 
 
 class HalfField(FieldCore):
-    """Algebra-valued samples on the half-grid x_n >= 0, tagged with a flavor."""
+    """Algebra-valued samples on the half-grid x_n >= 0, tagged with a flavor.
+
+    L^2 pairings and norms are read on the N/2 + 1 stored rows with the DCT-I
+    trapezoid weights: 1 on interior rows and, on the boundary and seam rows,
+    1/2 for a component that extends evenly and 0 for one that extends oddly.
+    The extension holds each interior row twice and each end row once (even)
+    or not at all (odd, where extend writes zeros), so the weighted sum is
+    exactly half the torus sum of the extension, without building it.
+    """
 
     checked = True
 
@@ -88,11 +96,29 @@ class HalfField(FieldCore):
         every product even in x_n); mixed flavors are rejected.
         """
         self._check_like(other)
-        return 0.5 * extend(self).l2_inner(extend(other))
+        acc = 0.0 + 0.0j
+        for m in set(self.comps) & set(other.comps):
+            parity = component_parity(self.flavor, m, self.grid.n)
+            acc += _half_row_sum(self.comps[m], parity, other.comps[m])
+        return complex(acc * self.grid.cell_volume)
 
     def l2_norm(self) -> float:
-        ext = extend(self)
-        return float(np.sqrt(max((0.5 * ext.l2_inner(ext)).real, 0.0)))
+        total = 0.0
+        for m, a in self.comps.items():
+            parity = component_parity(self.flavor, m, self.grid.n)
+            total += _half_row_sum(a, parity, a).real
+        return float(np.sqrt(max(total * self.grid.cell_volume, 0.0)))
+
+
+def _half_row_sum(a: np.ndarray, parity: int,
+                  b: np.ndarray | None = None) -> complex:
+    """Sum of a * conj(b) (of a alone when b is None) over the stored rows,
+    with the trapezoid weights of a component of this parity: half the torus
+    sum of the same product of the extensions."""
+    weights = np.ones(a.shape[-1])
+    weights[[0, -1]] = 0.5 if parity > 0 else 0.0
+    weighted = a * weights
+    return complex(np.sum(weighted) if b is None else np.vdot(b, weighted))
 
 
 # ---------------------------------------------------------------------------
@@ -298,8 +324,9 @@ def half_domain_integral(values: np.ndarray, grid: Grid) -> complex:
     """
     if values.shape != grid.shape:
         raise ValueError("values must be sampled on the full grid")
-    spectrum = np.fft.fftn(values)
-    line = spectrum[(0,) * (grid.n - 1)]
+    # the tangential zero-mode line of the n-D spectrum: the tangential sum,
+    # transformed along the normal axis
+    line = np.fft.fft(values.sum(axis=tuple(range(grid.n - 1))))
     points = grid.points
     k = np.fft.fftfreq(points) * points
     # int_0^L of one mode: L at k = 0, 0 for even k, and the e^{i pi k} phase
@@ -339,10 +366,11 @@ def remove_extended_mean(u: HalfField) -> tuple[HalfField, float]:
     """
     comps = {}
     worst = 0.0
+    cells = u.grid.points ** u.grid.n
     for mask, arr in u.comps.items():
         parity = component_parity(u.flavor, mask, u.grid.n)
         if parity > 0:
-            mean = complex(np.mean(_extend_array(arr, parity, u.grid.points)))
+            mean = 2.0 * _half_row_sum(arr, parity) / cells
             comps[mask] = arr - mean
             worst = max(worst, abs(mean))
         else:

@@ -9,6 +9,15 @@ Zero-mode rule: every negative-power multiplier maps the xi = 0 coefficient
 to 0, and operations that invert the Laplacian refuse inputs whose mean
 exceeds MEAN_FREE_TOL times the L^2 norm.  This mirrors the restriction of
 homogeneous calculus to fields whose spectrum avoids the origin.
+
+Nyquist rule: the odd symbols of d and delta read xi~, which is xi with the
+k = N/2 entry of every axis set to 0 (Grid.odd_freqs).  That mode is its own
+mirror image, so only a zero symbol there commutes with the reflection
+x_n -> -x_n and keeps the flavored extensions of the half-space in their
+symmetry class; the Leray projector inverts sum xi~^2 to match, so it stays
+an orthogonal projector on the Nyquist planes too.  The radial multipliers
+(laplacian, resolvent, heat, frac_laplacian) and riesz keep the true xi, so
+(d + delta)^2 = -Delta holds off the Nyquist planes only.
 """
 
 from __future__ import annotations
@@ -78,13 +87,13 @@ def _apply_incidence(table, coef, comps: dict[int, np.ndarray]) -> dict:
 
 def _d_hat(uh: SpectralField) -> SpectralField:
     """Symbol i xi ^ . applied to the coefficient algebra at every frequency."""
-    coef = [1j * xi for xi in uh.grid.freqs()]
+    coef = [1j * xi for xi in uh.grid.odd_freqs()]
     return SpectralField(uh.grid, _apply_incidence(raising(uh.grid.n), coef, uh.comps))
 
 
 def _delta_hat(uh: SpectralField) -> SpectralField:
     """Symbol -i xi _| . , the coderivative side of the same sign table."""
-    coef = [-1j * xi for xi in uh.grid.freqs()]
+    coef = [-1j * xi for xi in uh.grid.odd_freqs()]
     return SpectralField(uh.grid, _apply_incidence(lowering(uh.grid.n), coef, uh.comps))
 
 
@@ -99,7 +108,7 @@ def delta(u: FormField) -> FormField:
 
 
 def hodge_dirac(u: FormField) -> FormField:
-    """d + delta; its square is minus the componentwise Laplacian."""
+    """d + delta; off the Nyquist planes its square is minus the Laplacian."""
     uh = forward_fft(u)
     return inverse_fft(_d_hat(uh) + _delta_hat(uh))
 
@@ -218,10 +227,10 @@ def leray_wholespace(u: FormField) -> tuple[FormField, FormField]:
     grid = u.grid
     uh = forward_fft(u)
     w = _delta_hat(uh)
-    absq = grid.freq_sq()
-    inv = np.zeros(grid.shape)
-    nz = absq > 0
-    inv[nz] = 1.0 / absq[nz]
+    # d delta + delta d has the symbol sum xi~^2; inverting that keeps P an
+    # orthogonal projector on the Nyquist planes as well
+    absq = sum(xi ** 2 for xi in grid.odd_freqs())
+    inv = np.divide(1.0, absq, out=np.zeros(grid.shape), where=absq > 0)
     g = _d_hat(w.apply_multiplier(inv))
     return inverse_fft(uh - g), inverse_fft(g)
 

@@ -71,6 +71,36 @@ def test_decompose_gradient_field(tmp_path, capsys):
     assert os.path.exists(tmp_path / "g_part.hhf")
 
 
+def _decompose_stored(tmp_path, grid, seed):
+    u = random_half_field(grid, "Ht", [1 << a for a in range(grid.n)],
+                          seed=seed, kind="annulus_band", radii=(1.0, 3.0))
+    field_path = str(tmp_path / "u.hhf")
+    save_field(field_path, u)  # complex64 payload
+    cfg = write_config(tmp_path, {"field": field_path})
+    code = main(["decompose", "--config", cfg, "--out", str(tmp_path)])
+    with open(tmp_path / "decompose.json") as fh:
+        return code, json.load(fh)
+
+
+@pytest.mark.parametrize("grid", [Grid(2, 64, 16.0), Grid(3, 32, 16.0)],
+                         ids=["n2", "n3"])
+def test_decompose_single_precision_round_trip(tmp_path, grid):
+    # single-precision noise reaches the Nyquist planes; the odd symbols
+    # vanish there, so the split stays clean to round-off
+    code, report = _decompose_stored(tmp_path, grid, seed=3)
+    assert code == 0
+    assert report["p_divergence"] <= 1e-13
+    assert report["g_curl"] <= 1e-13
+    assert report["orthogonality_defect"] <= 1e-13
+
+
+def test_decompose_round_trip_catches_a_nyquist_symbol(tmp_path, monkeypatch):
+    # mutation: the odd symbols read the true xi at k = N/2 again
+    monkeypatch.setattr(Grid, "odd_freqs", Grid.freqs)
+    code, report = _decompose_stored(tmp_path, Grid(2, 64, 16.0), seed=3)
+    assert report["p_divergence"] > 1e-11
+
+
 def test_decompose_missing_field_is_config_error(tmp_path):
     cfg = write_config(tmp_path, {"field": str(tmp_path / "absent.hhf")})
     assert main(["decompose", "--config", cfg, "--out", str(tmp_path)]) == 2
@@ -304,3 +334,20 @@ def test_thread_cap_env(tmp_path, monkeypatch):
     assert max_threads() is None
     code = main(["verify", "--suite", "algebra", "--out", str(tmp_path)])
     assert code == 0
+
+
+def test_parser_is_built_once_and_reused(tmp_path, monkeypatch):
+    from hodgehalf import cli
+
+    seen = []
+    for name in ("verify", "normtable"):
+        monkeypatch.setitem(cli.COMMANDS, name,
+                            lambda cfg: seen.append(cfg) or 0)
+    assert main(["normtable", "--seed", "4", "--out", str(tmp_path)]) == 0
+    assert main(["verify", "--suite", "algebra", "--tol-scale", "2"]) == 0
+    assert [c.command for c in seen] == ["normtable", "verify"]
+    assert (seen[0].seed, seen[0].out_dir, seen[0].tol_scale) == \
+        (4, str(tmp_path), 1.0)
+    assert (seen[1].seed, seen[1].suites, seen[1].tol_scale) == \
+        (0, ["algebra"], 2.0)
+    assert cli._parser() is cli._parser()

@@ -189,6 +189,26 @@ def test_stokes_solution_stays_projected(grid):
         assert tangential_trace(um).l2_norm() <= 1e-8 * max(um.l2_norm(), 1e-30)
 
 
+def test_projected_datum_checks_only_when_not_auto_projecting(grid, monkeypatch):
+    from hodgehalf.evolution import _projected_datum
+
+    u0 = random_half_field(grid, "Ht", [0b01, 0b10], seed=12,
+                           kind="annulus_band", radii=(1.0, 2.5))
+    with pytest.raises(ValueError, match="not solenoidal"):
+        solve_navier_slip(None, u0, 1.0, 4)
+    with pytest.raises(ValueError, match="not solenoidal"):
+        _projected_datum(u0, auto_project=False)
+    pu0 = _projected_datum(leray_halfspace(u0)[0], auto_project=False)
+    norms = []
+    real = HalfField.l2_norm
+    monkeypatch.setattr(HalfField, "l2_norm",
+                        lambda self: norms.append(self) or real(self))
+    got = _projected_datum(u0, auto_project=True)
+    assert norms == []
+    assert (got - leray_halfspace(u0)[0]).l2_norm() == 0.0
+    assert (got - pu0).l2_norm() <= 1e-12 * u0.l2_norm()
+
+
 def test_stokes_rejects_nonsolenoidal_start(grid):
     u0 = random_half_field(grid, "Ht", [0b01, 0b10], seed=11,
                            kind="annulus_band", radii=(1.0, 2.5))

@@ -4,15 +4,16 @@ import numpy as np
 import pytest
 
 from hodgehalf.fields import Grid, TestFunctionSpec, random_form, synthesize
-from hodgehalf.halfspace import (HalfField, component_parity, d_half,
+from hodgehalf import halfspace
+from hodgehalf.halfspace import (FLAVORS, HalfField, component_parity, d_half,
                                  delta_half, extend, half_domain_integral,
                                  half_l2_inner, half_shape, hodge_bc_residual,
                                  hodge_heat, hodge_resolvent, hodge_stokes_apply,
                                  leray_halfspace, navier_slip_residual,
                                  normal_derivative_at_boundary, normal_trace,
                                  q_projector, random_half_field, reflect_normal,
-                                 restrict, scalar_resolvent, symmetrize,
-                                 tangential_trace)
+                                 remove_extended_mean, restrict,
+                                 scalar_resolvent, symmetrize, tangential_trace)
 from hodgehalf.operators import d, delta, grad_l2, hess_l2, laplacian, resolvent
 
 
@@ -493,3 +494,149 @@ def test_half_field_flavor_mismatch_guarded(grid2):
         a + b
     with pytest.raises(ValueError):
         a.l2_inner(b)
+    with pytest.raises(ValueError, match="flavor mismatch"):
+        a.with_flavor("D").l2_inner(b.with_flavor("N"))
+
+
+# ---------------------------------------------------------------------------
+# half-row quadrature: pairings, norms and means without an extension
+# ---------------------------------------------------------------------------
+
+QUADRATURE_GRIDS = [Grid(2, 16, 4.0), Grid(3, 8, 4.0), Grid(4, 8, 4.0)]
+
+
+def raw_half_field(grid, flavor, seed):
+    """Every component, with a mean; odd ones carry nonzero boundary and seam
+    rows, which their extension drops."""
+    rng = np.random.default_rng(seed)
+    shape = half_shape(grid)
+    return HalfField(grid, flavor, {
+        m: (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            + (0.5 - 0.25j) * (m + 1)) for m in range(1 << grid.n)})
+
+
+def quadrature_error(grid, flavor, seed=0):
+    """Worst relative gap of l2_inner, l2_norm and remove_extended_mean from
+    the extension oracle 0.5 * <ext u, ext v> and the extension mean."""
+    u = raw_half_field(grid, flavor, seed)
+    v = raw_half_field(grid, flavor, seed + 1)
+    ext_u = extend(u)
+    want = 0.5 * ext_u.l2_inner(extend(v))
+    errs = [abs(u.l2_inner(v) - want) / abs(want)]
+    want_norm = np.sqrt(0.5 * ext_u.l2_inner(ext_u).real)
+    errs.append(abs(u.l2_norm() - want_norm) / want_norm)
+    shifted, worst = remove_extended_mean(u)
+    means = {m: np.mean(a) for m, a in ext_u.comps.items()
+             if component_parity(flavor, m, grid.n) > 0}
+    if means:
+        top = max(abs(x) for x in means.values())
+        errs.append(abs(worst - top) / top)
+        for m, mean in means.items():
+            errs.append(np.abs(shifted.comps[m] - (u.comps[m] - mean)).max()
+                        / abs(mean))
+    else:
+        assert worst == 0.0
+    for m in set(u.comps) - set(means):
+        assert np.array_equal(shifted.comps[m], u.comps[m])
+    return max(errs)
+
+
+@pytest.mark.parametrize("grid", QUADRATURE_GRIDS, ids=lambda g: f"n{g.n}")
+@pytest.mark.parametrize("flavor", FLAVORS)
+def test_half_row_quadrature_matches_extension(grid, flavor):
+    assert quadrature_error(grid, flavor) <= 1e-13
+
+
+def _trapezoid_variant(even_end, odd_end):
+    """An independent weighted row sum with chosen end-row weights."""
+    def row_sum(a, parity, b=None):
+        weights = np.ones(a.shape[-1])
+        weights[[0, -1]] = even_end if parity > 0 else odd_end
+        product = a if b is None else a * np.conj(b)
+        return complex(np.sum(product * weights))
+    return row_sum
+
+
+@pytest.mark.parametrize("even_end, odd_end, caught", [
+    (0.5, 0.0, False),   # the rule itself: the harness below is faithful
+    (1.0, 0.0, True),    # end rows counted whole
+    (0.5, 0.5, True),    # odd components keep their end rows
+])
+def test_half_row_quadrature_mutations_are_caught(monkeypatch, even_end,
+                                                  odd_end, caught):
+    monkeypatch.setattr(halfspace, "_half_row_sum",
+                        _trapezoid_variant(even_end, odd_end))
+    worst = max(quadrature_error(grid, flavor)
+                for grid in QUADRATURE_GRIDS for flavor in FLAVORS)
+    assert (worst > 1e-3) if caught else (worst <= 1e-13)
+
+
+def _half_domain_integral_fftn(values, grid):
+    """The n-D transform formula that half_domain_integral replaced."""
+    line = np.fft.fftn(values)[(0,) * (grid.n - 1)]
+    k = np.fft.fftfreq(grid.points) * grid.points
+    coeff = np.zeros(grid.points, dtype=complex)
+    coeff[0] = grid.length
+    odd = (np.abs(k) % 2) == 1
+    coeff[odd] = -2.0 * grid.length * 1j / (np.pi * k[odd])
+    tangential_volume = (2.0 * grid.length) ** (grid.n - 1)
+    return tangential_volume * np.sum(line * coeff) / grid.points ** grid.n
+
+
+@pytest.mark.parametrize("grid", [Grid(2, 32, 8.0), Grid(3, 16, 8.0)],
+                         ids=["n2", "n3"])
+def test_half_domain_integral_matches_nd_transform(grid):
+    rng = np.random.default_rng(3)
+    values = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
+    want = _half_domain_integral_fftn(values, grid)
+    assert abs(half_domain_integral(values, grid) - want) <= 1e-13 * abs(want)
+
+
+# ---------------------------------------------------------------------------
+# full-band white noise: odd symbols vanish on the Nyquist planes
+# ---------------------------------------------------------------------------
+
+NOISE_GRIDS = [Grid(2, 32, 8.0), Grid(3, 16, 8.0)]
+PROJECTORS = {"Ht": leray_halfspace, "Hn": q_projector}
+
+
+def white_noise(grid, flavor, seed=0):
+    return remove_extended_mean(raw_half_field(grid, flavor, seed))[0]
+
+
+def projector_residuals(grid, flavor):
+    """Relative residuals of the flavor's projector on white noise."""
+    project = PROJECTORS[flavor]
+    u = white_noise(grid, flavor)
+    nu = u.l2_norm()
+    pu, gu = project(u)
+    return {"split": (pu + gu - u).l2_norm() / nu,
+            "idempotent": (project(pu)[0] - pu).l2_norm() / nu,
+            "delta_pu": delta_half(pu).l2_norm() / nu,
+            "d_gu": d_half(gu).l2_norm() / nu}
+
+
+@pytest.mark.parametrize("grid", NOISE_GRIDS, ids=["n2", "n3"])
+@pytest.mark.parametrize("flavor", sorted(PROJECTORS))
+def test_white_noise_projector_at_round_off(grid, flavor):
+    res = projector_residuals(grid, flavor)
+    assert max(res.values()) <= 1e-13, res
+
+
+@pytest.mark.parametrize("grid", NOISE_GRIDS, ids=["n2", "n3"])
+@pytest.mark.parametrize("flavor", FLAVORS)
+def test_white_noise_d_squared_vanishes(grid, flavor):
+    u = white_noise(grid, flavor)
+    assert d_half(d_half(u)).l2_norm() <= 1e-13 * u.l2_norm()
+
+
+@pytest.mark.parametrize("grid", NOISE_GRIDS, ids=["n2", "n3"])
+@pytest.mark.parametrize("flavor", sorted(PROJECTORS))
+def test_white_noise_catches_a_nyquist_symbol(monkeypatch, grid, flavor):
+    # mutation: the odd symbols read the true xi at k = N/2 again
+    monkeypatch.setattr(Grid, "odd_freqs", Grid.freqs)
+    res = projector_residuals(grid, flavor)
+    # P leaves the flavor's symmetry class on the normal Nyquist plane: the
+    # Ht split then shows in delta(Pu), the mirror Hn split in d(Gu)
+    assert res["idempotent"] > 1e-3, res
+    assert max(res["delta_pu"], res["d_gu"]) > 1e-3, res
