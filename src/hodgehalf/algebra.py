@@ -150,13 +150,6 @@ class AlgebraElement:
         return sorted({degree(m) for m in range(1 << self.n)
                        if self.coeffs[m] != 0})
 
-    def degree_part(self, k: int) -> "AlgebraElement":
-        out = AlgebraElement.zero(self.n)
-        for m in range(1 << self.n):
-            if degree(m) == k:
-                out.coeffs[m] = self.coeffs[m]
-        return out
-
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
         self._check(other)
         return AlgebraElement(self.n, self.coeffs + other.coeffs)

@@ -3,8 +3,6 @@
 Configuration is JSON, tabular reports are CSV (12 significant digits), and
 fields travel in the binary container with a JSON sidecar.  Exit codes:
 0 all checks passed, 1 a tolerance was violated, 2 configuration error.
-The environment variable HODGEHALF_THREADS caps the worker pool used for
-independent sweep runs.
 """
 
 from __future__ import annotations
@@ -15,7 +13,6 @@ import functools
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .evolution import (SpaceParams, solve_hodge_heat, solve_hodge_stokes,
@@ -24,21 +21,13 @@ from .fields import Grid, load_field, random_form, save_field
 from .halfspace import (HalfField, d_half, delta_half, delta_half_from_spectra,
                         leray_halfspace, random_half_field,
                         remove_extended_mean, tangential_trace)
-from .littlewood_paley import build_bank, completeness_ok, default_bank, space_norm
+from .littlewood_paley import (FilterBank, build_bank, completeness_ok,
+                               default_bank, space_norm)
 from .verify import SUITES, run_suite
 
 EXIT_OK = 0
 EXIT_TOL = 1
 EXIT_CONFIG = 2
-
-
-def max_threads() -> int | None:
-    """Worker cap from HODGEHALF_THREADS; None means executor default."""
-    raw = os.environ.get("HODGEHALF_THREADS", "").strip()
-    if not raw:
-        return None
-    value = int(raw)
-    return max(1, value)
 
 
 @dataclass
@@ -64,25 +53,64 @@ class RunConfig:
                     options = json.load(fh)
             except (OSError, json.JSONDecodeError) as exc:
                 raise ConfigError(f"cannot read config {args.config}: {exc}")
-        grid = options.get("grid", {})
+        if not isinstance(options, dict):
+            raise ConfigError(f"config {args.config} is not a JSON object")
+        grid = _read(options, "grid", {}, dict)
         cfg = cls(command=command,
-                  grid_n=int(grid.get("n", 2)),
-                  grid_points=int(grid.get("points", 128)),
-                  grid_length=float(grid.get("length", 16.0)),
-                  seed=args.seed if args.seed is not None else int(options.get("seed", 0)),
-                  tol_scale=args.tol_scale * float(options.get("tol_scale", 1.0)),
-                  out_dir=args.out or options.get("out", "."),
+                  grid_n=_read(grid, "n", 2, int),
+                  grid_points=_read(grid, "points", 128, int),
+                  grid_length=_read(grid, "length", 16.0, float),
+                  seed=args.seed if args.seed is not None
+                  else _read(options, "seed", 0, int),
+                  tol_scale=args.tol_scale * _read(options, "tol_scale", 1.0, float),
+                  out_dir=args.out or _read(options, "out", ".", os.fspath),
                   options=options)
         if args.suite:
             cfg.suites = [args.suite]
         elif "suites" in options:
-            cfg.suites = list(options["suites"])
+            cfg.suites = _read(options, "suites", None, list)
         if cfg.tol_scale <= 0:
             raise ConfigError("tolerance scale must be positive")
         return cfg
 
     def grid(self) -> Grid:
         return Grid(self.grid_n, self.grid_points, self.grid_length)
+
+    def radii(self, default: tuple) -> tuple:
+        """Annulus radii of the synthesized corpus, config key 'radii'."""
+        return _read(self.options, "radii", default, lambda r: tuple(_floats(r)))
+
+    def bank(self, grid: Grid) -> FilterBank:
+        """Bank over the window [j_min, j_max] of config key 'bank', else the
+        widest window the grid supports."""
+        window = _read(self.options, "bank", None,
+                       lambda w: w and [int(j) for j in w])
+        if not window:
+            return default_bank(grid)
+        j_min, j_max = window
+        return build_bank(grid, j_min, j_max)
+
+
+def _read(options: dict, key: str, default, convert):
+    """``convert(options.get(key, default))``; a value of the wrong type is a
+    configuration error, not a traceback."""
+    try:
+        return convert(options.get(key, default))
+    except TypeError as exc:
+        raise ConfigError(f"config key {key!r} is malformed: {exc}") from None
+
+
+def _floats(values) -> list[float]:
+    return [float(x) for x in values]
+
+
+def _norm_params(entry: dict) -> SpaceParams:
+    """One normtable entry: s and p required, q = 2 and homogeneous Besov
+    by default."""
+    return SpaceParams(float(entry["s"]), float(entry["p"]),
+                       float(entry.get("q", 2.0)),
+                       homogeneous=bool(entry.get("homogeneous", True)),
+                       kind=entry.get("kind", "besov"))
 
 
 class ConfigError(Exception):
@@ -118,22 +146,12 @@ def run_verify(cfg: RunConfig) -> int:
     """Run the named suites; print one line per check and a summary."""
     failed = 0
     rows = []
-    workers = max_threads()
-    suites = list(cfg.suites)
-    for name in suites:
+    for name in cfg.suites:
         if name not in SUITES:
             raise ConfigError(f"unknown suite {name!r}; choose from "
                               f"{', '.join(SUITES)}")
-
-    def one(name):
-        return run_suite(name, seed=cfg.seed, tol_scale=cfg.tol_scale)
-
-    if workers == 1 or len(suites) == 1:
-        outcomes = [one(name) for name in suites]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(one, suites))
-
+    outcomes = [run_suite(name, seed=cfg.seed, tol_scale=cfg.tol_scale)
+                for name in cfg.suites]
     for outcome in outcomes:
         for check, info in outcome.worst.items():
             status = info["status"]
@@ -152,7 +170,7 @@ def run_verify(cfg: RunConfig) -> int:
 
 def run_decompose(cfg: RunConfig) -> int:
     """Split a stored tangential half-field and write parts plus a report."""
-    path = cfg.options.get("field")
+    path = _read(cfg.options, "field", None, lambda p: p and os.fspath(p))
     if not path:
         raise ConfigError("decompose needs config key 'field' (container path)")
     if not os.path.exists(path):
@@ -194,9 +212,8 @@ def _corpus_field(cfg: RunConfig, grid: Grid, flavor: str = "Ht") -> HalfField:
     opts = cfg.options
     masks = [1 << a for a in range(grid.n)]
     kind = opts.get("corpus_kind", "annulus_band")
-    radii = tuple(opts.get("radii", (1.0, 2.5)))
     return random_half_field(grid, flavor, masks, seed=cfg.seed, kind=kind,
-                             radii=radii)
+                             radii=cfg.radii((1.0, 2.5)))
 
 
 def run_solve(cfg: RunConfig) -> int:
@@ -204,8 +221,8 @@ def run_solve(cfg: RunConfig) -> int:
     opts = cfg.options
     system = opts.get("system", "hodge_stokes")
     grid = cfg.grid()
-    horizon = float(opts.get("T", 1.0))
-    steps = int(opts.get("M", 64))
+    horizon = _read(opts, "T", 1.0, float)
+    steps = _read(opts, "M", 64, int)
     flavor = opts.get("flavor", "Ht")
     if system != "hodge_heat" and flavor != "Ht":
         raise ConfigError("Stokes-type systems use the tangential flavor")
@@ -214,7 +231,7 @@ def run_solve(cfg: RunConfig) -> int:
     if opts.get("forcing", "random") != "none":
         forcing = random_half_field(grid, flavor, u0.masks(), seed=cfg.seed + 1,
                                     kind=opts.get("corpus_kind", "annulus_band"),
-                                    radii=tuple(opts.get("radii", (1.0, 2.5))))
+                                    radii=cfg.radii((1.0, 2.5)))
     # delta_half of each node, read from the stepper's extension spectra
     divergence = []
 
@@ -259,22 +276,21 @@ def run_maxreg(cfg: RunConfig) -> int:
     """Sweep maximal-regularity reports over (s, p, q) and T; emit CSV."""
     opts = cfg.options
     grid = cfg.grid()
-    spq = opts.get("spq", [[0.0, 2.0, 2.0]])
-    horizons = opts.get("T", [1.0, 10.0, 100.0])
-    steps = int(opts.get("M", 256))
+    spq = _read(opts, "spq", [[0.0, 2.0, 2.0]], lambda v: [_floats(e) for e in v])
+    horizons = _read(opts, "T", [1.0, 10.0, 100.0], _floats)
+    steps = _read(opts, "M", 256, int)
     system = opts.get("system", "hodge_stokes")
-    window = opts.get("bank")
-    bank = (build_bank(grid, *window) if window else default_bank(grid))
-    u0_seed = _corpus_field(cfg, grid)
-    forcing = random_half_field(grid, "Ht", u0_seed.masks(), seed=cfg.seed + 1,
+    bank = cfg.bank(grid)
+    forcing = random_half_field(grid, "Ht", [1 << a for a in range(grid.n)],
+                                seed=cfg.seed + 1,
                                 kind=opts.get("corpus_kind", "annulus_band"),
-                                radii=tuple(opts.get("radii", (1.0, 1.3))))
+                                radii=cfg.radii((1.0, 1.3)))
     u0 = _steady_initial_datum(forcing)
 
-    jobs = []
     rows = []
+    done = []
     for s, p, q in spq:
-        params = SpaceParams(float(s), float(p), float(q))
+        params = SpaceParams(s, p, q)
         gate = SpaceParams(params.s + 2.0 - 2.0 / params.q, params.p, params.q)
         if not completeness_ok(gate, grid.n):
             rows.append({"system": system, "s": s, "p": p, "q": q, "T": "",
@@ -284,30 +300,15 @@ def run_maxreg(cfg: RunConfig) -> int:
                                    f"s={gate.s:g} p={p:g} q={q:g} n={grid.n}"})
             continue
         for horizon in horizons:
-            jobs.append((params, float(horizon)))
-
-    def one(job):
-        params, horizon = job
-        report = streaming_max_reg(system, forcing, u0, horizon, steps,
-                                   params, bank)
-        row = report.row()
-        row["status"] = "ok"
-        row["reason"] = ""
-        return row
-
-    workers = max_threads()
-    if workers == 1 or len(jobs) <= 1:
-        done = [one(j) for j in jobs]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            done = list(pool.map(one, jobs))
+            report = streaming_max_reg(system, forcing, u0, horizon, steps,
+                                       params, bank)
+            done.append(dict(report.row(), status="ok", reason=""))
     rows.extend(done)
 
     # flag ratio drift across the horizon sweep per parameter set
     spread_rows = []
     for s, p, q in spq:
-        got = [r for r in done if r["s"] == float(s) and r["p"] == float(p)
-               and r["q"] == float(q)]
+        got = [r for r in done if (r["s"], r["p"], r["q"]) == (s, p, q)]
         if len(got) >= 2:
             ratios = [r["ratio"] for r in got]
             spread_rows.append({"s": s, "p": p, "q": q,
@@ -336,21 +337,17 @@ def run_normtable(cfg: RunConfig) -> int:
     """Besov / Sobolev norm table of a randomized corpus, one CSV row per norm."""
     opts = cfg.options
     grid = cfg.grid()
-    window = opts.get("bank")
-    bank = (build_bank(grid, *window) if window else default_bank(grid))
-    entries = opts.get("norms", [
-        {"kind": "besov", "s": 0.0, "p": 2.0, "q": 2.0, "homogeneous": True}])
-    count = int(opts.get("corpus_size", 3))
-    radii = tuple(opts.get("radii", (1.0, 2.5)))
+    bank = cfg.bank(grid)
+    norms = _read(opts, "norms", [
+        {"kind": "besov", "s": 0.0, "p": 2.0, "q": 2.0, "homogeneous": True}],
+        lambda entries: [_norm_params(e) for e in entries])
+    count = _read(opts, "corpus_size", 3, int)
+    radii = cfg.radii((1.0, 2.5))
     rows = []
     for i in range(count):
         u = random_form(grid, [0], seed=cfg.seed + i, kind="annulus_band",
                         radii=radii)
-        for e in entries:
-            params = SpaceParams(float(e["s"]), float(e["p"]),
-                                 float(e.get("q", 2.0)),
-                                 homogeneous=bool(e.get("homogeneous", True)),
-                                 kind=e.get("kind", "besov"))
+        for params in norms:
             rows.append({"field_id": i, "kind": params.kind, "s": params.s,
                          "p": params.p, "q": params.q,
                          "homogeneous": params.homogeneous,

@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import FormField, Grid, SpectralField
+from .fields import Grid, SpectralField, forward_fft, inverse_fft
 from .halfspace import HalfField, extend, leray_halfspace, restrict
 from .littlewood_paley import (FilterBank, SpaceParams, completeness_ok,
                                lp_besov_norm, require_in_window,
@@ -127,9 +127,8 @@ class _Stepper:
         self._terms = {}
 
     def field(self) -> HalfField:
-        full = FormField(self.grid, {m: np.fft.ifftn(a)
-                                     for m, a in self.state.items()})
-        return restrict(full, self.flavor)
+        return restrict(inverse_fft(SpectralField(self.grid, self.state)),
+                        self.flavor)
 
     def spectra(self) -> dict[int, np.ndarray]:
         return {m: a.copy() for m, a in self.state.items()}
@@ -151,7 +150,7 @@ class _Stepper:
 
 
 def _spectra_of(u: HalfField) -> dict[int, np.ndarray]:
-    return {m: np.fft.fftn(a) for m, a in extend(u).comps.items()}
+    return forward_fft(extend(u)).comps
 
 
 def solve_hodge_heat(f, u0: HalfField, horizon: float, steps: int,
@@ -220,15 +219,15 @@ def solve_hodge_heat(f, u0: HalfField, horizon: float, steps: int,
     return Trajectory(tg, u_nodes, f_nodes, u0, u0.flavor)
 
 
-def _projected_datum(u0: HalfField, auto_project: bool,
-                     sol_tol: float = 1e-9) -> HalfField:
-    """Leray projection of a Stokes datum; refuses one it moves unless asked."""
+def _projected_datum(u0: HalfField, auto_project: bool) -> HalfField:
+    """Leray projection of a Stokes datum; refuses one it moves by more than
+    1e-9 relative unless asked to project."""
     if u0.flavor != "Ht":
         raise ValueError("the Hodge-Stokes solver uses the tangential flavor")
     pu0 = leray_halfspace(u0)[0]
     if not auto_project:
         defect = (u0 - pu0).l2_norm()
-        if defect > sol_tol * max(u0.l2_norm(), 1e-300):
+        if defect > 1e-9 * max(u0.l2_norm(), 1e-300):
             raise ValueError(f"initial datum is not solenoidal (projector "
                              f"moves it by {defect:.3e}); pass "
                              f"auto_project=True")
@@ -270,7 +269,7 @@ def _split_forcing(f, tg: TimeGrid, keep_gradients: bool):
 
 def solve_hodge_stokes(f, u0: HalfField, horizon: float, steps: int,
                        auto_project: bool = False, observer=None,
-                       sol_tol: float = 1e-9, store: bool = True) -> Trajectory:
+                       store: bool = True) -> Trajectory:
     """Mild solution of the Hodge-Stokes system: heat flow of projected data.
 
     u0 must be solenoidal with vanishing tangential trace (checked via the
@@ -278,7 +277,7 @@ def solve_hodge_stokes(f, u0: HalfField, horizon: float, steps: int,
     The forcing is projected once per distinct input: once if constant, once
     per snapshot, once per evaluation of a callable.
     """
-    pu0 = _projected_datum(u0, auto_project, sol_tol)
+    pu0 = _projected_datum(u0, auto_project)
     projected, _ = _split_forcing(f, TimeGrid(horizon, steps),
                                   keep_gradients=False)
     return solve_hodge_heat(projected, pu0, horizon, steps, observer=observer,
@@ -596,11 +595,12 @@ def _closed_form_rows(bank: FilterBank, tg: TimeGrid, gram: _ShellGrams):
         yield m0, e_u, e_dt
 
 
-def make_a_regular(seed_field: HalfField, lam: float = 1.0) -> HalfField:
-    """Apply the resolvent twice; regular enough data for q = infinity reports."""
+def make_a_regular(seed_field: HalfField) -> HalfField:
+    """Apply the resolvent at lambda = 1 twice; regular enough data for
+    q = infinity reports."""
     pu, _ = leray_halfspace(seed_field)
-    once = restrict(resolvent(lam, extend(pu)), pu.flavor)
-    return restrict(resolvent(lam, extend(once)), pu.flavor)
+    once = restrict(resolvent(1.0, extend(pu)), pu.flavor)
+    return restrict(resolvent(1.0, extend(once)), pu.flavor)
 
 
 def max_reg_report(traj: Trajectory, params: SpaceParams, system: str,

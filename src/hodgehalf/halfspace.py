@@ -403,17 +403,18 @@ def q_projector(u: HalfField) -> tuple[HalfField, HalfField]:
     return restrict(qu, "Hn"), restrict(ru, "Hn")
 
 
-def hodge_stokes_apply(u: HalfField, tol: float = 1e-9) -> HalfField:
+def hodge_stokes_apply(u: HalfField) -> HalfField:
     """The Stokes operator delta d on the projected class; equals -Delta there.
 
-    Rejects inputs outside the domain (fields the projector moves).
+    Rejects inputs outside the domain (fields the projector moves by more
+    than 1e-9 relative).
     """
     if u.flavor != "Ht":
         raise ValueError("the Hodge-Stokes operator uses the tangential flavor")
     pu, _ = leray_halfspace(u)
     defect = (u - pu).l2_norm()
     scale = max(u.l2_norm(), 1e-300)
-    if defect > tol * scale:
+    if defect > 1e-9 * scale:
         raise ValueError(f"field is not solenoidal: projector moves it by "
                          f"{defect / scale:.3e} relative")
     return delta_half(d_half(u))
@@ -423,22 +424,22 @@ def hodge_stokes_apply(u: HalfField, tol: float = 1e-9) -> HalfField:
 # Navier-slip boundary conditions for vector fields
 # ---------------------------------------------------------------------------
 
-def _onesided_derivative_coeffs(order: int = 8) -> np.ndarray:
-    """Weights of the one-sided first-derivative stencil on nodes 0..order."""
-    nodes = np.arange(order + 1, dtype=float)
-    rhs = np.zeros(order + 1)
+def _onesided_derivative_coeffs() -> np.ndarray:
+    """Weights of the eighth-order one-sided first-derivative stencil on
+    nodes 0..8."""
+    nodes = np.arange(9, dtype=float)
+    rhs = np.zeros(9)
     rhs[1] = 1.0
     vand = np.vander(nodes, increasing=True).T
     return np.linalg.solve(vand, rhs)
 
 
-def normal_derivative_at_boundary(rows: np.ndarray, grid: Grid,
-                                  order: int = 8) -> np.ndarray:
+def normal_derivative_at_boundary(rows: np.ndarray, grid: Grid) -> np.ndarray:
     """One-sided finite-difference d/dx_n at x_n = 0 of half-grid samples.
 
     Honest for any smooth half-space data: no symmetry assumption enters.
     """
-    w = _onesided_derivative_coeffs(order)
+    w = _onesided_derivative_coeffs()
     out = np.zeros(rows.shape[:-1], dtype=complex)
     for i, c in enumerate(w):
         out += c * rows[..., i]
@@ -454,7 +455,7 @@ def _tangential_derivative_row(row: np.ndarray, grid: Grid, axis: int) -> np.nda
     return np.fft.ifftn(np.fft.fftn(row) * mult)
 
 
-def navier_slip_residual(u: HalfField, order: int = 8) -> tuple[float, float]:
+def navier_slip_residual(u: HalfField) -> tuple[float, float]:
     """Boundary L^2 norms of (nu . u, tangential part of (grad u + grad u^T) nu).
 
     For a flat boundary with nu = -e_n the tangential stress rows are
@@ -471,7 +472,7 @@ def navier_slip_residual(u: HalfField, order: int = 8) -> tuple[float, float]:
     stress = 0.0
     for axis in range(grid.n - 1):
         dk_un = _tangential_derivative_row(un_row, grid, axis)
-        dn_uk = normal_derivative_at_boundary(u.component(1 << axis), grid, order)
+        dn_uk = normal_derivative_at_boundary(u.component(1 << axis), grid)
         row = dk_un + dn_uk
         stress += float(np.sum(np.abs(row) ** 2) * cell)
     return normal_part, float(np.sqrt(stress))

@@ -104,7 +104,7 @@ class FilterBank:
         self.phi_unit = radial_cutoff(absxi)
 
         # |k|^2 shell tables for the p = 2 evaluator, built here and never
-        # later: one bank is shared by the threads of a CLI sweep
+        # later: one bank serves every report of a CLI sweep unchanged
         k = np.rint(np.fft.fftfreq(grid.points) * grid.points).astype(np.int64)
         ksq = np.zeros(grid.shape, dtype=np.int64)
         for axis in range(grid.n):

@@ -265,21 +265,15 @@ def resolvent_ratio(lam, f: FormField) -> float:
     return (abs(lam) * u.l2_norm() + abs(lam) ** 0.5 * grad_l2(u) + hess_l2(u)) / nf
 
 
-def sector_sweep(f: FormField, radii=None, angles=None, solve=None) -> list[dict]:
+def sector_sweep(f: FormField) -> list[dict]:
     """Resolvent-estimate sweep over a sector sample; returns one row per lambda.
 
-    Default sample: decade radii 1e-2 .. 1e2 and nine angles |theta| <= 3 pi/4.
-    ``solve`` may replace the whole-space resolvent ratio (same signature).
+    The sample: decade radii 1e-2 .. 1e2 and nine angles |theta| <= 3 pi/4.
     """
-    if radii is None:
-        radii = [10.0 ** e for e in range(-2, 3)]
-    if angles is None:
-        angles = list(np.linspace(-3 * np.pi / 4, 3 * np.pi / 4, 9))
-    ratio_fn = solve if solve is not None else resolvent_ratio
     rows = []
-    for r in radii:
-        for th in angles:
+    for r in [10.0 ** e for e in range(-2, 3)]:
+        for th in np.linspace(-3 * np.pi / 4, 3 * np.pi / 4, 9):
             lam = r * np.exp(1j * th)
             rows.append({"radius": r, "angle": th, "lam": lam,
-                         "ratio": ratio_fn(lam, f)})
+                         "ratio": resolvent_ratio(lam, f)})
     return rows

@@ -303,6 +303,28 @@ def test_maxreg_csv_with_rejected_row(tmp_path):
     assert float(spread[0]["spread"]) < 1.1
 
 
+@pytest.mark.parametrize("command, payload", [
+    ("solve", [1, 2]),
+    ("solve", {"grid": 5}),
+    ("solve", {"radii": 3}),
+    ("solve", {"M": [4]}),
+    ("maxreg", {"spq": 5}),
+    ("maxreg", {"bank": 3}),
+    ("normtable", {"norms": [5]}),
+    ("verify", {"suites": 5}),
+    ("decompose", {"field": 5}),
+    ("normtable", {"out": 5}),
+], ids=["list", "grid", "radii", "M", "spq", "bank", "norms", "suites",
+        "field", "out"])
+def test_malformed_config_value_is_config_error(tmp_path, monkeypatch, capsys,
+                                                command, payload):
+    monkeypatch.chdir(tmp_path)  # without --out the "out" key is read
+    cfg = write_config(tmp_path, payload)
+    code = main([command, "--config", cfg])
+    assert code == 2
+    assert "configuration error" in capsys.readouterr().err
+
+
 def test_maxreg_data_outside_bank_window_is_config_error(tmp_path, capsys):
     cfg = write_config(tmp_path, {
         "grid": {"n": 2, "points": 64, "length": 8.0}, "bank": [0, 1],
@@ -324,16 +346,6 @@ def test_outputs_deterministic_for_fixed_seed(tmp_path):
                  "--seed", "7"]) == 0
     assert (out_a / "normtable.csv").read_bytes() == \
         (out_b / "normtable.csv").read_bytes()
-
-
-def test_thread_cap_env(tmp_path, monkeypatch):
-    monkeypatch.setenv("HODGEHALF_THREADS", "1")
-    from hodgehalf.cli import max_threads
-    assert max_threads() == 1
-    monkeypatch.setenv("HODGEHALF_THREADS", "")
-    assert max_threads() is None
-    code = main(["verify", "--suite", "algebra", "--out", str(tmp_path)])
-    assert code == 0
 
 
 def test_parser_is_built_once_and_reused(tmp_path, monkeypatch):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from hodgehalf import halfspace, verify
+from hodgehalf import evolution, halfspace, verify
 from hodgehalf.fields import Grid, random_form
 from hodgehalf.halfspace import d_half, random_half_field, scalar_resolvent
 from hodgehalf.operators import d
@@ -104,3 +104,28 @@ def test_pressure_check_takes_each_gradient_field_once(monkeypatch):
     info = run_suite("evolution", seed=0).worst["pressure_curl_free"]
     assert len(calls) == 1
     assert info["status"] == "ok" and info["scale"] > 0
+
+
+def test_solenoidality_reads_the_stepper_spectra(monkeypatch):
+    # delta u of each node comes from the stepper's extension spectra, so no
+    # node is re-extended and re-transformed by delta_half
+    calls = []
+    real = halfspace.delta_half
+    monkeypatch.setattr(halfspace, "delta_half",
+                        lambda u: calls.append(u) or real(u))
+    info = run_suite("evolution", seed=0).worst["solenoidality"]
+    assert calls == []
+    assert info["status"] == "ok" and info["scale"] > 0
+
+
+def test_solenoidality_sees_an_unprojected_forcing(monkeypatch):
+    # mutation: the forcing split hands back the forcing itself as the
+    # projected part, so the flow leaves the solenoidal class
+    real = evolution._split_forcing
+
+    def unprojected(f, tg, keep_gradients):
+        return f, real(f, tg, keep_gradients)[1]
+
+    monkeypatch.setattr(evolution, "_split_forcing", unprojected)
+    info = run_suite("evolution", seed=0).worst["solenoidality"]
+    assert info["status"] == "fail" and info["residual"] > 1e-6
