@@ -11,16 +11,18 @@ import argparse
 import csv
 import functools
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, field
 
 from .evolution import (SpaceParams, solve_hodge_heat, solve_hodge_stokes,
                         solve_navier_slip, streaming_max_reg)
-from .fields import Grid, load_field, random_form, save_field
+from .fields import Grid, SpectralField, load_field, random_form, save_field
 from .halfspace import (HalfField, d_half, delta_half, delta_half_from_spectra,
-                        leray_halfspace, random_half_field,
-                        remove_extended_mean, tangential_trace)
+                        half_l2_norm_from_spectra, leray_halfspace,
+                        random_half_field, remove_extended_mean,
+                        restrict_spectra, tangential_trace)
 from .littlewood_paley import (FilterBank, build_bank, completeness_ok,
                                default_bank, space_norm)
 from .verify import SUITES, run_suite
@@ -232,41 +234,48 @@ def run_solve(cfg: RunConfig) -> int:
         forcing = random_half_field(grid, flavor, u0.masks(), seed=cfg.seed + 1,
                                     kind=opts.get("corpus_kind", "annulus_band"),
                                     radii=cfg.radii((1.0, 2.5)))
-    # delta_half of each node, read from the stepper's extension spectra
-    divergence = []
+    # every node column is read from the stepper's extension spectra; no
+    # node field is built except the snapshots asked for
+    stride = max(1, steps // 4) if opts.get("save_snapshots") else None
+    rows, snapshots = [], []
 
     def observer(m, t, state, f_hat):
-        divergence.append(delta_half_from_spectra(grid, flavor, state).l2_norm())
+        spectra = SpectralField(grid, state)
+        l2 = half_l2_norm_from_spectra(spectra)
+        if not math.isfinite(l2):
+            raise ValueError(f"solve: the state at node {m} (t = {t:g}) is "
+                             f"not finite")
+        rows.append({"t": t, "l2": l2,
+                     "divergence": delta_half_from_spectra(
+                         grid, flavor, state).l2_norm(),
+                     "tangential_trace": tangential_trace(spectra).l2_norm()})
+        if stride is not None and m % stride == 0:
+            snapshots.append((m, t, restrict_spectra(spectra, flavor)))
 
     grad_p = None
     if system == "hodge_heat":
-        traj = solve_hodge_heat(forcing, u0, horizon, steps, observer=observer)
+        solve_hodge_heat(forcing, u0, horizon, steps, observer=observer,
+                         store=False)
     elif system == "hodge_stokes":
-        traj = solve_hodge_stokes(forcing, u0, horizon, steps, auto_project=True,
-                                  observer=observer)
+        solve_hodge_stokes(forcing, u0, horizon, steps, auto_project=True,
+                           observer=observer, store=False)
     elif system == "navier_slip":
-        traj, grad_p = solve_navier_slip(forcing, u0, horizon, steps,
-                                         auto_project=True, observer=observer)
+        _, grad_p = solve_navier_slip(forcing, u0, horizon, steps,
+                                      auto_project=True, observer=observer,
+                                      store=False)
     else:
         raise ConfigError(f"unknown system {system!r}")
-    grad_p_l2 = {}  # a constant forcing gives one gradient field at every node
-    rows = []
-    for m, t in enumerate(traj.times()):
-        um = traj.u[m]
-        row = {"t": t, "l2": um.l2_norm(), "divergence": divergence[m],
-               "tangential_trace": tangential_trace(um).l2_norm()}
-        if grad_p is not None:
-            gp = grad_p[m]
+    if grad_p is not None:
+        grad_p_l2 = {}  # a constant forcing gives one gradient field at every node
+        for row, gp in zip(rows, grad_p):
             if id(gp) not in grad_p_l2:
                 grad_p_l2[id(gp)] = gp.l2_norm()
             row["grad_p_l2"] = grad_p_l2[id(gp)]
-        rows.append(row)
     os.makedirs(cfg.out_dir, exist_ok=True)
     _write_csv(os.path.join(cfg.out_dir, "solve.csv"), rows)
-    if opts.get("save_snapshots"):
-        for m in range(0, steps + 1, max(1, steps // 4)):
-            save_field(os.path.join(cfg.out_dir, f"snapshot_{m:05d}.hhf"),
-                       traj.u[m], metadata={"t": traj.times()[m]})
+    for m, t, um in snapshots:
+        save_field(os.path.join(cfg.out_dir, f"snapshot_{m:05d}.hhf"), um,
+                   metadata={"t": t})
     print(f"solve: {system}, T={horizon}, M={steps}, wrote "
           f"{os.path.join(cfg.out_dir, 'solve.csv')}")
     return EXIT_OK

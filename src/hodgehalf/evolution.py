@@ -39,8 +39,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import Grid, SpectralField, forward_fft, inverse_fft
-from .halfspace import HalfField, extend, leray_halfspace, restrict
+from .fields import Grid, SpectralField, forward_fft
+from .halfspace import (HalfField, extend, leray_halfspace, restrict,
+                        restrict_spectra)
 from .littlewood_paley import (FilterBank, SpaceParams, completeness_ok,
                                lp_besov_norm, require_in_window,
                                shell_besov_norm)
@@ -127,8 +128,8 @@ class _Stepper:
         self._terms = {}
 
     def field(self) -> HalfField:
-        return restrict(inverse_fft(SpectralField(self.grid, self.state)),
-                        self.flavor)
+        return restrict_spectra(SpectralField(self.grid, self.state),
+                                self.flavor)
 
     def spectra(self) -> dict[int, np.ndarray]:
         return {m: a.copy() for m, a in self.state.items()}
@@ -285,8 +286,8 @@ def solve_hodge_stokes(f, u0: HalfField, horizon: float, steps: int,
 
 
 def solve_navier_slip(f, u0: HalfField, horizon: float, steps: int,
-                      auto_project: bool = False,
-                      observer=None) -> tuple[Trajectory, list]:
+                      auto_project: bool = False, observer=None,
+                      store: bool = True) -> tuple[Trajectory, list]:
     """Stokes flow of a vector field under Navier-slip boundary conditions.
 
     Returns the velocity trajectory and the pressure-gradient snapshots
@@ -296,14 +297,17 @@ def solve_navier_slip(f, u0: HalfField, horizon: float, steps: int,
     conditions, so the velocity solve is the Stokes one.  For a constant or
     absent forcing every entry of grad p is the same field, as the entries
     of ``Trajectory.f`` are, so callers must not mutate them in place.
-    ``observer`` is passed to solve_hodge_heat.
+    ``observer`` and ``store`` are passed to solve_hodge_heat: with
+    store=False the trajectory keeps only the endpoint velocities, while
+    grad p keeps every node.
     """
     if u0.degrees() != [1]:
         raise ValueError("the Navier-slip system runs on vector fields")
     pu0 = _projected_datum(u0, auto_project)
     projected, grad_p = _split_forcing(f, TimeGrid(horizon, steps),
                                     keep_gradients=True)
-    traj = solve_hodge_heat(projected, pu0, horizon, steps, observer=observer)
+    traj = solve_hodge_heat(projected, pu0, horizon, steps, observer=observer,
+                            store=store)
     if grad_p is None:
         grad_p = [HalfField.zero(u0.grid, u0.flavor, u0.masks())] * (steps + 1)
     return traj, grad_p

@@ -196,6 +196,19 @@ def delta_half(u: HalfField) -> HalfField:
     return restrict(delta(extend(u)), u.flavor)
 
 
+def restrict_spectra(U_hat: SpectralField, flavor: str) -> HalfField:
+    """The half-field whose flavored extension has these spectra: the inverse
+    transform, restricted."""
+    return restrict(inverse_fft(U_hat), flavor)
+
+
+def half_l2_norm_from_spectra(U_hat: SpectralField) -> float:
+    """L^2(half-space) norm of the half-field whose flavored extension has
+    these spectra: by Parseval, the torus norm over sqrt 2.  It is not
+    finite when a coefficient is not."""
+    return float(U_hat.l2_norm() / np.sqrt(2.0))
+
+
 def delta_half_from_spectra(grid: Grid, flavor: str,
                             spectra: dict[int, np.ndarray]) -> HalfField:
     """delta_half of the half-field whose flavored extension has these spectra.
@@ -204,7 +217,7 @@ def delta_half_from_spectra(grid: Grid, flavor: str,
     stepper does): it skips the forward transforms of delta_half and keeps
     its restriction, so it gives the same field for every flavor.
     """
-    return restrict(inverse_fft(_delta_hat(SpectralField(grid, spectra))), flavor)
+    return restrict_spectra(_delta_hat(SpectralField(grid, spectra)), flavor)
 
 
 def hodge_resolvent(lam, f: HalfField) -> HalfField:
@@ -275,40 +288,48 @@ class BoundaryForm(FieldCore):
         return complex(acc * cell)
 
 
-def _boundary_values(u) -> dict[int, np.ndarray]:
-    """Boundary-plane samples per ambient mask, from a HalfField or FormField."""
+def _boundary_values(u, normal: bool) -> dict[int, np.ndarray]:
+    """Boundary-plane samples per ambient mask of the components whose
+    multi-index contains the normal axis (``normal``) or omits it.
+
+    A HalfField gives its first stored row and a FormField its torus row
+    x_n = 0, index N/2.  A SpectralField (the spectra of an extension) gives
+    that row without the n-D inverse transform: at index N/2 the normal
+    phase is e^{i pi k_n} = (-1)^{k_n}, so the row is the (n-1)-D inverse
+    transform of sum_{k_n} (-1)^{k_n} U_hat(k', k_n) / N.
+    """
+    grid = u.grid
+    nbit = 1 << (grid.n - 1)
+    kept = {m: a for m, a in u.comps.items() if bool(m & nbit) == normal}
     if isinstance(u, HalfField):
-        return {m: u.comps[m][..., 0] for m in u.comps}
-    half = u.grid.points // 2
-    return {m: u.comps[m][..., half] for m in u.comps}
+        return {m: a[..., 0] for m, a in kept.items()}
+    if isinstance(u, SpectralField):
+        signs = np.where(np.arange(grid.points) % 2, -1.0, 1.0) / grid.points
+        return {m: np.fft.ifftn(a @ signs) for m, a in kept.items()}
+    half = grid.points // 2
+    return {m: a[..., half] for m, a in kept.items()}
 
 
 def tangential_trace(u) -> BoundaryForm:
-    """nu _| u at the boundary: (-1)^k sum over I' of u_{I', n}(., 0) dx_{I'}."""
-    grid = u.grid
-    nbit = 1 << (grid.n - 1)
-    rows = _boundary_values(u)
+    """nu _| u at the boundary: (-1)^k sum over I' of u_{I', n}(., 0) dx_{I'}.
+
+    ``u`` is a HalfField, a FormField or the SpectralField of an extension.
+    """
+    nbit = 1 << (u.grid.n - 1)
     comps = {}
-    for mask, row in rows.items():
-        if mask & nbit:
-            k = degree(mask)
-            sign = -1 if k & 1 else 1
-            comps[mask ^ nbit] = sign * row
-    return BoundaryForm(grid, comps, wedged_normal=False)
+    for mask, row in _boundary_values(u, normal=True).items():
+        sign = -1 if degree(mask) & 1 else 1
+        comps[mask ^ nbit] = sign * row
+    return BoundaryForm(u.grid, comps, wedged_normal=False)
 
 
 def normal_trace(u) -> BoundaryForm:
     """nu ^ u at the boundary: (-1)^{k+1} sum over n-free I of u_I(., 0) dx_{(I, n)}."""
-    grid = u.grid
-    nbit = 1 << (grid.n - 1)
-    rows = _boundary_values(u)
     comps = {}
-    for mask, row in rows.items():
-        if not mask & nbit:
-            k = degree(mask)
-            sign = 1 if k & 1 else -1
-            comps[mask] = sign * row
-    return BoundaryForm(grid, comps, wedged_normal=True)
+    for mask, row in _boundary_values(u, normal=False).items():
+        sign = 1 if degree(mask) & 1 else -1
+        comps[mask] = sign * row
+    return BoundaryForm(u.grid, comps, wedged_normal=True)
 
 
 # ---------------------------------------------------------------------------

@@ -187,31 +187,42 @@ def _solve_rows(tmp_path, payload, seed):
     return read_csv(tmp_path / "solve.csv")
 
 
-@pytest.mark.parametrize("system, flavor", [
-    ("hodge_heat", "D"), ("hodge_heat", "N"), ("hodge_heat", "Ht"),
-    ("hodge_heat", "Hn"), ("hodge_stokes", "Ht"), ("navier_slip", "Ht")])
-def test_solve_divergence_matches_delta_half(tmp_path, system, flavor):
-    # the CLI reads delta u from the stepper's spectra; the oracle rebuilds
-    # the run through the solver API and applies delta_half to each node
+SOLVE_CASES = [("hodge_heat", "D"), ("hodge_heat", "N"), ("hodge_heat", "Ht"),
+               ("hodge_heat", "Hn"), ("hodge_stokes", "Ht"),
+               ("navier_slip", "Ht")]
+
+
+def _solve_payload(system, flavor, **extra):
+    return dict({"grid": {"n": 2, "points": 32, "length": 8.0},
+                 "system": system, "flavor": flavor, "T": 1.0, "M": 8}, **extra)
+
+
+def _rebuilt_trajectory(system, flavor, seed):
+    """The run of _solve_payload through the solver API, every node stored."""
     from hodgehalf.cli import RunConfig, _corpus_field
     from hodgehalf.evolution import (solve_hodge_heat, solve_hodge_stokes,
                                      solve_navier_slip)
-    from hodgehalf.halfspace import delta_half
 
     grid = Grid(2, 32, 8.0)
-    rows = _solve_rows(tmp_path, {
-        "grid": {"n": 2, "points": 32, "length": 8.0}, "system": system,
-        "flavor": flavor, "T": 1.0, "M": 8}, seed=5)
-    cfg_obj = RunConfig(command="solve", seed=5)
-    u0 = _corpus_field(cfg_obj, grid, flavor=flavor)
-    f = random_half_field(grid, flavor, u0.masks(), seed=6,
+    u0 = _corpus_field(RunConfig(command="solve", seed=seed), grid,
+                       flavor=flavor)
+    f = random_half_field(grid, flavor, u0.masks(), seed=seed + 1,
                           kind="annulus_band", radii=(1.0, 2.5))
     if system == "hodge_heat":
-        traj = solve_hodge_heat(f, u0, 1.0, 8)
-    elif system == "hodge_stokes":
-        traj = solve_hodge_stokes(f, u0, 1.0, 8, auto_project=True)
-    else:
-        traj, _ = solve_navier_slip(f, u0, 1.0, 8, auto_project=True)
+        return solve_hodge_heat(f, u0, 1.0, 8)
+    if system == "hodge_stokes":
+        return solve_hodge_stokes(f, u0, 1.0, 8, auto_project=True)
+    return solve_navier_slip(f, u0, 1.0, 8, auto_project=True)[0]
+
+
+@pytest.mark.parametrize("system, flavor", SOLVE_CASES)
+def test_solve_divergence_matches_delta_half(tmp_path, system, flavor):
+    # the CLI reads delta u from the stepper's spectra; the oracle rebuilds
+    # the run through the solver API and applies delta_half to each node
+    from hodgehalf.halfspace import delta_half
+
+    rows = _solve_rows(tmp_path, _solve_payload(system, flavor), seed=5)
+    traj = _rebuilt_trajectory(system, flavor, seed=5)
     assert len(rows) == len(traj.u) == 9
     for row, um in zip(rows, traj.u):
         want = delta_half(um).l2_norm()
@@ -221,14 +232,120 @@ def test_solve_divergence_matches_delta_half(tmp_path, system, flavor):
             <= 1e-12 * float(row["l2"]) + printed
 
 
+@pytest.mark.parametrize("system, flavor", SOLVE_CASES)
+def test_solve_spectral_columns_match_node_fields(tmp_path, monkeypatch,
+                                                  system, flavor):
+    # l2 (Parseval) and tangential_trace (the boundary row summed from the
+    # spectra) against the half-row norm and the trace of each node field
+    from hodgehalf import cli
+    from hodgehalf.halfspace import tangential_trace
+
+    written = []
+    monkeypatch.setattr(cli, "_write_csv",
+                        lambda path, rows: written.append(rows))
+    cfg = write_config(tmp_path, _solve_payload(system, flavor))
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path),
+                 "--seed", "5"]) == 0
+    rows = written[0]
+    traj = _rebuilt_trajectory(system, flavor, seed=5)
+    assert len(rows) == len(traj.u) == 9
+    traces = []
+    for row, um in zip(rows, traj.u):
+        l2, trace = um.l2_norm(), tangential_trace(um).l2_norm()
+        assert l2 > 0
+        assert abs(row["l2"] - l2) <= 1e-13 * l2
+        assert abs(row["tangential_trace"] - trace) <= 1e-13 * l2
+        traces.append(trace / l2)
+    # the normal component extends evenly under N and Hn only: there the
+    # trace is O(l2), so the comparison above is not one of round-off
+    if flavor in ("N", "Hn"):
+        assert min(traces) > 1e-3
+    else:
+        assert max(traces) < 1e-14
+
+
+def test_solve_trace_sees_an_even_normal_part(tmp_path, monkeypatch):
+    # mutation: every step adds to the normal component an even part (a copy
+    # of the tangential one), which the odd Ht extension forbids; the
+    # boundary row is then nonzero and the trace column must say so
+    from hodgehalf.evolution import _Stepper
+
+    payload = _solve_payload("navier_slip", "Ht")
+    rows = _solve_rows(tmp_path, payload, seed=5)
+    assert all(float(r["tangential_trace"]) <= 1e-9 * float(r["l2"])
+               for r in rows)
+
+    real = _Stepper.advance
+
+    def advance(self, f_mid_hat):
+        real(self, f_mid_hat)
+        self.state[2] += 0.1 * self.state[1]
+
+    monkeypatch.setattr(_Stepper, "advance", advance)
+    rows = _solve_rows(tmp_path, payload, seed=5)
+    assert all(float(r["tangential_trace"]) > 1e-9 * float(r["l2"])
+               for r in rows[1:])
+
+
+def _solve_with_nan_at_node(tmp_path, monkeypatch, node):
+    """Run solve with a NaN patched into one coefficient of the state at
+    ``node`` of 8; returns the exit code."""
+    from hodgehalf.evolution import _Stepper
+
+    real = _Stepper.advance
+    calls = []
+
+    def advance(self, f_mid_hat):
+        real(self, f_mid_hat)
+        calls.append(None)
+        if len(calls) == node:
+            self.state[1][1, 1] = np.nan
+
+    monkeypatch.setattr(_Stepper, "advance", advance)
+    cfg = write_config(tmp_path, _solve_payload("navier_slip", "Ht"))
+    return main(["solve", "--config", cfg, "--out", str(tmp_path)])
+
+
+def test_solve_non_finite_node_is_refused(tmp_path, monkeypatch):
+    assert _solve_with_nan_at_node(tmp_path, monkeypatch, node=3) == 2
+    assert not os.path.exists(tmp_path / "solve.csv")
+
+
+def test_solve_non_finite_error_names_the_node(tmp_path, monkeypatch, capsys):
+    assert _solve_with_nan_at_node(tmp_path, monkeypatch, node=3) == 2
+    assert "node 3 " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("system, flavor", [("hodge_heat", "N"),
+                                            ("navier_slip", "Ht")])
+def test_solve_snapshots_match_stored_nodes(tmp_path, system, flavor):
+    # the snapshots are built in the observer; the oracle saves the stored
+    # node fields of the same run, and the files must agree byte for byte
+    cfg = write_config(tmp_path, _solve_payload(system, flavor,
+                                                save_snapshots=True))
+    out = tmp_path / "cli"
+    assert main(["solve", "--config", cfg, "--out", str(out),
+                 "--seed", "5"]) == 0
+    traj = _rebuilt_trajectory(system, flavor, seed=5)
+    oracle = tmp_path / "oracle"
+    oracle.mkdir()
+    for m in (0, 2, 4, 6, 8):
+        name = f"snapshot_{m:05d}.hhf"
+        save_field(str(oracle / name), traj.u[m],
+                   metadata={"t": traj.times()[m]})
+        for suffix in ("", ".json"):
+            assert (out / (name + suffix)).read_bytes() \
+                == (oracle / (name + suffix)).read_bytes()
+    assert len(list(out.glob("snapshot_*"))) == 10
+
+
 def test_solve_divergence_sees_an_unprojected_forcing(tmp_path, monkeypatch):
     # mutation: the forcing split returns the forcing itself as the projected
     # part, so the flow leaves the solenoidal class and the column must say so
     from hodgehalf import evolution
     from hodgehalf.halfspace import HalfField
 
-    payload = {"grid": {"n": 2, "points": 32, "length": 8.0},
-               "system": "navier_slip", "T": 1.0, "M": 8}
+    payload = _solve_payload("navier_slip", "Ht")
     rows = _solve_rows(tmp_path, payload, seed=5)
     assert all(float(r["divergence"]) <= 1e-9 * float(r["l2"]) for r in rows)
 
@@ -249,23 +366,24 @@ def test_solve_divergence_sees_an_unprojected_forcing(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("n, points", [(2, 32), (3, 16)])
 def test_solve_fft_count(tmp_path, monkeypatch, n, points):
-    # 2n to draw the datum and the forcing, 3n per Leray split of each, n for
-    # the forcing spectra, n for the stepper; per node n inverse transforms
-    # for the stored field and one for its divergence
-    counts = {"fftn": 0, "ifftn": 0}
-    for kind in counts:
+    # n-D: 2n to draw the datum and the forcing, 3n per Leray split of each,
+    # n for the forcing spectra, n for the stepper, n inverse transforms for
+    # each of the two endpoint fields, and per node one for the divergence;
+    # (n-1)-D: per node one for the boundary row of the normal component
+    counts = {n: 0, n - 1: 0}
+    for kind in ("fftn", "ifftn"):
         orig = getattr(np.fft, kind)
 
-        def counted(*args, _orig=orig, _kind=kind, **kwargs):
-            counts[_kind] += 1
-            return _orig(*args, **kwargs)
+        def counted(a, *args, _orig=orig, **kwargs):
+            counts[np.ndim(a)] += 1
+            return _orig(a, *args, **kwargs)
 
         monkeypatch.setattr(np.fft, kind, counted)
     steps = 4
     _solve_rows(tmp_path, {"grid": {"n": n, "points": points, "length": 8.0},
                            "system": "navier_slip", "T": 1.0, "M": steps},
                 seed=0)
-    assert sum(counts.values()) == 10 * n + (steps + 1) * (n + 1)
+    assert counts == {n: 12 * n + steps + 1, n - 1: steps + 1}
 
 
 def test_normtable_zero_field(tmp_path):

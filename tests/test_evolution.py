@@ -260,6 +260,19 @@ def test_navier_slip_pressure_is_curl_free(grid):
         assert d_half(gp).l2_norm() <= 1e-9 * max(gp.l2_norm(), 1e-30)
 
 
+def test_navier_slip_streaming_keeps_endpoints_and_every_gradient(grid):
+    u0 = solenoidal_field(grid, 16)
+    f = random_half_field(grid, "Ht", [0b01, 0b10], seed=17,
+                          kind="annulus_band", radii=(1.0, 2.5))
+    full, grad_full = solve_navier_slip(f, u0, 1.0, 8)
+    ends, grad_ends = solve_navier_slip(f, u0, 1.0, 8, store=False)
+    assert len(full.u) == 9 and len(ends.u) == 2
+    for a, b in zip(ends.u, (full.u[0], full.u[-1])):
+        assert (a - b).l2_norm() == 0.0
+    assert len(grad_ends) == 9
+    assert all((a - b).l2_norm() == 0.0 for a, b in zip(grad_ends, grad_full))
+
+
 def test_navier_slip_momentum_self_convergence(grid):
     ratios = momentum_residual_ratios(grid, seed=18, steps0=16, doublings=2)
     for r in ratios:

@@ -129,3 +129,22 @@ def test_solenoidality_sees_an_unprojected_forcing(monkeypatch):
     monkeypatch.setattr(evolution, "_split_forcing", unprojected)
     info = run_suite("evolution", seed=0).worst["solenoidality"]
     assert info["status"] == "fail" and info["residual"] > 1e-6
+
+
+def test_evolution_suite_builds_only_what_it_reads(monkeypatch):
+    # node fields: 2 endpoints each for solenoidality, the pressure check and
+    # the three semigroup flows, and every node of the three momentum-residual
+    # runs (17 + 33 + 65); Leray splits in verify: the suite's datum, and the
+    # datum and the forcing profile g of the momentum residual
+    fields, splits = [], []
+    real_field = evolution._Stepper.field
+    real_split = verify.leray_halfspace
+    monkeypatch.setattr(evolution._Stepper, "field",
+                        lambda self: fields.append(None) or real_field(self))
+    monkeypatch.setattr(verify, "leray_halfspace",
+                        lambda u: splits.append(None) or real_split(u))
+    outcome = run_suite("evolution", seed=0)
+    assert len(fields) == 2 + 2 + 6 + 115
+    assert len(splits) == 3
+    for check, info in outcome.worst.items():
+        assert info["status"] == "ok" and info["scale"] > 0, check
