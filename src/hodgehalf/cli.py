@@ -2,7 +2,9 @@
 
 Configuration is JSON, tabular reports are CSV (12 significant digits), and
 fields travel in the binary container with a JSON sidecar.  Exit codes:
-0 all checks passed, 1 a tolerance was violated, 2 configuration error.
+0 all checks passed, 1 a tolerance was violated, 2 a configuration error
+(printed as "configuration error: ...") or a run that could not complete,
+such as a solve whose state stops being finite ("run error: ...").
 """
 
 from __future__ import annotations
@@ -16,15 +18,18 @@ import os
 import sys
 from dataclasses import dataclass, field
 
-from .evolution import (SpaceParams, solve_hodge_heat, solve_hodge_stokes,
-                        solve_navier_slip, streaming_max_reg)
-from .fields import Grid, SpectralField, load_field, random_form, save_field
+from .evolution import (SYSTEMS, SpaceParams, max_reg_sweep,
+                        solve_hodge_heat, solve_hodge_stokes,
+                        solve_navier_slip)
+from .fields import (Grid, SpectralField, forward_fft, load_field, random_form,
+                     save_field)
 from .halfspace import (HalfField, d_half, delta_half, delta_half_from_spectra,
-                        half_l2_norm_from_spectra, leray_halfspace,
+                        extend, half_l2_norm_from_spectra, leray_halfspace,
                         random_half_field, remove_extended_mean,
                         restrict_spectra, tangential_trace)
 from .littlewood_paley import (FilterBank, build_bank, completeness_ok,
                                default_bank, space_norm)
+from .operators import frac_symbol, leray_hat
 from .verify import SUITES, run_suite
 
 EXIT_OK = 0
@@ -117,6 +122,10 @@ def _norm_params(entry: dict) -> SpaceParams:
 
 class ConfigError(Exception):
     pass
+
+
+class RunError(Exception):
+    """A run that could not complete on a valid configuration."""
 
 
 def _write_csv(path: str, rows: list[dict]) -> None:
@@ -243,8 +252,8 @@ def run_solve(cfg: RunConfig) -> int:
         spectra = SpectralField(grid, state)
         l2 = half_l2_norm_from_spectra(spectra)
         if not math.isfinite(l2):
-            raise ValueError(f"solve: the state at node {m} (t = {t:g}) is "
-                             f"not finite")
+            raise RunError(f"solve: the state at node {m} (t = {t:g}) is "
+                           f"not finite")
         rows.append({"t": t, "l2": l2,
                      "divergence": delta_half_from_spectra(
                          grid, flavor, state).l2_norm(),
@@ -289,6 +298,8 @@ def run_maxreg(cfg: RunConfig) -> int:
     horizons = _read(opts, "T", [1.0, 10.0, 100.0], _floats)
     steps = _read(opts, "M", 256, int)
     system = opts.get("system", "hodge_stokes")
+    if system not in SYSTEMS:
+        raise ConfigError(f"unknown system {system!r}")
     bank = cfg.bank(grid)
     forcing = random_half_field(grid, "Ht", [1 << a for a in range(grid.n)],
                                 seed=cfg.seed + 1,
@@ -308,9 +319,8 @@ def run_maxreg(cfg: RunConfig) -> int:
                          "reason": f"completeness predicate fails for "
                                    f"s={gate.s:g} p={p:g} q={q:g} n={grid.n}"})
             continue
-        for horizon in horizons:
-            report = streaming_max_reg(system, forcing, u0, horizon, steps,
-                                       params, bank)
+        for report in max_reg_sweep(system, forcing, u0, horizons, steps,
+                                    params, bank):
             done.append(dict(report.row(), status="ok", reason=""))
     rows.extend(done)
 
@@ -334,12 +344,11 @@ def run_maxreg(cfg: RunConfig) -> int:
 
 
 def _steady_initial_datum(forcing: HalfField) -> HalfField:
-    """Initial datum in equilibrium with the forcing: u0 = A^{-1} P f."""
-    from .halfspace import extend, restrict
-    from .operators import frac_laplacian
-
-    pf, _ = leray_halfspace(forcing)
-    return restrict(frac_laplacian(-2.0, extend(pf)), forcing.flavor)
+    """Initial datum in equilibrium with the forcing: u0 = A^{-1} P f, formed
+    on the spectra of the forcing's extension."""
+    pf_hat, _ = leray_hat(forward_fft(extend(forcing)))
+    return restrict_spectra(pf_hat.apply_multiplier(
+        frac_symbol(forcing.grid, -2.0)), forcing.flavor)
 
 
 def run_normtable(cfg: RunConfig) -> int:
@@ -409,6 +418,9 @@ def main(argv=None) -> int:
     try:
         cfg = RunConfig.from_args(args.command, args)
         return COMMANDS[args.command](cfg)
+    except RunError as exc:
+        print(f"run error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except (ConfigError, KeyError, ValueError, FileNotFoundError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

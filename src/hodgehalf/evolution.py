@@ -21,19 +21,26 @@ sum_{a,b} |xi_a xi_b|^2 = |xi|^4, the Hessian norm as |xi|^4 E_u shell by
 shell; and E_dt of du/dt.  The symbols are radial, so the shell sums are
 exact regroupings of the lattice sums.  A stepped node reduces the stepper's
 spectra, du/dt = -|xi|^2 u_hat + f_hat summed pointwise.  With a constant or
-absent forcing streaming_max_reg does not step: the stepper's recurrence sums
+absent forcing max_reg_sweep does not step: the stepper's recurrence sums
 in closed form, and five per-shell Gram sums of the datum and the forcing give
 E_u and E_dt at every node (_closed_form_rows).  There du/dt is written in
 the basis (r, f), r = u0 - f / |xi|^2 the datum less the steady state, since
 in the basis (u0, f) a steady datum leaves du/dt as the difference of O(1)
-terms.  The stepper still runs for callable or snapshot forcings, for p != 2,
-and in max_reg_report, the oracle the closed form is tested against.
-Both drivers refuse an initial datum or forcing whose spectrum leaks
-out of the bank window, reading the leakage from the same shell energies.
+terms.  Nothing but the node times depends on the horizon, so a sweep over
+horizons takes the extension spectra of the datum and the forcing once,
+Leray-projects them in spectra for the Stokes-type systems (leray_hat, no
+physical P u0 or P f), sums the Gram sums once and then evaluates the closed
+form per horizon: one transform per component of the datum and of the
+forcing, whatever the horizons and the node count.  The stepper still runs
+for callable or snapshot forcings, for p != 2, and in max_reg_report, the
+oracle the closed form is tested against.  Both drivers refuse an initial
+datum or forcing whose spectrum leaks out of the bank window, reading the
+leakage from the same shell energies.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -45,7 +52,9 @@ from .halfspace import (HalfField, extend, leray_halfspace, restrict,
 from .littlewood_paley import (FilterBank, SpaceParams, completeness_ok,
                                lp_besov_norm, require_in_window,
                                shell_besov_norm)
-from .operators import resolvent
+from .operators import leray_hat, resolvent
+
+SYSTEMS = ("hodge_heat", "hodge_stokes", "navier_slip")
 
 
 @dataclass(frozen=True)
@@ -391,8 +400,6 @@ class _MaxRegAccumulator:
         self.params = params
         self.interp = interp
         self.tg = tg
-        self.neg_absq = -grid.freq_sq()
-        self._work = np.empty(grid.shape, dtype=complex)
         self.sup_norm = 0.0
         self.rhs_u0 = 0.0
         self.evol_acc = 0.0
@@ -417,17 +424,24 @@ class _MaxRegAccumulator:
             self._rhs = lp_besov_norm(self.params, SpectralField(self.grid, fhat),
                                       self.bank)
 
+    @functools.cached_property
+    def _dt_buffers(self) -> tuple[np.ndarray, np.ndarray]:
+        """-|xi|^2 and the work array of _time_derivative, made at the first
+        stepped node (the closed form needs neither)."""
+        return -self.grid.freq_sq(), np.empty(self.grid.shape, dtype=complex)
+
     def _time_derivative(self, state, fhat):
         """Spectra of the mild du/dt = Delta u + f, component by component.
 
         The components come one at a time in a single work array, refilled
         in place; a consumer that keeps them must copy.
         """
+        neg_absq, work = self._dt_buffers
         for k, a in state.items():
-            np.multiply(self.neg_absq, a, out=self._work)
+            np.multiply(neg_absq, a, out=work)
             if fhat is not None and k in fhat:
-                self._work += fhat[k]
-            yield k, self._work
+                work += fhat[k]
+            yield k, work
         if fhat is not None:
             for k, a in fhat.items():
                 if k not in state:
@@ -629,32 +643,69 @@ def max_reg_report(traj: Trajectory, params: SpaceParams, system: str,
     return acc.report(system)
 
 
+def _closed_form_spectra(system: str, u0: HalfField,
+                         f: HalfField | None) -> tuple[dict, dict]:
+    """Extension spectra (u0_hat, f_hat) of a closed-form report; f_hat is
+    empty without forcing.
+
+    For the Stokes-type systems both are Leray-projected in spectra, behind
+    the guards of the solvers' physical projections: the tangential flavor
+    and the projector's mean-free guard.
+    """
+    stokes = system != "hodge_heat"
+    if stokes and u0.flavor != "Ht":
+        raise ValueError("the Hodge-Stokes solver uses the tangential flavor")
+    if stokes and f is not None and f.flavor != "Ht":
+        raise ValueError("the Leray projector acts on tangential-flavor fields")
+
+    def spectra(u):
+        if u is None:
+            return {}
+        uh = forward_fft(extend(u))
+        return leray_hat(uh)[0].comps if stokes else uh.comps
+
+    return spectra(u0), spectra(f)
+
+
+def max_reg_sweep(system: str, f, u0: HalfField, horizons, steps: int,
+                  params: SpaceParams, bank: FilterBank,
+                  a_regular_checked: bool = False) -> list[MaxRegReport]:
+    """Solve and measure over each horizon, without storing a trajectory.
+
+    Produces, horizon by horizon, the numbers of max_reg_report on the
+    stored trajectory of M = ``steps`` steps.  The parameter guards of every
+    report (completeness, q = infinity) run before any transform.  At p = 2
+    with a constant or absent forcing the nodes come from the closed form:
+    the datum and the forcing are transformed and projected once, their five
+    shell Gram sums taken once, and only the closed-form rows are evaluated
+    per horizon, with no time stepping and no transform per horizon or node.
+    Otherwise each horizon runs the solver with the report's accumulator as
+    its observer.
+    """
+    if system not in SYSTEMS:
+        raise ValueError(f"unknown system {system!r}")
+    accs = [_MaxRegAccumulator(u0.grid, bank, params, TimeGrid(h, steps),
+                               a_regular_checked) for h in horizons]
+    if params.p == 2.0 and (f is None or isinstance(f, HalfField)):
+        gram = _shell_grams(bank, *_closed_form_spectra(system, u0, f))
+        for acc in accs:
+            acc.forcing(None if f is None else gram.ff)
+            for m0, e_u, e_dt in _closed_form_rows(bank, acc.tg, gram):
+                acc.shell_rows(m0, e_u, e_dt)
+    elif system == "hodge_heat":
+        for acc in accs:
+            solve_hodge_heat(f, u0, acc.tg.horizon, steps, observer=acc.node,
+                             store=False)
+    else:
+        for acc in accs:
+            solve_hodge_stokes(f, u0, acc.tg.horizon, steps, observer=acc.node,
+                               auto_project=True, store=False)
+    return [acc.report(system) for acc in accs]
+
+
 def streaming_max_reg(system: str, f, u0: HalfField, horizon: float, steps: int,
                       params: SpaceParams, bank: FilterBank,
                       a_regular_checked: bool = False) -> MaxRegReport:
-    """Solve and measure in one pass without storing the trajectory.
-
-    Produces the same numbers as max_reg_report on the stored trajectory;
-    used for sweeps whose snapshots would not fit comfortably in memory.
-    At p = 2 with a constant or absent forcing the nodes come from the
-    closed form, with no time stepping and no transform per node.
-    """
-    if system not in ("hodge_heat", "hodge_stokes", "navier_slip"):
-        raise ValueError(f"unknown system {system!r}")
-    tg = TimeGrid(horizon, steps)
-    acc = _MaxRegAccumulator(u0.grid, bank, params, tg, a_regular_checked)
-    if params.p == 2.0 and (f is None or isinstance(f, HalfField)):
-        if system != "hodge_heat":
-            u0 = _projected_datum(u0, auto_project=True)
-            f, _ = _split_forcing(f, tg, keep_gradients=False)
-        f_hat = {} if f is None else _spectra_of(f)
-        gram = _shell_grams(bank, _spectra_of(u0), f_hat)
-        acc.forcing(None if f is None else gram.ff)
-        for m0, e_u, e_dt in _closed_form_rows(bank, tg, gram):
-            acc.shell_rows(m0, e_u, e_dt)
-    elif system == "hodge_heat":
-        solve_hodge_heat(f, u0, horizon, steps, observer=acc.node, store=False)
-    else:
-        solve_hodge_stokes(f, u0, horizon, steps, observer=acc.node,
-                           auto_project=True, store=False)
-    return acc.report(system)
+    """max_reg_sweep over the one horizon."""
+    return max_reg_sweep(system, f, u0, [horizon], steps, params, bank,
+                         a_regular_checked)[0]

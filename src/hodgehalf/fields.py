@@ -206,9 +206,6 @@ class FormField(FieldCore):
         """Quadrature L^p norm of the pointwise magnitude; p = inf is the max."""
         return lp_quadrature(self.pointwise_abs(), self.grid, p)
 
-    def mean(self, mask: int = 0) -> complex:
-        return complex(np.mean(self.component(mask)))
-
 
 class SpectralField(FieldCore):
     """Fourier coefficients of a FormField, same component layout.

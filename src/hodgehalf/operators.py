@@ -7,8 +7,9 @@ applied componentwise.
 
 Zero-mode rule: every negative-power multiplier maps the xi = 0 coefficient
 to 0, and operations that invert the Laplacian refuse inputs whose mean
-exceeds MEAN_FREE_TOL times the L^2 norm.  This mirrors the restriction of
-homogeneous calculus to fields whose spectrum avoids the origin.
+exceeds MEAN_FREE_TOL times the L^2 norm, both read from the spectra they
+already take.  This mirrors the restriction of homogeneous calculus to fields
+whose spectrum avoids the origin.
 
 Nyquist rule: the odd symbols of d and delta read xi~, which is xi with the
 k = N/2 entry of every axis set to 0 (Grid.odd_freqs).  That mode is its own
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import lowering, raising
-from .fields import FormField, SpectralField, forward_fft, inverse_fft
+from .fields import FormField, Grid, SpectralField, forward_fft, inverse_fft
 
 MEAN_FREE_TOL = 1e-12
 
@@ -117,10 +118,13 @@ def hodge_dirac(u: FormField) -> FormField:
 # functions of the Laplacian
 # ---------------------------------------------------------------------------
 
-def _require_mean_free(u: FormField, what: str):
-    norm = u.l2_norm()
-    worst = max((abs(u.mean(m)) for m in u.masks()), default=0.0)
-    if worst > MEAN_FREE_TOL * max(norm, 1e-300):
+def _require_mean_free(uh: SpectralField, what: str):
+    """Refuse a field whose component means exceed MEAN_FREE_TOL * |u|, read
+    from its spectra: a mean is the zero-mode coefficient over N^n, |u| the
+    Parseval norm."""
+    npts = uh.grid.points ** uh.grid.n
+    worst = max((abs(a.flat[0]) / npts for a in uh.comps.values()), default=0.0)
+    if worst > MEAN_FREE_TOL * max(uh.l2_norm(), 1e-300):
         raise ValueError(f"{what} needs a mean-free field; component mean "
                          f"{worst:.3e} exceeds {MEAN_FREE_TOL:.0e} * |u|")
 
@@ -138,14 +142,15 @@ def resolvent(lam, f: FormField) -> FormField:
     """
     lam = _lam_value(lam)
     absq = f.grid.freq_sq()
+    fh = forward_fft(f)
     if lam == 0:
-        _require_mean_free(f, "the resolvent at lambda = 0")
+        _require_mean_free(fh, "the resolvent at lambda = 0")
         symbol = np.zeros(f.grid.shape, dtype=complex)
         nz = absq > 0
         symbol[nz] = 1.0 / absq[nz]
     else:
         symbol = 1.0 / (lam + absq)
-    return inverse_fft(forward_fft(f).apply_multiplier(symbol))
+    return inverse_fft(fh.apply_multiplier(symbol))
 
 
 def heat(t: float, u: FormField) -> FormField:
@@ -155,15 +160,21 @@ def heat(t: float, u: FormField) -> FormField:
     return inverse_fft(forward_fft(u).apply_multiplier(np.exp(-t * u.grid.freq_sq())))
 
 
-def frac_laplacian(s: float, u: FormField) -> FormField:
-    """(-Delta)^{s/2} u (multiplier |xi|^s); the zero mode is mapped to 0."""
-    if s < 0:
-        _require_mean_free(u, f"(-Delta)^({s}/2)")
-    absq = u.grid.freq_sq()
-    symbol = np.zeros(u.grid.shape)
+def frac_symbol(grid: Grid, s: float) -> np.ndarray:
+    """The multiplier |xi|^s of (-Delta)^{s/2}, 0 on the zero mode."""
+    absq = grid.freq_sq()
+    symbol = np.zeros(grid.shape)
     nz = absq > 0
     symbol[nz] = absq[nz] ** (s / 2.0)
-    return inverse_fft(forward_fft(u).apply_multiplier(symbol))
+    return symbol
+
+
+def frac_laplacian(s: float, u: FormField) -> FormField:
+    """(-Delta)^{s/2} u (multiplier |xi|^s); the zero mode is mapped to 0."""
+    uh = forward_fft(u)
+    if s < 0:
+        _require_mean_free(uh, f"(-Delta)^({s}/2)")
+    return inverse_fft(uh.apply_multiplier(frac_symbol(u.grid, s)))
 
 
 def riesz(axis: int, u: FormField) -> FormField:
@@ -217,22 +228,30 @@ def interior_const(vec, u: FormField) -> FormField:
 # Hodge decomposition on the whole space
 # ---------------------------------------------------------------------------
 
-def leray_wholespace(u: FormField) -> tuple[FormField, FormField]:
-    """Split u = Pu + Gu with delta(Pu) = 0 and Gu = d (-Delta)^{-1} delta u.
+def leray_hat(uh: SpectralField) -> tuple[SpectralField, SpectralField]:
+    """The split of leray_wholespace on spectra: (P u_hat, G u_hat).
 
-    P is the generalized Helmholtz-Leray projector I - d (-Delta)^{-1} delta.
     The input must be mean-free (the projector is undefined on the zero mode).
     """
-    _require_mean_free(u, "the Helmholtz-Leray projector")
-    grid = u.grid
-    uh = forward_fft(u)
+    _require_mean_free(uh, "the Helmholtz-Leray projector")
+    grid = uh.grid
     w = _delta_hat(uh)
     # d delta + delta d has the symbol sum xi~^2; inverting that keeps P an
     # orthogonal projector on the Nyquist planes as well
     absq = sum(xi ** 2 for xi in grid.odd_freqs())
     inv = np.divide(1.0, absq, out=np.zeros(grid.shape), where=absq > 0)
     g = _d_hat(w.apply_multiplier(inv))
-    return inverse_fft(uh - g), inverse_fft(g)
+    return uh - g, g
+
+
+def leray_wholespace(u: FormField) -> tuple[FormField, FormField]:
+    """Split u = Pu + Gu with delta(Pu) = 0 and Gu = d (-Delta)^{-1} delta u.
+
+    P is the generalized Helmholtz-Leray projector I - d (-Delta)^{-1} delta,
+    applied to the spectra by leray_hat.
+    """
+    p_hat, g_hat = leray_hat(forward_fft(u))
+    return inverse_fft(p_hat), inverse_fft(g_hat)
 
 
 # ---------------------------------------------------------------------------

@@ -312,8 +312,12 @@ def test_solve_non_finite_node_is_refused(tmp_path, monkeypatch):
 
 
 def test_solve_non_finite_error_names_the_node(tmp_path, monkeypatch, capsys):
+    # a numerical failure on a valid configuration is a run error, not a
+    # config problem
     assert _solve_with_nan_at_node(tmp_path, monkeypatch, node=3) == 2
-    assert "node 3 " in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "node 3 " in err
+    assert err.startswith("run error: solve: ")
 
 
 @pytest.mark.parametrize("system, flavor", [("hodge_heat", "N"),
@@ -365,25 +369,16 @@ def test_solve_divergence_sees_an_unprojected_forcing(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("n, points", [(2, 32), (3, 16)])
-def test_solve_fft_count(tmp_path, monkeypatch, n, points):
+def test_solve_fft_count(tmp_path, fft_counts, n, points):
     # n-D: 2n to draw the datum and the forcing, 3n per Leray split of each,
     # n for the forcing spectra, n for the stepper, n inverse transforms for
     # each of the two endpoint fields, and per node one for the divergence;
     # (n-1)-D: per node one for the boundary row of the normal component
-    counts = {n: 0, n - 1: 0}
-    for kind in ("fftn", "ifftn"):
-        orig = getattr(np.fft, kind)
-
-        def counted(a, *args, _orig=orig, **kwargs):
-            counts[np.ndim(a)] += 1
-            return _orig(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.fft, kind, counted)
     steps = 4
     _solve_rows(tmp_path, {"grid": {"n": n, "points": points, "length": 8.0},
                            "system": "navier_slip", "T": 1.0, "M": steps},
                 seed=0)
-    assert counts == {n: 12 * n + steps + 1, n - 1: steps + 1}
+    assert fft_counts == {n: 12 * n + steps + 1, n - 1: steps + 1}
 
 
 def test_normtable_zero_field(tmp_path):
@@ -441,6 +436,42 @@ def test_malformed_config_value_is_config_error(tmp_path, monkeypatch, capsys,
     code = main([command, "--config", cfg])
     assert code == 2
     assert "configuration error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n, points", [(2, 32), (3, 16)])
+def test_maxreg_fft_count(tmp_path, fft_counts, n, points):
+    # n inverse transforms draw the forcing; the steady datum takes n forward
+    # and n inverse; the sweep takes the spectra of the datum and the forcing
+    # once, n each, for all horizons and any node count
+    seen = []
+    for horizons in ([1.0], [1.0, 10.0, 100.0]):
+        for steps in (8, 64):
+            fft_counts.clear()
+            cfg = write_config(tmp_path, {
+                "grid": {"n": n, "points": points, "length": 8.0},
+                "spq": [[0.0, 2.0, 1.0]], "T": horizons, "M": steps,
+                "radii": [1.0, 1.3]})
+            assert main(["maxreg", "--config", cfg, "--out",
+                         str(tmp_path)]) == 0
+            assert len(read_csv(tmp_path / "maxreg.csv")) == len(horizons)
+            seen.append(dict(fft_counts))
+    assert seen == [{n: 5 * n}] * 4
+
+
+@pytest.mark.parametrize("spq", [[[0.0, 2.0, 2.0]], [[0.0, 2.0, 1.0]]],
+                         ids=["all_rejected", "accepted"])
+def test_maxreg_unknown_system_is_config_error(tmp_path, fft_counts, capsys,
+                                               spq):
+    # (0, 2, 2) fails the completeness gate in 2-D, (0, 2, 1) passes it; the
+    # system is refused either way, before any transform or output
+    cfg = write_config(tmp_path, {
+        "grid": {"n": 2, "points": 32, "length": 8.0}, "system": "bogus",
+        "spq": spq, "T": [1.0], "M": 8})
+    assert main(["maxreg", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert "configuration error: unknown system 'bogus'" in \
+        capsys.readouterr().err
+    assert not fft_counts
+    assert not os.path.exists(tmp_path / "maxreg.csv")
 
 
 def test_maxreg_data_outside_bank_window_is_config_error(tmp_path, capsys):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from hodgehalf.evolution import (SpaceParams, TimeGrid, _Stepper,
-                                 make_a_regular, max_reg_report,
+                                 make_a_regular, max_reg_report, max_reg_sweep,
                                  solve_hodge_heat, solve_hodge_stokes,
                                  solve_navier_slip, streaming_max_reg)
 from hodgehalf.fields import Grid, synthesize, TestFunctionSpec
@@ -620,3 +620,83 @@ def test_closed_form_fft_count_does_not_grow_with_steps(grid, monkeypatch):
         counts.append(dict(count))
     assert counts[0] == counts[1]
     assert counts[0]["fftn"] > 0 and counts[0]["bincount"] == 5
+
+
+# ---------------------------------------------------------------------------
+# horizon sweeps
+# ---------------------------------------------------------------------------
+
+def _stored_trajectory(system, f, u0, horizon, steps):
+    if system == "hodge_heat":
+        return solve_hodge_heat(f, u0, horizon, steps)
+    if system == "hodge_stokes":
+        return solve_hodge_stokes(f, u0, horizon, steps, auto_project=True)
+    return solve_navier_slip(f, u0, horizon, steps, auto_project=True)[0]
+
+
+@pytest.mark.parametrize("system, params, steps", [
+    ("hodge_heat", SpaceParams(0.0, 2.0, 1.0), 32),
+    ("hodge_stokes", SpaceParams(0.0, 2.0, 1.0), 32),
+    ("navier_slip", SpaceParams(-0.5, 2.0, 2.0), 32),
+    ("hodge_stokes", SpaceParams(0.0, 3.0, 1.0), 4),  # p != 2: stepped
+])
+def test_max_reg_sweep_matches_per_horizon_reports(grid, system, params,
+                                                   steps):
+    bank = default_bank(grid)
+    f = random_half_field(grid, "Ht", [0b01, 0b10], seed=40,
+                          kind="annulus_band", radii=(1.0, 2.2))
+    # off equilibrium, so du/dt carries the datum's decay as well
+    u0 = steady_datum(f) + 0.1 * solenoidal_field(grid, 41)
+    horizons = [1.0, 4.0, 16.0]
+    swept = max_reg_sweep(system, f, u0, horizons, steps, params, bank)
+    assert [rep.horizon for rep in swept] == horizons
+    for horizon, rep in zip(horizons, swept):
+        one = streaming_max_reg(system, f, u0, horizon, steps, params, bank)
+        assert rep == one
+        oracle = max_reg_report(_stored_trajectory(system, f, u0, horizon,
+                                                   steps), params, system, bank)
+        assert rep.system == oracle.system and rep.horizon == oracle.horizon
+        for key in REPORT_FIELDS:
+            want, got = getattr(oracle, key), getattr(rep, key)
+            assert want > 0.0
+            assert abs(got - want) <= 1e-12 * want, (horizon, key, got, want)
+
+
+def _with_even_mean(u, relative):
+    """u plus a constant on its evenly extended Ht component (mask 0b01),
+    ``relative`` times |u|."""
+    comps = dict(u.comps)
+    comps[0b01] = comps[0b01] + relative * u.l2_norm()
+    return HalfField(u.grid, u.flavor, comps)
+
+
+@pytest.mark.parametrize("system", ["hodge_stokes", "navier_slip"])
+def test_closed_form_refuses_a_mean(grid, system):
+    # the spectral projection keeps the projector's mean-free guard: a mean
+    # of 1e-9 |u| is far above its 1e-12 |u| bound, yet it moves no report
+    # number by enough for any other guard to notice
+    bank = default_bank(grid)
+    f = random_half_field(grid, "Ht", [0b01, 0b10], seed=42,
+                          kind="annulus_band", radii=(1.0, 2.2))
+    u0 = steady_datum(f)
+    params = SpaceParams(0.0, 2.0, 1.0)
+    assert max_reg_sweep(system, f, u0, [1.0, 4.0], 8, params, bank)
+    for forcing, datum in ((_with_even_mean(f, 1e-9), u0),
+                           (f, _with_even_mean(u0, 1e-9)),
+                           (None, _with_even_mean(u0, 1e-9))):
+        with pytest.raises(ValueError, match="Helmholtz-Leray projector "
+                                             "needs a mean-free field"):
+            max_reg_sweep(system, forcing, datum, [1.0, 4.0], 8, params, bank)
+
+
+@pytest.mark.parametrize("system", ["hodge_stokes", "navier_slip"])
+def test_closed_form_refuses_a_non_tangential_flavor(grid, system):
+    bank = default_bank(grid)
+    f = random_half_field(grid, "Ht", [0b01, 0b10], seed=43,
+                          kind="annulus_band", radii=(1.0, 2.2))
+    u0 = steady_datum(f)
+    params = SpaceParams(0.0, 2.0, 1.0)
+    with pytest.raises(ValueError, match="uses the tangential flavor"):
+        max_reg_sweep(system, f, u0.with_flavor("N"), [1.0], 8, params, bank)
+    with pytest.raises(ValueError, match="acts on tangential-flavor fields"):
+        max_reg_sweep(system, f.with_flavor("Hn"), u0, [1.0], 8, params, bank)
