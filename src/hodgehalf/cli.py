@@ -21,12 +21,12 @@ from dataclasses import dataclass, field
 from .evolution import (SYSTEMS, SpaceParams, max_reg_sweep,
                         solve_hodge_heat, solve_hodge_stokes,
                         solve_navier_slip)
-from .fields import (Grid, SpectralField, forward_fft, load_field, random_form,
-                     save_field)
+from .fields import Grid, SpectralField, load_field, random_form, save_field
 from .halfspace import (HalfField, d_half, delta_half, delta_half_from_spectra,
-                        extend, half_l2_norm_from_spectra, leray_halfspace,
-                        random_half_field, remove_extended_mean,
-                        restrict_spectra, tangential_trace)
+                        extend_spectra, half_l2_norm_from_spectra,
+                        leray_halfspace, random_half_field,
+                        remove_extended_mean, restrict_spectra,
+                        tangential_trace)
 from .littlewood_paley import (FilterBank, build_bank, completeness_ok,
                                default_bank, space_norm)
 from .operators import frac_symbol, leray_hat
@@ -346,7 +346,7 @@ def run_maxreg(cfg: RunConfig) -> int:
 def _steady_initial_datum(forcing: HalfField) -> HalfField:
     """Initial datum in equilibrium with the forcing: u0 = A^{-1} P f, formed
     on the spectra of the forcing's extension."""
-    pf_hat, _ = leray_hat(forward_fft(extend(forcing)))
+    pf_hat, _ = leray_hat(extend_spectra(forcing))
     return restrict_spectra(pf_hat.apply_multiplier(
         frac_symbol(forcing.grid, -2.0)), forcing.flavor)
 

@@ -46,9 +46,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import Grid, SpectralField, forward_fft
-from .halfspace import (HalfField, extend, leray_halfspace, restrict,
-                        restrict_spectra)
+from .fields import Grid, SpectralField
+from .halfspace import (HalfField, extend, extend_spectra, leray_halfspace,
+                        restrict, restrict_spectra)
 from .littlewood_paley import (FilterBank, SpaceParams, completeness_ok,
                                lp_besov_norm, require_in_window,
                                shell_besov_norm)
@@ -160,7 +160,7 @@ class _Stepper:
 
 
 def _spectra_of(u: HalfField) -> dict[int, np.ndarray]:
-    return forward_fft(extend(u)).comps
+    return extend_spectra(u).comps
 
 
 def solve_hodge_heat(f, u0: HalfField, horizon: float, steps: int,
@@ -661,7 +661,7 @@ def _closed_form_spectra(system: str, u0: HalfField,
     def spectra(u):
         if u is None:
             return {}
-        uh = forward_fft(extend(u))
+        uh = extend_spectra(u)
         return leray_hat(uh)[0].comps if stokes else uh.comps
 
     return spectra(u0), spectra(f)

@@ -222,8 +222,9 @@ class SpectralField(FieldCore):
         return self.map(lambda a: a * symbol)
 
     def l2_norm(self) -> float:
-        """Parseval L^2 norm matching FormField.l2_norm."""
-        total = sum(float(np.sum(np.abs(a) ** 2)) for a in self.comps.values())
+        """Parseval L^2 norm matching FormField.l2_norm; not finite when a
+        coefficient is not."""
+        total = sum(np.vdot(a, a).real for a in self.comps.values())
         scale = self.grid.cell_volume / self.grid.points ** self.grid.n
         return float(np.sqrt(total * scale))
 

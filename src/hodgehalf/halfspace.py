@@ -12,20 +12,30 @@ Extension flavors follow the componentwise rule: under the tangential flavor
 'Ht' a component whose multi-index contains the normal axis extends oddly
 (Dirichlet reflection, boundary and seam rows forced to zero) and evenly
 otherwise; the normal flavor 'Hn' swaps the rule; 'D' and 'N' force one rule
-on every component.  Every half-space operator is extension, a whole-space
-multiplier, then restriction, which is justified by the commutation of the
-flavored extensions with d, delta, and functions of the Laplacian.
+on every component.  The flavored extensions commute with d, delta, the
+Helmholtz-Leray projector and functions of the Laplacian, so a half-space
+operator is the whole-space one applied to the extension, then restricted.
+
+Tangential transforms commute with the normal reflection, so the operators
+below that work in spectra never transform the mirrored rows along a
+tangential axis.  extend_spectra transforms the tangential axes on the
+N/2 + 1 stored rows, parity-extends them and transforms the normal axis;
+restrict_spectra runs the mirror image.  leray_halfspace and q_projector
+are leray_hat between the two.  d_half and delta_half take one one-axis
+spectral derivative per term of the incidence tables: a tangential one on
+the stored rows, a normal one on the one component's extension.  No
+transform of theirs covers all n axes of the doubled torus.  hodge_resolvent
+and hodge_heat still transform the whole extension.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .algebra import degree
+from .algebra import degree, lowering, raising
 from .fields import (FieldCore, FormField, Grid, SpectralField, _check_same_grid,
-                     inverse_fft, random_form)
-from .operators import (_delta_hat, _lam_value, d, delta, heat,
-                        leray_wholespace, resolvent)
+                     random_form)
+from .operators import _delta_hat, _lam_value, heat, leray_hat, resolvent
 
 FLAVORS = ("D", "N", "Ht", "Hn")
 
@@ -146,17 +156,58 @@ def extend(u: HalfField) -> FormField:
     return FormField(u.grid, comps)
 
 
+def _restrict_array(arr: np.ndarray, parity: int) -> np.ndarray:
+    """The stored rows of a torus array; an odd component's seam row is 0."""
+    half = arr.shape[-1] // 2
+    block = np.empty(arr.shape[:-1] + (half + 1,), dtype=complex)
+    block[..., :half] = arr[..., half:]
+    block[..., half] = arr[..., 0] if parity > 0 else 0.0
+    return block
+
+
 def restrict(U: FormField, flavor: str) -> HalfField:
     """Keep the rows x_n in {0, ..., L}; the seam row x_n = L wraps to -L."""
-    half = U.grid.points // 2
     comps = {}
     for mask, arr in U.comps.items():
         parity = component_parity(flavor, mask, U.grid.n)
-        block = np.empty(arr.shape[:-1] + (half + 1,), dtype=complex)
-        block[..., :half] = arr[..., half:]
-        block[..., half] = arr[..., 0] if parity > 0 else 0.0
-        comps[mask] = block
+        comps[mask] = _restrict_array(arr, parity)
     return HalfField(U.grid, flavor, comps)
+
+
+def extend_spectra(u: HalfField) -> SpectralField:
+    """Spectra of the flavored extension, forward_fft(extend(u)).
+
+    The tangential axes are transformed on the N/2 + 1 stored rows, the
+    rows are then parity-extended, and only the normal-axis transform runs
+    over the doubled torus.
+    """
+    grid = u.grid
+    tangential = tuple(range(grid.n - 1))
+    comps = {}
+    for mask, arr in u.comps.items():
+        parity = component_parity(u.flavor, mask, grid.n)
+        rows = np.fft.fftn(arr, axes=tangential)
+        comps[mask] = np.fft.fftn(_extend_array(rows, parity, grid.points),
+                                  axes=(grid.n - 1,))
+    return SpectralField(grid, comps)
+
+
+def restrict_spectra(U_hat: SpectralField, flavor: str) -> HalfField:
+    """The half-field whose flavored extension has these spectra,
+    restrict(inverse_fft(U_hat), flavor).
+
+    The normal axis is inverted over the doubled torus; the stored rows are
+    kept as restrict keeps them, and only they are inverted along the
+    tangential axes.
+    """
+    grid = U_hat.grid
+    tangential = tuple(range(grid.n - 1))
+    comps = {}
+    for mask, a in U_hat.comps.items():
+        parity = component_parity(flavor, mask, grid.n)
+        rows = _restrict_array(np.fft.ifftn(a, axes=(grid.n - 1,)), parity)
+        comps[mask] = np.fft.ifftn(rows, axes=tangential)
+    return HalfField(grid, flavor, comps)
 
 
 def reflect_normal(arr: np.ndarray) -> np.ndarray:
@@ -186,20 +237,60 @@ def random_half_field(grid: Grid, flavor: str, masks, seed: int = 0,
 # derivatives and the commutation route
 # ---------------------------------------------------------------------------
 
+def _axis_derivative(arr: np.ndarray, symbol: np.ndarray,
+                     axis: int) -> np.ndarray:
+    """The multiplier ``symbol`` (a function of xi_axis alone) along one axis."""
+    spectrum = np.fft.fftn(arr, axes=(axis,))
+    spectrum *= symbol
+    return np.fft.ifftn(spectrum, axes=(axis,))
+
+
+def _half_incidence(u: HalfField, table, unit: complex) -> HalfField:
+    """restrict(X(extend(u)), flavor) for the first-order operator X whose
+    symbol sums sign * unit * xi~_axis over the entries (axis, target, sign)
+    of an incidence table, one one-axis derivative per entry.
+
+    A tangential derivative commutes with the reflection, so it acts on the
+    stored rows, with an odd component's end rows zeroed as extend zeroes
+    them.  A normal one acts on the component's extension, restricted by the
+    target's parity.
+    """
+    grid = u.grid
+    normal = grid.n - 1
+    coef = [unit * xi for xi in grid.odd_freqs()]
+    out: dict[int, np.ndarray] = {}
+    for mask, arr in u.comps.items():
+        parity = component_parity(u.flavor, mask, grid.n)
+        for axis, target, sign in table[mask]:
+            symbol = sign * coef[axis]
+            if axis == normal:
+                ext = _extend_array(arr, parity, grid.points)
+                term = _restrict_array(_axis_derivative(ext, symbol, axis),
+                                       component_parity(u.flavor, target,
+                                                        grid.n))
+            else:
+                rows = arr
+                if parity < 0:
+                    rows = arr.copy()
+                    rows[..., [0, -1]] = 0.0
+                term = _axis_derivative(rows, symbol, axis)
+            if target in out:
+                out[target] += term
+            else:
+                out[target] = term
+    return HalfField(grid, u.flavor, out)
+
+
 def d_half(u: HalfField) -> HalfField:
-    """Exterior derivative through the extension; the flavor is preserved."""
-    return restrict(d(extend(u)), u.flavor)
+    """Exterior derivative through the extension, restrict(d(extend(u))),
+    by one-axis derivatives; the flavor is preserved."""
+    return _half_incidence(u, raising(u.grid.n), 1j)
 
 
 def delta_half(u: HalfField) -> HalfField:
-    """Coderivative through the extension; the flavor is preserved."""
-    return restrict(delta(extend(u)), u.flavor)
-
-
-def restrict_spectra(U_hat: SpectralField, flavor: str) -> HalfField:
-    """The half-field whose flavored extension has these spectra: the inverse
-    transform, restricted."""
-    return restrict(inverse_fft(U_hat), flavor)
+    """Coderivative through the extension, restrict(delta(extend(u))), by
+    one-axis derivatives; the flavor is preserved."""
+    return _half_incidence(u, lowering(u.grid.n), -1j)
 
 
 def half_l2_norm_from_spectra(U_hat: SpectralField) -> float:
@@ -269,7 +360,7 @@ class BoundaryForm(FieldCore):
 
     def l2_norm(self) -> float:
         cell = self.grid.spacing ** (self.grid.n - 1)
-        total = sum(float(np.sum(np.abs(a) ** 2)) for a in self.comps.values())
+        total = sum(np.vdot(a, a).real for a in self.comps.values())
         return float(np.sqrt(total * cell))
 
     def pair_with_boundary_values(self, values: dict[int, np.ndarray]) -> complex:
@@ -404,12 +495,13 @@ def leray_halfspace(u: HalfField) -> tuple[HalfField, HalfField]:
 
     Pu is divergence-free with vanishing tangential trace; Gu is exact.
     Realized as restriction of the whole-space projector applied to the
-    tangential extension, which commutes with the flavored symmetry.
+    spectra of the tangential extension, which commutes with the flavored
+    symmetry.
     """
     if u.flavor != "Ht":
         raise ValueError("the Leray projector acts on tangential-flavor fields")
-    pu, gu = leray_wholespace(extend(u))
-    return restrict(pu, "Ht"), restrict(gu, "Ht")
+    p_hat, g_hat = leray_hat(extend_spectra(u))
+    return restrict_spectra(p_hat, "Ht"), restrict_spectra(g_hat, "Ht")
 
 
 def q_projector(u: HalfField) -> tuple[HalfField, HalfField]:
@@ -420,8 +512,8 @@ def q_projector(u: HalfField) -> tuple[HalfField, HalfField]:
     """
     if u.flavor != "Hn":
         raise ValueError("the mirror projector acts on normal-flavor fields")
-    qu, ru = leray_wholespace(extend(u))
-    return restrict(qu, "Hn"), restrict(ru, "Hn")
+    q_hat, r_hat = leray_hat(extend_spectra(u))
+    return restrict_spectra(q_hat, "Hn"), restrict_spectra(r_hat, "Hn")
 
 
 def hodge_stokes_apply(u: HalfField) -> HalfField:

@@ -1,5 +1,6 @@
 """Command-line driver: exit codes, CSV reports, field container round trips."""
 
+import collections
 import csv
 import importlib.util
 import json
@@ -71,12 +72,17 @@ def test_decompose_gradient_field(tmp_path, capsys):
     assert os.path.exists(tmp_path / "g_part.hhf")
 
 
-def _decompose_stored(tmp_path, grid, seed):
+def _stored_half_field(tmp_path, grid, seed):
+    """A decompose config naming a stored tangential half 1-form."""
     u = random_half_field(grid, "Ht", [1 << a for a in range(grid.n)],
                           seed=seed, kind="annulus_band", radii=(1.0, 3.0))
     field_path = str(tmp_path / "u.hhf")
     save_field(field_path, u)  # complex64 payload
-    cfg = write_config(tmp_path, {"field": field_path})
+    return write_config(tmp_path, {"field": field_path})
+
+
+def _decompose_stored(tmp_path, grid, seed):
+    cfg = _stored_half_field(tmp_path, grid, seed)
     code = main(["decompose", "--config", cfg, "--out", str(tmp_path)])
     with open(tmp_path / "decompose.json") as fh:
         return code, json.load(fh)
@@ -99,6 +105,35 @@ def test_decompose_round_trip_catches_a_nyquist_symbol(tmp_path, monkeypatch):
     monkeypatch.setattr(Grid, "odd_freqs", Grid.freqs)
     code, report = _decompose_stored(tmp_path, Grid(2, 64, 16.0), seed=3)
     assert report["p_divergence"] > 1e-11
+
+
+@pytest.mark.parametrize("n, points", [(2, 32), (3, 16)])
+def test_decompose_fft_count(tmp_path, monkeypatch, fft_counts, n, points):
+    # leray_halfspace transforms 3n components (n forward, 2n inverse), each
+    # by a normal-axis pass (1 axis) and a tangential pass on the stored rows
+    # (n - 1 axes); delta_half(Pu) takes n one-axis derivatives and
+    # d_half(Gu) n (n - 1), a forward and an inverse pass each.  At n = 2
+    # the keys 1 and n - 1 coincide.
+    cfg = _stored_half_field(tmp_path, Grid(n, points, 8.0), seed=3)
+    passes = []
+    for kind in ("fftn", "ifftn"):
+        def logged(a, s=None, axes=None, *args, _counted=getattr(np.fft, kind),
+                   **kwargs):
+            passes.append((axes, np.shape(a)))
+            return _counted(a, s, axes, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, kind, logged)
+    fft_counts.clear()
+    assert main(["decompose", "--config", cfg, "--out", str(tmp_path)]) == 0
+    expected = collections.Counter()
+    expected[1] += 3 * n + 2 * n + 2 * n * (n - 1)
+    expected[n - 1] += 3 * n
+    assert fft_counts == expected
+    # no pass covers all n axes, and a pass that leaves out the normal axis
+    # runs on the N/2 + 1 stored rows
+    for axes, shape in passes:
+        assert axes is not None and len(axes) < n
+        assert shape[-1] == (points if n - 1 in axes else points // 2 + 1)
 
 
 def test_decompose_missing_field_is_config_error(tmp_path):
@@ -370,15 +405,21 @@ def test_solve_divergence_sees_an_unprojected_forcing(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("n, points", [(2, 32), (3, 16)])
 def test_solve_fft_count(tmp_path, fft_counts, n, points):
-    # n-D: 2n to draw the datum and the forcing, 3n per Leray split of each,
-    # n for the forcing spectra, n for the stepper, n inverse transforms for
-    # each of the two endpoint fields, and per node one for the divergence;
-    # (n-1)-D: per node one for the boundary row of the normal component
+    # n-D: 2n to draw the datum and the forcing.  Each half-space transform
+    # of one component is a normal-axis pass (1 axis) and a tangential pass
+    # on the stored rows (n - 1 axes): 3n per Leray split of each of the
+    # datum and the forcing, n for the forcing spectra, n for the stepper,
+    # n for each of the two endpoint fields, and per node one for the
+    # divergence.  (n-1)-D: per node one for the boundary row of the normal
+    # component.  At n = 2 the keys 1 and n - 1 coincide.
     steps = 4
     _solve_rows(tmp_path, {"grid": {"n": n, "points": points, "length": 8.0},
                            "system": "navier_slip", "T": 1.0, "M": steps},
                 seed=0)
-    assert fft_counts == {n: 12 * n + steps + 1, n - 1: steps + 1}
+    expected = collections.Counter({n: 2 * n})
+    expected[1] += 10 * n + steps + 1
+    expected[n - 1] += 10 * n + steps + 1 + steps + 1
+    assert fft_counts == expected
 
 
 def test_normtable_zero_field(tmp_path):
@@ -440,9 +481,11 @@ def test_malformed_config_value_is_config_error(tmp_path, monkeypatch, capsys,
 
 @pytest.mark.parametrize("n, points", [(2, 32), (3, 16)])
 def test_maxreg_fft_count(tmp_path, fft_counts, n, points):
-    # n inverse transforms draw the forcing; the steady datum takes n forward
-    # and n inverse; the sweep takes the spectra of the datum and the forcing
-    # once, n each, for all horizons and any node count
+    # n n-D inverse transforms draw the forcing; the steady datum takes the
+    # extension spectra of the forcing and restricts one set, and the sweep
+    # takes the spectra of the datum and the forcing once for all horizons
+    # and any node count: 4n component transforms, each a normal-axis pass
+    # (1 axis) and a tangential pass on the stored rows (n - 1 axes)
     seen = []
     for horizons in ([1.0], [1.0, 10.0, 100.0]):
         for steps in (8, 64):
@@ -455,7 +498,10 @@ def test_maxreg_fft_count(tmp_path, fft_counts, n, points):
                          str(tmp_path)]) == 0
             assert len(read_csv(tmp_path / "maxreg.csv")) == len(horizons)
             seen.append(dict(fft_counts))
-    assert seen == [{n: 5 * n}] * 4
+    expected = collections.Counter({n: n})
+    expected[1] += 4 * n
+    expected[n - 1] += 4 * n
+    assert seen == [expected] * 4
 
 
 @pytest.mark.parametrize("spq", [[[0.0, 2.0, 2.0]], [[0.0, 2.0, 1.0]]],

@@ -11,6 +11,7 @@ import pytest
 from hodgehalf.fields import (FormField, Grid, TestFunctionSpec, forward_fft,
                               inverse_fft, load_field, random_form, save_field,
                               synthesize)
+from hodgehalf.halfspace import BoundaryForm
 
 
 @pytest.fixture
@@ -72,6 +73,19 @@ def test_parseval_against_quadrature(grid2):
     spectral *= grid2.cell_volume / grid2.points ** 2
     assert abs(direct - spectral) / direct < 1e-10
     assert abs(uh.l2_norm() - u.l2_norm()) / u.l2_norm() < 1e-10
+    want = np.sqrt(spectral)
+    assert abs(uh.l2_norm() - want) <= 1e-14 * want
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)],
+                         ids=["nan", "inf", "imaginary_inf"])
+def test_spectral_and_trace_norms_see_a_non_finite_coefficient(grid2, bad):
+    uh = forward_fft(random_form(grid2, [0, 1], seed=4))
+    uh.comps[1][3, 5] = bad
+    assert not np.isfinite(uh.l2_norm())
+    trace = BoundaryForm(grid2, {0: np.ones(grid2.points, dtype=complex)})
+    trace.comps[0][2] = bad
+    assert not np.isfinite(trace.l2_norm())
 
 
 def test_translation_is_unimodular_phase(grid2):

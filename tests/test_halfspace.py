@@ -3,17 +3,21 @@
 import numpy as np
 import pytest
 
-from hodgehalf.fields import Grid, TestFunctionSpec, random_form, synthesize
+from hodgehalf.algebra import degree
+from hodgehalf.fields import (Grid, SpectralField, TestFunctionSpec,
+                              forward_fft, inverse_fft, random_form, synthesize)
 from hodgehalf import halfspace
 from hodgehalf.halfspace import (FLAVORS, HalfField, component_parity, d_half,
-                                 delta_half, extend, half_domain_integral,
+                                 delta_half, extend, extend_spectra,
+                                 half_domain_integral,
                                  half_l2_inner, half_shape, hodge_bc_residual,
                                  hodge_heat, hodge_resolvent, hodge_stokes_apply,
                                  leray_halfspace, navier_slip_residual,
                                  normal_derivative_at_boundary, normal_trace,
                                  q_projector, random_half_field, reflect_normal,
                                  remove_extended_mean, restrict,
-                                 scalar_resolvent, symmetrize, tangential_trace)
+                                 restrict_spectra, scalar_resolvent, symmetrize,
+                                 tangential_trace)
 from hodgehalf.operators import d, delta, grad_l2, hess_l2, laplacian, resolvent
 
 
@@ -640,3 +644,53 @@ def test_white_noise_catches_a_nyquist_symbol(monkeypatch, grid, flavor):
     # Ht split then shows in delta(Pu), the mirror Hn split in d(Gu)
     assert res["idempotent"] > 1e-3, res
     assert max(res["delta_pu"], res["d_gu"]) > 1e-3, res
+
+
+# ---------------------------------------------------------------------------
+# half-row transforms against the whole-torus routes they replace
+# ---------------------------------------------------------------------------
+
+def component_gap(got, want):
+    """Worst sample gap between two fields of the same components, relative
+    to the largest sample of the oracle ``want``."""
+    assert set(got.comps) == set(want.comps)
+    scale = max(np.abs(a).max() for a in want.comps.values())
+    return max(np.abs(got.comps[m] - want.comps[m]).max()
+               for m in want.comps) / scale
+
+
+@pytest.mark.parametrize("grid", QUADRATURE_GRIDS, ids=lambda g: f"n{g.n}")
+@pytest.mark.parametrize("flavor", FLAVORS)
+def test_extend_spectra_matches_the_extension_transform(grid, flavor):
+    # odd components carry nonzero end rows, which the extension drops
+    u = raw_half_field(grid, flavor, seed=5)
+    assert component_gap(extend_spectra(u), forward_fft(extend(u))) <= 1e-12
+
+
+@pytest.mark.parametrize("grid", QUADRATURE_GRIDS, ids=lambda g: f"n{g.n}")
+@pytest.mark.parametrize("flavor", FLAVORS)
+def test_restrict_spectra_matches_the_restricted_inverse(grid, flavor):
+    # white-noise spectra of no symmetry class: the end-row rules must match
+    rng = np.random.default_rng(6)
+    U = SpectralField(grid, {
+        m: rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
+        for m in range(1 << grid.n)})
+    want = restrict(inverse_fft(U), flavor)
+    assert component_gap(restrict_spectra(U, flavor), want) <= 1e-12
+
+
+@pytest.mark.parametrize("grid", QUADRATURE_GRIDS, ids=lambda g: f"n{g.n}")
+@pytest.mark.parametrize("flavor", FLAVORS)
+@pytest.mark.parametrize("op, whole", [(d_half, d), (delta_half, delta)],
+                         ids=["d", "delta"])
+def test_half_derivatives_match_the_extension_route(grid, flavor, op, whole):
+    u = raw_half_field(grid, flavor, seed=7)
+    for k in range(grid.n + 1):
+        uk = HalfField(grid, flavor, {m: a for m, a in u.comps.items()
+                                      if degree(m) == k})
+        want = restrict(whole(extend(uk)), flavor)
+        got = op(uk)
+        if not want.comps:  # d of an n-form, delta of a 0-form
+            assert not got.comps
+            continue
+        assert component_gap(got, want) <= 1e-12, k
