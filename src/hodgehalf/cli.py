@@ -18,13 +18,12 @@ import os
 import sys
 from dataclasses import dataclass, field
 
-from .evolution import (SYSTEMS, SpaceParams, max_reg_sweep,
+from .evolution import (SYSTEMS, SpaceParams, TimeGrid, max_reg_sweep,
                         solve_hodge_heat, solve_hodge_stokes,
                         solve_navier_slip)
 from .fields import Grid, SpectralField, load_field, random_form, save_field
-from .halfspace import (HalfField, d_half, delta_half, delta_half_from_spectra,
-                        extend_spectra, half_l2_norm_from_spectra,
-                        leray_halfspace, random_half_field,
+from .halfspace import (HalfField, NodeReader, d_half, delta_half,
+                        extend_spectra, leray_halfspace, random_half_field,
                         remove_extended_mean, restrict_spectra,
                         tangential_trace)
 from .littlewood_paley import (FilterBank, build_bank, completeness_ok,
@@ -235,6 +234,9 @@ def run_solve(cfg: RunConfig) -> int:
     horizon = _read(opts, "T", 1.0, float)
     steps = _read(opts, "M", 64, int)
     flavor = opts.get("flavor", "Ht")
+    if system not in SYSTEMS:
+        raise ConfigError(f"unknown system {system!r}")
+    TimeGrid(horizon, steps)  # refuses T <= 0 and M < 1 before any work
     if system != "hodge_heat" and flavor != "Ht":
         raise ConfigError("Stokes-type systems use the tangential flavor")
     u0 = _corpus_field(cfg, grid, flavor=flavor)
@@ -243,23 +245,22 @@ def run_solve(cfg: RunConfig) -> int:
         forcing = random_half_field(grid, flavor, u0.masks(), seed=cfg.seed + 1,
                                     kind=opts.get("corpus_kind", "annulus_band"),
                                     radii=cfg.radii((1.0, 2.5)))
-    # every node column is read from the stepper's extension spectra; no
-    # node field is built except the snapshots asked for
+    # every node column is read from the stepper's extension spectra by one
+    # reader whose work arrays serve all nodes; no node field is built
+    # except the snapshots asked for
+    reader = NodeReader(grid, flavor, u0.masks())
     stride = max(1, steps // 4) if opts.get("save_snapshots") else None
     rows, snapshots = [], []
 
     def observer(m, t, state, f_hat):
-        spectra = SpectralField(grid, state)
-        l2 = half_l2_norm_from_spectra(spectra)
-        if not math.isfinite(l2):
+        columns = reader(state)
+        if not math.isfinite(columns["l2"]):
             raise RunError(f"solve: the state at node {m} (t = {t:g}) is "
                            f"not finite")
-        rows.append({"t": t, "l2": l2,
-                     "divergence": delta_half_from_spectra(
-                         grid, flavor, state).l2_norm(),
-                     "tangential_trace": tangential_trace(spectra).l2_norm()})
+        rows.append({"t": t, **columns})
         if stride is not None and m % stride == 0:
-            snapshots.append((m, t, restrict_spectra(spectra, flavor)))
+            snapshots.append((m, t, restrict_spectra(SpectralField(grid, state),
+                                                     flavor)))
 
     grad_p = None
     if system == "hodge_heat":
@@ -268,12 +269,10 @@ def run_solve(cfg: RunConfig) -> int:
     elif system == "hodge_stokes":
         solve_hodge_stokes(forcing, u0, horizon, steps, auto_project=True,
                            observer=observer, store=False)
-    elif system == "navier_slip":
+    else:
         _, grad_p = solve_navier_slip(forcing, u0, horizon, steps,
                                       auto_project=True, observer=observer,
                                       store=False)
-    else:
-        raise ConfigError(f"unknown system {system!r}")
     if grad_p is not None:
         grad_p_l2 = {}  # a constant forcing gives one gradient field at every node
         for row, gp in zip(rows, grad_p):

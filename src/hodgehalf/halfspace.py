@@ -24,8 +24,12 @@ restrict_spectra runs the mirror image.  leray_halfspace and q_projector
 are leray_hat between the two.  d_half and delta_half take one one-axis
 spectral derivative per term of the incidence tables: a tangential one on
 the stored rows, a normal one on the one component's extension.  No
-transform of theirs covers all n axes of the doubled torus.  hodge_resolvent
-and hodge_heat still transform the whole extension.
+transform of theirs covers all n axes of the doubled torus.  NodeReader reads
+the L^2 norm, |delta_half u| and the tangential trace's norm of a node
+straight from the extension spectra an evolution stepper holds: per target
+of delta it takes one normal-axis inverse transform, into arrays made once
+per run, and reads the tangential axes by Parseval instead of inverting them.
+hodge_resolvent and hodge_heat still transform the whole extension.
 """
 
 from __future__ import annotations
@@ -35,7 +39,8 @@ import numpy as np
 from .algebra import degree, lowering, raising
 from .fields import (FieldCore, FormField, Grid, SpectralField, _check_same_grid,
                      random_form)
-from .operators import _delta_hat, _lam_value, heat, leray_hat, resolvent
+from .operators import (_apply_incidence, _lam_value, heat, leray_hat,
+                        resolvent)
 
 FLAVORS = ("D", "N", "Ht", "Hn")
 
@@ -300,15 +305,89 @@ def half_l2_norm_from_spectra(U_hat: SpectralField) -> float:
     return float(U_hat.l2_norm() / np.sqrt(2.0))
 
 
-def delta_half_from_spectra(grid: Grid, flavor: str,
-                            spectra: dict[int, np.ndarray]) -> HalfField:
-    """delta_half of the half-field whose flavored extension has these spectra.
+def _torus_row_weights(points: int, parity: int) -> np.ndarray:
+    """_half_row_sum's trapezoid weights on the torus rows that
+    _restrict_array keeps: the stored rows x_n = 0, ..., L - h are torus rows
+    N/2, ..., N - 1 and the seam row x_n = L is torus row 0; the mirrored
+    rows 1, ..., N/2 - 1 weigh 0."""
+    half = points // 2
+    weights = np.zeros(points)
+    weights[half + 1:] = 1.0
+    weights[[0, half]] = 0.5 if parity > 0 else 0.0
+    return weights
 
-    For callers that already hold the extension spectra (the evolution
-    stepper does): it skips the forward transforms of delta_half and keeps
-    its restriction, so it gives the same field for every flavor.
+
+class NodeReader:
+    """The solve.csv columns of a node, read from its extension spectra.
+
+    Built once per run for one (grid, flavor, masks); every call reads the
+    spectra of one node, such as the state an evolution stepper hands its
+    observer, and builds no field:
+
+    - ``l2``: half_l2_norm_from_spectra, Parseval on the torus;
+    - ``divergence``: |delta_half(u)| for the half-field u whose extension
+      has these spectra (for spectra outside the flavor's symmetry class,
+      the norm of the restriction of delta of the torus field), with delta's
+      symbol accumulated in place into target arrays made once, then per
+      target one normal-axis
+      inverse transform, the stored rows and trapezoid weights of
+      HalfField.l2_norm (_torus_row_weights), and Parseval along the
+      tangential axes, which divides by N^(n-1) in place of inverting them;
+    - ``tangential_trace``: |tangential_trace(u)|.  At the boundary row,
+      torus index N/2, the normal phase is e^{i pi k_n} = (-1)^{k_n}, so
+      each normal-bearing component's row has the tangential spectra
+      sum_{k_n} (-1)^{k_n} U_hat(k', k_n) / N, and Parseval gives its norm
+      with no transform.
     """
-    return restrict_spectra(_delta_hat(SpectralField(grid, spectra)), flavor)
+
+    def __init__(self, grid: Grid, flavor: str, masks):
+        if flavor not in FLAVORS:
+            raise ValueError(f"unknown boundary flavor {flavor!r}")
+        self.grid = grid
+        self.masks = frozenset(masks)
+        self._table = lowering(grid.n)
+        self._coef = [-1j * xi for xi in grid.odd_freqs()]
+        targets = sorted({t for m in self.masks for _, t, _ in self._table[m]})
+        self.targets = tuple(targets)
+        self._acc = {t: np.empty(grid.shape, dtype=complex) for t in targets}
+        self._work = np.empty(grid.shape, dtype=complex)
+        # the weights enter |rows|^2, so the rows are scaled by their roots
+        self._root_weights = {
+            t: np.sqrt(_torus_row_weights(grid.points,
+                                          component_parity(flavor, t, grid.n)))
+            for t in targets}
+        tangential_points = grid.points ** (grid.n - 1)
+        self._div_scale = grid.cell_volume / tangential_points
+        self._trace_scale = grid.spacing ** (grid.n - 1) / tangential_points
+        self._phases = (np.where(np.arange(grid.points) % 2, -1.0, 1.0)
+                        / grid.points)
+
+    def __call__(self, spectra: dict[int, np.ndarray]) -> dict[str, float]:
+        if spectra.keys() != self.masks:
+            raise ValueError(f"node components {sorted(spectra)} are not the "
+                             f"reader's {sorted(self.masks)}")
+        l2 = half_l2_norm_from_spectra(SpectralField(self.grid, spectra))
+        return {"l2": l2, "divergence": self._divergence(spectra),
+                "tangential_trace": self._tangential_trace(spectra)}
+
+    def _divergence(self, spectra) -> float:
+        _apply_incidence(self._table, self._coef, spectra, out=self._acc,
+                         work=self._work)
+        total = 0.0
+        for t, acc in self._acc.items():
+            rows = np.fft.ifftn(acc, axes=(self.grid.n - 1,))
+            rows *= self._root_weights[t]
+            total += np.vdot(rows, rows).real
+        return float(np.sqrt(total * self._div_scale))
+
+    def _tangential_trace(self, spectra) -> float:
+        nbit = 1 << (self.grid.n - 1)
+        total = 0.0
+        for mask, a in spectra.items():
+            if mask & nbit:
+                row = a @ self._phases
+                total += np.vdot(row, row).real
+        return float(np.sqrt(total * self._trace_scale))
 
 
 def hodge_resolvent(lam, f: HalfField) -> HalfField:
@@ -384,19 +463,13 @@ def _boundary_values(u, normal: bool) -> dict[int, np.ndarray]:
     multi-index contains the normal axis (``normal``) or omits it.
 
     A HalfField gives its first stored row and a FormField its torus row
-    x_n = 0, index N/2.  A SpectralField (the spectra of an extension) gives
-    that row without the n-D inverse transform: at index N/2 the normal
-    phase is e^{i pi k_n} = (-1)^{k_n}, so the row is the (n-1)-D inverse
-    transform of sum_{k_n} (-1)^{k_n} U_hat(k', k_n) / N.
+    x_n = 0, index N/2.
     """
     grid = u.grid
     nbit = 1 << (grid.n - 1)
     kept = {m: a for m, a in u.comps.items() if bool(m & nbit) == normal}
     if isinstance(u, HalfField):
         return {m: a[..., 0] for m, a in kept.items()}
-    if isinstance(u, SpectralField):
-        signs = np.where(np.arange(grid.points) % 2, -1.0, 1.0) / grid.points
-        return {m: np.fft.ifftn(a @ signs) for m, a in kept.items()}
     half = grid.points // 2
     return {m: a[..., half] for m, a in kept.items()}
 
@@ -404,7 +477,8 @@ def _boundary_values(u, normal: bool) -> dict[int, np.ndarray]:
 def tangential_trace(u) -> BoundaryForm:
     """nu _| u at the boundary: (-1)^k sum over I' of u_{I', n}(., 0) dx_{I'}.
 
-    ``u`` is a HalfField, a FormField or the SpectralField of an extension.
+    ``u`` is a HalfField or a FormField; NodeReader reads its norm from the
+    spectra of an extension.
     """
     nbit = 1 << (u.grid.n - 1)
     comps = {}

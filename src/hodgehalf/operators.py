@@ -69,21 +69,36 @@ def _lam_value(lam) -> complex:
 # d, delta, Hodge-Dirac
 # ---------------------------------------------------------------------------
 
-def _apply_incidence(table, coef, comps: dict[int, np.ndarray]) -> dict:
+def _apply_incidence(table, coef, comps: dict[int, np.ndarray], out=None,
+                     work=None) -> dict:
     """Sum sign * coef[axis] * comps[mask] into the targets of an incidence
     table (algebra.raising or algebra.lowering); axes whose coefficient is
-    None are skipped."""
-    out: dict[int, np.ndarray] = {}
+    None are skipped.
+
+    A target's first term is written by np.multiply and every later one is
+    formed in one work array and added in place, so no temporary is made per
+    term.  Given ``out`` (target -> array, for every target the table
+    reaches) and ``work``, the sum goes into the caller's arrays: the first
+    term overwrites a target, and a target that gets no term is zeroed.
+    """
+    acc = {} if out is None else out
+    written = set()
     for mask, arr in comps.items():
         for axis, target, sign in table[mask]:
             if coef[axis] is None:
                 continue
-            term = (sign * coef[axis]) * arr
-            if target in out:
-                out[target] += term
-            else:
-                out[target] = term
-    return out
+            factor = sign * coef[axis]
+            if target not in written:
+                written.add(target)
+                acc[target] = np.multiply(factor, arr, out=acc.get(target))
+                continue
+            if work is None:
+                work = np.empty_like(acc[target])
+            np.multiply(factor, arr, out=work)
+            acc[target] += work
+    for target in acc.keys() - written:
+        acc[target].fill(0.0)
+    return acc
 
 
 def _d_hat(uh: SpectralField) -> SpectralField:

@@ -408,18 +408,36 @@ def test_solve_fft_count(tmp_path, fft_counts, n, points):
     # n-D: 2n to draw the datum and the forcing.  Each half-space transform
     # of one component is a normal-axis pass (1 axis) and a tangential pass
     # on the stored rows (n - 1 axes): 3n per Leray split of each of the
-    # datum and the forcing, n for the forcing spectra, n for the stepper,
-    # n for each of the two endpoint fields, and per node one for the
-    # divergence.  (n-1)-D: per node one for the boundary row of the normal
-    # component.  At n = 2 the keys 1 and n - 1 coincide.
+    # datum and the forcing, n for the forcing spectra, n for the stepper
+    # and n for each of the two endpoint fields.  Per node one normal-axis
+    # pass for the divergence (a 1-form's delta has one component); its
+    # tangential sum and the boundary row are read by Parseval, with no
+    # (n-1)-D pass.  At n = 2 the keys 1 and n - 1 coincide.
     steps = 4
     _solve_rows(tmp_path, {"grid": {"n": n, "points": points, "length": 8.0},
                            "system": "navier_slip", "T": 1.0, "M": steps},
                 seed=0)
     expected = collections.Counter({n: 2 * n})
     expected[1] += 10 * n + steps + 1
-    expected[n - 1] += 10 * n + steps + 1 + steps + 1
+    expected[n - 1] += 10 * n
     assert fft_counts == expected
+
+
+@pytest.mark.parametrize("options, message", [
+    ({"system": "bogus"}, "unknown system 'bogus'"),
+    ({"T": -1.0}, "final time must be positive"),
+    ({"T": 0.0}, "final time must be positive"),
+    ({"M": 0}, "need at least one step"),
+])
+def test_solve_bad_run_is_refused_before_any_work(tmp_path, fft_counts,
+                                                  capsys, options, message):
+    cfg = write_config(tmp_path, dict(
+        {"grid": {"n": 2, "points": 32, "length": 8.0}, "T": 1.0, "M": 8},
+        **options))
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert f"configuration error: {message}" in capsys.readouterr().err
+    assert not fft_counts
+    assert not os.path.exists(tmp_path / "solve.csv")
 
 
 def test_normtable_zero_field(tmp_path):

@@ -7,10 +7,11 @@ from hodgehalf.algebra import degree
 from hodgehalf.fields import (Grid, SpectralField, TestFunctionSpec,
                               forward_fft, inverse_fft, random_form, synthesize)
 from hodgehalf import halfspace
-from hodgehalf.halfspace import (FLAVORS, HalfField, component_parity, d_half,
-                                 delta_half, extend, extend_spectra,
-                                 half_domain_integral,
-                                 half_l2_inner, half_shape, hodge_bc_residual,
+from hodgehalf.halfspace import (FLAVORS, HalfField, NodeReader,
+                                 component_parity, d_half, delta_half, extend,
+                                 extend_spectra, half_domain_integral,
+                                 half_l2_inner, half_l2_norm_from_spectra,
+                                 half_shape, hodge_bc_residual,
                                  hodge_heat, hodge_resolvent, hodge_stokes_apply,
                                  leray_halfspace, navier_slip_residual,
                                  normal_derivative_at_boundary, normal_trace,
@@ -694,3 +695,120 @@ def test_half_derivatives_match_the_extension_route(grid, flavor, op, whole):
             assert not got.comps
             continue
         assert component_gap(got, want) <= 1e-12, k
+
+
+# ---------------------------------------------------------------------------
+# the node reader of solve against the field oracles
+# ---------------------------------------------------------------------------
+
+def white_noise_spectra(grid, k, seed=0):
+    """Spectra of every degree-k component, white noise of no symmetry class:
+    the restriction's seam row and the end-row weights all matter."""
+    rng = np.random.default_rng(seed)
+    return {m: rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
+            for m in range(1 << grid.n) if degree(m) == k}
+
+
+def reader_columns(grid, flavor, k):
+    """The reader's columns on degree-k white noise, and their oracles: the
+    divergence by the whole-torus route (n-D inverse transform, delta of the
+    torus field, restriction), the trace on the restricted field."""
+    state = white_noise_spectra(grid, k)
+    got = NodeReader(grid, flavor, state)(state)
+    spectra = SpectralField(grid, state)
+    want = {"l2": half_l2_norm_from_spectra(spectra),
+            "divergence": restrict(delta(inverse_fft(spectra)), flavor).l2_norm(),
+            "tangential_trace":
+                tangential_trace(restrict_spectra(spectra, flavor)).l2_norm()}
+    return got, want
+
+
+def reader_gap(grid, flavor):
+    """Worst relative gap of the reader's columns from their oracles, over
+    the degrees 0..n."""
+    worst = 0.0
+    for k in range(grid.n + 1):
+        got, want = reader_columns(grid, flavor, k)
+        worst = max([worst] + [abs(got[c] - w) / w for c, w in want.items() if w])
+    return worst
+
+
+@pytest.mark.parametrize("grid", QUADRATURE_GRIDS, ids=lambda g: f"n{g.n}")
+@pytest.mark.parametrize("flavor", FLAVORS)
+def test_node_reader_matches_the_field_oracles(grid, flavor):
+    for k in range(grid.n + 1):
+        got, want = reader_columns(grid, flavor, k)
+        assert list(got) == ["l2", "divergence", "tangential_trace"]
+        for column, w in want.items():
+            if k == 0 and column != "l2":
+                # a 0-form has no delta and no normal-bearing component
+                assert got[column] == w == 0.0
+            else:
+                assert abs(got[column] - w) <= 1e-12 * w, (k, column)
+                assert w > 0.1 * want["l2"], (k, column)
+
+
+@pytest.mark.parametrize("grid", QUADRATURE_GRIDS, ids=lambda g: f"n{g.n}")
+@pytest.mark.parametrize("flavor", FLAVORS)
+def test_node_reader_divergence_is_delta_half_in_the_symmetry_class(grid,
+                                                                    flavor):
+    # spectra of an extension: then restricting delta of the torus field is
+    # delta_half of the half-field (odd end rows, which extend drops, included)
+    u = raw_half_field(grid, flavor, seed=8)
+    for k in range(1, grid.n + 1):
+        uk = HalfField(grid, flavor, {m: a for m, a in u.comps.items()
+                                      if degree(m) == k})
+        state = extend_spectra(uk).comps
+        want = delta_half(uk).l2_norm()
+        got = NodeReader(grid, flavor, state)(state)["divergence"]
+        assert abs(got - want) <= 1e-12 * want, k
+        assert want > 0.1 * uk.l2_norm(), k
+
+
+@pytest.mark.parametrize("flavor", FLAVORS)
+@pytest.mark.parametrize("k", [1, 2])
+def test_node_reader_keeps_no_state_between_nodes(flavor, k):
+    # one reader serves every node from the same work arrays; a column left
+    # over from the previous node would differ from a fresh reader's
+    grid = Grid(3, 8, 4.0)
+    first, second = (white_noise_spectra(grid, k, seed) for seed in (1, 2))
+    reader = NodeReader(grid, flavor, first)
+    assert reader(first) == NodeReader(grid, flavor, first)(first)
+    assert reader(second) == NodeReader(grid, flavor, second)(second)
+    assert reader(first) == NodeReader(grid, flavor, first)(first)
+
+
+def test_node_reader_refuses_other_components():
+    grid = Grid(2, 16, 4.0)
+    reader = NodeReader(grid, "Ht", [1, 2])
+    with pytest.raises(ValueError, match="components"):
+        reader(white_noise_spectra(grid, 2))
+    with pytest.raises(ValueError, match="flavor"):
+        NodeReader(grid, "X", [1, 2])
+
+
+def _row_weight_variant(seam, end):
+    """The reader's torus-row weights with the seam row kept or dropped and a
+    chosen end weight for even components."""
+    def weights(points, parity):
+        half = points // 2
+        w = np.zeros(points)
+        w[half + 1:] = 1.0
+        if parity > 0:
+            w[[0, half] if seam else half] = end
+        return w
+    return weights
+
+
+@pytest.mark.parametrize("seam, end, caught", [
+    (True, 0.5, False),   # the rule itself: the harness below is faithful
+    (False, 0.5, True),   # the seam row x_n = L (torus row 0) dropped
+    (True, 1.0, True),    # end rows counted whole
+])
+def test_node_reader_row_weight_mutations_are_caught(monkeypatch, seam, end,
+                                                     caught):
+    monkeypatch.setattr(halfspace, "_torus_row_weights",
+                        _row_weight_variant(seam, end))
+    worst = max(reader_gap(grid, flavor)
+                for grid in QUADRATURE_GRIDS for flavor in FLAVORS)
+    assert (worst > 1e-3) if caught else (worst <= 1e-12)

@@ -486,3 +486,28 @@ def test_flipped_table_sign_fails_the_algebra_checks(monkeypatch):
         assert _const_error(case) < 1e-12
     for case in modes:
         assert _mode_error(case) < 1e-10
+
+
+@pytest.mark.parametrize("table", ["raising", "lowering"])
+def test_incidence_into_caller_arrays_matches_the_fresh_sum(table):
+    # the caller's arrays hold garbage: each target's first term must
+    # overwrite it, and a target with no term (axis 1 skipped) is zeroed
+    from hodgehalf import algebra
+    from hodgehalf.operators import _apply_incidence
+
+    n, shape = 3, (4, 5, 6)
+    rng = np.random.default_rng(4)
+    comps = {m: rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+             for m in range(1 << n)}
+    coef = [rng.standard_normal(shape), None, 2.0 - 1.0j]
+    tab = getattr(algebra, table)(n)
+    fresh = _apply_incidence(tab, coef, comps)
+    targets = {t for m in comps for _, t, _ in tab[m]}
+    out = {t: np.full(shape, np.nan + 0j) for t in targets}
+    arrays = dict(out)
+    got = _apply_incidence(tab, coef, comps, out=out,
+                           work=np.full(shape, np.nan + 0j))
+    assert got is out and all(got[t] is arrays[t] for t in targets)
+    for t in targets:
+        assert np.array_equal(got[t], fresh.get(t, np.zeros(shape))), t
+    assert targets - set(fresh)  # some target gets no term
