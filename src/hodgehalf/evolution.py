@@ -19,23 +19,25 @@ For p = 2 a report needs only |k|^2 shell energies (see littlewood_paley):
 E_u of the state, which gives the interpolation norm and, because
 sum_{a,b} |xi_a xi_b|^2 = |xi|^4, the Hessian norm as |xi|^4 E_u shell by
 shell; and E_dt of du/dt.  The symbols are radial, so the shell sums are
-exact regroupings of the lattice sums.  A stepped node reduces the stepper's
-spectra, du/dt = -|xi|^2 u_hat + f_hat summed pointwise.  With a constant or
-absent forcing max_reg_sweep does not step: the stepper's recurrence sums
-in closed form, and five per-shell Gram sums of the datum and the forcing give
-E_u and E_dt at every node (_closed_form_rows).  There du/dt is written in
-the basis (r, f), r = u0 - f / |xi|^2 the datum less the steady state, since
-in the basis (u0, f) a steady datum leaves du/dt as the difference of O(1)
-terms.  Nothing but the node times depends on the horizon, so a sweep over
-horizons takes the extension spectra of the datum and the forcing once,
-Leray-projects them in spectra for the Stokes-type systems (leray_hat, no
-physical P u0 or P f), sums the Gram sums once and then evaluates the closed
-form per horizon: one transform per component of the datum and of the
-forcing, whatever the horizons and the node count.  The stepper still runs
-for callable or snapshot forcings, for p != 2, and in max_reg_report, the
-oracle the closed form is tested against.  Both drivers refuse an initial
-datum or forcing whose spectrum leaks out of the bank window, reading the
-leakage from the same shell energies.
+exact regroupings of the lattice sums.  Only the window's shells, where some
+block of the bank is nonzero, are summed; the leakage guard of an input reads
+all shells.  A stepped node reduces the stepper's spectra,
+du/dt = -|xi|^2 u_hat + f_hat summed pointwise.  With a constant or absent
+forcing max_reg_sweep does not step: the stepper's recurrence sums in closed
+form, and five per-shell Gram sums of the datum and the forcing give E_u and
+E_dt at every node on the window's shells (_closed_form_rows).  There du/dt
+is written in the basis (r, f), r = u0 - f / |xi|^2 the datum less the steady
+state, since in the basis (u0, f) a steady datum leaves du/dt as the
+difference of O(1) terms.  Nothing but the node times depends on the
+horizon, so a sweep over horizons takes the extension spectra of the datum
+and the forcing once, Leray-projects them in spectra for the Stokes-type
+systems (leray_hat, no physical P u0 or P f), sums the Gram sums once and
+then evaluates the closed form per horizon: one transform per component of
+the datum and of the forcing, whatever the horizons and the node count.  The
+stepper still runs for callable or snapshot forcings, for p != 2, and in
+max_reg_report, the oracle the closed form is tested against.  Both drivers
+refuse an initial datum or forcing whose spectrum leaks out of the bank
+window, reading the leakage from the same shell energies.
 """
 
 from __future__ import annotations
@@ -376,10 +378,12 @@ class _MaxRegAccumulator:
     word that the datum is operator-regular.  Node 0 carries the initial
     datum: its interpolation norm is the rhs_u0 term.  The datum and every
     distinct forcing, the inputs, are guarded against window leakage;
-    derived spectra are not.  The norm of a forcing seen at consecutive nodes
-    is computed once.  At p = 2 the nodes arrive as rows of shell energies
-    (E_u, E_dt), from the stepper's spectra (node) or from the closed form
-    (shell_rows directly).
+    derived spectra are not.  forcing() and node() guard on all shells;
+    max_reg_sweep guards the closed form's datum itself.  The norm of a
+    forcing seen at consecutive nodes is computed once.  At p = 2 the nodes
+    arrive as rows of shell energies (E_u, E_dt) on the window's shells, from
+    the stepper's spectra (node) or from the closed form (shell_rows
+    directly).
     """
 
     def __init__(self, grid: Grid, bank: FilterBank, params: SpaceParams,
@@ -419,7 +423,8 @@ class _MaxRegAccumulator:
             return
         require_in_window(self.bank, energy, self.params.homogeneous)
         if self.params.p == 2.0:
-            self._rhs = shell_besov_norm(self.params, energy, self.bank)
+            self._rhs = shell_besov_norm(
+                self.params, energy[self.bank.window_shells], self.bank)
         else:
             self._rhs = lp_besov_norm(self.params, SpectralField(self.grid, fhat),
                                       self.bank)
@@ -456,13 +461,14 @@ class _MaxRegAccumulator:
             self.forcing(None if fhat is None
                          else bank.shell_energy(fhat.values()), fhat)
         e_u = bank.shell_energy(state.values())
+        if m == 0:
+            require_in_window(bank, e_u, params.homogeneous)
         dudt = self._time_derivative(state, fhat)
         if params.p == 2.0:
             e_dt = bank.shell_energy(a for _, a in dudt)
-            self.shell_rows(m, e_u[None], e_dt[None])
+            window = bank.window_shells
+            self.shell_rows(m, e_u[None, window], e_dt[None, window])
             return
-        if m == 0:
-            require_in_window(bank, e_u, params.homogeneous)
         interp = lp_besov_norm(self.interp, SpectralField(grid, state), bank)
         dudt = SpectralField(grid, {k: a.copy() for k, a in dudt})
         hess = SpectralField(grid, _hessian_spectra(state, grid))
@@ -470,14 +476,16 @@ class _MaxRegAccumulator:
         self._add(m, np.array([interp]), np.array([evol]))
 
     def shell_rows(self, m0: int, e_u: np.ndarray, e_dt: np.ndarray):
-        """p = 2 nodes m0, m0 + 1, ... from rows of shell energies of u, du/dt."""
+        """p = 2 nodes m0, m0 + 1, ... from rows of shell energies of u and
+        du/dt on the window's shells (FilterBank.window_shells).
+
+        The caller has guarded the datum's energy on all shells.
+        """
         bank, params = self.bank, self.params
-        if m0 == 0:
-            require_in_window(bank, e_u[0], params.homogeneous)
         interp = shell_besov_norm(self.interp, e_u, bank)
         # |Hessian|^2 = |xi|^4 |u_hat|^2 pointwise
         evol = (shell_besov_norm(params, e_dt, bank)
-                + shell_besov_norm(params, bank.shell_absq ** 2 * e_u, bank))
+                + shell_besov_norm(params, bank.window_absq ** 2 * e_u, bank))
         self._add(m0, interp, evol)
 
     def _add(self, m0: int, interp: np.ndarray, evol: np.ndarray):
@@ -558,6 +566,11 @@ class _ShellGrams:
     rr: np.ndarray
     rf: np.ndarray
 
+    def on(self, shells: np.ndarray) -> "_ShellGrams":
+        """The sums on the given shells only."""
+        return _ShellGrams(self.uu[shells], self.uf[shells], self.ff[shells],
+                           self.rr[shells], self.rf[shells])
+
 
 def _shell_grams(bank: FilterBank, u_hat: dict[int, np.ndarray],
                  f_hat: dict[int, np.ndarray]) -> _ShellGrams:
@@ -588,9 +601,13 @@ def _closed_form_rows(bank: FilterBank, tg: TimeGrid, gram: _ShellGrams):
     (lam = 0: g = t_m, c = 1).  Each coefficient depends on |k|^2 alone, so
     the energies are quadratic forms in the per-shell Gram sums.  In the
     (r, f) basis a steady datum (r ~ 0) leaves E_dt ~ c^2 G_ff with no
-    cancellation of O(1) terms.  Yields (m0, E_u, E_dt), rows m0, m0 + 1, ...
+    cancellation of O(1) terms.  Only the window's shells are evaluated
+    (FilterBank.window_shells, the Gram sums restricted to them): no block
+    weighs the others.  Yields (m0, E_u, E_dt), rows m0, m0 + 1, ... on those
+    shells.
     """
-    lam = bank.shell_absq
+    lam = bank.window_absq
+    gram = gram.on(bank.window_shells)
     flat = lam == 0.0
     rho, rest = _x_over_sinh(0.5 * tg.dt * lam)
     rho_over_lam = np.divide(rho, lam, out=np.zeros_like(lam), where=~flat)
@@ -688,8 +705,12 @@ def max_reg_sweep(system: str, f, u0: HalfField, horizons, steps: int,
                                a_regular_checked) for h in horizons]
     if params.p == 2.0 and (f is None or isinstance(f, HalfField)):
         gram = _shell_grams(bank, *_closed_form_spectra(system, u0, f))
+        # the inputs are guarded on all shells, the forcing first; node 0's
+        # E_u is the datum's G_uu
         for acc in accs:
             acc.forcing(None if f is None else gram.ff)
+        require_in_window(bank, gram.uu, params.homogeneous)
+        for acc in accs:
             for m0, e_u, e_dt in _closed_form_rows(bank, acc.tg, gram):
                 acc.shell_rows(m0, e_u, e_dt)
     elif system == "hodge_heat":

@@ -143,7 +143,7 @@ def _half_row_sum(a: np.ndarray, parity: int,
 def _extend_array(arr: np.ndarray, parity: int, points: int) -> np.ndarray:
     half = points // 2
     shape = arr.shape[:-1] + (points,)
-    out = np.zeros(shape, dtype=complex)
+    out = np.empty(shape, dtype=complex)  # every row is written below
     out[..., half:] = arr[..., :half]
     out[..., 0] = parity * arr[..., half] if parity > 0 else 0.0
     out[..., 1:half] = parity * arr[..., half - 1:0:-1]
@@ -191,9 +191,11 @@ def extend_spectra(u: HalfField) -> SpectralField:
     comps = {}
     for mask, arr in u.comps.items():
         parity = component_parity(u.flavor, mask, grid.n)
-        rows = np.fft.fftn(arr, axes=tangential)
-        comps[mask] = np.fft.fftn(_extend_array(rows, parity, grid.points),
-                                  axes=(grid.n - 1,))
+        # one output array for all the tangential axes, then the normal
+        # pass in place on the extension
+        rows = np.fft.fftn(arr, axes=tangential, out=np.empty_like(arr))
+        ext = _extend_array(rows, parity, grid.points)
+        comps[mask] = np.fft.fftn(ext, axes=(grid.n - 1,), out=ext)
     return SpectralField(grid, comps)
 
 
@@ -211,7 +213,7 @@ def restrict_spectra(U_hat: SpectralField, flavor: str) -> HalfField:
     for mask, a in U_hat.comps.items():
         parity = component_parity(flavor, mask, grid.n)
         rows = _restrict_array(np.fft.ifftn(a, axes=(grid.n - 1,)), parity)
-        comps[mask] = np.fft.ifftn(rows, axes=tangential)
+        comps[mask] = np.fft.ifftn(rows, axes=tangential, out=rows)
     return HalfField(grid, flavor, comps)
 
 
@@ -247,7 +249,7 @@ def _axis_derivative(arr: np.ndarray, symbol: np.ndarray,
     """The multiplier ``symbol`` (a function of xi_axis alone) along one axis."""
     spectrum = np.fft.fftn(arr, axes=(axis,))
     spectrum *= symbol
-    return np.fft.ifftn(spectrum, axes=(axis,))
+    return np.fft.ifftn(spectrum, axes=(axis,), out=spectrum)
 
 
 def _half_incidence(u: HalfField, table, unit: complex) -> HalfField:

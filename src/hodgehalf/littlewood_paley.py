@@ -18,11 +18,17 @@ symbol values.  By Parseval a p = 2 block norm is therefore a sum over shells
 of psi_j^2 times the shell energy sum_comp sum_{|k|^2 = shell} |u_hat|^2;
 one np.bincount gathers those energies and the band sums act on a few hundred
 or thousand shells instead of every lattice point.  The reduction is exact:
-it only regroups the terms of the sum.
+it only regroups the terms of the sum.  The band sums read only the window's
+shells (FilterBank.window_shells), those where some psi_j or the unit-scale
+low pass is nonzero; every other shell would add an exact zero.  The leakage
+guard still reads every shell, since leakage is the mass outside the window.
+The lattice tables (abs_freq, psi, low, phi_unit) serve the physical-space
+blocks and the Sobolev norms and are built on first use.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -96,15 +102,9 @@ class FilterBank:
         self.grid = grid
         self.j_min = j_min
         self.j_max = j_max
-        absxi = np.sqrt(grid.freq_sq())
-        self.abs_freq = absxi
-        self.psi = {j: _annulus(absxi, j) for j in range(j_min, j_max + 1)}
-        self.low = radial_cutoff(absxi / 2.0 ** j_min)
-        # unit-scale cutoff, the inhomogeneous low-pass block
-        self.phi_unit = radial_cutoff(absxi)
 
-        # |k|^2 shell tables for the p = 2 evaluator, built here and never
-        # later: one bank serves every report of a CLI sweep unchanged
+        # |k|^2 shell tables for the p = 2 evaluator, built once per bank:
+        # one bank serves every report of a CLI sweep unchanged
         k = np.rint(np.fft.fftfreq(grid.points) * grid.points).astype(np.int64)
         ksq = np.zeros(grid.shape, dtype=np.int64)
         for axis in range(grid.n):
@@ -113,12 +113,35 @@ class FilterBank:
         self.shell_index = index.astype(np.intp)
         self.shell_absq = (np.pi / grid.length) ** 2 * shells.astype(float)
         shell_abs = np.sqrt(self.shell_absq)
-        self.shell_psi_sq = np.array([_annulus(shell_abs, j) ** 2
-                                      for j in range(j_min, j_max + 1)])
-        self.shell_phi_unit_sq = radial_cutoff(shell_abs) ** 2
+        psi_sq = np.array([_annulus(shell_abs, j) ** 2 for j in self.window])
+        phi_unit_sq = radial_cutoff(shell_abs) ** 2
+        # the shells some block weighs, the zero shell among them (phi_unit);
+        # every other shell adds exact zeros to a p = 2 norm
+        self.window_shells = np.flatnonzero(psi_sq.any(axis=0) | (phi_unit_sq > 0))
+        self.window_absq = self.shell_absq[self.window_shells]
+        self.shell_psi_sq = psi_sq[:, self.window_shells]
+        self.shell_phi_unit_sq = phi_unit_sq[self.window_shells]
         self._shell_outside = {
             True: (shell_abs > 1.5 * 2.0 ** j_max) | (shell_abs < 2.0 ** j_min),
             False: shell_abs > 1.5 * 2.0 ** j_max}
+
+    # lattice tables, built on first use: the p = 2 evaluator reads none
+    @functools.cached_property
+    def abs_freq(self) -> np.ndarray:
+        return np.sqrt(self.grid.freq_sq())
+
+    @functools.cached_property
+    def psi(self) -> dict[int, np.ndarray]:
+        return {j: _annulus(self.abs_freq, j) for j in self.window}
+
+    @functools.cached_property
+    def low(self) -> np.ndarray:
+        return radial_cutoff(self.abs_freq / 2.0 ** self.j_min)
+
+    @functools.cached_property
+    def phi_unit(self) -> np.ndarray:
+        """The unit-scale cutoff, the inhomogeneous low-pass block."""
+        return radial_cutoff(self.abs_freq)
 
     @property
     def window(self) -> range:
@@ -227,13 +250,15 @@ def _block_labels(params: SpaceParams, bank: FilterBank) -> list[int]:
 
 def shell_besov_norm(params: SpaceParams, energy: np.ndarray,
                      bank: FilterBank):
-    """p = 2 Besov norm from per-shell energies (FilterBank.shell_energy).
+    """p = 2 Besov norm from per-shell energies on the window's shells.
 
-    ``energy`` has shape (shells,) or (rows, shells), one row per node of a
-    trajectory, say; the result is a float or one norm per row.
-    The caller guards the window (require_in_window) where the data is an
-    input; a derived quantity such as a time derivative that is round-off
-    everywhere carries no meaningful leakage fraction.
+    ``energy`` holds FilterBank.shell_energy on bank.window_shells, with
+    shape (shells,) or (rows, shells), one row per node of a trajectory,
+    say; the result is a float or one norm per row.  The caller guards the
+    window (require_in_window) on all shells where the data is an input, then
+    selects ``energy[..., bank.window_shells]``; a derived quantity such as a
+    time derivative that is round-off everywhere carries no meaningful
+    leakage fraction.
     """
     labels = _block_labels(params, bank)
     band_sq = (bank.shell_psi_sq @ energy.T).T
@@ -262,7 +287,7 @@ def besov_norm(params: SpaceParams, u: FormField, bank: FilterBank) -> float:
     energy = bank.shell_energy(uh.comps.values())
     require_in_window(bank, energy, params.homogeneous)
     if params.p == 2.0:
-        return shell_besov_norm(params, energy, bank)
+        return shell_besov_norm(params, energy[bank.window_shells], bank)
     return lp_besov_norm(params, uh, bank)
 
 

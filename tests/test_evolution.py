@@ -441,6 +441,45 @@ def test_max_reg_refuses_data_outside_the_bank_window(grid):
             max_reg_report(traj, params, "hodge_stokes", bank)
 
 
+def test_max_reg_guards_the_datum_under_an_in_window_forcing(grid):
+    # the closed form guards the forcing, then the datum, on all shells:
+    # mass of the datum beyond the window is refused although no shell the
+    # band sums read carries it
+    bank = build_bank(grid, 0, 1)
+    f = random_half_field(grid, "Ht", [0b01, 0b10], seed=28,
+                          kind="annulus_band", radii=(1.0, 1.3))
+    far = random_half_field(grid, "Ht", [0b01, 0b10], seed=29,
+                            kind="annulus_band", radii=(5.0, 9.0))
+    u0 = steady_datum(f) + 1e-3 * leray_halfspace(far)[0]
+    params = SpaceParams(0.0, 2.0, 1.0)
+    assert streaming_max_reg("hodge_stokes", f, steady_datum(f), 1.0, 16,
+                             params, bank).ratio > 0
+    for forcing in (f, lambda t: f):  # closed form, stepped
+        with pytest.raises(ValueError, match="escapes the bank window"):
+            streaming_max_reg("hodge_stokes", forcing, u0, 1.0, 16, params,
+                              bank)
+
+
+def test_p2_max_reg_builds_no_lattice_table(grid):
+    # the p = 2 paths read shell tables only; p != 2 builds the lattice
+    # tables on first use, once per bank
+    bank = default_bank(grid)
+    f = random_half_field(grid, "Ht", [0b01, 0b10], seed=30,
+                          kind="annulus_band", radii=(1.0, 2.2))
+    u0 = steady_datum(f)
+    for forcing in (f, None, lambda t: f):  # closed form twice, stepped
+        max_reg_sweep("hodge_stokes", forcing, u0, [1.0, 4.0], 8,
+                      SpaceParams(0.0, 2.0, 1.0), bank)
+        assert not {"abs_freq", "psi", "low", "phi_unit"} & vars(bank).keys()
+    max_reg_sweep("hodge_stokes", f, u0, [1.0], 2,
+                  SpaceParams(0.0, 3.0, 1.0), bank)
+    assert {"abs_freq", "psi"} <= vars(bank).keys()
+    psi = bank.psi
+    max_reg_sweep("hodge_stokes", f, u0, [1.0], 2,
+                  SpaceParams(0.0, 3.0, 1.0), bank)
+    assert bank.psi is psi
+
+
 def test_max_reg_report_row_shape(grid):
     bank = default_bank(grid)
     f = random_half_field(grid, "Ht", [0b01, 0b10], seed=24,
@@ -584,7 +623,9 @@ def test_closed_form_time_derivative_against_long_double():
         density = sum(np.abs(-lam * u[k] + g[k]) ** 2 for k in u)
         reference.append(bank.shell_sum(density.astype(float)))
         u = {k: full * u[k] + half * g[k] for k in u}
-    reference = np.array(reference)
+    # the closed form evaluates only the window's shells
+    reference = np.array(reference)[:, bank.window_shells]
+    stepped = np.array(stepped)[:, bank.window_shells]
 
     def error(rows):
         # node 0's du/dt is the round-off of the datum's steadiness, which no
@@ -592,7 +633,7 @@ def test_closed_form_time_derivative_against_long_double():
         diff = np.abs(rows - reference)[1:].sum(axis=1)
         return float((diff / reference[1:].sum(axis=1)).max())
 
-    assert error(closed) <= 2.0 * error(np.array(stepped))
+    assert error(closed) <= 2.0 * error(stepped)
     assert error(closed) < 1e-7
 
 

@@ -697,6 +697,26 @@ def test_half_derivatives_match_the_extension_route(grid, flavor, op, whole):
         assert component_gap(got, want) <= 1e-12, k
 
 
+@pytest.mark.parametrize("grid", QUADRATURE_GRIDS, ids=lambda g: f"n{g.n}")
+@pytest.mark.parametrize("flavor", FLAVORS)
+def test_half_row_transforms_leave_their_inputs_alone(grid, flavor):
+    # the transforms run in place on arrays they allocate, never on an input,
+    # and hand back no view of one
+    u = raw_half_field(grid, flavor, seed=8)
+    rng = np.random.default_rng(9)
+    U = SpectralField(grid, {
+        m: rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
+        for m in range(1 << grid.n)})
+    calls = [(extend_spectra, u), (d_half, u), (delta_half, u),
+             (lambda S: restrict_spectra(S, flavor), U)]
+    for op, arg in calls:
+        before = {m: a.tobytes() for m, a in arg.comps.items()}
+        out = op(arg)
+        assert {m: a.tobytes() for m, a in arg.comps.items()} == before, op
+        assert not any(np.shares_memory(a, b) for a in out.comps.values()
+                       for b in arg.comps.values()), op
+
+
 # ---------------------------------------------------------------------------
 # the node reader of solve against the field oracles
 # ---------------------------------------------------------------------------

@@ -243,7 +243,7 @@ def random_spectra(grid, seed, count=2):
 
 def assert_shell_matches_lattice(bank, spectra):
     grid = bank.grid
-    energy = bank.shell_energy(spectra)
+    energy = bank.shell_energy(spectra)[bank.window_shells]
     for homogeneous in (True, False):
         for q in (1.0, 2.0, math.inf):
             params = SpaceParams(0.5, 2.0, q, homogeneous=homogeneous)
@@ -267,6 +267,37 @@ def test_shell_oracle_catches_a_zeroed_band(grid_, j_min, j_max):
         bank.shell_psi_sq[row] = 0.0
         with pytest.raises(AssertionError):
             assert_shell_matches_lattice(bank, spectra)
+
+
+@pytest.mark.parametrize("grid_, weighed, shells", [
+    (Grid(2, 128, 16.0), 885, 1621), (Grid(3, 32, 8.0), 156, 464)],
+    ids=["2d", "3d"])
+def test_window_shells_are_the_weighed_shells(grid_, weighed, shells):
+    # the benchmark grids' default banks: exactly the shells of the lattice
+    # points where some psi_j or the unit-scale low pass is nonzero
+    bank = default_bank(grid_)
+    weight = bank.phi_unit ** 2 + sum(psi ** 2 for psi in bank.psi.values())
+    want = np.unique(bank.shell_index[weight.ravel() > 0])
+    assert np.array_equal(bank.window_shells, want)
+    assert (bank.window_shells.size, bank.shell_absq.size) == (weighed, shells)
+    assert bank.window_shells[0] == 0 and bank.shell_absq[0] == 0.0
+    assert np.array_equal(bank.window_absq, bank.shell_absq[bank.window_shells])
+    assert bank.shell_psi_sq.shape == (len(bank.window), weighed)
+    assert bank.shell_phi_unit_sq.shape == (weighed,)
+
+
+def test_lattice_tables_are_built_on_first_use(grid):
+    # p = 2 norms read shell tables only; a lattice table is built when it is
+    # first read and then kept
+    bank = default_bank(grid)
+    u = random_form(grid, [0, 1], seed=12, kind="annulus_band", radii=(1.0, 3.0))
+    for homogeneous in (True, False):
+        besov_norm(SpaceParams(0.5, 2.0, 2.0, homogeneous=homogeneous), u, bank)
+    assert not {"abs_freq", "psi", "low", "phi_unit"} & vars(bank).keys()
+    low = bank.low
+    assert bank.low is low
+    assert np.array_equal(low, radial_cutoff(np.sqrt(grid.freq_sq())
+                                             / 2.0 ** bank.j_min))
 
 
 def test_besov_p2_matches_lattice_sum(grid, bank):
