@@ -615,15 +615,36 @@ def _closed_form_rows(bank: FilterBank, tg: TimeGrid, gram: _ShellGrams):
     block = max(1, _BLOCK_ENTRIES // lam.size)
     for m0 in range(0, times.size, block):
         t = times[m0:m0 + block, None]
-        a = np.exp(-t * lam)
-        one_minus_a = -np.expm1(-t * lam)
-        g = one_minus_a * rho_over_lam
+        # the arithmetic, in its order, of a = e^{-t lam},
+        # e_u = a a G_uu + 2 a g G_uf + g g G_ff and
+        # e_dt = la la G_rr - 2 la c G_rf + c c G_ff, through out= arrays
+        c = np.multiply(-t, lam)
+        a = np.exp(c)
+        np.expm1(c, out=c)
+        np.negative(c, out=c)  # 1 - a
+        g = np.multiply(c, rho_over_lam)
         g[:, flat] = t
-        c = one_minus_a * rest
+        c *= rest
         c[:, flat] = 1.0
-        la = lam * a
-        e_u = a * a * gram.uu + 2.0 * a * g * gram.uf + g * g * gram.ff
-        e_dt = la * la * gram.rr - 2.0 * la * c * gram.rf + c * c * gram.ff
+        e_u = np.multiply(a, a)
+        e_u *= gram.uu
+        work = np.multiply(2.0, a)
+        work *= g
+        work *= gram.uf
+        e_u += work
+        np.multiply(g, g, out=work)
+        work *= gram.ff
+        e_u += work
+        la = np.multiply(lam, a, out=a)
+        e_dt = np.multiply(la, la)
+        e_dt *= gram.rr
+        np.multiply(2.0, la, out=work)
+        work *= c
+        work *= gram.rf
+        e_dt -= work
+        np.multiply(c, c, out=work)
+        work *= gram.ff
+        e_dt += work
         # round-off can take a near-zero quadratic form below 0
         np.maximum(e_u, 0.0, out=e_u)
         np.maximum(e_dt, 0.0, out=e_dt)

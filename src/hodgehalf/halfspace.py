@@ -21,10 +21,15 @@ below that work in spectra never transform the mirrored rows along a
 tangential axis.  extend_spectra transforms the tangential axes on the
 N/2 + 1 stored rows, parity-extends them and transforms the normal axis;
 restrict_spectra runs the mirror image.  leray_halfspace and q_projector
-are leray_hat between the two.  d_half and delta_half take one one-axis
-spectral derivative per term of the incidence tables: a tangential one on
-the stored rows, a normal one on the one component's extension.  No
-transform of theirs covers all n axes of the doubled torus.  NodeReader reads
+give leray_hat between the two, bit for bit, but run the normal-axis work one
+block of first-axis tangential frequency rows at a time (_row_blocks, about
+_BLOCK_ENTRIES extension entries per component): each block is extended,
+transformed along x_n, split by leray_hat's core on the block's frequencies,
+inverted and restricted, so on a grid of several blocks no array holds a
+whole extension.  d_half and delta_half take one one-axis spectral
+derivative per term of the incidence tables: a tangential one on the stored
+rows, a normal one on the one component's extension, over the same blocks.
+No transform of theirs covers all n axes of the doubled torus.  NodeReader reads
 the L^2 norm, |delta_half u| and the tangential trace's norm of a node
 straight from the extension spectra an evolution stepper holds: per target
 of delta it takes one normal-axis inverse transform, into arrays made once
@@ -39,8 +44,8 @@ import numpy as np
 from .algebra import degree, lowering, raising
 from .fields import (FieldCore, FormField, Grid, SpectralField, _check_same_grid,
                      random_form)
-from .operators import (_apply_incidence, _lam_value, heat, leray_hat,
-                        resolvent)
+from .operators import (_LERAY, _apply_incidence, _lam_value, _leray_core,
+                        _refuse_mean, heat, resolvent)
 
 FLAVORS = ("D", "N", "Ht", "Hn")
 
@@ -129,11 +134,24 @@ def _half_row_sum(a: np.ndarray, parity: int,
                   b: np.ndarray | None = None) -> complex:
     """Sum of a * conj(b) (of a alone when b is None) over the stored rows,
     with the trapezoid weights of a component of this parity: half the torus
-    sum of the same product of the extensions."""
-    weights = np.ones(a.shape[-1])
-    weights[[0, -1]] = 0.5 if parity > 0 else 0.0
-    weighted = a * weights
-    return complex(np.sum(weighted) if b is None else np.vdot(b, weighted))
+    sum of the same product of the extensions.
+
+    Each line along x_n sums its interior rows from a view (np.sum, or
+    np.vecdot for the product) and adds its weighted end rows, so no weighted
+    copy of a is made.  An odd component's end rows never enter the sum: a
+    full sum less the end rows would cancel when they outweigh the rest.
+    """
+    end = 0.5 if parity > 0 else 0.0
+    if b is None:
+        lines = np.sum(a[..., 1:-1], axis=-1)
+        if end:
+            lines += end * (a[..., 0] + a[..., -1])
+    else:
+        lines = np.vecdot(b[..., 1:-1], a[..., 1:-1])
+        if end:
+            lines += end * (np.conj(b[..., 0]) * a[..., 0]
+                            + np.conj(b[..., -1]) * a[..., -1])
+    return complex(np.sum(lines))
 
 
 # ---------------------------------------------------------------------------
@@ -161,10 +179,14 @@ def extend(u: HalfField) -> FormField:
     return FormField(u.grid, comps)
 
 
-def _restrict_array(arr: np.ndarray, parity: int) -> np.ndarray:
-    """The stored rows of a torus array; an odd component's seam row is 0."""
+def _restrict_array(arr: np.ndarray, parity: int,
+                    out: np.ndarray | None = None) -> np.ndarray:
+    """The stored rows of a torus array, written into ``out`` when given; an
+    odd component's seam row is 0."""
     half = arr.shape[-1] // 2
-    block = np.empty(arr.shape[:-1] + (half + 1,), dtype=complex)
+    block = out
+    if block is None:
+        block = np.empty(arr.shape[:-1] + (half + 1,), dtype=complex)
     block[..., :half] = arr[..., half:]
     block[..., half] = arr[..., 0] if parity > 0 else 0.0
     return block
@@ -217,6 +239,21 @@ def restrict_spectra(U_hat: SpectralField, flavor: str) -> HalfField:
     return HalfField(grid, flavor, comps)
 
 
+# entries of the extension that one block of first-axis rows holds per
+# component, N^(n-1) per row; chosen by measurement, it keeps 128^2, 32^3 and
+# 16^3 in one block and cuts a 64^3 extension into eight
+_BLOCK_ENTRIES = 1 << 15
+
+
+def _row_blocks(grid: Grid) -> list[slice]:
+    """Slices of the first axis, max(1, _BLOCK_ENTRIES // N^(n-1)) rows each
+    (the last one may be shorter), over which the normal-axis work of the
+    Leray split and of _half_incidence runs.  That work never mixes rows of
+    the first axis, whether they hold samples or tangential frequencies."""
+    rows = max(1, _BLOCK_ENTRIES // grid.points ** (grid.n - 1))
+    return [slice(r, r + rows) for r in range(0, grid.points, rows)]
+
+
 def reflect_normal(arr: np.ndarray) -> np.ndarray:
     """Samples of x -> arr at the reflected point (x', -x_n) on the torus."""
     points = arr.shape[-1]
@@ -244,10 +281,11 @@ def random_half_field(grid: Grid, flavor: str, masks, seed: int = 0,
 # derivatives and the commutation route
 # ---------------------------------------------------------------------------
 
-def _axis_derivative(arr: np.ndarray, symbol: np.ndarray,
-                     axis: int) -> np.ndarray:
-    """The multiplier ``symbol`` (a function of xi_axis alone) along one axis."""
-    spectrum = np.fft.fftn(arr, axes=(axis,))
+def _axis_derivative(arr: np.ndarray, symbol: np.ndarray, axis: int,
+                     out: np.ndarray | None = None) -> np.ndarray:
+    """The multiplier ``symbol`` (a function of xi_axis alone) along one
+    axis, written into ``out`` (which may be ``arr``) when given."""
+    spectrum = np.fft.fftn(arr, axes=(axis,), out=out)
     spectrum *= symbol
     return np.fft.ifftn(spectrum, axes=(axis,), out=spectrum)
 
@@ -260,7 +298,7 @@ def _half_incidence(u: HalfField, table, unit: complex) -> HalfField:
     A tangential derivative commutes with the reflection, so it acts on the
     stored rows, with an odd component's end rows zeroed as extend zeroes
     them.  A normal one acts on the component's extension, restricted by the
-    target's parity.
+    target's parity, one block of first-axis rows (_row_blocks) at a time.
     """
     grid = u.grid
     normal = grid.n - 1
@@ -271,10 +309,12 @@ def _half_incidence(u: HalfField, table, unit: complex) -> HalfField:
         for axis, target, sign in table[mask]:
             symbol = sign * coef[axis]
             if axis == normal:
-                ext = _extend_array(arr, parity, grid.points)
-                term = _restrict_array(_axis_derivative(ext, symbol, axis),
-                                       component_parity(u.flavor, target,
-                                                        grid.n))
+                target_parity = component_parity(u.flavor, target, grid.n)
+                term = np.empty_like(arr)
+                for block in _row_blocks(grid):
+                    ext = _extend_array(arr[block], parity, grid.points)
+                    _restrict_array(_axis_derivative(ext, symbol, axis, out=ext),
+                                    target_parity, out=term[block])
             else:
                 rows = arr
                 if parity < 0:
@@ -566,6 +606,53 @@ def remove_extended_mean(u: HalfField) -> tuple[HalfField, float]:
     return HalfField(u.grid, u.flavor, comps), worst
 
 
+def _half_leray(u: HalfField) -> tuple[HalfField, HalfField]:
+    """restrict_spectra of both parts of leray_hat(extend_spectra(u)), in the
+    flavor of u, with the same numbers, one block of first-axis tangential
+    frequency rows at a time, so no array holds the whole extension.
+
+    leray_hat's guard is read on the stored rows first: an extension's mean
+    is twice the trapezoid mean of an even component (odd ones have none, as
+    remove_extended_mean reads them) and its norm is sqrt 2 |u|, summed as
+    HalfField.l2_norm sums it.  Then each component's tangential transform
+    is taken once; per block (_row_blocks) the rows are parity-extended and
+    transformed along the normal axis, split by _leray_core on the block's
+    frequencies, inverted along the normal axis and restricted into the two
+    outputs, whose tangential inverses run in place at the end.
+    """
+    grid, flavor = u.grid, u.flavor
+    normal = grid.n - 1
+    tangential = tuple(range(normal))
+    parity = {m: component_parity(flavor, m, grid.n) for m in range(1 << grid.n)}
+    cells = grid.points ** grid.n
+    worst = total = 0.0
+    for m, a in u.comps.items():
+        total += _half_row_sum(a, parity[m], a).real
+        if parity[m] > 0:
+            worst = max(worst, abs(2.0 * _half_row_sum(a, 1)) / cells)
+    _refuse_mean(worst, np.sqrt(max(2.0 * total * grid.cell_volume, 0.0)),
+                 _LERAY)
+    rows = {m: np.fft.fftn(a, axes=tangential, out=np.empty_like(a))
+            for m, a in u.comps.items()}
+    xi = grid.odd_freqs()
+    parts: tuple[dict, dict] = ({}, {})
+    for block in _row_blocks(grid):
+        ext = {}
+        for m, r in rows.items():
+            e = _extend_array(r[block], parity[m], grid.points)
+            ext[m] = np.fft.fftn(e, axes=(normal,), out=e)
+        for split, out in zip(_leray_core(ext, [xi[0][block]] + xi[1:]), parts):
+            for m, a in split.items():
+                if m not in out:
+                    out[m] = np.empty(half_shape(grid), dtype=complex)
+                _restrict_array(np.fft.ifftn(a, axes=(normal,), out=a),
+                                parity[m], out=out[m][block])
+    for out in parts:
+        for a in out.values():
+            np.fft.ifftn(a, axes=tangential, out=a)
+    return HalfField(grid, flavor, parts[0]), HalfField(grid, flavor, parts[1])
+
+
 def leray_halfspace(u: HalfField) -> tuple[HalfField, HalfField]:
     """Helmholtz-Leray split of a tangential-flavor field: u = Pu + Gu.
 
@@ -576,8 +663,7 @@ def leray_halfspace(u: HalfField) -> tuple[HalfField, HalfField]:
     """
     if u.flavor != "Ht":
         raise ValueError("the Leray projector acts on tangential-flavor fields")
-    p_hat, g_hat = leray_hat(extend_spectra(u))
-    return restrict_spectra(p_hat, "Ht"), restrict_spectra(g_hat, "Ht")
+    return _half_leray(u)
 
 
 def q_projector(u: HalfField) -> tuple[HalfField, HalfField]:
@@ -588,8 +674,7 @@ def q_projector(u: HalfField) -> tuple[HalfField, HalfField]:
     """
     if u.flavor != "Hn":
         raise ValueError("the mirror projector acts on normal-flavor fields")
-    q_hat, r_hat = leray_hat(extend_spectra(u))
-    return restrict_spectra(q_hat, "Hn"), restrict_spectra(r_hat, "Hn")
+    return _half_leray(u)
 
 
 def hodge_stokes_apply(u: HalfField) -> HalfField:

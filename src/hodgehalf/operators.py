@@ -133,15 +133,20 @@ def hodge_dirac(u: FormField) -> FormField:
 # functions of the Laplacian
 # ---------------------------------------------------------------------------
 
+def _refuse_mean(worst: float, norm: float, what: str):
+    """Refuse a worst component mean above MEAN_FREE_TOL * |u|."""
+    if worst > MEAN_FREE_TOL * max(norm, 1e-300):
+        raise ValueError(f"{what} needs a mean-free field; component mean "
+                         f"{worst:.3e} exceeds {MEAN_FREE_TOL:.0e} * |u|")
+
+
 def _require_mean_free(uh: SpectralField, what: str):
     """Refuse a field whose component means exceed MEAN_FREE_TOL * |u|, read
     from its spectra: a mean is the zero-mode coefficient over N^n, |u| the
     Parseval norm."""
     npts = uh.grid.points ** uh.grid.n
     worst = max((abs(a.flat[0]) / npts for a in uh.comps.values()), default=0.0)
-    if worst > MEAN_FREE_TOL * max(uh.l2_norm(), 1e-300):
-        raise ValueError(f"{what} needs a mean-free field; component mean "
-                         f"{worst:.3e} exceeds {MEAN_FREE_TOL:.0e} * |u|")
+    _refuse_mean(worst, uh.l2_norm(), what)
 
 
 def laplacian(u: FormField) -> FormField:
@@ -243,20 +248,42 @@ def interior_const(vec, u: FormField) -> FormField:
 # Hodge decomposition on the whole space
 # ---------------------------------------------------------------------------
 
+_LERAY = "the Helmholtz-Leray projector"
+
+
+def _leray_core(comps: dict[int, np.ndarray],
+                xi: list[np.ndarray]) -> tuple[dict, dict]:
+    """(P u_hat, G u_hat) of the spectra ``comps`` on the frequencies ``xi``
+    (Grid.odd_freqs(), or a block of its rows): G = d Delta~^{-1} delta.
+
+    delta's targets are fresh arrays, so Delta~^{-1} scales them in place.
+    The zero mode, where sum xi~^2 vanishes, maps to 0; the guard against a
+    mean is the caller's.
+    """
+    w = _apply_incidence(lowering(len(xi)), [-1j * x for x in xi], comps)
+    # d delta + delta d has the symbol sum xi~^2; inverting that keeps P an
+    # orthogonal projector on the Nyquist planes as well
+    absq = sum(x ** 2 for x in xi)
+    inv = np.divide(1.0, absq, out=np.zeros(absq.shape), where=absq > 0)
+    for a in w.values():
+        a *= inv
+    g = _apply_incidence(raising(len(xi)), [1j * x for x in xi], w)
+    # P = u - G over the components of either, as field subtraction forms it
+    p = {m: np.subtract(comps.get(m, 0.0), g[m]) if m in g else comps[m].copy()
+         for m in set(comps) | set(g)}
+    return p, g
+
+
 def leray_hat(uh: SpectralField) -> tuple[SpectralField, SpectralField]:
     """The split of leray_wholespace on spectra: (P u_hat, G u_hat).
 
-    The input must be mean-free (the projector is undefined on the zero mode).
+    The input must be mean-free (the projector is undefined on the zero
+    mode); behind that guard, _leray_core does the split, the same core that
+    halfspace runs on blocks of frequency rows of an extension.
     """
-    _require_mean_free(uh, "the Helmholtz-Leray projector")
-    grid = uh.grid
-    w = _delta_hat(uh)
-    # d delta + delta d has the symbol sum xi~^2; inverting that keeps P an
-    # orthogonal projector on the Nyquist planes as well
-    absq = sum(xi ** 2 for xi in grid.odd_freqs())
-    inv = np.divide(1.0, absq, out=np.zeros(grid.shape), where=absq > 0)
-    g = _d_hat(w.apply_multiplier(inv))
-    return uh - g, g
+    _require_mean_free(uh, _LERAY)
+    p, g = _leray_core(uh.comps, uh.grid.odd_freqs())
+    return SpectralField(uh.grid, p), SpectralField(uh.grid, g)
 
 
 def leray_wholespace(u: FormField) -> tuple[FormField, FormField]:

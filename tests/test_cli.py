@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from hodgehalf import halfspace
 from hodgehalf.cli import main
 from hodgehalf.fields import Grid, save_field
 from hodgehalf.halfspace import d_half, random_half_field
@@ -107,32 +108,32 @@ def test_decompose_round_trip_catches_a_nyquist_symbol(tmp_path, monkeypatch):
     assert report["p_divergence"] > 1e-11
 
 
-@pytest.mark.parametrize("n, points", [(2, 32), (3, 16)])
-def test_decompose_fft_count(tmp_path, monkeypatch, fft_counts, n, points):
+@pytest.mark.parametrize("n, points", [(2, 32), (3, 16), (3, 64)])
+def test_decompose_fft_count(tmp_path, fft_counts, n, points):
     # leray_halfspace transforms 3n components (n forward, 2n inverse), each
-    # by a normal-axis pass (1 axis) and a tangential pass on the stored rows
-    # (n - 1 axes); delta_half(Pu) takes n one-axis derivatives and
-    # d_half(Gu) n (n - 1), a forward and an inverse pass each.  At n = 2
-    # the keys 1 and n - 1 coincide.
-    cfg = _stored_half_field(tmp_path, Grid(n, points, 8.0), seed=3)
-    passes = []
-    for kind in ("fftn", "ifftn"):
-        def logged(a, s=None, axes=None, *args, _counted=getattr(np.fft, kind),
-                   **kwargs):
-            passes.append((axes, np.shape(a)))
-            return _counted(a, s, axes, *args, **kwargs)
-
-        monkeypatch.setattr(np.fft, kind, logged)
+    # by a tangential pass on the stored rows (n - 1 axes) and a normal-axis
+    # pass per block of first-axis rows; delta_half(Pu) takes n one-axis
+    # derivatives and d_half(Gu) n (n - 1), a forward and an inverse pass
+    # each, and the 2n normal ones of those also run per block.  At n = 2 the
+    # keys 1 and n - 1 coincide.
+    grid = Grid(n, points, 8.0)
+    blocks = len(halfspace._row_blocks(grid))
+    assert blocks == (8 if points == 64 else 1)
+    cfg = _stored_half_field(tmp_path, grid, seed=3)
     fft_counts.clear()
     assert main(["decompose", "--config", cfg, "--out", str(tmp_path)]) == 0
+    normal = [shape for axes, shape in fft_counts.calls if axes == (n - 1,)]
+    assert len(normal) == blocks * 5 * n
     expected = collections.Counter()
-    expected[1] += 3 * n + 2 * n + 2 * n * (n - 1)
+    expected[1] += len(normal) + 2 * n * (n - 1)
     expected[n - 1] += 3 * n
     assert fft_counts == expected
-    # no pass covers all n axes, and a pass that leaves out the normal axis
-    # runs on the N/2 + 1 stored rows
-    for axes, shape in passes:
+    # no pass covers all n axes, a pass that leaves out the normal axis runs
+    # on the N/2 + 1 stored rows, and with more than one block no pass takes
+    # an array of the doubled torus' shape
+    for axes, shape in fft_counts.calls:
         assert axes is not None and len(axes) < n
+        assert blocks == 1 or shape != grid.shape
         assert shape[-1] == (points if n - 1 in axes else points // 2 + 1)
 
 

@@ -19,7 +19,8 @@ from hodgehalf.halfspace import (FLAVORS, HalfField, NodeReader,
                                  remove_extended_mean, restrict,
                                  restrict_spectra, scalar_resolvent, symmetrize,
                                  tangential_trace)
-from hodgehalf.operators import d, delta, grad_l2, hess_l2, laplacian, resolvent
+from hodgehalf.operators import (d, delta, grad_l2, hess_l2, laplacian,
+                                 leray_hat, resolvent)
 
 
 @pytest.fixture
@@ -552,6 +553,25 @@ def test_half_row_quadrature_matches_extension(grid, flavor):
     assert quadrature_error(grid, flavor) <= 1e-13
 
 
+@pytest.mark.parametrize("parity", [1, -1])
+@pytest.mark.parametrize("end_scale", [1.0, 1e8], ids=["ends-even", "ends-big"])
+def test_half_row_sum_matches_the_weighted_sum(parity, end_scale):
+    # nonzero end rows, up to 1e8 times the rest: an odd component's must not
+    # enter at all, an even one's at half weight
+    rng = np.random.default_rng(4)
+    shape = (6, 5, 9)
+    a, b = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            for _ in range(2))
+    for arr in (a, b):
+        arr[..., [0, -1]] *= end_scale
+    weights = np.ones(shape[-1])
+    weights[[0, -1]] = 0.5 if parity > 0 else 0.0
+    for other, want in ((None, np.sum(a * weights)),
+                        (b, np.sum(a * np.conj(b) * weights))):
+        got = halfspace._half_row_sum(a, parity, other)
+        assert abs(got - want) <= 1e-14 * abs(want), (other is None, got, want)
+
+
 def _trapezoid_variant(even_end, odd_end):
     """An independent weighted row sum with chosen end-row weights."""
     def row_sum(a, parity, b=None):
@@ -680,7 +700,12 @@ def test_restrict_spectra_matches_the_restricted_inverse(grid, flavor):
     assert component_gap(restrict_spectra(U, flavor), want) <= 1e-12
 
 
-@pytest.mark.parametrize("grid", QUADRATURE_GRIDS, ids=lambda g: f"n{g.n}")
+# four blocks of first-axis rows, the last one shorter (halfspace._row_blocks)
+BLOCKED_GRID = Grid(3, 48, 8.0)
+
+
+@pytest.mark.parametrize("grid", QUADRATURE_GRIDS + [
+    pytest.param(BLOCKED_GRID, id="n3-48")], ids=lambda g: f"n{g.n}")
 @pytest.mark.parametrize("flavor", FLAVORS)
 @pytest.mark.parametrize("op, whole", [(d_half, d), (delta_half, delta)],
                          ids=["d", "delta"])
@@ -709,12 +734,69 @@ def test_half_row_transforms_leave_their_inputs_alone(grid, flavor):
         for m in range(1 << grid.n)})
     calls = [(extend_spectra, u), (d_half, u), (delta_half, u),
              (lambda S: restrict_spectra(S, flavor), U)]
+    if flavor in PROJECTORS:
+        calls.append((PROJECTORS[flavor], white_noise(grid, flavor)))
     for op, arg in calls:
         before = {m: a.tobytes() for m, a in arg.comps.items()}
         out = op(arg)
         assert {m: a.tobytes() for m, a in arg.comps.items()} == before, op
-        assert not any(np.shares_memory(a, b) for a in out.comps.values()
-                       for b in arg.comps.values()), op
+        for part in out if isinstance(out, tuple) else (out,):
+            assert not any(np.shares_memory(a, b) for a in part.comps.values()
+                           for b in arg.comps.values()), op
+
+
+# ---------------------------------------------------------------------------
+# the half-space Leray split, one block of frequency rows at a time
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("grid, blocks", [
+    (BLOCKED_GRID, 4), (Grid(3, 64, 8.0), 8), (Grid(2, 64, 8.0), 1),
+    (Grid(4, 12, 8.0), 1)], ids=["n3-48", "n3-64", "n2-64", "n4-12"])
+@pytest.mark.parametrize("flavor", sorted(PROJECTORS))
+def test_leray_split_in_blocks_is_the_extension_route(grid, blocks, flavor):
+    # bit for bit: the blocks change where the work runs, not the numbers
+    assert len(halfspace._row_blocks(grid)) == blocks
+    u = white_noise(grid, flavor)
+    for k in range(grid.n + 1):
+        uk = HalfField(grid, flavor, {m: a for m, a in u.comps.items()
+                                      if degree(m) == k})
+        got = PROJECTORS[flavor](uk)
+        want = [restrict_spectra(part, flavor)
+                for part in leray_hat(extend_spectra(uk))]
+        for g, w in zip(got, want):
+            assert g.flavor == flavor
+            assert list(g.comps) == list(w.comps), k
+            for m in w.comps:
+                assert np.array_equal(g.comps[m], w.comps[m]), (k, m)
+
+
+@pytest.mark.parametrize("grid", [Grid(2, 16, 4.0), BLOCKED_GRID],
+                         ids=["n2", "n3-48"])
+@pytest.mark.parametrize("flavor", sorted(PROJECTORS))
+def test_leray_split_refuses_a_mean_as_leray_hat_does(grid, flavor):
+    # the guard reads the stored rows; the spectral route refuses the same
+    # input with the same message
+    u = white_noise(grid, flavor, seed=3)
+    even = min(m for m in u.comps if component_parity(flavor, m, grid.n) > 0)
+    shifted = dict(u.comps)
+    shifted[even] = u.comps[even] + 1e-9 * u.l2_norm()
+    v = HalfField(grid, flavor, shifted)
+    with pytest.raises(ValueError, match="mean-free") as want:
+        leray_hat(extend_spectra(v))
+    with pytest.raises(ValueError, match="mean-free") as got:
+        PROJECTORS[flavor](v)
+    assert str(got.value) == str(want.value)
+    PROJECTORS[flavor](u)  # the mean-free field itself passes
+
+
+@pytest.mark.parametrize("flavor", FLAVORS)
+def test_leray_split_refuses_the_other_flavors(flavor):
+    u = random_half_field(Grid(2, 16, 4.0), flavor, [0b01, 0b10], seed=20,
+                          width=2.0)
+    for want, project in PROJECTORS.items():
+        if flavor != want:
+            with pytest.raises(ValueError, match="flavor fields"):
+                project(u)
 
 
 # ---------------------------------------------------------------------------
