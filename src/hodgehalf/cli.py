@@ -311,12 +311,16 @@ def run_maxreg(cfg: RunConfig) -> int:
     for s, p, q in spq:
         params = SpaceParams(s, p, q)
         gate = SpaceParams(params.s + 2.0 - 2.0 / params.q, params.p, params.q)
+        reason = ""
         if not completeness_ok(gate, grid.n):
+            reason = (f"completeness predicate fails for "
+                      f"s={gate.s:g} p={p:g} q={q:g} n={grid.n}")
+        elif math.isinf(q):
+            reason = "q = inf needs initial data checked to be operator-regular"
+        if reason:
             rows.append({"system": system, "s": s, "p": p, "q": q, "T": "",
                          "lhs_sup": "", "lhs_lq": "", "rhs_f": "", "rhs_u0": "",
-                         "ratio": "", "status": "rejected",
-                         "reason": f"completeness predicate fails for "
-                                   f"s={gate.s:g} p={p:g} q={q:g} n={grid.n}"})
+                         "ratio": "", "status": "rejected", "reason": reason})
             continue
         for report in max_reg_sweep(system, forcing, u0, horizons, steps,
                                     params, bank):

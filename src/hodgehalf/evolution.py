@@ -49,12 +49,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fields import Grid, SpectralField
-from .halfspace import (HalfField, extend, extend_spectra, leray_halfspace,
-                        restrict, restrict_spectra)
+from .halfspace import (HalfField, extend_spectra, leray_halfspace,
+                        restrict_spectra)
 from .littlewood_paley import (FilterBank, SpaceParams, completeness_ok,
                                lp_besov_norm, require_in_window,
                                shell_besov_norm)
-from .operators import leray_hat, resolvent
+from .operators import frac_symbol, leray_hat, resolvent_hat
 
 SYSTEMS = ("hodge_heat", "hodge_stokes", "navier_slip")
 
@@ -574,8 +574,7 @@ class _ShellGrams:
 
 def _shell_grams(bank: FilterBank, u_hat: dict[int, np.ndarray],
                  f_hat: dict[int, np.ndarray]) -> _ShellGrams:
-    absq = bank.grid.freq_sq()
-    inv_absq = np.divide(1.0, absq, out=np.zeros_like(absq), where=absq > 0)
+    inv_absq = frac_symbol(bank.grid, -2.0)
     r_hat = dict(u_hat)
     for k, f in f_hat.items():
         r_hat[k] = r_hat[k] - inv_absq * f if k in r_hat else -inv_absq * f
@@ -652,11 +651,12 @@ def _closed_form_rows(bank: FilterBank, tg: TimeGrid, gram: _ShellGrams):
 
 
 def make_a_regular(seed_field: HalfField) -> HalfField:
-    """Apply the resolvent at lambda = 1 twice; regular enough data for
-    q = infinity reports."""
-    pu, _ = leray_halfspace(seed_field)
-    once = restrict(resolvent(1.0, extend(pu)), pu.flavor)
-    return restrict(resolvent(1.0, extend(once)), pu.flavor)
+    """Apply the resolvent at lambda = 1 twice to the Leray projection, all
+    on the extension spectra; regular enough data for q = infinity reports."""
+    if seed_field.flavor != "Ht":
+        raise ValueError("the Leray projector acts on tangential-flavor fields")
+    once = resolvent_hat(1.0, leray_hat(extend_spectra(seed_field))[0])
+    return restrict_spectra(resolvent_hat(1.0, once), "Ht")
 
 
 def max_reg_report(traj: Trajectory, params: SpaceParams, system: str,

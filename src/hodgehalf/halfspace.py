@@ -34,7 +34,6 @@ the L^2 norm, |delta_half u| and the tangential trace's norm of a node
 straight from the extension spectra an evolution stepper holds: per target
 of delta it takes one normal-axis inverse transform, into arrays made once
 per run, and reads the tangential axes by Parseval instead of inverting them.
-hodge_resolvent and hodge_heat still transform the whole extension.
 """
 
 from __future__ import annotations
@@ -44,8 +43,8 @@ import numpy as np
 from .algebra import degree, lowering, raising
 from .fields import (FieldCore, FormField, Grid, SpectralField, _check_same_grid,
                      random_form)
-from .operators import (_LERAY, _apply_incidence, _lam_value, _leray_core,
-                        _refuse_mean, heat, resolvent)
+from .operators import (_LERAY, _apply_incidence, _leray_core, _refuse_mean,
+                        heat_hat, resolvent_hat)
 
 FLAVORS = ("D", "N", "Ht", "Hn")
 
@@ -435,23 +434,16 @@ class NodeReader:
 def hodge_resolvent(lam, f: HalfField) -> HalfField:
     """Resolvent of the Hodge Laplacian with the boundary flavor of f.
 
-    Realized by the reflection identity: extend, solve on the torus, restrict.
+    Realized by the reflection identity: solve on the extension spectra.
     The output satisfies the flavored boundary conditions exactly because the
     normal-bearing (resp. normal-free) components of the extension are odd.
     """
-    _lam_value(lam)
-    return restrict(resolvent(lam, extend(f)), f.flavor)
+    return restrict_spectra(resolvent_hat(lam, extend_spectra(f)), f.flavor)
 
 
 def hodge_heat(t: float, u0: HalfField) -> HalfField:
     """Heat semigroup of the Hodge Laplacian via the same reflection route."""
-    return restrict(heat(t, extend(u0)), u0.flavor)
-
-
-def scalar_resolvent(lam, f_rows: np.ndarray, grid: Grid, bc: str) -> np.ndarray:
-    """Per-component Dirichlet ('D') or Neumann ('N') resolvent on half rows."""
-    hf = HalfField(grid, bc, {0: f_rows})
-    return hodge_resolvent(lam, hf).comps[0]
+    return restrict_spectra(heat_hat(t, extend_spectra(u0)), u0.flavor)
 
 
 # ---------------------------------------------------------------------------

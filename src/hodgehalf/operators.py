@@ -154,30 +154,32 @@ def laplacian(u: FormField) -> FormField:
     return inverse_fft(forward_fft(u).apply_multiplier(-u.grid.freq_sq()))
 
 
-def resolvent(lam, f: FormField) -> FormField:
-    """Solve lambda u - Delta u = f, i.e. apply (lambda + |xi|^2)^(-1).
-
-    lam may be a complex number or a SectorPoint; lam = 0 is allowed only for
-    mean-free f, in which case the zero mode of the output is set to 0.
-    """
+def resolvent_hat(lam, fh: SpectralField) -> SpectralField:
+    """The multiplier (lambda + |xi|^2)^(-1) of resolvent on spectra: lam is
+    a complex number or a SectorPoint, and lam = 0 takes mean-free spectra
+    only and applies frac_symbol(grid, -2), 0 on the zero mode."""
     lam = _lam_value(lam)
-    absq = f.grid.freq_sq()
-    fh = forward_fft(f)
     if lam == 0:
         _require_mean_free(fh, "the resolvent at lambda = 0")
-        symbol = np.zeros(f.grid.shape, dtype=complex)
-        nz = absq > 0
-        symbol[nz] = 1.0 / absq[nz]
-    else:
-        symbol = 1.0 / (lam + absq)
-    return inverse_fft(fh.apply_multiplier(symbol))
+        return fh.apply_multiplier(frac_symbol(fh.grid, -2.0))
+    return fh.apply_multiplier(1.0 / (lam + fh.grid.freq_sq()))
+
+
+def resolvent(lam, f: FormField) -> FormField:
+    """Solve lambda u - Delta u = f by resolvent_hat on the spectra of f."""
+    return inverse_fft(resolvent_hat(lam, forward_fft(f)))
+
+
+def heat_hat(t: float, uh: SpectralField) -> SpectralField:
+    """The multiplier e^{-t |xi|^2} of heat on spectra, t >= 0."""
+    if t < 0:
+        raise ValueError("the heat semigroup needs t >= 0")
+    return uh.apply_multiplier(np.exp(-t * uh.grid.freq_sq()))
 
 
 def heat(t: float, u: FormField) -> FormField:
     """Heat semigroup e^{t Delta} u (multiplier e^{-t |xi|^2}), t >= 0."""
-    if t < 0:
-        raise ValueError("the heat semigroup needs t >= 0")
-    return inverse_fft(forward_fft(u).apply_multiplier(np.exp(-t * u.grid.freq_sq())))
+    return inverse_fft(heat_hat(t, forward_fft(u)))
 
 
 def frac_symbol(grid: Grid, s: float) -> np.ndarray:

@@ -16,9 +16,10 @@ import numpy as np
 
 from . import algebra as alg
 from .fields import Grid, random_form
-from .halfspace import (NodeReader, d_half, extend, half_l2_inner,
-                        hodge_resolvent, leray_halfspace, normal_trace,
-                        random_half_field, restrict, tangential_trace)
+from .halfspace import (NodeReader, d_half, extend, extend_spectra,
+                        half_l2_inner, hodge_resolvent, leray_halfspace,
+                        normal_trace, random_half_field, restrict_spectra,
+                        tangential_trace)
 from .operators import (_lam_value, d, delta, grad_l2, hess_l2,
                         leray_wholespace, resolvent, sector_sweep)
 
@@ -266,7 +267,7 @@ def suite_halfspace(seed: int = 0, tol_scale: float = 1.0) -> VerifyOutcome:
 def series_resolvent(lam, rows: np.ndarray, grid: Grid, bc: str) -> np.ndarray:
     """(lambda - Delta)^(-1) of half rows, Dirichlet ('D') or Neumann ('N').
 
-    An independent route to scalar_resolvent: a Fourier transform along the
+    An independent route to hodge_resolvent: a Fourier transform along the
     tangential axes and, along the normal axis, a dense solve for the
     coefficients of a DST-I (Dirichlet: sin(pi k j / H) on the interior rows
     j, k = 1 .. H - 1) or DCT-I (Neumann: cos(pi k j / H), j, k = 0 .. H)
@@ -386,7 +387,6 @@ def momentum_residual_ratios(grid: Grid, seed: int = 0, steps0: int = 16,
                              doublings: int = 2) -> list[float]:
     """Momentum-residual reduction factors under time-step doubling, T = 1."""
     from .evolution import solve_navier_slip
-    from .operators import laplacian
 
     masks = [1 << a for a in range(grid.n)]
     u0 = random_half_field(grid, "Ht", masks, seed=seed, kind="annulus_band",
@@ -417,7 +417,8 @@ def momentum_residual_ratios(grid: Grid, seed: int = 0, steps0: int = 16,
             gp = amplitude(t_mid) * grad_g
             du = (1.0 / dt) * (traj.u[m + 1] - traj.u[m])
             mid = 0.5 * (traj.u[m + 1] + traj.u[m])
-            lap = restrict(laplacian(extend(mid)), "Ht")
+            lap = restrict_spectra(
+                extend_spectra(mid).apply_multiplier(-grid.freq_sq()), "Ht")
             resid = du - lap + gp - fmid
             worst = max(worst, resid.l2_norm())
         residuals.append(worst)

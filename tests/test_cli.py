@@ -476,6 +476,24 @@ def test_maxreg_csv_with_rejected_row(tmp_path):
     assert float(spread[0]["spread"]) < 1.1
 
 
+def test_maxreg_rejects_a_q_infinity_set_and_runs_the_others(tmp_path):
+    # the steady datum is not checked to be operator-regular, so a q = inf
+    # set is a rejected row, as a set failing the completeness gate is
+    cfg = write_config(tmp_path, {
+        "grid": {"n": 2, "points": 64, "length": 16.0},
+        "spq": [[0.0, 2.0, 2.0], [-2.0, 2.0, math.inf], [0.0, 2.0, 1.0]],
+        "T": [1.0, 4.0], "M": 32, "radii": [1.0, 1.3]})
+    assert main(["maxreg", "--config", cfg, "--out", str(tmp_path)]) == 0
+    rows = read_csv(tmp_path / "maxreg.csv")
+    rejected = {r["q"]: r["reason"] for r in rows if r["status"] == "rejected"}
+    assert "completeness" in rejected.pop("2")
+    assert "operator-regular" in rejected.pop("inf")
+    assert not rejected
+    accepted = [r for r in rows if r["status"] == "ok"]
+    assert [(r["q"], r["T"]) for r in accepted] == [("1", "1"), ("1", "4")]
+    assert len(read_csv(tmp_path / "maxreg_spread.csv")) == 1
+
+
 @pytest.mark.parametrize("command, payload", [
     ("solve", [1, 2]),
     ("solve", {"grid": 5}),

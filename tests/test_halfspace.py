@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from hodgehalf.algebra import degree
+from hodgehalf.evolution import make_a_regular
 from hodgehalf.fields import (Grid, SpectralField, TestFunctionSpec,
                               forward_fft, inverse_fft, random_form, synthesize)
 from hodgehalf import halfspace
@@ -17,10 +18,10 @@ from hodgehalf.halfspace import (FLAVORS, HalfField, NodeReader,
                                  normal_derivative_at_boundary, normal_trace,
                                  q_projector, random_half_field, reflect_normal,
                                  remove_extended_mean, restrict,
-                                 restrict_spectra, scalar_resolvent, symmetrize,
-                                 tangential_trace)
+                                 restrict_spectra, symmetrize, tangential_trace)
 from hodgehalf.operators import (d, delta, grad_l2, hess_l2, laplacian,
                                  leray_hat, resolvent)
+from hodgehalf.verify import series_resolvent
 
 
 @pytest.fixture
@@ -286,8 +287,8 @@ def test_hodge_resolvent_scalar_neumann(grid2):
     u = hodge_resolvent(2.0, f)
     du = d_half(u)
     assert np.abs(du.boundary_row(0b10)).max() < 1e-10
-    # matches the scalar Neumann resolvent componentwise
-    per = scalar_resolvent(2.0, f.comps[0], grid2, "N")
+    # matches the cosine-series Neumann resolvent componentwise
+    per = series_resolvent(2.0, f.comps[0], grid2, "N")
     assert np.abs(u.comps[0] - per).max() < 1e-13
 
 
@@ -300,7 +301,7 @@ def test_hodge_resolvent_dirichlet_components(grid3):
     u = hodge_resolvent(lam, f)
     for m in masks:
         assert np.abs(u.boundary_row(m)).max() < 1e-13
-        per = scalar_resolvent(lam, f.comps[m], grid3, "D")
+        per = series_resolvent(lam, f.comps[m], grid3, "D")
         assert np.abs(u.comps[m] - per).max() <= 1e-10 * np.abs(per).max()
 
 
@@ -340,6 +341,49 @@ def test_hodge_heat_identity_semigroup_commutation(grid2):
     lhs = d_half(hodge_heat(0.5, u0))
     rhs = hodge_heat(0.5, d_half(u0))
     assert (lhs - rhs).l2_norm() <= 1e-9 * grad_l2(extend(u0))
+
+
+def test_hodge_resolvent_at_zero_refuses_a_mean_as_resolvent_does(grid2):
+    f, _ = remove_extended_mean(
+        random_half_field(grid2, "Ht", [0, 0b01, 0b10], seed=17, width=2.0))
+    with_mean = HalfField(grid2, "Ht",
+                          {**f.comps, 0: f.comps[0] + 1e-9 * f.l2_norm()})
+    with pytest.raises(ValueError, match="mean-free") as want:
+        resolvent(0.0, extend(with_mean))
+    with pytest.raises(ValueError, match="mean-free") as got:
+        hodge_resolvent(0.0, with_mean)
+    assert str(got.value) == str(want.value)
+    # the mean-free field passes, and -Delta u = f on the extension
+    U, F = extend(hodge_resolvent(0.0, f)), extend(f)
+    assert (-1 * laplacian(U) - F).l2_norm() <= 1e-9 * F.l2_norm()
+
+
+def test_hodge_resolvent_refuses_the_negative_real_axis(grid2):
+    f = random_half_field(grid2, "Ht", [0b01, 0b10], seed=18, width=2.0)
+    with pytest.raises(ValueError, match="negative real axis"):
+        hodge_resolvent(-1.0, f)
+
+
+def test_hodge_heat_refuses_negative_time(grid2):
+    u0 = random_half_field(grid2, "Ht", [0b01, 0b10], seed=19, width=2.0)
+    with pytest.raises(ValueError, match="t >= 0"):
+        hodge_heat(-0.1, u0)
+
+
+@pytest.mark.parametrize("n, points", [(2, 32), (3, 16)])
+def test_functions_of_the_laplacian_make_no_full_transform(fft_counts, n,
+                                                           points):
+    # the resolvent, the heat semigroup and make_a_regular run between
+    # extend_spectra and restrict_spectra: no transform covers all n axes
+    grid = Grid(n, points, 8.0)
+    f = random_half_field(grid, "Ht", [1 << a for a in range(n)], seed=22,
+                          kind="annulus_band", radii=(1.0, 2.5))
+    fft_counts.clear()
+    hodge_resolvent(1.0, f)
+    hodge_heat(0.5, f)
+    make_a_regular(f)
+    assert fft_counts[n] == 0
+    assert fft_counts[1] > 0
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,8 @@ import pytest
 
 from hodgehalf import evolution, halfspace, verify
 from hodgehalf.fields import Grid, random_form
-from hodgehalf.halfspace import d_half, random_half_field, scalar_resolvent
+from hodgehalf.halfspace import (HalfField, d_half, hodge_resolvent,
+                                 random_half_field)
 from hodgehalf.operators import d
 from hodgehalf.verify import (SUITES, VerifyOutcome, _zero_scale, run_suite,
                               series_resolvent)
@@ -54,14 +55,18 @@ def test_series_resolvent_matches_the_reflection_route(n, points):
     f = random_half_field(grid, "Ht", [0, normal], seed=4, kind="annulus_band",
                           radii=(1.0, 3.0))
     lam = 2.0 * np.exp(0.3j)
+
+    def reflected(rows, bc):
+        return hodge_resolvent(lam, HalfField(grid, bc, {0: rows})).comps[0]
+
     for bc in ("D", "N"):
         for rows in f.comps.values():
-            want = scalar_resolvent(lam, rows, grid, bc)
+            want = reflected(rows, bc)
             got = series_resolvent(lam, rows, grid, bc)
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
     rows = f.comps[0]
     swapped = series_resolvent(lam, rows, grid, "D")
-    want = scalar_resolvent(lam, rows, grid, "N")
+    want = reflected(rows, "N")
     assert np.abs(swapped - want).max() > 1e-3 * np.abs(want).max()
 
 
@@ -72,6 +77,24 @@ def test_decoupling_check_fails_when_the_dn_rule_is_swapped(monkeypatch):
                             lam, rows, grid, swap[bc]))
     info = run_suite("halfspace", seed=0).worst["neumann_dirichlet_decoupling"]
     assert info["status"] == "fail" and info["residual"] > 1e-3
+
+
+def test_shifted_restriction_fails_the_reflection_checks(monkeypatch):
+    # hodge_resolvent restricts by restrict_spectra and the reflection
+    # identity's oracle by restrict, so a restriction that keeps the rows
+    # one step off along x_n fails both resolvent checks
+    original = halfspace.restrict_spectra
+
+    def shifted(U_hat, flavor):
+        u = original(U_hat, flavor)
+        return HalfField(u.grid, flavor, {m: np.roll(a, 1, axis=-1)
+                                          for m, a in u.comps.items()})
+
+    monkeypatch.setattr(halfspace, "restrict_spectra", shifted)
+    worst = run_suite("halfspace", seed=0).worst
+    for check in ("reflection_identity", "neumann_dirichlet_decoupling"):
+        assert worst[check]["status"] == "fail", check
+        assert worst[check]["residual"] > 1e-3, check
 
 
 def test_swapped_tangential_parity_fails_a_suite(monkeypatch):
