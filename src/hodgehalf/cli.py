@@ -22,9 +22,9 @@ from .evolution import (SYSTEMS, SpaceParams, TimeGrid, max_reg_sweep,
                         solve_hodge_heat, solve_hodge_stokes,
                         solve_navier_slip)
 from .fields import Grid, SpectralField, load_field, random_form, save_field
-from .halfspace import (HalfField, NodeReader, d_half, delta_half,
-                        extend_spectra, leray_halfspace, random_half_field,
-                        remove_extended_mean, restrict_spectra,
+from .halfspace import (HalfField, NodeReader, extend_spectra,
+                        leray_halfspace_checked, random_half_field,
+                        remove_extended_mean, restrict_spectra, split_residual,
                         tangential_trace)
 from .littlewood_paley import (FilterBank, build_bank, completeness_ok,
                                default_bank, space_norm)
@@ -179,7 +179,16 @@ def run_verify(cfg: RunConfig) -> int:
 
 
 def run_decompose(cfg: RunConfig) -> int:
-    """Split a stored tangential half-field and write parts plus a report."""
+    """Split a stored tangential half-field and write parts plus a report.
+
+    The report's numbers, all but the norm of u relative to it, come by
+    three routes: the mass fractions, the orthogonality defect and the
+    tangential trace from the norms and pairing of the physical parts; the
+    split residual from the physical parts against the loaded u
+    (split_residual); the divergence of Pu and the curl of Gu from the
+    parts' stored rows while they are still tangential spectra
+    (leray_halfspace_checked).
+    """
     path = _read(cfg.options, "field", None, lambda p: p and os.fspath(p))
     if not path:
         raise ConfigError("decompose needs config key 'field' (container path)")
@@ -191,7 +200,7 @@ def run_decompose(cfg: RunConfig) -> int:
     # the container is single precision; re-anchor the zero mode before
     # projecting so the strict mean-free guard sees clean input
     u, removed_mean = remove_extended_mean(u)
-    pu, gu = leray_halfspace(u)
+    pu, gu, p_divergence, g_curl = leray_halfspace_checked(u)
     os.makedirs(cfg.out_dir, exist_ok=True)
     save_field(os.path.join(cfg.out_dir, "p_part.hhf"), pu)
     save_field(os.path.join(cfg.out_dir, "g_part.hhf"), gu)
@@ -203,9 +212,9 @@ def run_decompose(cfg: RunConfig) -> int:
         "zero_mode_removed": removed_mean,
         "p_mass_fraction": (pu.l2_norm() / norm) ** 2,
         "g_mass_fraction": (gu.l2_norm() / norm) ** 2,
-        "split_residual": (pu + gu - u).l2_norm() / norm,
-        "p_divergence": delta_half(pu).l2_norm() / norm,
-        "g_curl": d_half(gu).l2_norm() / norm,
+        "split_residual": split_residual(u, pu, gu) / norm,
+        "p_divergence": p_divergence / norm,
+        "g_curl": g_curl / norm,
         "orthogonality_defect": abs(pu.l2_inner(gu)) / norm ** 2,
         "p_tangential_trace": tangential_trace(pu).l2_norm() / norm,
     }

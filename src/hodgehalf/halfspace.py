@@ -29,7 +29,11 @@ inverted and restricted, so on a grid of several blocks no array holds a
 whole extension.  d_half and delta_half take one one-axis spectral
 derivative per term of the incidence tables: a tangential one on the stored
 rows, a normal one on the one component's extension, over the same blocks.
-No transform of theirs covers all n axes of the doubled torus.  NodeReader reads
+No transform of theirs covers all n axes of the doubled torus.
+leray_halfspace_checked reads |delta_half Pu| and |d_half Gu| from the
+parts' stored rows before their tangential inverse, while a tangential
+derivative is still a multiplication, so only the normal derivatives
+transform.  NodeReader reads
 the L^2 norm, |delta_half u| and the tangential trace's norm of a node
 straight from the extension spectra an evolution stepper holds: per target
 of delta it takes one normal-axis inverse transform, into arrays made once
@@ -289,6 +293,20 @@ def _axis_derivative(arr: np.ndarray, symbol: np.ndarray, axis: int,
     return np.fft.ifftn(spectrum, axes=(axis,), out=spectrum)
 
 
+def _normal_derivative(rows: np.ndarray, parity: int, symbol: np.ndarray,
+                       target_parity: int, grid: Grid,
+                       out: np.ndarray) -> np.ndarray:
+    """The normal-axis multiplier ``symbol`` on the ``parity`` extension of
+    stored rows, restricted with ``target_parity`` into ``out``, one block of
+    first-axis rows (_row_blocks) at a time.  The rows may hold samples or
+    tangential spectra: the normal-axis work never mixes first-axis rows."""
+    for block in _row_blocks(grid):
+        ext = _extend_array(rows[block], parity, grid.points)
+        _restrict_array(_axis_derivative(ext, symbol, grid.n - 1, out=ext),
+                        target_parity, out=out[block])
+    return out
+
+
 def _half_incidence(u: HalfField, table, unit: complex) -> HalfField:
     """restrict(X(extend(u)), flavor) for the first-order operator X whose
     symbol sums sign * unit * xi~_axis over the entries (axis, target, sign)
@@ -297,7 +315,7 @@ def _half_incidence(u: HalfField, table, unit: complex) -> HalfField:
     A tangential derivative commutes with the reflection, so it acts on the
     stored rows, with an odd component's end rows zeroed as extend zeroes
     them.  A normal one acts on the component's extension, restricted by the
-    target's parity, one block of first-axis rows (_row_blocks) at a time.
+    target's parity (_normal_derivative).
     """
     grid = u.grid
     normal = grid.n - 1
@@ -308,12 +326,10 @@ def _half_incidence(u: HalfField, table, unit: complex) -> HalfField:
         for axis, target, sign in table[mask]:
             symbol = sign * coef[axis]
             if axis == normal:
-                target_parity = component_parity(u.flavor, target, grid.n)
-                term = np.empty_like(arr)
-                for block in _row_blocks(grid):
-                    ext = _extend_array(arr[block], parity, grid.points)
-                    _restrict_array(_axis_derivative(ext, symbol, axis, out=ext),
-                                    target_parity, out=term[block])
+                term = _normal_derivative(
+                    arr, parity, symbol,
+                    component_parity(u.flavor, target, grid.n), grid,
+                    np.empty_like(arr))
             else:
                 rows = arr
                 if parity < 0:
@@ -337,6 +353,47 @@ def delta_half(u: HalfField) -> HalfField:
     """Coderivative through the extension, restrict(delta(extend(u))), by
     one-axis derivatives; the flavor is preserved."""
     return _half_incidence(u, lowering(u.grid.n), -1j)
+
+
+def _incidence_norm_from_rows(grid: Grid, flavor: str,
+                              rows: dict[int, np.ndarray], table,
+                              unit: complex) -> float:
+    """|_half_incidence(u, table, unit)| for the half-field u whose stored
+    rows have the tangential spectra ``rows``, with no tangential transform.
+
+    Targets are summed one at a time, each in one array plus one work array.
+    A tangential derivative is the multiplication by sign * unit * xi~_axis;
+    it keeps the component's parity, and an odd target's end rows weigh 0 in
+    _half_row_sum, so the end rows _half_incidence zeroes never enter the
+    norm.  A normal one is _normal_derivative on the spectra.  The norm is
+    _half_row_sum at the target's parity over N^(n-1), Parseval along the
+    tangential axes.
+    """
+    normal = grid.n - 1
+    coef = [unit * xi for xi in grid.odd_freqs()]
+    terms: dict[int, list] = {}
+    for mask in rows:
+        for axis, target, sign in table[mask]:
+            terms.setdefault(target, []).append((mask, axis, sign * coef[axis]))
+    acc = np.empty(half_shape(grid), dtype=complex)
+    work = np.empty_like(acc)
+    total = 0.0
+    for target, entries in terms.items():
+        target_parity = component_parity(flavor, target, grid.n)
+        for i, (mask, axis, symbol) in enumerate(entries):
+            term = work if i else acc
+            if axis == normal:
+                _normal_derivative(rows[mask],
+                                   component_parity(flavor, mask, grid.n),
+                                   symbol, target_parity, grid, term)
+            else:
+                np.multiply(rows[mask], symbol, out=term)
+            if i:
+                acc += work
+        total += _half_row_sum(acc, target_parity, acc).real
+    tangential_points = grid.points ** normal
+    return float(np.sqrt(max(total * grid.cell_volume / tangential_points,
+                             0.0)))
 
 
 def half_l2_norm_from_spectra(U_hat: SpectralField) -> float:
@@ -598,9 +655,10 @@ def remove_extended_mean(u: HalfField) -> tuple[HalfField, float]:
     return HalfField(u.grid, u.flavor, comps), worst
 
 
-def _half_leray(u: HalfField) -> tuple[HalfField, HalfField]:
-    """restrict_spectra of both parts of leray_hat(extend_spectra(u)), in the
-    flavor of u, with the same numbers, one block of first-axis tangential
+def _half_leray_rows(u: HalfField) -> tuple[dict, dict]:
+    """The stored rows of both parts of leray_hat(extend_spectra(u)), in the
+    flavor of u, still in tangential spectra, with restrict_spectra's numbers
+    once _tangential_inverse runs on them; one block of first-axis tangential
     frequency rows at a time, so no array holds the whole extension.
 
     leray_hat's guard is read on the stored rows first: an extension's mean
@@ -610,7 +668,7 @@ def _half_leray(u: HalfField) -> tuple[HalfField, HalfField]:
     is taken once; per block (_row_blocks) the rows are parity-extended and
     transformed along the normal axis, split by _leray_core on the block's
     frequencies, inverted along the normal axis and restricted into the two
-    outputs, whose tangential inverses run in place at the end.
+    outputs.  The spectra of u are freed on return.
     """
     grid, flavor = u.grid, u.flavor
     normal = grid.n - 1
@@ -639,10 +697,29 @@ def _half_leray(u: HalfField) -> tuple[HalfField, HalfField]:
                     out[m] = np.empty(half_shape(grid), dtype=complex)
                 _restrict_array(np.fft.ifftn(a, axes=(normal,), out=a),
                                 parity[m], out=out[m][block])
-    for out in parts:
-        for a in out.values():
-            np.fft.ifftn(a, axes=tangential, out=a)
-    return HalfField(grid, flavor, parts[0]), HalfField(grid, flavor, parts[1])
+    return parts
+
+
+def _tangential_inverse(grid: Grid, flavor: str,
+                        rows: dict[int, np.ndarray]) -> HalfField:
+    """The half-field whose stored rows have the tangential spectra
+    ``rows``, inverted in place."""
+    tangential = tuple(range(grid.n - 1))
+    for a in rows.values():
+        np.fft.ifftn(a, axes=tangential, out=a)
+    return HalfField(grid, flavor, rows)
+
+
+def _half_leray(u: HalfField) -> tuple[HalfField, HalfField]:
+    """restrict_spectra of both parts of leray_hat(extend_spectra(u)), in the
+    flavor of u, with the same numbers (_half_leray_rows)."""
+    return tuple(_tangential_inverse(u.grid, u.flavor, part)
+                 for part in _half_leray_rows(u))
+
+
+def _require_tangential(u: HalfField) -> None:
+    if u.flavor != "Ht":
+        raise ValueError("the Leray projector acts on tangential-flavor fields")
 
 
 def leray_halfspace(u: HalfField) -> tuple[HalfField, HalfField]:
@@ -653,9 +730,46 @@ def leray_halfspace(u: HalfField) -> tuple[HalfField, HalfField]:
     spectra of the tangential extension, which commutes with the flavored
     symmetry.
     """
-    if u.flavor != "Ht":
-        raise ValueError("the Leray projector acts on tangential-flavor fields")
+    _require_tangential(u)
     return _half_leray(u)
+
+
+def leray_halfspace_checked(u: HalfField
+                            ) -> tuple[HalfField, HalfField, float, float]:
+    """(Pu, Gu, |delta_half(Pu)|, |d_half(Gu)|): leray_halfspace(u) with the
+    norms that show the split, read from the parts' stored rows while they
+    are still tangential spectra (_incidence_norm_from_rows), before the
+    same tangential inverse leray_halfspace takes.
+
+    The normal derivatives re-extend the restricted rows, so a wrong
+    restriction shows in the norms; the tangential inverse is not checked
+    here, but by the parts against u (split_residual).
+    """
+    _require_tangential(u)
+    grid = u.grid
+    p_rows, g_rows = _half_leray_rows(u)
+    p_divergence = _incidence_norm_from_rows(grid, u.flavor, p_rows,
+                                             lowering(grid.n), -1j)
+    g_curl = _incidence_norm_from_rows(grid, u.flavor, g_rows,
+                                       raising(grid.n), 1j)
+    return (_tangential_inverse(grid, u.flavor, p_rows),
+            _tangential_inverse(grid, u.flavor, g_rows), p_divergence, g_curl)
+
+
+def split_residual(u: HalfField, pu: HalfField, gu: HalfField) -> float:
+    """(pu + gu - u).l2_norm(), bit for bit, formed one component at a time
+    in one work array, with no merged field."""
+    u._check_like(pu)
+    u._check_like(gu)
+    work = np.empty(half_shape(u.grid), dtype=complex)
+    total = 0.0
+    # the masks in the order the merged fields would hold them
+    for m in set(pu.comps) | set(gu.comps) | set(u.comps):
+        np.add(pu.component(m), gu.component(m), out=work)
+        np.subtract(work, u.component(m), out=work)
+        parity = component_parity(u.flavor, m, u.grid.n)
+        total += _half_row_sum(work, parity, work).real
+    return float(np.sqrt(max(total * u.grid.cell_volume, 0.0)))
 
 
 def q_projector(u: HalfField) -> tuple[HalfField, HalfField]:

@@ -101,21 +101,59 @@ def test_decompose_single_precision_round_trip(tmp_path, grid):
     assert report["orthogonality_defect"] <= 1e-13
 
 
-def test_decompose_round_trip_catches_a_nyquist_symbol(tmp_path, monkeypatch):
-    # mutation: the odd symbols read the true xi at k = N/2 again
+def _skip_one_tangential_inverse(monkeypatch):
+    # Pu stays in tangential spectra
+    real = halfspace._tangential_inverse
+    calls = []
+
+    def mutant(grid, flavor, rows):
+        calls.append(1)
+        if len(calls) == 1:
+            return halfspace.HalfField(grid, flavor, rows)
+        return real(grid, flavor, rows)
+
+    monkeypatch.setattr(halfspace, "_tangential_inverse", mutant)
+
+
+def _seam_from_wrong_row(monkeypatch):
+    # an even component's seam row x_n = L is read from torus row 1, the
+    # mirror of x_n = L - h, in place of row 0
+    def mutant(arr, parity, out=None):
+        half = arr.shape[-1] // 2
+        if out is None:
+            out = np.empty(arr.shape[:-1] + (half + 1,), dtype=complex)
+        out[..., :half] = arr[..., half:]
+        out[..., half] = arr[..., 1] if parity > 0 else 0.0
+        return out
+
+    monkeypatch.setattr(halfspace, "_restrict_array", mutant)
+
+
+def _nyquist_symbol(monkeypatch):
+    # the odd symbols read the true xi at k = N/2 again
     monkeypatch.setattr(Grid, "odd_freqs", Grid.freqs)
+
+
+@pytest.mark.parametrize("mutate, key", [
+    (_skip_one_tangential_inverse, "split_residual"),
+    (_seam_from_wrong_row, "g_curl"),
+    (_nyquist_symbol, "p_divergence"),
+], ids=["skipped_inverse", "seam_row", "nyquist_symbol"])
+def test_decompose_catches_a_mutant(tmp_path, monkeypatch, mutate, key):
+    mutate(monkeypatch)
     code, report = _decompose_stored(tmp_path, Grid(2, 64, 16.0), seed=3)
-    assert report["p_divergence"] > 1e-11
+    assert code == 1
+    assert report[key] > 1e-8
 
 
 @pytest.mark.parametrize("n, points", [(2, 32), (3, 16), (3, 64)])
 def test_decompose_fft_count(tmp_path, fft_counts, n, points):
-    # leray_halfspace transforms 3n components (n forward, 2n inverse), each
-    # by a tangential pass on the stored rows (n - 1 axes) and a normal-axis
-    # pass per block of first-axis rows; delta_half(Pu) takes n one-axis
-    # derivatives and d_half(Gu) n (n - 1), a forward and an inverse pass
-    # each, and the 2n normal ones of those also run per block.  At n = 2 the
-    # keys 1 and n - 1 coincide.
+    # the split transforms 3n components (n forward, 2n inverse), each by a
+    # tangential pass on the stored rows (n - 1 axes) and a normal-axis pass
+    # per block of first-axis rows; |delta_half(Pu)| and |d_half(Gu)| are
+    # read from the parts' tangential spectra, where only their 2 + 2 (n - 1)
+    # normal derivatives transform (a forward and an inverse pass per block).
+    # At n = 2 the keys 1 and n - 1 coincide.
     grid = Grid(n, points, 8.0)
     blocks = len(halfspace._row_blocks(grid))
     assert blocks == (8 if points == 64 else 1)
@@ -125,7 +163,7 @@ def test_decompose_fft_count(tmp_path, fft_counts, n, points):
     normal = [shape for axes, shape in fft_counts.calls if axes == (n - 1,)]
     assert len(normal) == blocks * 5 * n
     expected = collections.Counter()
-    expected[1] += len(normal) + 2 * n * (n - 1)
+    expected[1] += len(normal)
     expected[n - 1] += 3 * n
     assert fft_counts == expected
     # no pass covers all n axes, a pass that leaves out the normal axis runs

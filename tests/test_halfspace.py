@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from hodgehalf.algebra import degree
+from hodgehalf.algebra import degree, lowering, raising
 from hodgehalf.evolution import make_a_regular
 from hodgehalf.fields import (Grid, SpectralField, TestFunctionSpec,
                               forward_fft, inverse_fft, random_form, synthesize)
@@ -14,11 +14,13 @@ from hodgehalf.halfspace import (FLAVORS, HalfField, NodeReader,
                                  half_l2_inner, half_l2_norm_from_spectra,
                                  half_shape, hodge_bc_residual,
                                  hodge_heat, hodge_resolvent, hodge_stokes_apply,
-                                 leray_halfspace, navier_slip_residual,
+                                 leray_halfspace, leray_halfspace_checked,
+                                 navier_slip_residual,
                                  normal_derivative_at_boundary, normal_trace,
                                  q_projector, random_half_field, reflect_normal,
                                  remove_extended_mean, restrict,
-                                 restrict_spectra, symmetrize, tangential_trace)
+                                 restrict_spectra, split_residual, symmetrize,
+                                 tangential_trace)
 from hodgehalf.operators import (d, delta, grad_l2, hess_l2, laplacian,
                                  leray_hat, resolvent)
 from hodgehalf.verify import series_resolvent
@@ -841,7 +843,51 @@ def test_leray_split_refuses_the_other_flavors(flavor):
         if flavor != want:
             with pytest.raises(ValueError, match="flavor fields"):
                 project(u)
+    if flavor != "Ht":
+        with pytest.raises(ValueError, match="flavor fields"):
+            leray_halfspace_checked(u)
 
+
+@pytest.mark.parametrize("grid", QUADRATURE_GRIDS + [
+    pytest.param(Grid(3, 64, 8.0), id="n3-64")], ids=lambda g: f"n{g.n}")
+@pytest.mark.parametrize("flavor", FLAVORS)
+def test_incidence_norms_from_tangential_spectra(grid, flavor):
+    # |delta_half| and |d_half| read from the stored rows' tangential spectra,
+    # on every degree of white noise whose odd components carry nonzero end
+    # rows; 64^3 runs its normal derivatives in eight blocks
+    u = raw_half_field(grid, flavor, seed=11)
+    tangential = tuple(range(grid.n - 1))
+    for k in range(grid.n + 1):
+        uk = HalfField(grid, flavor, {m: a for m, a in u.comps.items()
+                                      if degree(m) == k})
+        rows = {m: np.fft.fftn(a, axes=tangential) for m, a in uk.comps.items()}
+        for table, unit, op in [(lowering(grid.n), -1j, delta_half),
+                                (raising(grid.n), 1j, d_half)]:
+            image = op(uk)
+            want = image.l2_norm()
+            got = halfspace._incidence_norm_from_rows(grid, flavor, rows,
+                                                      table, unit)
+            assert abs(got - want) <= 1e-12 * want, (k, op.__name__)
+            assert (want > 0.1 * uk.l2_norm()) == bool(image.comps)
+
+
+@pytest.mark.parametrize("grid", [Grid(2, 64, 8.0), Grid(3, 64, 8.0)],
+                         ids=["n2", "n3-64"])
+def test_checked_split_is_the_split_with_its_checks(grid):
+    u = white_noise(grid, "Ht", seed=12)
+    pu, gu = leray_halfspace(u)
+    p2, g2, p_divergence, g_curl = leray_halfspace_checked(u)
+    for got, want in [(p2, pu), (g2, gu)]:
+        assert list(got.comps) == list(want.comps)
+        for m in want.comps:
+            assert np.array_equal(got.comps[m], want.comps[m]), m
+    scale = u.l2_norm()
+    assert abs(p_divergence - delta_half(pu).l2_norm()) <= 1e-13 * scale
+    assert abs(g_curl - d_half(gu).l2_norm()) <= 1e-13 * scale
+    assert split_residual(u, pu, gu) == (pu + gu - u).l2_norm()
+    # a part off by a tenth of u shows in the residual at that size
+    off = pu + 0.1 * u
+    assert split_residual(u, off, gu) == (off + gu - u).l2_norm() > 0.09 * scale
 
 # ---------------------------------------------------------------------------
 # the node reader of solve against the field oracles
