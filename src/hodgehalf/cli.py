@@ -22,13 +22,13 @@ from .evolution import (SYSTEMS, SpaceParams, TimeGrid, max_reg_sweep,
                         solve_hodge_heat, solve_hodge_stokes,
                         solve_navier_slip)
 from .fields import Grid, SpectralField, load_field, random_form, save_field
-from .halfspace import (HalfField, NodeReader, extend_spectra,
-                        leray_halfspace_checked, random_half_field,
+from .halfspace import (HalfField, NodeReader, leray_halfspace_checked,
+                        leray_halfspace_hat, random_half_field,
                         remove_extended_mean, restrict_spectra, split_residual,
                         tangential_trace)
 from .littlewood_paley import (FilterBank, build_bank, completeness_ok,
                                default_bank, space_norm)
-from .operators import frac_symbol, leray_hat
+from .operators import frac_symbol
 from .verify import SUITES, run_suite
 
 EXIT_OK = 0
@@ -358,7 +358,7 @@ def run_maxreg(cfg: RunConfig) -> int:
 def _steady_initial_datum(forcing: HalfField) -> HalfField:
     """Initial datum in equilibrium with the forcing: u0 = A^{-1} P f, formed
     on the spectra of the forcing's extension."""
-    pf_hat, _ = leray_hat(extend_spectra(forcing))
+    pf_hat, _ = leray_halfspace_hat(forcing)
     return restrict_spectra(pf_hat.apply_multiplier(
         frac_symbol(forcing.grid, -2.0)), forcing.flavor)
 

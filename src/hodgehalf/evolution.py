@@ -8,6 +8,14 @@ extension) and second order in time: one step of the mild solution reads
 the exponential-midpoint quadrature of the Duhamel integral.  Stepping the
 semigroup itself is exact, so the only time error is the forcing quadrature.
 
+The Hodge-Stokes semigroup is heat flow on the Leray-projected extension, a
+multiplier between extend_spectra and restrict_spectra, so the Stokes-type
+solvers split each input once, in spectra (leray_halfspace_hat), and step
+the projected spectra as they come.  Only the parts a caller receives go
+back to physical space: grad p of solve_navier_slip and the node fields a
+Trajectory keeps.  The datum's gradient part is only measured, for the
+auto_project=False guard, and never inverted.
+
 The regularity reports measure the trajectory in time-Lebesgue / space-Besov
 norms.  Spatial Besov norms of half-space fields are computed on the flavored
 extension (a fixed bounded extension standing in for the quotient norm), and
@@ -49,12 +57,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fields import Grid, SpectralField
-from .halfspace import (HalfField, extend_spectra, leray_halfspace,
-                        restrict_spectra)
+from .halfspace import (HalfField, extend_spectra, half_l2_norm_from_spectra,
+                        leray_halfspace_hat, restrict_spectra)
 from .littlewood_paley import (FilterBank, SpaceParams, completeness_ok,
                                lp_besov_norm, require_in_window,
                                shell_besov_norm)
-from .operators import frac_symbol, leray_hat, resolvent_hat
+from .operators import frac_symbol, resolvent_hat
 
 SYSTEMS = ("hodge_heat", "hodge_stokes", "navier_slip")
 
@@ -94,45 +102,22 @@ class Trajectory:
         return self.time_grid.nodes()
 
 
-def _forcing_callable(f):
-    """Normalize a forcing argument to a callable t -> HalfField or None.
-
-    Snapshot lists come back as a callable carrying a .snapshots attribute;
-    the solvers read the nodes directly and average adjacent pairs for the
-    step midpoints.
-    """
-    if f is None:
-        return None
-    if isinstance(f, HalfField):
-        return lambda t: f
-    if callable(f):
-        return f
-    if isinstance(f, (list, tuple)):
-        snapshots = list(f)
-
-        def from_snapshots(t):
-            raise TypeError("snapshot forcing is only defined at solver nodes")
-
-        from_snapshots.snapshots = snapshots
-        return from_snapshots
-    raise TypeError("forcing must be None, a HalfField, a callable, or snapshots")
-
-
 class _Stepper:
     """Shared spectral stepping core working on extended spectra.
 
-    The state arrays are owned by the stepper and updated in place; spectra()
-    hands out copies.
+    The stepper takes ownership of the datum spectra it is given and updates
+    the state arrays in place; spectra() hands out copies.
     """
 
-    def __init__(self, u0: HalfField, time_grid: TimeGrid):
-        self.grid = u0.grid
-        self.flavor = u0.flavor
+    def __init__(self, u0_hat: SpectralField, flavor: str,
+                 time_grid: TimeGrid):
+        self.grid = u0_hat.grid
+        self.flavor = flavor
         absq = self.grid.freq_sq()
         dt = time_grid.dt
         self.full_step = np.exp(-dt * absq)
         self.dt_half_step = dt * np.exp(-0.5 * dt * absq)
-        self.state = _spectra_of(u0)
+        self.state = u0_hat.comps
         # dt e^{(dt/2) Delta} f_hat for the forcing dict last seen: a constant
         # forcing passes the same dict at every step
         self._forcing = None
@@ -165,6 +150,105 @@ def _spectra_of(u: HalfField) -> dict[int, np.ndarray]:
     return extend_spectra(u).comps
 
 
+class _Input:
+    """One forcing input as a solve reads it: the extension spectra the
+    stepper adds and the node field Trajectory.f stores, each made on first
+    use from the one the input came as (a heat forcing as its field, a
+    projected one as its spectra), and the gradient part ``grad`` of a
+    Navier-slip node (None otherwise)."""
+
+    def __init__(self, flavor: str, field: HalfField | None = None,
+                 hat: SpectralField | None = None,
+                 grad: HalfField | None = None):
+        self.flavor, self.grad = flavor, grad
+        self._field, self._hat = field, hat
+
+    @property
+    def hat(self) -> dict[int, np.ndarray]:
+        if self._hat is None:
+            self._hat = extend_spectra(self._field)
+        return self._hat.comps
+
+    @property
+    def field(self) -> HalfField:
+        if self._field is None:
+            self._field = restrict_spectra(self._hat, self.flavor)
+        return self._field
+
+
+def _forcing_reader(f, steps: int, read):
+    """(mid, node) of a forcing argument: mid(m, t) the spectra the stepper
+    adds over step m (t its midpoint), node(m, t) the _Input of node m; both
+    None without forcing.
+
+    ``read(u, node)`` makes the _Input of an input field, ``node`` telling a
+    node input from a midpoint one.  A constant forcing is read once, for
+    every node and step; snapshots once each, a step adding the mean of its
+    two end spectra; a callable at every evaluation.
+    """
+    if f is None:
+        return (lambda m, t: None), (lambda m, t: None)
+    if isinstance(f, HalfField):
+        constant = read(f, True)
+        return (lambda m, t: constant.hat), (lambda m, t: constant)
+    if isinstance(f, (list, tuple)):
+        if len(f) != steps + 1:
+            raise ValueError(f"need {steps + 1} forcing snapshots, got "
+                             f"{len(f)}")
+        # the solve reads the snapshots in order: two cached inputs read
+        # each one once
+        snapshot = functools.lru_cache(maxsize=2)(lambda m: read(f[m], True))
+
+        def mid(m, t):
+            a, b = snapshot(m).hat, snapshot(m + 1).hat
+            return {k: 0.5 * (a.get(k, 0.0) + b.get(k, 0.0))
+                    for k in a.keys() | b.keys()}
+
+        return mid, lambda m, t: snapshot(m)
+    if callable(f):
+        return (lambda m, t: read(f(t), False).hat,
+                lambda m, t: read(f(t), True))
+    raise TypeError("forcing must be None, a HalfField, a callable, or "
+                    "snapshots")
+
+
+def _integrate(reader, u0_hat: SpectralField, flavor: str, tg: TimeGrid,
+               observer, store: bool, gradients: list | None = None,
+               u0: HalfField | None = None) -> Trajectory:
+    """Step the datum spectra u0_hat through the forcing ``reader``
+    (_forcing_reader) and visit the nodes.
+
+    A node's forcing input is read once and serves its snapshot, its
+    gradient part (appended to ``gradients`` when given) and the observer.
+    Trajectory.u0 is ``u0``, or the node-0 field when None.
+    """
+    mid, node = reader
+    stepper = _Stepper(u0_hat, flavor, tg)
+    times = tg.nodes()
+    u_nodes, f_nodes = [], []
+
+    def visit(m):
+        keep = store or m in (0, tg.steps)
+        if not keep and observer is None and gradients is None:
+            return
+        entry = node(m, times[m])
+        if keep:
+            u_nodes.append(stepper.field())
+            f_nodes.append(None if entry is None else entry.field)
+        if gradients is not None and entry is not None:
+            gradients.append(entry.grad)
+        if observer is not None:
+            observer(m, times[m], stepper.state,
+                     None if entry is None else entry.hat)
+
+    visit(0)
+    for m in range(tg.steps):
+        stepper.advance(mid(m, times[m] + 0.5 * tg.dt))
+        visit(m + 1)
+    return Trajectory(tg, u_nodes, f_nodes, u_nodes[0] if u0 is None else u0,
+                      flavor)
+
+
 def solve_hodge_heat(f, u0: HalfField, horizon: float, steps: int,
                      observer=None, store: bool = True) -> Trajectory:
     """Mild solution of the flavored Hodge-heat system du/dt - Delta u = f.
@@ -178,105 +262,57 @@ def solve_hodge_heat(f, u0: HalfField, horizon: float, steps: int,
     store=False to keep only the endpoint snapshots (streaming use).
     """
     tg = TimeGrid(horizon, steps)
-    forcing = _forcing_callable(f)
-    snaps_in = getattr(forcing, "snapshots", None)
-    if snaps_in is not None and len(snaps_in) != steps + 1:
-        raise ValueError(f"need {steps + 1} forcing snapshots, got {len(snaps_in)}")
-    constant = f if isinstance(f, HalfField) else None
-    constant_hat = _spectra_of(constant) if constant is not None else None
-    stepper = _Stepper(u0, tg)
-    times = tg.nodes()
-
-    def f_at(t, m):
-        if forcing is None:
-            return None
-        if constant is not None:
-            return constant
-        if snaps_in is not None:
-            return snaps_in[m]
-        return forcing(t)
-
-    def f_mid_hat(m, t_mid):
-        if forcing is None:
-            return None
-        if constant_hat is not None:
-            return constant_hat
-        if snaps_in is not None:
-            return _spectra_of(0.5 * (snaps_in[m] + snaps_in[m + 1]))
-        return _spectra_of(forcing(t_mid))
-
-    u_nodes, f_nodes = [], []
-
-    def visit(m):
-        # one evaluation of the node forcing serves the snapshot and observer
-        keep = store or m in (0, steps)
-        if not keep and observer is None:
-            return
-        f_m = f_at(times[m], m)
-        if keep:
-            u_nodes.append(stepper.field())
-            f_nodes.append(f_m)
-        if observer is not None:
-            if forcing is None or constant_hat is not None:
-                f_hat = constant_hat
-            else:
-                f_hat = _spectra_of(f_m)
-            observer(m, times[m], stepper.state, f_hat)
-
-    visit(0)
-    for m in range(steps):
-        t_mid = times[m] + 0.5 * tg.dt
-        stepper.advance(f_mid_hat(m, t_mid))
-        visit(m + 1)
-    return Trajectory(tg, u_nodes, f_nodes, u0, u0.flavor)
+    reader = _forcing_reader(f, steps,
+                             lambda u, node: _Input(u.flavor, field=u))
+    return _integrate(reader, extend_spectra(u0), u0.flavor, tg, observer,
+                      store, u0=u0)
 
 
-def _projected_datum(u0: HalfField, auto_project: bool) -> HalfField:
-    """Leray projection of a Stokes datum; refuses one it moves by more than
-    1e-9 relative unless asked to project."""
+def _projected_datum(u0: HalfField, auto_project: bool) -> SpectralField:
+    """Spectra of the Leray projection of a Stokes datum,
+    leray_halfspace_hat(u0)[0]; refuses a datum the projector moves by more
+    than 1e-9 relative, |G u0| read from the gradient spectra, unless asked to
+    project.  The gradient spectra are dropped on return."""
     if u0.flavor != "Ht":
         raise ValueError("the Hodge-Stokes solver uses the tangential flavor")
-    pu0 = leray_halfspace(u0)[0]
+    pu0_hat, gu0_hat = leray_halfspace_hat(u0)
     if not auto_project:
-        defect = (u0 - pu0).l2_norm()
+        defect = half_l2_norm_from_spectra(gu0_hat)
         if defect > 1e-9 * max(u0.l2_norm(), 1e-300):
             raise ValueError(f"initial datum is not solenoidal (projector "
                              f"moves it by {defect:.3e}); pass "
                              f"auto_project=True")
-    return pu0
+    return pu0_hat
 
 
-def _split_forcing(f, tg: TimeGrid, keep_gradients: bool):
-    """Leray-split a forcing once per distinct input: (projected, gradients).
+def _split_forcing(f, steps: int, keep_gradients: bool):
+    """The _forcing_reader of a Stokes-type forcing: each input Leray-split
+    once, in spectra (leray_halfspace_hat), its projected spectra handed to
+    the stepper and restricted only for the node fields Trajectory.f keeps.
 
-    ``projected`` is the forcing argument for solve_hodge_heat.  A constant
-    forcing is split once, snapshots once each, a callable at every
-    evaluation.  With ``keep_gradients`` the node gradient parts come back
-    as a list (one shared field for a constant forcing; for a callable, those
-    of its node evaluations); otherwise, and without forcing, ``gradients``
-    is None and no gradient part outlives its split.
+    A constant forcing is split once, snapshots once each, a callable at
+    every evaluation.  With ``keep_gradients`` a node input also restricts
+    its gradient part, grad p at that node; otherwise, and at a midpoint, the
+    gradient spectra are dropped at once.
     """
-    forcing = _forcing_callable(f)
-    if forcing is None:
-        return None, None
-    if isinstance(f, HalfField):
-        pf, gf = leray_halfspace(f)
-        return pf, [gf] * (tg.steps + 1) if keep_gradients else None
-    snaps = getattr(forcing, "snapshots", None)
-    if snaps is not None:
-        parts = [leray_halfspace(s) for s in snaps]
-        return ([p for p, _ in parts],
-                [g for _, g in parts] if keep_gradients else None)
-    node_of = {t: m for m, t in enumerate(tg.nodes())}
-    gradients = [None] * (tg.steps + 1) if keep_gradients else None
+    def read(u, node):
+        p_hat, g_hat = leray_halfspace_hat(u)
+        grad = None
+        if keep_gradients and node:
+            grad = restrict_spectra(g_hat, u.flavor)
+        return _Input(u.flavor, hat=p_hat, grad=grad)
 
-    def projected(t):
-        pf, gf = leray_halfspace(forcing(t))
-        if gradients is not None and t in node_of:
-            gradients[node_of[t]] = gf
-        return pf
+    return _forcing_reader(f, steps, read)
 
-    return projected, gradients
+
+def _stokes_flow(f, u0: HalfField, horizon: float, steps: int,
+                 auto_project: bool, observer, store: bool,
+                 gradients: list | None) -> Trajectory:
+    tg = TimeGrid(horizon, steps)
+    pu0_hat = _projected_datum(u0, auto_project)
+    reader = _split_forcing(f, steps, keep_gradients=gradients is not None)
+    return _integrate(reader, pu0_hat, u0.flavor, tg, observer, store,
+                      gradients)
 
 
 def solve_hodge_stokes(f, u0: HalfField, horizon: float, steps: int,
@@ -286,14 +322,13 @@ def solve_hodge_stokes(f, u0: HalfField, horizon: float, steps: int,
 
     u0 must be solenoidal with vanishing tangential trace (checked via the
     Leray projector; pass auto_project=True to project instead of failing).
-    The forcing is projected once per distinct input: once if constant, once
-    per snapshot, once per evaluation of a callable.
+    The datum and the forcing are split in spectra and stepped from there
+    (_projected_datum, _split_forcing): once if the forcing is constant, once
+    per snapshot, once per evaluation of a callable.  Trajectory.u0 is the
+    projected datum, the node-0 field.
     """
-    pu0 = _projected_datum(u0, auto_project)
-    projected, _ = _split_forcing(f, TimeGrid(horizon, steps),
-                                  keep_gradients=False)
-    return solve_hodge_heat(projected, pu0, horizon, steps, observer=observer,
-                            store=store)
+    return _stokes_flow(f, u0, horizon, steps, auto_project, observer, store,
+                        None)
 
 
 def solve_navier_slip(f, u0: HalfField, horizon: float, steps: int,
@@ -308,18 +343,16 @@ def solve_navier_slip(f, u0: HalfField, horizon: float, steps: int,
     conditions, so the velocity solve is the Stokes one.  For a constant or
     absent forcing every entry of grad p is the same field, as the entries
     of ``Trajectory.f`` are, so callers must not mutate them in place.
-    ``observer`` and ``store`` are passed to solve_hodge_heat: with
-    store=False the trajectory keeps only the endpoint velocities, while
-    grad p keeps every node.
+    ``observer`` and ``store`` act as in solve_hodge_heat: with store=False
+    the trajectory keeps only the endpoint velocities, while grad p keeps
+    every node, whatever the forcing.
     """
     if u0.degrees() != [1]:
         raise ValueError("the Navier-slip system runs on vector fields")
-    pu0 = _projected_datum(u0, auto_project)
-    projected, grad_p = _split_forcing(f, TimeGrid(horizon, steps),
-                                    keep_gradients=True)
-    traj = solve_hodge_heat(projected, pu0, horizon, steps, observer=observer,
-                            store=store)
-    if grad_p is None:
+    grad_p = []
+    traj = _stokes_flow(f, u0, horizon, steps, auto_project, observer, store,
+                        grad_p)
+    if not grad_p:
         grad_p = [HalfField.zero(u0.grid, u0.flavor, u0.masks())] * (steps + 1)
     return traj, grad_p
 
@@ -653,9 +686,7 @@ def _closed_form_rows(bank: FilterBank, tg: TimeGrid, gram: _ShellGrams):
 def make_a_regular(seed_field: HalfField) -> HalfField:
     """Apply the resolvent at lambda = 1 twice to the Leray projection, all
     on the extension spectra; regular enough data for q = infinity reports."""
-    if seed_field.flavor != "Ht":
-        raise ValueError("the Leray projector acts on tangential-flavor fields")
-    once = resolvent_hat(1.0, leray_hat(extend_spectra(seed_field))[0])
+    once = resolvent_hat(1.0, leray_halfspace_hat(seed_field)[0])
     return restrict_spectra(resolvent_hat(1.0, once), "Ht")
 
 
@@ -686,23 +717,14 @@ def _closed_form_spectra(system: str, u0: HalfField,
     """Extension spectra (u0_hat, f_hat) of a closed-form report; f_hat is
     empty without forcing.
 
-    For the Stokes-type systems both are Leray-projected in spectra, behind
-    the guards of the solvers' physical projections: the tangential flavor
-    and the projector's mean-free guard.
+    For the Stokes-type systems both are Leray-projected in spectra as the
+    stepped solve projects them, behind the same guards: the datum by
+    _projected_datum with auto_project, the forcing by leray_halfspace_hat.
     """
-    stokes = system != "hodge_heat"
-    if stokes and u0.flavor != "Ht":
-        raise ValueError("the Hodge-Stokes solver uses the tangential flavor")
-    if stokes and f is not None and f.flavor != "Ht":
-        raise ValueError("the Leray projector acts on tangential-flavor fields")
-
-    def spectra(u):
-        if u is None:
-            return {}
-        uh = extend_spectra(u)
-        return leray_hat(uh)[0].comps if stokes else uh.comps
-
-    return spectra(u0), spectra(f)
+    if system == "hodge_heat":
+        return _spectra_of(u0), {} if f is None else _spectra_of(f)
+    pu0_hat = _projected_datum(u0, auto_project=True)
+    return pu0_hat.comps, {} if f is None else leray_halfspace_hat(f)[0].comps
 
 
 def max_reg_sweep(system: str, f, u0: HalfField, horizons, steps: int,

@@ -12,6 +12,7 @@ grid sum, i.e. N^n times the mean.
 
 from __future__ import annotations
 
+import functools
 import json
 import struct
 from dataclasses import dataclass
@@ -324,9 +325,14 @@ def _single_mode(grid: Grid, mode) -> np.ndarray:
     return np.exp(1j * phase)
 
 
-def _band(grid: Grid, rng, radii, width, mean_free: bool = True) -> np.ndarray:
+@functools.lru_cache(maxsize=4)
+def _envelope(grid: Grid, radii: tuple | None,
+              width: float | None) -> np.ndarray:
+    """The radial envelope of a band kind, made once per grid and radii (or
+    width) and shared read-only by every component drawn with it.  random_form
+    empties the cache when its draw returns, so no envelope outlives the draw
+    (a 64^3 one is 2 MiB)."""
     absxi = np.sqrt(grid.freq_sq())
-    coeff = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
     if radii is not None:
         r0, r1 = radii
         if r1 > absxi.max():
@@ -337,6 +343,14 @@ def _band(grid: Grid, rng, radii, width, mean_free: bool = True) -> np.ndarray:
                             np.sin(np.pi * t) ** 2, 0.0)
     else:
         envelope = np.exp(-absxi ** 2 * width ** 2 / 2.0)
+    envelope.flags.writeable = False
+    return envelope
+
+
+def _band(grid: Grid, rng, radii, width, mean_free: bool = True) -> np.ndarray:
+    envelope = (_envelope(grid, tuple(map(float, radii)), None)
+                if radii is not None else _envelope(grid, None, float(width)))
+    coeff = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
     spectrum = coeff * envelope
     if mean_free or radii is not None:
         spectrum[(0,) * grid.n] = 0.0
@@ -349,9 +363,12 @@ def random_form(grid: Grid, masks, seed: int = 0, kind: str = "random_band",
                 **kwargs) -> FormField:
     """Random smooth field with independent components, seeded per component."""
     comps = {}
-    for i, mask in enumerate(sorted(masks)):
-        spec = TestFunctionSpec(kind=kind, seed=seed * 1009 + i, **kwargs)
-        comps[mask] = synthesize(spec, grid, (mask,)).comps[mask]
+    try:
+        for i, mask in enumerate(sorted(masks)):
+            spec = TestFunctionSpec(kind=kind, seed=seed * 1009 + i, **kwargs)
+            comps[mask] = synthesize(spec, grid, (mask,)).comps[mask]
+    finally:
+        _envelope.cache_clear()
     return FormField(grid, comps)
 
 

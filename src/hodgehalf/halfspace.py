@@ -48,7 +48,7 @@ from .algebra import degree, lowering, raising
 from .fields import (FieldCore, FormField, Grid, SpectralField, _check_same_grid,
                      random_form)
 from .operators import (_LERAY, _apply_incidence, _leray_core, _refuse_mean,
-                        heat_hat, resolvent_hat)
+                        heat_hat, leray_hat, resolvent_hat)
 
 FLAVORS = ("D", "N", "Ht", "Hn")
 
@@ -275,9 +275,21 @@ def symmetrize(U: FormField, flavor: str) -> FormField:
 
 def random_half_field(grid: Grid, flavor: str, masks, seed: int = 0,
                       **kwargs) -> HalfField:
-    """Random smooth half-field whose extension is exactly symmetric."""
+    """Random smooth half-field whose extension is exactly symmetric:
+    restrict(symmetrize(random_form(...), flavor), flavor), bit for bit, with
+    only the stored rows formed.  Stored row j is torus row N/2 + j, so its
+    symmetrized value is 0.5 (a[N/2 + j] + p a[N/2 - j]); the seam row
+    j = N/2 reads torus row 0 twice, and an odd component's seam is 0."""
     full = random_form(grid, masks, seed=seed, **kwargs)
-    return restrict(symmetrize(full, flavor), flavor)
+    half = grid.points // 2
+    comps = {}
+    for mask, a in full.comps.items():
+        parity = component_parity(flavor, mask, grid.n)
+        rows = np.empty(half_shape(grid), dtype=complex)
+        rows[..., :half] = 0.5 * (a[..., half:] + parity * a[..., half:0:-1])
+        rows[..., half] = 0.5 * (a[..., 0] + a[..., 0]) if parity > 0 else 0.0
+        comps[mask] = rows
+    return HalfField(grid, flavor, comps)
 
 
 # ---------------------------------------------------------------------------
@@ -732,6 +744,16 @@ def leray_halfspace(u: HalfField) -> tuple[HalfField, HalfField]:
     """
     _require_tangential(u)
     return _half_leray(u)
+
+
+def leray_halfspace_hat(u: HalfField) -> tuple[SpectralField, SpectralField]:
+    """leray_halfspace(u) left in spectra: both parts of
+    leray_hat(extend_spectra(u)), whose restrict_spectra are leray_halfspace's
+    parts bit for bit.  It holds the whole extension, where leray_halfspace
+    works one block of rows at a time; the evolution solvers step these
+    spectra and restrict only the parts a caller receives."""
+    _require_tangential(u)
+    return leray_hat(extend_spectra(u))
 
 
 def leray_halfspace_checked(u: HalfField

@@ -417,48 +417,73 @@ def test_solve_snapshots_match_stored_nodes(tmp_path, system, flavor):
     assert len(list(out.glob("snapshot_*"))) == 10
 
 
-def test_solve_divergence_sees_an_unprojected_forcing(tmp_path, monkeypatch):
-    # mutation: the forcing split returns the forcing itself as the projected
-    # part, so the flow leaves the solenoidal class and the column must say so
+def _leaky_split(monkeypatch, leaky_call):
+    """Patch the solvers' Leray split so that its ``leaky_call``-th call (1:
+    the datum, 2: the forcing) hands back the input's extension spectra as
+    the projected part and no gradient part; returns the list of calls."""
     from hodgehalf import evolution
-    from hodgehalf.halfspace import HalfField
+    from hodgehalf.fields import SpectralField
+    from hodgehalf.halfspace import extend_spectra
 
-    payload = _solve_payload("navier_slip", "Ht")
-    rows = _solve_rows(tmp_path, payload, seed=5)
-    assert all(float(r["divergence"]) <= 1e-9 * float(r["l2"]) for r in rows)
-
-    real = evolution.leray_halfspace
+    real = evolution.leray_halfspace_hat
     calls = []
 
     def leaky(u):
         calls.append(u)
-        if len(calls) == 1:  # the datum keeps its projection
+        if len(calls) != leaky_call:
             return real(u)
-        return u, HalfField.zero(u.grid, u.flavor, u.masks())
+        uh = extend_spectra(u)
+        return uh, SpectralField(u.grid, {m: np.zeros_like(a)
+                                          for m, a in uh.comps.items()})
 
-    monkeypatch.setattr(evolution, "leray_halfspace", leaky)
+    monkeypatch.setattr(evolution, "leray_halfspace_hat", leaky)
+    return calls
+
+
+def test_solve_divergence_sees_an_unprojected_forcing(tmp_path, monkeypatch):
+    # mutation: the forcing split returns the forcing's own spectra as the
+    # projected part, so the flow leaves the solenoidal class and the column
+    # must say so
+    payload = _solve_payload("navier_slip", "Ht")
+    rows = _solve_rows(tmp_path, payload, seed=5)
+    assert all(float(r["divergence"]) <= 1e-9 * float(r["l2"]) for r in rows)
+
+    calls = _leaky_split(monkeypatch, leaky_call=2)
     rows = _solve_rows(tmp_path, payload, seed=5)
     assert len(calls) == 2
     assert any(float(r["divergence"]) > 1e-9 * float(r["l2"]) for r in rows)
+
+
+def test_solve_divergence_sees_an_unprojected_datum(tmp_path, monkeypatch):
+    # mutation: the stepper starts from the unprojected datum's spectra while
+    # the forcing keeps its projection; the datum's divergence decays but
+    # never reaches round-off within T = 1, so every node must show it
+    payload = _solve_payload("navier_slip", "Ht")
+    calls = _leaky_split(monkeypatch, leaky_call=1)
+    rows = _solve_rows(tmp_path, payload, seed=5)
+    assert len(calls) == 2
+    assert all(float(r["divergence"]) > 1e-9 * float(r["l2"]) for r in rows)
 
 
 @pytest.mark.parametrize("n, points", [(2, 32), (3, 16)])
 def test_solve_fft_count(tmp_path, fft_counts, n, points):
     # n-D: 2n to draw the datum and the forcing.  Each half-space transform
     # of one component is a normal-axis pass (1 axis) and a tangential pass
-    # on the stored rows (n - 1 axes): 3n per Leray split of each of the
-    # datum and the forcing, n for the forcing spectra, n for the stepper
-    # and n for each of the two endpoint fields.  Per node one normal-axis
-    # pass for the divergence (a 1-form's delta has one component); its
-    # tangential sum and the boundary row are read by Parseval, with no
-    # (n-1)-D pass.  At n = 2 the keys 1 and n - 1 coincide.
+    # on the stored rows (n - 1 axes): n to extend each of the datum and the
+    # forcing before their splits in spectra, which the stepper reads, n to
+    # restrict grad p and n the projected forcing of Trajectory.f, and n for
+    # each of the two endpoint fields; the datum's gradient part is never
+    # inverted.  Per node one normal-axis pass for the divergence (a
+    # 1-form's delta has one component); its tangential sum and the boundary
+    # row are read by Parseval, with no (n-1)-D pass.  At n = 2 the keys 1
+    # and n - 1 coincide.
     steps = 4
     _solve_rows(tmp_path, {"grid": {"n": n, "points": points, "length": 8.0},
                            "system": "navier_slip", "T": 1.0, "M": steps},
                 seed=0)
     expected = collections.Counter({n: 2 * n})
-    expected[1] += 10 * n + steps + 1
-    expected[n - 1] += 10 * n
+    expected[1] += 6 * n + steps + 1
+    expected[n - 1] += 6 * n
     assert fft_counts == expected
 
 

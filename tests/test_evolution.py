@@ -11,8 +11,9 @@ from hodgehalf.evolution import (SpaceParams, TimeGrid, _Stepper,
                                  solve_navier_slip, streaming_max_reg)
 from hodgehalf.fields import Grid, synthesize, TestFunctionSpec
 from hodgehalf.halfspace import (HalfField, d_half, delta_half, extend,
-                                 leray_halfspace, random_half_field, restrict,
-                                 tangential_trace)
+                                 extend_spectra, leray_halfspace,
+                                 leray_halfspace_hat, random_half_field,
+                                 restrict, restrict_spectra, tangential_trace)
 from hodgehalf.littlewood_paley import build_bank, default_bank
 from hodgehalf.operators import frac_laplacian, laplacian
 from hodgehalf.verify import momentum_residual_ratios
@@ -129,7 +130,7 @@ def test_stepper_in_place_updates_leave_inputs_alone():
                           kind="annulus_band", radii=(1.0, 2.5))
     f_hat = {m: np.fft.fftn(a) for m, a in extend(f).comps.items()}
     f_kept = {m: a.copy() for m, a in f_hat.items()}
-    stepper = _Stepper(u0, tg)
+    stepper = _Stepper(extend_spectra(u0), "Ht", tg)
     assert 0b10 not in stepper.state and 0b10 in f_hat
 
     absq = grid.freq_sq()
@@ -198,15 +199,36 @@ def test_projected_datum_checks_only_when_not_auto_projecting(grid, monkeypatch)
         solve_navier_slip(None, u0, 1.0, 4)
     with pytest.raises(ValueError, match="not solenoidal"):
         _projected_datum(u0, auto_project=False)
-    pu0 = _projected_datum(leray_halfspace(u0)[0], auto_project=False)
+    pu0 = restrict_spectra(
+        _projected_datum(leray_halfspace(u0)[0], auto_project=False), "Ht")
     norms = []
     real = HalfField.l2_norm
     monkeypatch.setattr(HalfField, "l2_norm",
                         lambda self: norms.append(self) or real(self))
-    got = _projected_datum(u0, auto_project=True)
+    got = restrict_spectra(_projected_datum(u0, auto_project=True), "Ht")
     assert norms == []
     assert (got - leray_halfspace(u0)[0]).l2_norm() == 0.0
     assert (got - pu0).l2_norm() <= 1e-12 * u0.l2_norm()
+
+
+@pytest.mark.parametrize("eps, accepted", [(1e-10, True), (1e-8, False)])
+def test_projected_datum_guard_sits_at_1e_9(grid, eps, accepted):
+    # the datum P u0 + eps G u0 with both parts of unit norm: the projector
+    # moves it by eps relative, on either side of the 1e-9 guard
+    u0 = random_half_field(grid, "Ht", [0b01, 0b10], seed=12,
+                           kind="annulus_band", radii=(1.0, 2.5))
+    pu, gu = leray_halfspace(u0)
+    datum = (1.0 / pu.l2_norm()) * pu + (eps / gu.l2_norm()) * gu
+    for solve in (solve_hodge_stokes, lambda *a: solve_navier_slip(*a)[0]):
+        if not accepted:
+            with pytest.raises(ValueError, match="not solenoidal"):
+                solve(None, datum, 1.0, 4)
+            continue
+        traj = solve(None, datum, 1.0, 4)
+        want = leray_halfspace(datum)[0]
+        for mask in want.masks():
+            assert np.array_equal(traj.u0.component(mask), want.component(mask))
+        assert (traj.u0 - (1.0 / pu.l2_norm()) * pu).l2_norm() <= 1e-14
 
 
 def test_stokes_rejects_nonsolenoidal_start(grid):
@@ -264,13 +286,15 @@ def test_navier_slip_streaming_keeps_endpoints_and_every_gradient(grid):
     u0 = solenoidal_field(grid, 16)
     f = random_half_field(grid, "Ht", [0b01, 0b10], seed=17,
                           kind="annulus_band", radii=(1.0, 2.5))
-    full, grad_full = solve_navier_slip(f, u0, 1.0, 8)
-    ends, grad_ends = solve_navier_slip(f, u0, 1.0, 8, store=False)
-    assert len(full.u) == 9 and len(ends.u) == 2
-    for a, b in zip(ends.u, (full.u[0], full.u[-1])):
-        assert (a - b).l2_norm() == 0.0
-    assert len(grad_ends) == 9
-    assert all((a - b).l2_norm() == 0.0 for a, b in zip(grad_ends, grad_full))
+    for forcing in (f, lambda t: float(np.cos(t)) * f):  # constant, callable
+        full, grad_full = solve_navier_slip(forcing, u0, 1.0, 8)
+        ends, grad_ends = solve_navier_slip(forcing, u0, 1.0, 8, store=False)
+        assert len(full.u) == 9 and len(ends.u) == 2
+        for a, b in zip(ends.u, (full.u[0], full.u[-1])):
+            assert (a - b).l2_norm() == 0.0
+        assert len(grad_ends) == 9
+        assert all((a - b).l2_norm() == 0.0
+                   for a, b in zip(grad_ends, grad_full))
 
 
 def test_navier_slip_momentum_self_convergence(grid):
@@ -282,8 +306,9 @@ def test_navier_slip_momentum_self_convergence(grid):
 @pytest.mark.parametrize("kind", ["constant", "snapshots", "callable"])
 def test_navier_slip_pressure_comes_from_the_forcing_split(grid, monkeypatch,
                                                            kind):
-    # one Leray split per distinct forcing input, shared by the projected
-    # forcing and grad p; the datum takes one more
+    # one Leray split in spectra per distinct forcing input, shared by the
+    # projected forcing and grad p; the datum takes one more.  The parts a
+    # caller receives are those of the physical split, bit for bit
     from hodgehalf import evolution
 
     u0 = solenoidal_field(grid, 27)
@@ -305,17 +330,18 @@ def test_navier_slip_pressure_comes_from_the_forcing_split(grid, monkeypatch,
 
     def counted(u):
         calls.append(u)
-        return leray_halfspace(u)
+        return leray_halfspace_hat(u)
 
-    monkeypatch.setattr(evolution, "leray_halfspace", counted)
+    monkeypatch.setattr(evolution, "leray_halfspace_hat", counted)
     traj, grad_p = solve_navier_slip(forcing, u0, 1.0, steps)
     assert len(calls) == splits
     assert len(grad_p) == steps + 1
-    for gp, f_m in zip(grad_p, node_inputs):
-        want = leray_halfspace(f_m)[1]
-        assert gp.masks() == want.masks()
-        for mask in want.masks():
-            assert np.array_equal(gp.component(mask), want.component(mask))
+    for gp, fm, f_m in zip(grad_p, traj.f, node_inputs):
+        for got, want in zip((fm, gp), leray_halfspace(f_m)):
+            assert got.masks() == want.masks()
+            for mask in want.masks():
+                assert np.array_equal(got.component(mask),
+                                      want.component(mask))
     if kind == "constant":
         # one field at every node, as Trajectory.f holds one projected forcing
         assert all(gp is grad_p[0] for gp in grad_p)
@@ -334,9 +360,9 @@ def test_node_forcing_is_evaluated_once_per_node(grid, monkeypatch):
 
     def counted(u):
         calls.append(u)
-        return leray_halfspace(u)
+        return leray_halfspace_hat(u)
 
-    monkeypatch.setattr(evolution, "leray_halfspace", counted)
+    monkeypatch.setattr(evolution, "leray_halfspace_hat", counted)
     runs = []
     for observer in (None, lambda m, t, state, f_hat: None):
         calls.clear()
@@ -593,15 +619,14 @@ def test_closed_form_time_derivative_against_long_double():
     # steady datum at T = 1: du/dt = c f with c ~ 1e-6 is all that is left,
     # the hard case for both float64 routes; the reference runs the stepper's
     # recurrence in long double from the same float64 spectra
-    from hodgehalf.evolution import (_closed_form_rows, _projected_datum,
-                                     _shell_grams, _spectra_of)
+    from hodgehalf.evolution import _closed_form_rows, _shell_grams, _spectra_of
 
     grid = Grid(2, 64, 8.0)
     bank = default_bank(grid)
     f = random_half_field(grid, "Ht", [0b01, 0b10], seed=33,
                           kind="annulus_band", radii=(1.0, 2.2))
     pf = leray_halfspace(f)[0]
-    u0 = _projected_datum(steady_datum(f), auto_project=True)
+    u0 = leray_halfspace(steady_datum(f))[0]
     tg = TimeGrid(1.0, 256)
     u_hat, f_hat = _spectra_of(u0), _spectra_of(pf)
     closed = np.concatenate([e_dt for _, _, e_dt in _closed_form_rows(

@@ -123,6 +123,55 @@ def test_annulus_band_support(grid2):
     assert abs(uh[0, 0]) < 1e-12 * np.abs(uh).max()
 
 
+BANDS = [("annulus_band", {"radii": (1.0, 2.5)}),
+         ("random_band", {"width": 1.5})]
+
+
+@pytest.mark.parametrize("kind, kwargs", BANDS, ids=[k for k, _ in BANDS])
+def test_band_draws_share_one_read_only_envelope(grid2, kind, kwargs):
+    from hodgehalf import fields
+
+    masks = [0, 1, 2, 3]
+    u = random_form(grid2, masks, seed=4, kind=kind, **kwargs)
+    # every component has a seed of its own: no two are equal
+    comps = [u.comps[m] for m in masks]
+    for i, a in enumerate(comps):
+        for b in comps[:i]:
+            assert np.abs(a - b).max() > 0.1
+    # the draws are those of the formula, envelope made afresh per component
+    absxi = np.sqrt(grid2.freq_sq())
+    if kind == "annulus_band":
+        r0, r1 = kwargs["radii"]
+        t = np.clip((absxi - r0) / (r1 - r0), 0.0, 1.0)
+        envelope = np.where((absxi >= r0) & (absxi <= r1),
+                            np.sin(np.pi * t) ** 2, 0.0)
+        cached = fields._envelope(grid2, (r0, r1), None)
+    else:
+        envelope = np.exp(-absxi ** 2 * kwargs["width"] ** 2 / 2.0)
+        cached = fields._envelope(grid2, None, kwargs["width"])
+    assert np.array_equal(cached, envelope)
+    for i, m in enumerate(masks):
+        rng = np.random.default_rng(4 * 1009 + i)
+        spectrum = (rng.standard_normal(grid2.shape)
+                    + 1j * rng.standard_normal(grid2.shape)) * envelope
+        spectrum[0, 0] = 0.0
+        want = np.fft.ifftn(spectrum)
+        assert np.array_equal(u.comps[m], want / np.abs(want).max())
+    # the cached envelope cannot be written through, and no draw keeps one
+    assert not cached.flags.writeable
+    with pytest.raises(ValueError):
+        cached[0, 0] = 1.0
+    random_form(grid2, masks, seed=4, kind=kind, **kwargs)
+    assert fields._envelope.cache_info().currsize == 0
+
+
+def test_annulus_beyond_the_band_is_refused_on_every_call(grid2):
+    for _ in range(3):
+        with pytest.raises(ValueError, match="annulus exceeds"):
+            random_form(grid2, [0, 1], seed=0, kind="annulus_band",
+                        radii=(1.0, 100.0))
+
+
 def test_single_mode_rejects_off_lattice(grid2):
     with pytest.raises(ValueError):
         synthesize(TestFunctionSpec("single_mode", mode=(0.1, 0.0)), grid2, (0,))

@@ -55,6 +55,30 @@ def test_component_parity_table():
     assert component_parity("N", normal, n) == 1
 
 
+@pytest.mark.parametrize("grid", [Grid(2, 32, 8.0), Grid(3, 16, 8.0),
+                                  Grid(4, 8, 4.0)], ids=["n2", "n3", "n4"])
+@pytest.mark.parametrize("flavor", FLAVORS)
+@pytest.mark.parametrize("kind", ["annulus_band", "random_band"])
+def test_random_half_field_is_the_restricted_symmetrized_draw(grid, flavor,
+                                                              kind):
+    # the stored rows alone, bit for bit those of the doubled-torus route
+    masks = range(1 << grid.n)
+    kwargs = {"radii": (1.0, 2.5)} if kind == "annulus_band" else {}
+    got = random_half_field(grid, flavor, masks, seed=7, kind=kind, **kwargs)
+    full = random_form(grid, masks, seed=7, kind=kind, **kwargs)
+    want = restrict(symmetrize(full, flavor), flavor)
+    assert got.flavor == flavor and list(got.comps) == list(want.comps)
+    for m, a in want.comps.items():
+        assert np.array_equal(got.comps[m], a), m
+        assert np.abs(a[..., 1:-1]).max() > 0.0, m
+        ends = got.comps[m][..., [0, -1]]
+        if component_parity(flavor, m, grid.n) < 0:
+            # odd: the boundary and seam rows are exactly 0
+            assert not np.any(ends), m
+        else:
+            assert np.abs(ends).max() > 0.0, m
+
+
 def test_extension_is_even_for_scalars(grid2):
     u = random_half_field(grid2, "Ht", [0], seed=0, width=2.0)
     U = extend(u)

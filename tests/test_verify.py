@@ -5,8 +5,8 @@ import pytest
 
 from hodgehalf import evolution, halfspace, verify
 from hodgehalf.fields import Grid, random_form
-from hodgehalf.halfspace import (HalfField, d_half, hodge_resolvent,
-                                 random_half_field)
+from hodgehalf.halfspace import (HalfField, d_half, extend_spectra,
+                                 hodge_resolvent, random_half_field)
 from hodgehalf.operators import d
 from hodgehalf.verify import (SUITES, VerifyOutcome, _zero_scale, run_suite,
                               series_resolvent)
@@ -142,14 +142,15 @@ def test_solenoidality_reads_the_stepper_spectra(monkeypatch):
 
 
 def test_solenoidality_sees_an_unprojected_forcing(monkeypatch):
-    # mutation: the forcing split hands back the forcing itself as the
-    # projected part, so the flow leaves the solenoidal class
-    real = evolution._split_forcing
+    # mutation: the Leray split in spectra hands back the input's own
+    # spectra as the projected part; the suite's data are solenoidal, so it
+    # is the forcing that takes the flow out of the solenoidal class
+    real = evolution.leray_halfspace_hat
 
-    def unprojected(f, tg, keep_gradients):
-        return f, real(f, tg, keep_gradients)[1]
+    def unprojected(u):
+        return extend_spectra(u), real(u)[1]
 
-    monkeypatch.setattr(evolution, "_split_forcing", unprojected)
+    monkeypatch.setattr(evolution, "leray_halfspace_hat", unprojected)
     info = run_suite("evolution", seed=0).worst["solenoidality"]
     assert info["status"] == "fail" and info["residual"] > 1e-6
 
