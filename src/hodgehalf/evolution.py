@@ -37,15 +37,21 @@ E_dt at every node on the window's shells (_closed_form_rows).  There du/dt
 is written in the basis (r, f), r = u0 - f / |xi|^2 the datum less the steady
 state, since in the basis (u0, f) a steady datum leaves du/dt as the
 difference of O(1) terms.  Nothing but the node times depends on the
-horizon, so a sweep over horizons takes the extension spectra of the datum
-and the forcing once, Leray-projects them in spectra for the Stokes-type
-systems (leray_hat, no physical P u0 or P f), sums the Gram sums once and
-then evaluates the closed form per horizon: one transform per component of
-the datum and of the forcing, whatever the horizons and the node count.  The
-stepper still runs for callable or snapshot forcings, for p != 2, and in
-max_reg_report, the oracle the closed form is tested against.  Both drivers
-refuse an initial datum or forcing whose spectrum leaks out of the bank
-window, reading the leakage from the same shell energies.
+horizon, so one core (_constant_forcing_reports) measures a parameter set
+over every horizon from one pair of extension spectra, the datum's and the
+forcing's: at p = 2 it sums the Gram sums once and evaluates the closed form
+per horizon, at p != 2 it steps a copy of the same spectra per horizon.
+max_reg_sweep forms those spectra from half-fields, one transform per
+component of the datum and of the forcing, Leray-projected in spectra for
+the Stokes-type systems (leray_hat, no physical P u0 or P f).
+steady_sweep_spectra forms them from a forcing alone, the steady datum
+A^{-1} P f built on the forcing's projected spectra, and
+max_reg_sweep_spectra measures them: hodgehalf maxreg forms them once and
+measures every (s, p, q) on them.  The stepper still runs for callable or
+snapshot forcings and in max_reg_report, the oracle the closed form is tested
+against.  Both drivers refuse an initial datum or forcing whose spectrum
+leaks out of the bank window, reading the leakage from the same shell
+energies.
 """
 
 from __future__ import annotations
@@ -62,7 +68,7 @@ from .halfspace import (HalfField, extend_spectra, half_l2_norm_from_spectra,
 from .littlewood_paley import (FilterBank, SpaceParams, completeness_ok,
                                lp_besov_norm, require_in_window,
                                shell_besov_norm)
-from .operators import frac_symbol, resolvent_hat
+from .operators import frac_symbol, leray_hat, resolvent_hat
 
 SYSTEMS = ("hodge_heat", "hodge_stokes", "navier_slip")
 
@@ -75,6 +81,8 @@ class TimeGrid:
     steps: int
 
     def __post_init__(self):
+        if not math.isfinite(self.horizon):
+            raise ValueError(f"final time must be finite, got {self.horizon}")
         if self.horizon <= 0:
             raise ValueError("final time must be positive")
         if self.steps < 1:
@@ -176,6 +184,14 @@ class _Input:
         return self._field
 
 
+def _constant_reader(entry: _Input | None):
+    """(mid, node) of _forcing_reader for one constant _Input, read at every
+    node and step; None means no forcing."""
+    if entry is None:
+        return (lambda m, t: None), (lambda m, t: None)
+    return (lambda m, t: entry.hat), (lambda m, t: entry)
+
+
 def _forcing_reader(f, steps: int, read):
     """(mid, node) of a forcing argument: mid(m, t) the spectra the stepper
     adds over step m (t its midpoint), node(m, t) the _Input of node m; both
@@ -187,10 +203,9 @@ def _forcing_reader(f, steps: int, read):
     two end spectra; a callable at every evaluation.
     """
     if f is None:
-        return (lambda m, t: None), (lambda m, t: None)
+        return _constant_reader(None)
     if isinstance(f, HalfField):
-        constant = read(f, True)
-        return (lambda m, t: constant.hat), (lambda m, t: constant)
+        return _constant_reader(read(f, True))
     if isinstance(f, (list, tuple)):
         if len(f) != steps + 1:
             raise ValueError(f"need {steps + 1} forcing snapshots, got "
@@ -412,7 +427,7 @@ class _MaxRegAccumulator:
     datum: its interpolation norm is the rhs_u0 term.  The datum and every
     distinct forcing, the inputs, are guarded against window leakage;
     derived spectra are not.  forcing() and node() guard on all shells;
-    max_reg_sweep guards the closed form's datum itself.  The norm of a
+    the closed form's caller guards its datum itself.  The norm of a
     forcing seen at consecutive nodes is computed once.  At p = 2 the nodes
     arrive as rows of shell energies (E_u, E_dt) on the window's shells, from
     the stepper's spectra (node) or from the closed form (shell_rows
@@ -712,19 +727,104 @@ def max_reg_report(traj: Trajectory, params: SpaceParams, system: str,
     return acc.report(system)
 
 
-def _closed_form_spectra(system: str, u0: HalfField,
-                         f: HalfField | None) -> tuple[dict, dict]:
-    """Extension spectra (u0_hat, f_hat) of a closed-form report; f_hat is
-    empty without forcing.
+def _sweep_spectra(system: str, u0: HalfField,
+                   f: HalfField | None) -> tuple[dict, dict | None]:
+    """Extension spectra (u0_hat, f_hat) of a sweep with a constant or absent
+    forcing; f_hat is None without forcing.
 
     For the Stokes-type systems both are Leray-projected in spectra as the
     stepped solve projects them, behind the same guards: the datum by
     _projected_datum with auto_project, the forcing by leray_halfspace_hat.
     """
     if system == "hodge_heat":
-        return _spectra_of(u0), {} if f is None else _spectra_of(f)
+        return _spectra_of(u0), None if f is None else _spectra_of(f)
     pu0_hat = _projected_datum(u0, auto_project=True)
-    return pu0_hat.comps, {} if f is None else leray_halfspace_hat(f)[0].comps
+    return pu0_hat.comps, None if f is None else leray_halfspace_hat(f)[0].comps
+
+
+def steady_sweep_spectra(system: str,
+                         f: HalfField) -> tuple[SpectralField, SpectralField]:
+    """Extension spectra (u0_hat, f_hat) of a sweep from the steady datum
+    A^{-1} P f of the constant forcing ``f``, for max_reg_sweep_spectra.
+
+    The forcing's extension spectra are taken and Leray-split once, and the
+    datum is formed on the projected spectra, never as a half-field.  The
+    Stokes-type systems step P f, hodge_heat the forcing as given.
+    """
+    if system not in SYSTEMS:
+        raise ValueError(f"unknown system {system!r}")
+    if f.flavor != "Ht":
+        raise ValueError("the steady datum A^{-1} P f needs a tangential-flavor "
+                         "forcing")
+    f_hat = extend_spectra(f)
+    pf_hat = leray_hat(f_hat)[0]
+    return (pf_hat.apply_multiplier(frac_symbol(f.grid, -2.0)),
+            f_hat if system == "hodge_heat" else pf_hat)
+
+
+def _sweep_accumulators(grid: Grid, bank: FilterBank, params: SpaceParams,
+                        horizons, steps: int, a_regular_checked: bool) -> list:
+    """One _MaxRegAccumulator per horizon; making them runs every report's
+    parameter guards."""
+    return [_MaxRegAccumulator(grid, bank, params, TimeGrid(h, steps),
+                               a_regular_checked) for h in horizons]
+
+
+def _constant_forcing_reports(system: str, flavor: str,
+                              u0_hat: dict[int, np.ndarray],
+                              f_hat: dict[int, np.ndarray] | None,
+                              accs: list) -> list[MaxRegReport]:
+    """The reports of _sweep_accumulators' accumulators, from the extension
+    spectra of the datum and of a constant forcing (None: no forcing), taken
+    as they are: a Stokes-type caller has projected both.
+
+    At p = 2 the nodes come from the closed form: the five shell Gram sums
+    are taken once and only the closed-form rows are evaluated per horizon.
+    At p != 2 each horizon steps a copy of the datum spectra (the stepper
+    updates its state in place) through the same forcing spectra.
+    """
+    if not accs:
+        return []
+    bank, params, grid = accs[0].bank, accs[0].params, accs[0].grid
+    if params.p == 2.0:
+        gram = _shell_grams(bank, u0_hat, f_hat or {})
+        # the inputs are guarded on all shells, the forcing first; node 0's
+        # E_u is the datum's G_uu
+        for acc in accs:
+            acc.forcing(None if f_hat is None else gram.ff)
+        require_in_window(bank, gram.uu, params.homogeneous)
+        for acc in accs:
+            for m0, e_u, e_dt in _closed_form_rows(bank, acc.tg, gram):
+                acc.shell_rows(m0, e_u, e_dt)
+    else:
+        reader = _constant_reader(
+            None if f_hat is None
+            else _Input(flavor, hat=SpectralField(grid, f_hat)))
+        for acc in accs:
+            datum = SpectralField(grid, {k: a.copy() for k, a in u0_hat.items()})
+            _integrate(reader, datum, flavor, acc.tg, acc.node, store=False)
+    return [acc.report(system) for acc in accs]
+
+
+def max_reg_sweep_spectra(system: str, u0_hat: SpectralField,
+                          f_hat: SpectralField | None, horizons, steps: int,
+                          params: SpaceParams,
+                          bank: FilterBank) -> list[MaxRegReport]:
+    """max_reg_sweep from spectra: the reports, horizon by horizon.
+
+    ``u0_hat`` and ``f_hat`` are the tangential-flavor extension spectra of
+    the datum and of a constant forcing (None: no forcing) as
+    steady_sweep_spectra forms them, measured as they are and left
+    unchanged, so several parameter sets can read the same spectra.  The
+    datum is not checked to be operator-regular, so q = infinity is refused.
+    """
+    if system not in SYSTEMS:
+        raise ValueError(f"unknown system {system!r}")
+    accs = _sweep_accumulators(u0_hat.grid, bank, params, horizons, steps,
+                               a_regular_checked=False)
+    return _constant_forcing_reports(
+        system, "Ht", u0_hat.comps, None if f_hat is None else f_hat.comps,
+        accs)
 
 
 def max_reg_sweep(system: str, f, u0: HalfField, horizons, steps: int,
@@ -734,34 +834,27 @@ def max_reg_sweep(system: str, f, u0: HalfField, horizons, steps: int,
 
     Produces, horizon by horizon, the numbers of max_reg_report on the
     stored trajectory of M = ``steps`` steps.  The parameter guards of every
-    report (completeness, q = infinity) run before any transform.  At p = 2
-    with a constant or absent forcing the nodes come from the closed form:
-    the datum and the forcing are transformed and projected once, their five
-    shell Gram sums taken once, and only the closed-form rows are evaluated
-    per horizon, with no time stepping and no transform per horizon or node.
-    Otherwise each horizon runs the solver with the report's accumulator as
-    its observer.
+    report (completeness, q = infinity) run before any transform.  With a
+    constant or absent forcing the datum and the forcing are transformed and
+    projected once (_sweep_spectra) and measured by the core
+    max_reg_sweep_spectra shares: at p = 2 from the closed form, their five
+    shell Gram sums taken once and only the closed-form rows evaluated per
+    horizon, with no time stepping and no transform per horizon or node; at
+    p != 2 by stepping the same spectra.  A callable or snapshot forcing runs
+    the solver per horizon with the report's accumulator as its observer.
     """
     if system not in SYSTEMS:
         raise ValueError(f"unknown system {system!r}")
-    accs = [_MaxRegAccumulator(u0.grid, bank, params, TimeGrid(h, steps),
-                               a_regular_checked) for h in horizons]
-    if params.p == 2.0 and (f is None or isinstance(f, HalfField)):
-        gram = _shell_grams(bank, *_closed_form_spectra(system, u0, f))
-        # the inputs are guarded on all shells, the forcing first; node 0's
-        # E_u is the datum's G_uu
-        for acc in accs:
-            acc.forcing(None if f is None else gram.ff)
-        require_in_window(bank, gram.uu, params.homogeneous)
-        for acc in accs:
-            for m0, e_u, e_dt in _closed_form_rows(bank, acc.tg, gram):
-                acc.shell_rows(m0, e_u, e_dt)
-    elif system == "hodge_heat":
-        for acc in accs:
+    accs = _sweep_accumulators(u0.grid, bank, params, horizons, steps,
+                               a_regular_checked)
+    if f is None or isinstance(f, HalfField):
+        return _constant_forcing_reports(system, u0.flavor,
+                                         *_sweep_spectra(system, u0, f), accs)
+    for acc in accs:
+        if system == "hodge_heat":
             solve_hodge_heat(f, u0, acc.tg.horizon, steps, observer=acc.node,
                              store=False)
-    else:
-        for acc in accs:
+        else:
             solve_hodge_stokes(f, u0, acc.tg.horizon, steps, observer=acc.node,
                                auto_project=True, store=False)
     return [acc.report(system) for acc in accs]

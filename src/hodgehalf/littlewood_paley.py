@@ -65,6 +65,8 @@ class SpaceParams:
     kind: str = "besov"
 
     def __post_init__(self):
+        if not math.isfinite(self.s):
+            raise ValueError(f"s must be finite, got {self.s}")
         if not 1.0 < self.p < math.inf:
             raise ValueError("p must lie in (1, inf)")
         if not 1.0 <= self.q:
@@ -109,8 +111,12 @@ class FilterBank:
         ksq = np.zeros(grid.shape, dtype=np.int64)
         for axis in range(grid.n):
             ksq = ksq + k.reshape((1,) * axis + (-1,) + (1,) * (grid.n - axis - 1)) ** 2
-        shells, index = np.unique(ksq.ravel(), return_inverse=True)
-        self.shell_index = index.astype(np.intp)
+        # a presence table of the integer |k|^2 lists the shells in order,
+        # and its running count numbers them
+        ksq = ksq.ravel()
+        present = np.bincount(ksq) > 0
+        shells = np.flatnonzero(present)
+        self.shell_index = (np.cumsum(present, dtype=np.intp) - 1)[ksq]
         self.shell_absq = (np.pi / grid.length) ** 2 * shells.astype(float)
         shell_abs = np.sqrt(self.shell_absq)
         psi_sq = np.array([_annulus(shell_abs, j) ** 2 for j in self.window])

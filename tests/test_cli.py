@@ -2,6 +2,7 @@
 
 import collections
 import csv
+import hashlib
 import importlib.util
 import json
 import math
@@ -13,8 +14,12 @@ import pytest
 
 from hodgehalf import halfspace
 from hodgehalf.cli import main
+from hodgehalf.evolution import SpaceParams, max_reg_sweep
 from hodgehalf.fields import Grid, save_field
-from hodgehalf.halfspace import d_half, random_half_field
+from hodgehalf.halfspace import (d_half, extend_spectra, random_half_field,
+                                 restrict_spectra)
+from hodgehalf.littlewood_paley import default_bank
+from hodgehalf.operators import frac_symbol, leray_hat
 
 
 def read_csv(path):
@@ -492,6 +497,8 @@ def test_solve_fft_count(tmp_path, fft_counts, n, points):
     ({"T": -1.0}, "final time must be positive"),
     ({"T": 0.0}, "final time must be positive"),
     ({"M": 0}, "need at least one step"),
+    ({"T": math.nan}, "final time must be finite"),
+    ({"T": math.inf}, "final time must be finite"),
 ])
 def test_solve_bad_run_is_refused_before_any_work(tmp_path, fft_counts,
                                                   capsys, options, message):
@@ -502,6 +509,16 @@ def test_solve_bad_run_is_refused_before_any_work(tmp_path, fft_counts,
     assert f"configuration error: {message}" in capsys.readouterr().err
     assert not fft_counts
     assert not os.path.exists(tmp_path / "solve.csv")
+
+
+@pytest.mark.parametrize("s", [math.nan, math.inf])
+def test_normtable_non_finite_s_is_config_error(tmp_path, capsys, s):
+    cfg = write_config(tmp_path, {
+        "grid": {"n": 2, "points": 32, "length": 8.0},
+        "norms": [{"kind": "besov", "s": s, "p": 2.0, "q": 2.0}]})
+    assert main(["normtable", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert "configuration error: s must be finite" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "normtable.csv")
 
 
 def test_normtable_zero_field(tmp_path):
@@ -580,28 +597,92 @@ def test_malformed_config_value_is_config_error(tmp_path, monkeypatch, capsys,
 
 
 @pytest.mark.parametrize("n, points", [(2, 32), (3, 16)])
-def test_maxreg_fft_count(tmp_path, fft_counts, n, points):
-    # n n-D inverse transforms draw the forcing; the steady datum takes the
-    # extension spectra of the forcing and restricts one set, and the sweep
-    # takes the spectra of the datum and the forcing once for all horizons
-    # and any node count: 4n component transforms, each a normal-axis pass
-    # (1 axis) and a tangential pass on the stored rows (n - 1 axes)
+def test_maxreg_fft_count(tmp_path, fft_counts, monkeypatch, n, points):
+    # n n-D inverse transforms draw the forcing.  Its extension spectra are
+    # taken once, a normal-axis pass (1 axis) and a tangential pass on the
+    # stored rows (n - 1 axes) per component, and Leray-split once in
+    # spectra; the steady datum is formed on the projected spectra and never
+    # restricted, and every accepted (s, p, q) and horizon reads the same
+    # spectra: n component transforms, whatever the sets, T and M are.  At
+    # n = 2 the keys 1 and n - 1 coincide.  No array is transformed twice
+    # along the same axes.
+    inputs = []
+    for kind in ("fftn", "ifftn"):
+        def hashed(a, s=None, axes=None, *args, _counted=getattr(np.fft, kind),
+                   **kwargs):
+            a = np.asarray(a)
+            inputs.append(hashlib.sha256(
+                repr((axes, a.shape, a.dtype.str)).encode()
+                + np.ascontiguousarray(a).tobytes()).hexdigest())
+            return _counted(a, s, axes, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, kind, hashed)
     seen = []
-    for horizons in ([1.0], [1.0, 10.0, 100.0]):
-        for steps in (8, 64):
-            fft_counts.clear()
-            cfg = write_config(tmp_path, {
-                "grid": {"n": n, "points": points, "length": 8.0},
-                "spq": [[0.0, 2.0, 1.0]], "T": horizons, "M": steps,
-                "radii": [1.0, 1.3]})
-            assert main(["maxreg", "--config", cfg, "--out",
-                         str(tmp_path)]) == 0
-            assert len(read_csv(tmp_path / "maxreg.csv")) == len(horizons)
-            seen.append(dict(fft_counts))
+    for spq in ([[0.0, 2.0, 1.0]],
+                [[0.0, 2.0, 1.0], [-0.5, 2.0, 2.0], [0.25, 2.0, 1.5]]):
+        for horizons in ([1.0], [1.0, 10.0, 100.0]):
+            for steps in (8, 64):
+                fft_counts.clear()
+                inputs.clear()
+                cfg = write_config(tmp_path, {
+                    "grid": {"n": n, "points": points, "length": 8.0},
+                    "spq": spq, "T": horizons, "M": steps,
+                    "radii": [1.0, 1.3]})
+                assert main(["maxreg", "--config", cfg, "--out",
+                             str(tmp_path)]) == 0
+                rows = read_csv(tmp_path / "maxreg.csv")
+                assert [r["status"] for r in rows] == \
+                    ["ok"] * len(spq) * len(horizons)
+                seen.append(dict(fft_counts))
+                assert len(set(inputs)) == len(inputs) == 3 * n
     expected = collections.Counter({n: n})
-    expected[1] += 4 * n
-    expected[n - 1] += 4 * n
-    assert seen == [expected] * 4
+    expected[1] += n
+    expected[n - 1] += n
+    assert seen == [expected] * 8
+
+
+def _steady_half_datum(forcing):
+    """The steady datum as a half-field, restrict_spectra(A^{-1} P f_hat)."""
+    pf_hat = leray_hat(extend_spectra(forcing))[0]
+    return restrict_spectra(pf_hat.apply_multiplier(
+        frac_symbol(forcing.grid, -2.0)), forcing.flavor)
+
+
+@pytest.mark.parametrize("system", ["hodge_stokes", "hodge_heat"])
+def test_maxreg_spectral_datum_is_the_half_field_route(tmp_path, system):
+    # the command measures its steady datum on the forcing's projected
+    # spectra; max_reg_sweep on the restricted datum, re-extended and
+    # re-projected, must give the same rows to round-off (the CSV keeps 12
+    # digits), for a closed-form p = 2 set and a stepped p = 3 set
+    grid = Grid(2, 32, 8.0)
+    spq = [[0.0, 2.0, 1.0], [0.0, 3.0, 1.0]]
+    horizons, steps = [1.0, 4.0], 4
+    cfg = write_config(tmp_path, {
+        "grid": {"n": 2, "points": 32, "length": 8.0}, "system": system,
+        "spq": spq, "T": horizons, "M": steps, "radii": [1.0, 1.3],
+        "seed": 3})
+    code = main(["maxreg", "--config", cfg, "--out", str(tmp_path)])
+    rows = read_csv(tmp_path / "maxreg.csv")
+    forcing = random_half_field(grid, "Ht", [0b01, 0b10], seed=4,
+                                kind="annulus_band", radii=(1.0, 1.3))
+    u0 = _steady_half_datum(forcing)
+    bank = default_bank(grid)
+    sweeps = [max_reg_sweep(system, forcing, u0, horizons, steps,
+                            SpaceParams(s, p, q), bank) for s, p, q in spq]
+    # the command exits 1 exactly when the reference's ratio drifts over T
+    drift = any(max(r.ratio for r in reps) > 1.1 * min(r.ratio for r in reps)
+                for reps in sweeps)
+    assert code == (1 if drift else 0)
+    want = [rep.row() for reps in sweeps for rep in reps]
+    assert len(rows) == len(want) == 4
+    for got, ref in zip(rows, want):
+        assert got["status"] == "ok"
+        for key in ("s", "p", "q", "T"):
+            assert float(got[key]) == ref[key]
+        for key in ("lhs_sup", "lhs_lq", "rhs_f", "rhs_u0", "ratio"):
+            assert ref[key] > 0.0
+            assert abs(float(got[key]) - ref[key]) <= 1e-11 * ref[key], \
+                (got, ref, key)
 
 
 @pytest.mark.parametrize("spq", [[[0.0, 2.0, 2.0]], [[0.0, 2.0, 1.0]]],
@@ -618,6 +699,45 @@ def test_maxreg_unknown_system_is_config_error(tmp_path, fft_counts, capsys,
         capsys.readouterr().err
     assert not fft_counts
     assert not os.path.exists(tmp_path / "maxreg.csv")
+
+
+@pytest.mark.parametrize("options, message", [
+    ({"spq": []}, "names no (s, p, q)"),
+    ({"T": []}, "names no final time"),
+    ({"spq": [[0.0, 2.0]]}, "is not an (s, p, q) triple"),
+    ({"spq": [[0.0, 2.0, 1.0, 1.0]]}, "is not an (s, p, q) triple"),
+    ({"T": [1.0, 0.0]}, "final time must be positive"),
+    ({"T": [-1.0]}, "final time must be positive"),
+    ({"T": [math.inf]}, "final time must be finite"),
+    ({"T": [math.nan]}, "final time must be finite"),
+    ({"M": 0}, "need at least one step"),
+    ({"spq": [[0.0, 1.0, 1.0]]}, "p must lie in (1, inf)"),
+    ({"spq": [[0.0, 2.0, 0.5]]}, "q must lie in [1, inf]"),
+    ({"spq": [[math.nan, 2.0, 1.0]]}, "s must be finite"),
+    ({"spq": [[0.0, 2.0, 1.0], [math.inf, 2.0, 1.0]]}, "s must be finite"),
+], ids=["no_spq", "no_T", "short_spq", "long_spq", "zero_T", "negative_T",
+        "infinite_T", "nan_T", "no_steps", "p", "q", "nan_s", "infinite_s"])
+def test_maxreg_bad_config_is_refused_before_any_work(tmp_path, fft_counts,
+                                                      capsys, options,
+                                                      message):
+    cfg = write_config(tmp_path, dict(
+        {"grid": {"n": 2, "points": 32, "length": 8.0},
+         "spq": [[0.0, 2.0, 1.0]], "T": [1.0], "M": 8}, **options))
+    assert main(["maxreg", "--config", cfg, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and message in err
+    assert not fft_counts
+    assert not os.path.exists(tmp_path / "maxreg.csv")
+
+
+def test_maxreg_with_every_set_rejected_draws_nothing(tmp_path, fft_counts):
+    cfg = write_config(tmp_path, {
+        "grid": {"n": 2, "points": 32, "length": 8.0},
+        "spq": [[0.0, 2.0, 2.0], [-2.0, 2.0, math.inf]], "T": [1.0], "M": 8})
+    assert main(["maxreg", "--config", cfg, "--out", str(tmp_path)]) == 0
+    assert [r["status"] for r in read_csv(tmp_path / "maxreg.csv")] == \
+        ["rejected"] * 2
+    assert not fft_counts
 
 
 def test_maxreg_data_outside_bank_window_is_config_error(tmp_path, capsys):

@@ -7,8 +7,9 @@ import pytest
 
 from hodgehalf.evolution import (SpaceParams, TimeGrid, _Stepper,
                                  make_a_regular, max_reg_report, max_reg_sweep,
-                                 solve_hodge_heat, solve_hodge_stokes,
-                                 solve_navier_slip, streaming_max_reg)
+                                 max_reg_sweep_spectra, solve_hodge_heat,
+                                 solve_hodge_stokes, solve_navier_slip,
+                                 steady_sweep_spectra, streaming_max_reg)
 from hodgehalf.fields import Grid, synthesize, TestFunctionSpec
 from hodgehalf.halfspace import (HalfField, d_half, delta_half, extend,
                                  extend_spectra, leray_halfspace,
@@ -40,6 +41,9 @@ def test_time_grid_validation():
         TimeGrid(-1.0, 4)
     with pytest.raises(ValueError):
         TimeGrid(1.0, 0)
+    for horizon in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="final time must be finite"):
+            TimeGrid(horizon, 4)
     assert TimeGrid(2.0, 8).dt == 0.25
 
 
@@ -726,6 +730,34 @@ def test_max_reg_sweep_matches_per_horizon_reports(grid, system, params,
             want, got = getattr(oracle, key), getattr(rep, key)
             assert want > 0.0
             assert abs(got - want) <= 1e-12 * want, (horizon, key, got, want)
+
+
+@pytest.mark.parametrize("system", ["hodge_heat", "hodge_stokes"])
+def test_steady_sweep_spectra_serve_every_set_unchanged(grid, system):
+    # the datum is A^{-1} P f in spectra; the Stokes system steps P f, the
+    # heat system f itself; sweeps at p = 2 and p != 2 leave both spectra
+    # as they were, so a caller can measure several sets on them
+    bank = default_bank(grid)
+    f = random_half_field(grid, "Ht", [0b01, 0b10], seed=44,
+                          kind="annulus_band", radii=(1.0, 2.2))
+    u0_hat, f_hat = steady_sweep_spectra(system, f)
+    datum = restrict_spectra(u0_hat, "Ht")
+    assert (datum - steady_datum(f)).l2_norm() <= 1e-12 * datum.l2_norm()
+    want = f if system == "hodge_heat" else leray_halfspace(f)[0]
+    stepped = restrict_spectra(f_hat, "Ht")
+    assert (stepped - want).l2_norm() <= 1e-12 * want.l2_norm()
+    before = [{k: a.copy() for k, a in x.comps.items()} for x in (u0_hat, f_hat)]
+    for params, steps in ((SpaceParams(0.0, 2.0, 1.0), 8),
+                          (SpaceParams(0.0, 3.0, 1.0), 4)):
+        reports = max_reg_sweep_spectra(system, u0_hat, f_hat, [1.0, 4.0],
+                                        steps, params, bank)
+        assert [rep.horizon for rep in reports] == [1.0, 4.0]
+    for x, old in zip((u0_hat, f_hat), before):
+        assert all(np.array_equal(x.comps[k], a) for k, a in old.items())
+    with pytest.raises(ValueError, match="unknown system"):
+        steady_sweep_spectra("bogus", f)
+    with pytest.raises(ValueError, match="tangential-flavor forcing"):
+        steady_sweep_spectra(system, f.with_flavor("Hn"))
 
 
 def _with_even_mean(u, relative):

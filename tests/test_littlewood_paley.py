@@ -286,6 +286,19 @@ def test_window_shells_are_the_weighed_shells(grid_, weighed, shells):
     assert bank.shell_phi_unit_sq.shape == (weighed,)
 
 
+@pytest.mark.parametrize("grid_", [Grid(2, 128, 16.0), Grid(3, 32, 8.0)],
+                         ids=["2d", "3d"])
+def test_shell_index_is_the_sorted_unique_index(grid_):
+    # the presence-table index numbers the shells as np.unique's inverse does
+    bank = default_bank(grid_)
+    ksq = np.rint(grid_.freq_sq() / (np.pi / grid_.length) ** 2).astype(np.int64)
+    shells, index = np.unique(ksq.ravel(), return_inverse=True)
+    assert np.array_equal(bank.shell_index, index)
+    assert bank.shell_index.dtype == np.intp
+    assert np.array_equal(bank.shell_absq,
+                          (np.pi / grid_.length) ** 2 * shells.astype(float))
+
+
 def test_lattice_tables_are_built_on_first_use(grid):
     # p = 2 norms read shell tables only; a lattice table is built when it is
     # first read and then kept
@@ -393,3 +406,6 @@ def test_space_params_validation():
         SpaceParams(0.0, 2.0, 0.5)
     with pytest.raises(ValueError):
         SpaceParams(0.0, 2.0, kind="triebel")
+    for s in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="s must be finite"):
+            SpaceParams(s, 2.0)
