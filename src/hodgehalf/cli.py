@@ -18,10 +18,9 @@ import os
 import sys
 from dataclasses import dataclass, field
 
-from .evolution import (SYSTEMS, SpaceParams, TimeGrid,
-                        max_reg_sweep_spectra, solve_hodge_heat,
-                        solve_hodge_stokes, solve_navier_slip,
-                        steady_sweep_spectra)
+from .evolution import (SYSTEMS, SpaceParams, TimeGrid, max_reg_sweep,
+                        solve_hodge_heat, solve_hodge_stokes,
+                        solve_navier_slip, steady_sweep_spectra)
 from .fields import Grid, SpectralField, load_field, random_form, save_field
 from .halfspace import (HalfField, NodeReader, leray_halfspace_checked,
                         random_half_field, remove_extended_mean,
@@ -316,7 +315,7 @@ def run_maxreg(cfg: RunConfig) -> int:
     drawn and steady_sweep_spectra takes its extension spectra and splits
     them once, forming the steady datum A^{-1} P f on the projected spectra,
     never as a half-field; every accepted (s, p, q) is measured on those
-    same spectra by max_reg_sweep_spectra.
+    same spectra by max_reg_sweep.
     """
     opts = cfg.options
     grid = cfg.grid()
@@ -360,7 +359,7 @@ def run_maxreg(cfg: RunConfig) -> int:
         spectra = steady_sweep_spectra(system, forcing)
         for params in accepted:
             done.extend(dict(report.row(), status="ok", reason="")
-                        for report in max_reg_sweep_spectra(
+                        for report in max_reg_sweep(
                             system, *spectra, horizons, steps, params, bank))
     rows.extend(done)
 

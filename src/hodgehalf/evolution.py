@@ -30,28 +30,28 @@ shell; and E_dt of du/dt.  The symbols are radial, so the shell sums are
 exact regroupings of the lattice sums.  Only the window's shells, where some
 block of the bank is nonzero, are summed; the leakage guard of an input reads
 all shells.  A stepped node reduces the stepper's spectra,
-du/dt = -|xi|^2 u_hat + f_hat summed pointwise.  With a constant or absent
-forcing max_reg_sweep does not step: the stepper's recurrence sums in closed
-form, and five per-shell Gram sums of the datum and the forcing give E_u and
-E_dt at every node on the window's shells (_closed_form_rows).  There du/dt
-is written in the basis (r, f), r = u0 - f / |xi|^2 the datum less the steady
-state, since in the basis (u0, f) a steady datum leaves du/dt as the
-difference of O(1) terms.  Nothing but the node times depends on the
-horizon, so one core (_constant_forcing_reports) measures a parameter set
-over every horizon from one pair of extension spectra, the datum's and the
-forcing's: at p = 2 it sums the Gram sums once and evaluates the closed form
-per horizon, at p != 2 it steps a copy of the same spectra per horizon.
-max_reg_sweep forms those spectra from half-fields, one transform per
-component of the datum and of the forcing, Leray-projected in spectra for
-the Stokes-type systems (leray_hat, no physical P u0 or P f).
-steady_sweep_spectra forms them from a forcing alone, the steady datum
-A^{-1} P f built on the forcing's projected spectra, and
-max_reg_sweep_spectra measures them: hodgehalf maxreg forms them once and
-measures every (s, p, q) on them.  The stepper still runs for callable or
-snapshot forcings and in max_reg_report, the oracle the closed form is tested
-against.  Both drivers refuse an initial datum or forcing whose spectrum
-leaks out of the bank window, reading the leakage from the same shell
-energies.
+du/dt = -|xi|^2 u_hat + f_hat summed pointwise.
+
+max_reg_sweep is the one driver.  It measures a parameter set over every
+horizon from one pair of extension spectra, the datum's and those of a
+constant or absent forcing; nothing but the node times depends on the
+horizon.  At p = 2 it does not step: the stepper's recurrence sums in closed
+form, and five per-shell Gram sums of the datum and the forcing, taken once,
+give E_u and E_dt at every node of every horizon on the window's shells
+(_closed_form_rows).  There du/dt is written in the basis (r, f),
+r = u0 - f / |xi|^2 the datum less the steady state, since in the basis
+(u0, f) a steady datum leaves du/dt as the difference of O(1) terms.  At
+p != 2 it steps a copy of the datum spectra per horizon and reads each node
+from the stepper's spectra.  Two builders form the spectra, each
+Leray-projected in spectra for the Stokes-type systems (leray_hat, no
+physical P u0 or P f): sweep_spectra from a datum and a forcing, one
+transform per component of each, and steady_sweep_spectra from a forcing
+alone, the steady datum A^{-1} P f built on the forcing's projected spectra;
+hodgehalf maxreg forms them once and measures every (s, p, q) on them.
+max_reg_report measures a stored trajectory of any forcing, time-dependent
+ones included; it is the oracle the driver is tested against.  Both refuse
+an initial datum or forcing whose spectrum leaks out of the bank window,
+reading the leakage from the same shell energies.
 """
 
 from __future__ import annotations
@@ -114,7 +114,7 @@ class _Stepper:
     """Shared spectral stepping core working on extended spectra.
 
     The stepper takes ownership of the datum spectra it is given and updates
-    the state arrays in place; spectra() hands out copies.
+    the state arrays in place.
     """
 
     def __init__(self, u0_hat: SpectralField, flavor: str,
@@ -134,9 +134,6 @@ class _Stepper:
     def field(self) -> HalfField:
         return restrict_spectra(SpectralField(self.grid, self.state),
                                 self.flavor)
-
-    def spectra(self) -> dict[int, np.ndarray]:
-        return {m: a.copy() for m, a in self.state.items()}
 
     def advance(self, f_mid_hat: dict[int, np.ndarray] | None):
         for a in self.state.values():
@@ -184,47 +181,24 @@ class _Input:
         return self._field
 
 
-def _constant_reader(entry: _Input | None):
-    """(mid, node) of _forcing_reader for one constant _Input, read at every
-    node and step; None means no forcing."""
-    if entry is None:
-        return (lambda m, t: None), (lambda m, t: None)
-    return (lambda m, t: entry.hat), (lambda m, t: entry)
-
-
-def _forcing_reader(f, steps: int, read):
+def _forcing_reader(f, read):
     """(mid, node) of a forcing argument: mid(m, t) the spectra the stepper
     adds over step m (t its midpoint), node(m, t) the _Input of node m; both
     None without forcing.
 
     ``read(u, node)`` makes the _Input of an input field, ``node`` telling a
     node input from a midpoint one.  A constant forcing is read once, for
-    every node and step; snapshots once each, a step adding the mean of its
-    two end spectra; a callable at every evaluation.
+    every node and step; a callable at every evaluation.
     """
     if f is None:
-        return _constant_reader(None)
+        return (lambda m, t: None), (lambda m, t: None)
     if isinstance(f, HalfField):
-        return _constant_reader(read(f, True))
-    if isinstance(f, (list, tuple)):
-        if len(f) != steps + 1:
-            raise ValueError(f"need {steps + 1} forcing snapshots, got "
-                             f"{len(f)}")
-        # the solve reads the snapshots in order: two cached inputs read
-        # each one once
-        snapshot = functools.lru_cache(maxsize=2)(lambda m: read(f[m], True))
-
-        def mid(m, t):
-            a, b = snapshot(m).hat, snapshot(m + 1).hat
-            return {k: 0.5 * (a.get(k, 0.0) + b.get(k, 0.0))
-                    for k in a.keys() | b.keys()}
-
-        return mid, lambda m, t: snapshot(m)
+        entry = read(f, True)
+        return (lambda m, t: entry.hat), (lambda m, t: entry)
     if callable(f):
         return (lambda m, t: read(f(t), False).hat,
                 lambda m, t: read(f(t), True))
-    raise TypeError("forcing must be None, a HalfField, a callable, or "
-                    "snapshots")
+    raise TypeError("forcing must be None, a HalfField or a callable")
 
 
 def _integrate(reader, u0_hat: SpectralField, flavor: str, tg: TimeGrid,
@@ -269,16 +243,14 @@ def solve_hodge_heat(f, u0: HalfField, horizon: float, steps: int,
     """Mild solution of the flavored Hodge-heat system du/dt - Delta u = f.
 
     The boundary conditions ride on the flavor of u0 and hold at every node.
-    ``f`` may be None, a constant HalfField, a callable t -> HalfField, or a
-    list of node snapshots (midpoints are then averaged, still second order).
+    ``f`` may be None, a constant HalfField or a callable t -> HalfField.
     ``observer(m, t, state, f_hat)`` runs at every node when provided, with
     the stepper's extended state spectra (owned by the stepper, updated in
     place) and the node forcing spectra (None without forcing); pass
     store=False to keep only the endpoint snapshots (streaming use).
     """
     tg = TimeGrid(horizon, steps)
-    reader = _forcing_reader(f, steps,
-                             lambda u, node: _Input(u.flavor, field=u))
+    reader = _forcing_reader(f, lambda u, node: _Input(u.flavor, field=u))
     return _integrate(reader, extend_spectra(u0), u0.flavor, tg, observer,
                       store, u0=u0)
 
@@ -300,15 +272,15 @@ def _projected_datum(u0: HalfField, auto_project: bool) -> SpectralField:
     return pu0_hat
 
 
-def _split_forcing(f, steps: int, keep_gradients: bool):
+def _split_forcing(f, keep_gradients: bool):
     """The _forcing_reader of a Stokes-type forcing: each input Leray-split
     once, in spectra (leray_halfspace_hat), its projected spectra handed to
     the stepper and restricted only for the node fields Trajectory.f keeps.
 
-    A constant forcing is split once, snapshots once each, a callable at
-    every evaluation.  With ``keep_gradients`` a node input also restricts
-    its gradient part, grad p at that node; otherwise, and at a midpoint, the
-    gradient spectra are dropped at once.
+    A constant forcing is split once, a callable at every evaluation.  With
+    ``keep_gradients`` a node input also restricts its gradient part, grad p
+    at that node; otherwise, and at a midpoint, the gradient spectra are
+    dropped at once.
     """
     def read(u, node):
         p_hat, g_hat = leray_halfspace_hat(u)
@@ -317,7 +289,7 @@ def _split_forcing(f, steps: int, keep_gradients: bool):
             grad = restrict_spectra(g_hat, u.flavor)
         return _Input(u.flavor, hat=p_hat, grad=grad)
 
-    return _forcing_reader(f, steps, read)
+    return _forcing_reader(f, read)
 
 
 def _stokes_flow(f, u0: HalfField, horizon: float, steps: int,
@@ -325,7 +297,7 @@ def _stokes_flow(f, u0: HalfField, horizon: float, steps: int,
                  gradients: list | None) -> Trajectory:
     tg = TimeGrid(horizon, steps)
     pu0_hat = _projected_datum(u0, auto_project)
-    reader = _split_forcing(f, steps, keep_gradients=gradients is not None)
+    reader = _split_forcing(f, keep_gradients=gradients is not None)
     return _integrate(reader, pu0_hat, u0.flavor, tg, observer, store,
                       gradients)
 
@@ -339,8 +311,8 @@ def solve_hodge_stokes(f, u0: HalfField, horizon: float, steps: int,
     Leray projector; pass auto_project=True to project instead of failing).
     The datum and the forcing are split in spectra and stepped from there
     (_projected_datum, _split_forcing): once if the forcing is constant, once
-    per snapshot, once per evaluation of a callable.  Trajectory.u0 is the
-    projected datum, the node-0 field.
+    per evaluation of a callable.  Trajectory.u0 is the projected datum, the
+    node-0 field.
     """
     return _stokes_flow(f, u0, horizon, steps, auto_project, observer, store,
                         None)
@@ -727,25 +699,32 @@ def max_reg_report(traj: Trajectory, params: SpaceParams, system: str,
     return acc.report(system)
 
 
-def _sweep_spectra(system: str, u0: HalfField,
-                   f: HalfField | None) -> tuple[dict, dict | None]:
-    """Extension spectra (u0_hat, f_hat) of a sweep with a constant or absent
-    forcing; f_hat is None without forcing.
+def sweep_spectra(system: str, f: HalfField | None,
+                  u0: HalfField) -> tuple[SpectralField, SpectralField | None]:
+    """Extension spectra (u0_hat, f_hat) for max_reg_sweep of the datum
+    ``u0`` and the constant forcing ``f``; f_hat is None without forcing.
 
     For the Stokes-type systems both are Leray-projected in spectra as the
     stepped solve projects them, behind the same guards: the datum by
     _projected_datum with auto_project, the forcing by leray_halfspace_hat.
+    A time-dependent forcing has no such pair: max_reg_report measures it on
+    a stored trajectory.
     """
+    if system not in SYSTEMS:
+        raise ValueError(f"unknown system {system!r}")
+    if not (f is None or isinstance(f, HalfField)):
+        raise TypeError("a sweep takes a constant HalfField forcing or None; "
+                        "measure a time-dependent one with max_reg_report")
     if system == "hodge_heat":
-        return _spectra_of(u0), None if f is None else _spectra_of(f)
-    pu0_hat = _projected_datum(u0, auto_project=True)
-    return pu0_hat.comps, None if f is None else leray_halfspace_hat(f)[0].comps
+        return extend_spectra(u0), None if f is None else extend_spectra(f)
+    return (_projected_datum(u0, auto_project=True),
+            None if f is None else leray_halfspace_hat(f)[0])
 
 
 def steady_sweep_spectra(system: str,
                          f: HalfField) -> tuple[SpectralField, SpectralField]:
     """Extension spectra (u0_hat, f_hat) of a sweep from the steady datum
-    A^{-1} P f of the constant forcing ``f``, for max_reg_sweep_spectra.
+    A^{-1} P f of the constant forcing ``f``, for max_reg_sweep.
 
     The forcing's extension spectra are taken and Leray-split once, and the
     datum is formed on the projected spectra, never as a half-field.  The
@@ -762,32 +741,35 @@ def steady_sweep_spectra(system: str,
             f_hat if system == "hodge_heat" else pf_hat)
 
 
-def _sweep_accumulators(grid: Grid, bank: FilterBank, params: SpaceParams,
-                        horizons, steps: int, a_regular_checked: bool) -> list:
-    """One _MaxRegAccumulator per horizon; making them runs every report's
-    parameter guards."""
-    return [_MaxRegAccumulator(grid, bank, params, TimeGrid(h, steps),
-                               a_regular_checked) for h in horizons]
+def max_reg_sweep(system: str, u0_hat: SpectralField,
+                  f_hat: SpectralField | None, horizons, steps: int,
+                  params: SpaceParams, bank: FilterBank,
+                  a_regular_checked: bool = False) -> list[MaxRegReport]:
+    """Measure over each horizon, without storing a trajectory.
 
-
-def _constant_forcing_reports(system: str, flavor: str,
-                              u0_hat: dict[int, np.ndarray],
-                              f_hat: dict[int, np.ndarray] | None,
-                              accs: list) -> list[MaxRegReport]:
-    """The reports of _sweep_accumulators' accumulators, from the extension
-    spectra of the datum and of a constant forcing (None: no forcing), taken
-    as they are: a Stokes-type caller has projected both.
-
-    At p = 2 the nodes come from the closed form: the five shell Gram sums
-    are taken once and only the closed-form rows are evaluated per horizon.
-    At p != 2 each horizon steps a copy of the datum spectra (the stepper
-    updates its state in place) through the same forcing spectra.
+    Produces, horizon by horizon, the numbers of max_reg_report on the
+    stored trajectory of M = ``steps`` steps.  ``u0_hat`` and ``f_hat`` are
+    the extension spectra of the datum and of a constant forcing (None: no
+    forcing) as sweep_spectra or steady_sweep_spectra form them, measured as
+    they are and left unchanged, so several parameter sets can read the same
+    spectra.  The parameter guards of every report (completeness,
+    q = infinity) run before the spectra are read.  At p = 2 the five shell
+    Gram sums are taken once and only the closed-form rows are evaluated per
+    horizon, with no time stepping; at p != 2 each horizon steps a copy of
+    the datum spectra (the stepper updates its state in place) through the
+    same forcing spectra.
     """
-    if not accs:
-        return []
-    bank, params, grid = accs[0].bank, accs[0].params, accs[0].grid
+    if system not in SYSTEMS:
+        raise ValueError(f"unknown system {system!r}")
+    if not (isinstance(u0_hat, SpectralField)
+            and (f_hat is None or isinstance(f_hat, SpectralField))):
+        raise TypeError("max_reg_sweep measures extension spectra; form them "
+                        "from half-fields with sweep_spectra")
+    accs = [_MaxRegAccumulator(u0_hat.grid, bank, params, TimeGrid(h, steps),
+                               a_regular_checked) for h in horizons]
+    f_comps = None if f_hat is None else f_hat.comps
     if params.p == 2.0:
-        gram = _shell_grams(bank, u0_hat, f_hat or {})
+        gram = _shell_grams(bank, u0_hat.comps, f_comps or {})
         # the inputs are guarded on all shells, the forcing first; node 0's
         # E_u is the datum's G_uu
         for acc in accs:
@@ -797,72 +779,19 @@ def _constant_forcing_reports(system: str, flavor: str,
             for m0, e_u, e_dt in _closed_form_rows(bank, acc.tg, gram):
                 acc.shell_rows(m0, e_u, e_dt)
     else:
-        reader = _constant_reader(
-            None if f_hat is None
-            else _Input(flavor, hat=SpectralField(grid, f_hat)))
         for acc in accs:
-            datum = SpectralField(grid, {k: a.copy() for k, a in u0_hat.items()})
-            _integrate(reader, datum, flavor, acc.tg, acc.node, store=False)
-    return [acc.report(system) for acc in accs]
-
-
-def max_reg_sweep_spectra(system: str, u0_hat: SpectralField,
-                          f_hat: SpectralField | None, horizons, steps: int,
-                          params: SpaceParams,
-                          bank: FilterBank) -> list[MaxRegReport]:
-    """max_reg_sweep from spectra: the reports, horizon by horizon.
-
-    ``u0_hat`` and ``f_hat`` are the tangential-flavor extension spectra of
-    the datum and of a constant forcing (None: no forcing) as
-    steady_sweep_spectra forms them, measured as they are and left
-    unchanged, so several parameter sets can read the same spectra.  The
-    datum is not checked to be operator-regular, so q = infinity is refused.
-    """
-    if system not in SYSTEMS:
-        raise ValueError(f"unknown system {system!r}")
-    accs = _sweep_accumulators(u0_hat.grid, bank, params, horizons, steps,
-                               a_regular_checked=False)
-    return _constant_forcing_reports(
-        system, "Ht", u0_hat.comps, None if f_hat is None else f_hat.comps,
-        accs)
-
-
-def max_reg_sweep(system: str, f, u0: HalfField, horizons, steps: int,
-                  params: SpaceParams, bank: FilterBank,
-                  a_regular_checked: bool = False) -> list[MaxRegReport]:
-    """Solve and measure over each horizon, without storing a trajectory.
-
-    Produces, horizon by horizon, the numbers of max_reg_report on the
-    stored trajectory of M = ``steps`` steps.  The parameter guards of every
-    report (completeness, q = infinity) run before any transform.  With a
-    constant or absent forcing the datum and the forcing are transformed and
-    projected once (_sweep_spectra) and measured by the core
-    max_reg_sweep_spectra shares: at p = 2 from the closed form, their five
-    shell Gram sums taken once and only the closed-form rows evaluated per
-    horizon, with no time stepping and no transform per horizon or node; at
-    p != 2 by stepping the same spectra.  A callable or snapshot forcing runs
-    the solver per horizon with the report's accumulator as its observer.
-    """
-    if system not in SYSTEMS:
-        raise ValueError(f"unknown system {system!r}")
-    accs = _sweep_accumulators(u0.grid, bank, params, horizons, steps,
-                               a_regular_checked)
-    if f is None or isinstance(f, HalfField):
-        return _constant_forcing_reports(system, u0.flavor,
-                                         *_sweep_spectra(system, u0, f), accs)
-    for acc in accs:
-        if system == "hodge_heat":
-            solve_hodge_heat(f, u0, acc.tg.horizon, steps, observer=acc.node,
-                             store=False)
-        else:
-            solve_hodge_stokes(f, u0, acc.tg.horizon, steps, observer=acc.node,
-                               auto_project=True, store=False)
+            # the flavor tags node fields only, and a sweep forms none
+            stepper = _Stepper(u0_hat.map(np.copy), "Ht", acc.tg)
+            for m, t in enumerate(acc.tg.nodes()):
+                if m:
+                    stepper.advance(f_comps)
+                acc.node(m, t, stepper.state, f_comps)
     return [acc.report(system) for acc in accs]
 
 
 def streaming_max_reg(system: str, f, u0: HalfField, horizon: float, steps: int,
                       params: SpaceParams, bank: FilterBank,
                       a_regular_checked: bool = False) -> MaxRegReport:
-    """max_reg_sweep over the one horizon."""
-    return max_reg_sweep(system, f, u0, [horizon], steps, params, bank,
-                         a_regular_checked)[0]
+    """max_reg_sweep of the half-field datum and forcing over one horizon."""
+    return max_reg_sweep(system, *sweep_spectra(system, f, u0), [horizon],
+                         steps, params, bank, a_regular_checked)[0]

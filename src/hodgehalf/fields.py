@@ -148,9 +148,6 @@ class FieldCore:
             return self.comps[mask]
         return np.zeros(self._shape, dtype=complex)
 
-    def copy(self):
-        return self._like({m: a.copy() for m, a in self.comps.items()})
-
     def map(self, fn):
         return self._like({m: fn(a) for m, a in self.comps.items()})
 

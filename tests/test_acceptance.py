@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from hodgehalf import algebra as alg
-from hodgehalf.evolution import SpaceParams, streaming_max_reg
+from hodgehalf.evolution import SpaceParams, max_reg_sweep, sweep_spectra
 from hodgehalf.fields import Grid, random_form
 from hodgehalf.halfspace import (d_half, delta_half, extend,
                                  half_l2_inner, hodge_bc_residual,
@@ -322,16 +322,17 @@ def test_criterion_09_maxreg_uniformity():
     w2 = random_half_field(grid2, "Ht", [0b01, 0b10], seed=8,
                            kind="annulus_band", radii=(1.0, 1.3))
     u02 = u02 + 0.05 * leray_halfspace(w2)[0]
-    ratios = [streaming_max_reg("hodge_stokes", f2, u02, T, 256,
-                                SpaceParams(0.0, 2.0, 1.0), bank2).ratio
-              for T in horizons]
-    results[(0.0, 2.0, 1.0)] = ratios
+    spectra2 = sweep_spectra("hodge_stokes", f2, u02)
+    results[(0.0, 2.0, 1.0)] = [
+        rep.ratio for rep in max_reg_sweep("hodge_stokes", *spectra2, horizons,
+                                           256, SpaceParams(0.0, 2.0, 1.0),
+                                           bank2)]
 
     # the q = 2 parameter sets fail the completeness gate in dimension 2 ...
     for s in (0.0, 0.25):
         with pytest.raises(ValueError):
-            streaming_max_reg("hodge_stokes", f2, u02, 1.0, 4,
-                              SpaceParams(s, 2.0, 2.0), bank2)
+            max_reg_sweep("hodge_stokes", *spectra2, [1.0], 4,
+                          SpaceParams(s, 2.0, 2.0), bank2)
 
     # ... and run in dimension 3 where (C_{s+2-2/q, p, q}) holds
     grid3 = Grid(3, 32, 8.0)
@@ -344,11 +345,12 @@ def test_criterion_09_maxreg_uniformity():
     w3 = random_half_field(grid3, "Ht", masks3, seed=10, kind="annulus_band",
                            radii=(1.02, 1.3))
     u03 = u03 + 0.05 * leray_halfspace(w3)[0]
+    spectra3 = sweep_spectra("hodge_stokes", f3, u03)
     for s in (0.0, 0.25):
         results[(s, 2.0, 2.0)] = [
-            streaming_max_reg("hodge_stokes", f3, u03, T, 384,
-                              SpaceParams(s, 2.0, 2.0), bank3).ratio
-            for T in horizons]
+            rep.ratio for rep in max_reg_sweep("hodge_stokes", *spectra3,
+                                               horizons, 384,
+                                               SpaceParams(s, 2.0, 2.0), bank3)]
 
     elapsed = time.monotonic() - start
     drift = {k: max(v) / min(v) for k, v in results.items()}

@@ -14,7 +14,7 @@ import pytest
 
 from hodgehalf import halfspace
 from hodgehalf.cli import main
-from hodgehalf.evolution import SpaceParams, max_reg_sweep
+from hodgehalf.evolution import SpaceParams, max_reg_sweep, sweep_spectra
 from hodgehalf.fields import Grid, save_field
 from hodgehalf.halfspace import (d_half, extend_spectra, random_half_field,
                                  restrict_spectra)
@@ -667,7 +667,8 @@ def test_maxreg_spectral_datum_is_the_half_field_route(tmp_path, system):
                                 kind="annulus_band", radii=(1.0, 1.3))
     u0 = _steady_half_datum(forcing)
     bank = default_bank(grid)
-    sweeps = [max_reg_sweep(system, forcing, u0, horizons, steps,
+    spectra = sweep_spectra(system, forcing, u0)
+    sweeps = [max_reg_sweep(system, *spectra, horizons, steps,
                             SpaceParams(s, p, q), bank) for s, p, q in spq]
     # the command exits 1 exactly when the reference's ratio drifts over T
     drift = any(max(r.ratio for r in reps) > 1.1 * min(r.ratio for r in reps)

@@ -7,9 +7,9 @@ import pytest
 
 from hodgehalf.evolution import (SpaceParams, TimeGrid, _Stepper,
                                  make_a_regular, max_reg_report, max_reg_sweep,
-                                 max_reg_sweep_spectra, solve_hodge_heat,
-                                 solve_hodge_stokes, solve_navier_slip,
-                                 steady_sweep_spectra, streaming_max_reg)
+                                 solve_hodge_heat, solve_hodge_stokes,
+                                 solve_navier_slip, steady_sweep_spectra,
+                                 streaming_max_reg, sweep_spectra)
 from hodgehalf.fields import Grid, synthesize, TestFunctionSpec
 from hodgehalf.halfspace import (HalfField, d_half, delta_half, extend,
                                  extend_spectra, leray_halfspace,
@@ -109,20 +109,6 @@ def test_heat_self_convergence_second_order(grid):
     assert 3.6 <= errors[1] / errors[2] <= 4.4
 
 
-def test_heat_snapshot_forcing_matches_callable(grid):
-    u0 = random_half_field(grid, "Ht", [0], seed=4, width=1.5)
-    g = random_half_field(grid, "Ht", [0], seed=5, width=1.5)
-    times = TimeGrid(1.0, 16).nodes()
-    snaps = [float(np.cos(t)) * g for t in times]
-    traj_a = solve_hodge_heat(snaps, u0, 1.0, 16)
-    traj_b = solve_hodge_heat(lambda t: float(np.cos(t)) * g, u0, 1.0, 16)
-    diff = (traj_a.u[-1] - traj_b.u[-1]).l2_norm()
-    # snapshot averaging vs exact midpoint differ at second order only
-    assert diff <= 1e-3 * traj_b.u[-1].l2_norm()
-    with pytest.raises(ValueError):
-        solve_hodge_heat(snaps[:-1], u0, 1.0, 16)
-
-
 def test_stepper_in_place_updates_leave_inputs_alone():
     grid = Grid(2, 32, 8.0)
     tg = TimeGrid(1.0, 8)
@@ -139,7 +125,6 @@ def test_stepper_in_place_updates_leave_inputs_alone():
 
     absq = grid.freq_sq()
     naive = {m: np.fft.fftn(a) for m, a in extend(u0).comps.items()}
-    snapshots = []
     for _ in range(tg.steps):
         stepper.advance(f_hat)
         # u <- e^{dt Delta} u + dt e^{(dt/2) Delta} f_hat
@@ -150,13 +135,8 @@ def test_stepper_in_place_updates_leave_inputs_alone():
         assert set(stepper.state) == set(naive)
         for m, a in naive.items():
             assert np.abs(stepper.state[m] - a).max() <= 1e-14 * scale
-        snap = stepper.spectra()
-        snapshots.append((snap, {m: a.copy() for m, a in snap.items()}))
     for m, a in f_hat.items():
         assert np.array_equal(a, f_kept[m])
-    for snap, kept in snapshots:
-        for m, a in snap.items():
-            assert np.array_equal(a, kept[m])
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +287,7 @@ def test_navier_slip_momentum_self_convergence(grid):
         assert 3.6 <= r <= 4.4
 
 
-@pytest.mark.parametrize("kind", ["constant", "snapshots", "callable"])
+@pytest.mark.parametrize("kind", ["constant", "callable"])
 def test_navier_slip_pressure_comes_from_the_forcing_split(grid, monkeypatch,
                                                            kind):
     # one Leray split in spectra per distinct forcing input, shared by the
@@ -323,9 +303,6 @@ def test_navier_slip_pressure_comes_from_the_forcing_split(grid, monkeypatch,
     if kind == "constant":
         forcing, splits = g, 2
         node_inputs = [g] * (steps + 1)
-    elif kind == "snapshots":
-        forcing, splits = [float(np.cos(t)) * g for t in times], steps + 2
-        node_inputs = forcing
     else:
         # split at every midpoint and every stored node
         forcing, splits = (lambda t: float(np.cos(t)) * g), 2 * steps + 2
@@ -484,10 +461,12 @@ def test_max_reg_guards_the_datum_under_an_in_window_forcing(grid):
     params = SpaceParams(0.0, 2.0, 1.0)
     assert streaming_max_reg("hodge_stokes", f, steady_datum(f), 1.0, 16,
                              params, bank).ratio > 0
-    for forcing in (f, lambda t: f):  # closed form, stepped
-        with pytest.raises(ValueError, match="escapes the bank window"):
-            streaming_max_reg("hodge_stokes", forcing, u0, 1.0, 16, params,
-                              bank)
+    with pytest.raises(ValueError, match="escapes the bank window"):
+        streaming_max_reg("hodge_stokes", f, u0, 1.0, 16, params, bank)
+    # the stepped node path of the oracle
+    traj = solve_hodge_stokes(f, u0, 1.0, 16, auto_project=True)
+    with pytest.raises(ValueError, match="escapes the bank window"):
+        max_reg_report(traj, params, "hodge_stokes", bank)
 
 
 def test_p2_max_reg_builds_no_lattice_table(grid):
@@ -497,15 +476,21 @@ def test_p2_max_reg_builds_no_lattice_table(grid):
     f = random_half_field(grid, "Ht", [0b01, 0b10], seed=30,
                           kind="annulus_band", radii=(1.0, 2.2))
     u0 = steady_datum(f)
-    for forcing in (f, None, lambda t: f):  # closed form twice, stepped
-        max_reg_sweep("hodge_stokes", forcing, u0, [1.0, 4.0], 8,
-                      SpaceParams(0.0, 2.0, 1.0), bank)
+    p2 = SpaceParams(0.0, 2.0, 1.0)
+    for forcing in (f, None):  # closed form
+        spectra = sweep_spectra("hodge_stokes", forcing, u0)
+        max_reg_sweep("hodge_stokes", *spectra, [1.0, 4.0], 8, p2, bank)
         assert not {"abs_freq", "psi", "low", "phi_unit"} & vars(bank).keys()
-    max_reg_sweep("hodge_stokes", f, u0, [1.0], 2,
+    # stepped nodes, from the oracle
+    max_reg_report(solve_hodge_stokes(f, u0, 1.0, 8, auto_project=True), p2,
+                   "hodge_stokes", bank)
+    assert not {"abs_freq", "psi", "low", "phi_unit"} & vars(bank).keys()
+    spectra = sweep_spectra("hodge_stokes", f, u0)
+    max_reg_sweep("hodge_stokes", *spectra, [1.0], 2,
                   SpaceParams(0.0, 3.0, 1.0), bank)
     assert {"abs_freq", "psi"} <= vars(bank).keys()
     psi = bank.psi
-    max_reg_sweep("hodge_stokes", f, u0, [1.0], 2,
+    max_reg_sweep("hodge_stokes", *spectra, [1.0], 2,
                   SpaceParams(0.0, 3.0, 1.0), bank)
     assert bank.psi is psi
 
@@ -718,7 +703,8 @@ def test_max_reg_sweep_matches_per_horizon_reports(grid, system, params,
     # off equilibrium, so du/dt carries the datum's decay as well
     u0 = steady_datum(f) + 0.1 * solenoidal_field(grid, 41)
     horizons = [1.0, 4.0, 16.0]
-    swept = max_reg_sweep(system, f, u0, horizons, steps, params, bank)
+    swept = max_reg_sweep(system, *sweep_spectra(system, f, u0), horizons,
+                          steps, params, bank)
     assert [rep.horizon for rep in swept] == horizons
     for horizon, rep in zip(horizons, swept):
         one = streaming_max_reg(system, f, u0, horizon, steps, params, bank)
@@ -730,6 +716,30 @@ def test_max_reg_sweep_matches_per_horizon_reports(grid, system, params,
             want, got = getattr(oracle, key), getattr(rep, key)
             assert want > 0.0
             assert abs(got - want) <= 1e-12 * want, (horizon, key, got, want)
+
+
+def test_stepped_sweep_forms_no_node_field(monkeypatch):
+    # a p != 2 sweep reads every node from the stepper's spectra: no state or
+    # forcing goes back to a half-field
+    from hodgehalf import evolution
+
+    grid = Grid(2, 32, 8.0)
+    bank = default_bank(grid)
+    f = random_half_field(grid, "Ht", [0b01, 0b10], seed=45,
+                          kind="annulus_band", radii=(1.0, 2.2))
+    spectra = sweep_spectra("hodge_stokes", f, steady_datum(f))
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return restrict_spectra(*args, **kwargs)
+
+    monkeypatch.setattr(evolution, "restrict_spectra", counted)
+    reports = max_reg_sweep("hodge_stokes", *spectra, [1.0, 4.0], 4,
+                            SpaceParams(0.0, 3.0, 1.0), bank)
+    assert [rep.horizon for rep in reports] == [1.0, 4.0]
+    assert all(rep.ratio > 0.0 for rep in reports)
+    assert calls == []
 
 
 @pytest.mark.parametrize("system", ["hodge_heat", "hodge_stokes"])
@@ -749,13 +759,22 @@ def test_steady_sweep_spectra_serve_every_set_unchanged(grid, system):
     before = [{k: a.copy() for k, a in x.comps.items()} for x in (u0_hat, f_hat)]
     for params, steps in ((SpaceParams(0.0, 2.0, 1.0), 8),
                           (SpaceParams(0.0, 3.0, 1.0), 4)):
-        reports = max_reg_sweep_spectra(system, u0_hat, f_hat, [1.0, 4.0],
-                                        steps, params, bank)
+        reports = max_reg_sweep(system, u0_hat, f_hat, [1.0, 4.0], steps,
+                                params, bank)
         assert [rep.horizon for rep in reports] == [1.0, 4.0]
     for x, old in zip((u0_hat, f_hat), before):
         assert all(np.array_equal(x.comps[k], a) for k, a in old.items())
     with pytest.raises(ValueError, match="unknown system"):
         steady_sweep_spectra("bogus", f)
+    with pytest.raises(ValueError, match="unknown system"):
+        sweep_spectra("bogus", f, f)
+    # half-fields are not spectra, in either place
+    params = SpaceParams(0.0, 2.0, 1.0)
+    for datum, forcing in ((f, f), (f, None), (u0_hat, f)):
+        with pytest.raises(TypeError, match="sweep_spectra"):
+            max_reg_sweep(system, datum, forcing, [1.0], 8, params, bank)
+    with pytest.raises(TypeError, match="max_reg_report"):
+        sweep_spectra(system, lambda t: f, f)
     with pytest.raises(ValueError, match="tangential-flavor forcing"):
         steady_sweep_spectra(system, f.with_flavor("Hn"))
 
@@ -778,23 +797,23 @@ def test_closed_form_refuses_a_mean(grid, system):
                           kind="annulus_band", radii=(1.0, 2.2))
     u0 = steady_datum(f)
     params = SpaceParams(0.0, 2.0, 1.0)
-    assert max_reg_sweep(system, f, u0, [1.0, 4.0], 8, params, bank)
+    assert max_reg_sweep(system, *sweep_spectra(system, f, u0), [1.0, 4.0], 8,
+                         params, bank)
     for forcing, datum in ((_with_even_mean(f, 1e-9), u0),
                            (f, _with_even_mean(u0, 1e-9)),
                            (None, _with_even_mean(u0, 1e-9))):
         with pytest.raises(ValueError, match="Helmholtz-Leray projector "
                                              "needs a mean-free field"):
-            max_reg_sweep(system, forcing, datum, [1.0, 4.0], 8, params, bank)
+            max_reg_sweep(system, *sweep_spectra(system, forcing, datum),
+                          [1.0, 4.0], 8, params, bank)
 
 
 @pytest.mark.parametrize("system", ["hodge_stokes", "navier_slip"])
 def test_closed_form_refuses_a_non_tangential_flavor(grid, system):
-    bank = default_bank(grid)
     f = random_half_field(grid, "Ht", [0b01, 0b10], seed=43,
                           kind="annulus_band", radii=(1.0, 2.2))
     u0 = steady_datum(f)
-    params = SpaceParams(0.0, 2.0, 1.0)
     with pytest.raises(ValueError, match="uses the tangential flavor"):
-        max_reg_sweep(system, f, u0.with_flavor("N"), [1.0], 8, params, bank)
+        sweep_spectra(system, f, u0.with_flavor("N"))
     with pytest.raises(ValueError, match="acts on tangential-flavor fields"):
-        max_reg_sweep(system, f.with_flavor("Hn"), u0, [1.0], 8, params, bank)
+        sweep_spectra(system, f.with_flavor("Hn"), u0)
