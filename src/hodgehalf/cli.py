@@ -312,8 +312,9 @@ def run_maxreg(cfg: RunConfig) -> int:
     """Sweep maximal-regularity reports over (s, p, q) and T; emit CSV.
 
     The configuration is checked before any transform.  The forcing is
-    drawn and steady_sweep_spectra takes its extension spectra and splits
-    them once, forming the steady datum A^{-1} P f on the projected spectra,
+    drawn and steady_sweep_spectra takes its extension spectra once and
+    forms the steady datum on the spectra the system steps (A^{-1} P f,
+    split in spectra, for the Stokes-type systems; A^{-1} f for hodge_heat),
     never as a half-field; every accepted (s, p, q) is measured on those
     same spectra by max_reg_sweep.
     """

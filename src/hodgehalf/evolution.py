@@ -30,23 +30,30 @@ shell; and E_dt of du/dt.  The symbols are radial, so the shell sums are
 exact regroupings of the lattice sums.  Only the window's shells, where some
 block of the bank is nonzero, are summed; the leakage guard of an input reads
 all shells.  A stepped node reduces the stepper's spectra,
-du/dt = -|xi|^2 u_hat + f_hat summed pointwise.
+du/dt = -|xi|^2 u_hat + f_hat summed pointwise, to shell energies and those
+to block energies (shell_block_weights); stepped and closed-form nodes meet
+at the same block energies and one evaluator, block_besov_norm.
 
 max_reg_sweep is the one driver.  It measures a parameter set over every
 horizon from one pair of extension spectra, the datum's and those of a
 constant or absent forcing; nothing but the node times depends on the
 horizon.  At p = 2 it does not step: the stepper's recurrence sums in closed
-form, and five per-shell Gram sums of the datum and the forcing, taken once,
-give E_u and E_dt at every node of every horizon on the window's shells
-(_closed_form_rows).  There du/dt is written in the basis (r, f),
-r = u0 - f / |xi|^2 the datum less the steady state, since in the basis
-(u0, f) a steady datum leaves du/dt as the difference of O(1) terms.  At
-p != 2 it steps a copy of the datum spectra per horizon and reads each node
-from the stepper's spectra.  Two builders form the spectra, each
-Leray-projected in spectra for the Stokes-type systems (leray_hat, no
-physical P u0 or P f): sweep_spectra from a datum and a forcing, one
-transform per component of each, and steady_sweep_spectra from a forcing
-alone, the steady datum A^{-1} P f built on the forcing's projected spectra;
+form (_closed_form), and five per-shell Gram sums of the datum and the
+forcing, taken once, make E_u and E_dt on each of the window's shells a
+quadratic form in a = e^{-t lam} and b = 1 - a.  A p = 2 block energy is
+linear in the shell energies, so the coefficients, folded once per horizon
+with the bank's block weights (_block_table), take the monomials a^2, ab
+and b^2 of a block of nodes to the block energies of u, its Hessian and
+du/dt in one matrix product; no per-shell row is formed.  There du/dt is
+written in the basis (r, f), r = u0 - f / |xi|^2 the datum less the steady
+state, since in the basis (u0, f) a steady datum leaves du/dt as the
+difference of O(1) terms.  At p != 2 it steps a copy of the datum spectra
+per horizon and reads each node from the stepper's spectra.  Two builders
+form the spectra, each Leray-projected in spectra for the Stokes-type
+systems (leray_hat, no physical P u0 or P f): sweep_spectra from a datum
+and a forcing, one transform per component of each, and
+steady_sweep_spectra from a forcing alone, the steady datum A^{-1} f_hat
+built on the spectra f_hat the system steps (P f, or f for hodge_heat);
 hodgehalf maxreg forms them once and measures every (s, p, q) on them.
 max_reg_report measures a stored trajectory of any forcing, time-dependent
 ones included; it is the oracle the driver is tested against.  Both refuse
@@ -65,9 +72,10 @@ import numpy as np
 from .fields import Grid, SpectralField
 from .halfspace import (HalfField, extend_spectra, half_l2_norm_from_spectra,
                         leray_halfspace_hat, restrict_spectra)
-from .littlewood_paley import (FilterBank, SpaceParams, completeness_ok,
-                               lp_besov_norm, require_in_window,
-                               shell_besov_norm)
+from .littlewood_paley import (FilterBank, SpaceParams, block_besov_norm,
+                               completeness_ok, lp_besov_norm,
+                               require_in_window, shell_besov_norm,
+                               shell_block_weights)
 from .operators import frac_symbol, leray_hat, resolvent_hat
 
 SYSTEMS = ("hodge_heat", "hodge_stokes", "navier_slip")
@@ -117,10 +125,8 @@ class _Stepper:
     the state arrays in place.
     """
 
-    def __init__(self, u0_hat: SpectralField, flavor: str,
-                 time_grid: TimeGrid):
+    def __init__(self, u0_hat: SpectralField, time_grid: TimeGrid):
         self.grid = u0_hat.grid
-        self.flavor = flavor
         absq = self.grid.freq_sq()
         dt = time_grid.dt
         self.full_step = np.exp(-dt * absq)
@@ -130,10 +136,6 @@ class _Stepper:
         # forcing passes the same dict at every step
         self._forcing = None
         self._terms = {}
-
-    def field(self) -> HalfField:
-        return restrict_spectra(SpectralField(self.grid, self.state),
-                                self.flavor)
 
     def advance(self, f_mid_hat: dict[int, np.ndarray] | None):
         for a in self.state.values():
@@ -207,12 +209,13 @@ def _integrate(reader, u0_hat: SpectralField, flavor: str, tg: TimeGrid,
     """Step the datum spectra u0_hat through the forcing ``reader``
     (_forcing_reader) and visit the nodes.
 
-    A node's forcing input is read once and serves its snapshot, its
-    gradient part (appended to ``gradients`` when given) and the observer.
-    Trajectory.u0 is ``u0``, or the node-0 field when None.
+    A kept node is restricted to a ``flavor`` half-field.  A node's forcing
+    input is read once and serves its snapshot, its gradient part (appended
+    to ``gradients`` when given) and the observer.  Trajectory.u0 is
+    ``u0``, or the node-0 field when None.
     """
     mid, node = reader
-    stepper = _Stepper(u0_hat, flavor, tg)
+    stepper = _Stepper(u0_hat, tg)
     times = tg.nodes()
     u_nodes, f_nodes = [], []
 
@@ -222,7 +225,8 @@ def _integrate(reader, u0_hat: SpectralField, flavor: str, tg: TimeGrid,
             return
         entry = node(m, times[m])
         if keep:
-            u_nodes.append(stepper.field())
+            u_nodes.append(restrict_spectra(
+                SpectralField(stepper.grid, stepper.state), flavor))
             f_nodes.append(None if entry is None else entry.field)
         if gradients is not None and entry is not None:
             gradients.append(entry.grad)
@@ -401,9 +405,8 @@ class _MaxRegAccumulator:
     derived spectra are not.  forcing() and node() guard on all shells;
     the closed form's caller guards its datum itself.  The norm of a
     forcing seen at consecutive nodes is computed once.  At p = 2 the nodes
-    arrive as rows of shell energies (E_u, E_dt) on the window's shells, from
-    the stepper's spectra (node) or from the closed form (shell_rows
-    directly).
+    arrive as block energies of u, its Hessian and du/dt (blocks), from the
+    stepper's spectra (node) or from the closed form directly.
     """
 
     def __init__(self, grid: Grid, bank: FilterBank, params: SpaceParams,
@@ -485,9 +488,13 @@ class _MaxRegAccumulator:
             require_in_window(bank, e_u, params.homogeneous)
         dudt = self._time_derivative(state, fhat)
         if params.p == 2.0:
-            e_dt = bank.shell_energy(a for _, a in dudt)
             window = bank.window_shells
-            self.shell_rows(m, e_u[None, window], e_dt[None, window])
+            e_u = e_u[window]
+            e_dt = bank.shell_energy(a for _, a in dudt)[window]
+            # |Hessian|^2 = |xi|^4 |u_hat|^2 pointwise
+            shells = np.stack((e_u, bank.window_absq ** 2 * e_u, e_dt))
+            weights = shell_block_weights(params.homogeneous, bank)
+            self.blocks(m, (shells @ weights.T)[None])
             return
         interp = lp_besov_norm(self.interp, SpectralField(grid, state), bank)
         dudt = SpectralField(grid, {k: a.copy() for k, a in dudt})
@@ -495,17 +502,17 @@ class _MaxRegAccumulator:
         evol = lp_besov_norm(params, dudt, bank) + lp_besov_norm(params, hess, bank)
         self._add(m, np.array([interp]), np.array([evol]))
 
-    def shell_rows(self, m0: int, e_u: np.ndarray, e_dt: np.ndarray):
-        """p = 2 nodes m0, m0 + 1, ... from rows of shell energies of u and
-        du/dt on the window's shells (FilterBank.window_shells).
+    def blocks(self, m0: int, energies: np.ndarray):
+        """p = 2 nodes m0, m0 + 1, ... from their block energies.
 
-        The caller has guarded the datum's energy on all shells.
+        ``energies[m, i]`` holds the energies of the blocks of
+        shell_block_weights of u (i = 0), its Hessian (1) and du/dt (2) at
+        node m0 + m.  The caller has guarded the datum's energy on all shells.
         """
         bank, params = self.bank, self.params
-        interp = shell_besov_norm(self.interp, e_u, bank)
-        # |Hessian|^2 = |xi|^4 |u_hat|^2 pointwise
-        evol = (shell_besov_norm(params, e_dt, bank)
-                + shell_besov_norm(params, bank.window_absq ** 2 * e_u, bank))
+        interp = block_besov_norm(self.interp, energies[:, 0], bank)
+        evol = (block_besov_norm(params, energies[:, 2], bank)
+                + block_besov_norm(params, energies[:, 1], bank))
         self._add(m0, interp, evol)
 
     def _add(self, m0: int, interp: np.ndarray, evol: np.ndarray):
@@ -542,9 +549,10 @@ class _MaxRegAccumulator:
                             self.lq_forcing(), self.rhs_u0, ratio)
 
 
-# nodes x shells entries per block of the closed-form tables, about the size
-# of one lattice array
+# nodes x shells entries per block of the closed-form monomials (three per
+# shell), about the size of one lattice array
 _BLOCK_ENTRIES = 1 << 14
+_EXP_FLOOR = 350.0
 
 
 def _x_over_sinh(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -610,64 +618,108 @@ def _shell_grams(bank: FilterBank, u_hat: dict[int, np.ndarray],
                        bank.shell_energy(r_hat.values()), cross(r_hat, f_hat))
 
 
-def _closed_form_rows(bank: FilterBank, tg: TimeGrid, gram: _ShellGrams):
-    """Shell energies (E_u, E_dt) of the stepped trajectory, blocks of nodes.
+@dataclass
+class _ClosedForm:
+    """Coefficients of the closed form's shell energies on the window's shells.
+
+    Rows k = 0, 1, 2 weigh the monomials a^2, ab and b^2 of _monomials:
+    E_u = sum_k u[k] m_k and E_dt = sum_k dt[k] m_k shell by shell.  On the
+    zero shell (a = 1, b = 0) E_u also adds flat[0] t + flat[1] t^2.
+    """
+
+    u: np.ndarray
+    dt: np.ndarray
+    flat: np.ndarray
+
+
+def _closed_form(lam: np.ndarray, dt: float, gram: _ShellGrams) -> _ClosedForm:
+    """The closed form of the stepped trajectory's shell energies.
 
     The stepper's recurrence u_{m+1} = e^{-dt lam} u_m + dt e^{-dt lam / 2} f
-    with a constant f sums to u_m = a u0 + g f, with a = e^{-t_m lam},
-    g = (1 - a)(x / sinh x) / lam and x = lam dt / 2, and its mild time
-    derivative -lam u_m + f to -lam a r + c f, with c = (1 - a)(1 - x / sinh x)
-    (lam = 0: g = t_m, c = 1).  Each coefficient depends on |k|^2 alone, so
-    the energies are quadratic forms in the per-shell Gram sums.  In the
-    (r, f) basis a steady datum (r ~ 0) leaves E_dt ~ c^2 G_ff with no
-    cancellation of O(1) terms.  Only the window's shells are evaluated
-    (FilterBank.window_shells, the Gram sums restricted to them): no block
-    weighs the others.  Yields (m0, E_u, E_dt), rows m0, m0 + 1, ... on those
-    shells.
+    with a constant f sums to u_m = a u0 + b (rho / lam) f, with a = e^{-t_m
+    lam}, b = 1 - a and rho = x / sinh x, x = lam dt / 2, and its mild time
+    derivative -lam u_m + f to -lam a r + b rest f, rest = 1 - rho.  So
+    E_u = a^2 G_uu + ab 2 (rho / lam) G_uf + b^2 (rho / lam)^2 G_ff and
+    E_dt = a^2 lam^2 G_rr - ab 2 lam rest G_rf + b^2 rest^2 G_ff.  On the
+    zero shell u_m = u0 + t_m f and du/dt = f.  In the (r, f) basis a steady
+    datum (r ~ 0) leaves E_dt ~ b^2 rest^2 G_ff with no cancellation of O(1)
+    terms.  ``lam`` and ``gram`` are on the window's shells, the zero shell
+    first.
+    """
+    rho, rest = _x_over_sinh(0.5 * dt * lam)
+    rho_over_lam = np.divide(rho, lam, out=np.zeros_like(lam), where=lam > 0)
+    u_coef = np.stack((gram.uu, 2.0 * rho_over_lam * gram.uf,
+                       rho_over_lam ** 2 * gram.ff))
+    dt_coef = np.stack((lam ** 2 * gram.rr, -2.0 * lam * rest * gram.rf,
+                        rest ** 2 * gram.ff))
+    dt_coef[0, 0] = gram.ff[0]
+    return _ClosedForm(u_coef, dt_coef,
+                       np.array([2.0 * gram.uf[0], gram.ff[0]]))
+
+
+def _monomials(t: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """Rows (a^2, ab, b^2 on each shell of ``lam``, then t, t^2) at the node
+    times ``t``, a column: a = e^{-t lam} and b = 1 - a = -expm1(-t lam).
+
+    -t lam is floored at -_EXP_FLOOR.  An a below e^{-350} ~ 1e-152 moves
+    a block energy by under 1e-152 of node 0's or of the node's own b^2
+    terms, far below what a double resolves; floored there, a^2 stays a
+    normal number, where np.exp and the products would take their subnormal
+    path, tens of times slower per element.
+    """
+    shells = lam.size
+    out = np.empty((t.shape[0], 3 * shells + 2))
+    b = np.multiply(-t, lam)
+    np.maximum(b, -_EXP_FLOOR, out=b)
+    a = np.exp(b)
+    np.expm1(b, out=b)
+    np.negative(b, out=b)
+    np.multiply(a, a, out=out[:, :shells])
+    np.multiply(a, b, out=out[:, shells:2 * shells])
+    np.multiply(b, b, out=out[:, 2 * shells:3 * shells])
+    out[:, -2:] = t ** np.arange(1, 3)
+    return out
+
+
+def _block_table(form: _ClosedForm, weights: np.ndarray,
+                 lam: np.ndarray) -> np.ndarray:
+    """The closed form folded with the block weights (shell_block_weights).
+
+    Row i of the table weighs monomial i of _monomials; column c * blocks + j
+    gives block j's energy of u (c = 0), of its Hessian, |xi|^4 E_u (1), and
+    of du/dt (2).  The t and t^2 rows reach only the zero shell's E_u, which
+    the Hessian weighs by |xi|^4 = 0.
+    """
+    blocks = weights.shape[0]
+    coef = np.stack((form.u, lam ** 2 * form.u, form.dt), axis=-1)
+    table = np.zeros((coef.shape[0] * coef.shape[1] + 2, 3, blocks))
+    table[:-2] = (coef[..., None]
+                  * weights.T[:, None, :]).reshape(-1, 3, blocks)
+    table[-2:, 0] = form.flat[:, None] * weights[:, 0]
+    return table.reshape(table.shape[0], 3 * blocks)
+
+
+def _closed_form_energies(bank: FilterBank, tg: TimeGrid, gram: _ShellGrams,
+                          weights: np.ndarray) -> np.ndarray:
+    """Block energies of the stepped trajectory at every node, as
+    _MaxRegAccumulator.blocks takes them.
+
+    ``gram`` holds the Gram sums on the window's shells, the only ones
+    evaluated, as no block weighs the others.  One matrix product per block
+    of nodes, their monomials by _block_table, gives the energies of every
+    block of u, its Hessian and du/dt.
     """
     lam = bank.window_absq
-    gram = gram.on(bank.window_shells)
-    flat = lam == 0.0
-    rho, rest = _x_over_sinh(0.5 * tg.dt * lam)
-    rho_over_lam = np.divide(rho, lam, out=np.zeros_like(lam), where=~flat)
+    table = _block_table(_closed_form(lam, tg.dt, gram), weights, lam)
     times = tg.nodes()
+    out = np.empty((times.size, table.shape[1]))
     block = max(1, _BLOCK_ENTRIES // lam.size)
     for m0 in range(0, times.size, block):
-        t = times[m0:m0 + block, None]
-        # the arithmetic, in its order, of a = e^{-t lam},
-        # e_u = a a G_uu + 2 a g G_uf + g g G_ff and
-        # e_dt = la la G_rr - 2 la c G_rf + c c G_ff, through out= arrays
-        c = np.multiply(-t, lam)
-        a = np.exp(c)
-        np.expm1(c, out=c)
-        np.negative(c, out=c)  # 1 - a
-        g = np.multiply(c, rho_over_lam)
-        g[:, flat] = t
-        c *= rest
-        c[:, flat] = 1.0
-        e_u = np.multiply(a, a)
-        e_u *= gram.uu
-        work = np.multiply(2.0, a)
-        work *= g
-        work *= gram.uf
-        e_u += work
-        np.multiply(g, g, out=work)
-        work *= gram.ff
-        e_u += work
-        la = np.multiply(lam, a, out=a)
-        e_dt = np.multiply(la, la)
-        e_dt *= gram.rr
-        np.multiply(2.0, la, out=work)
-        work *= c
-        work *= gram.rf
-        e_dt -= work
-        np.multiply(c, c, out=work)
-        work *= gram.ff
-        e_dt += work
-        # round-off can take a near-zero quadratic form below 0
-        np.maximum(e_u, 0.0, out=e_u)
-        np.maximum(e_dt, 0.0, out=e_dt)
-        yield m0, e_u, e_dt
+        np.matmul(_monomials(times[m0:m0 + block, None], lam), table,
+                  out=out[m0:m0 + block])
+    # round-off can take a near-zero block energy below 0
+    np.maximum(out, 0.0, out=out)
+    return out.reshape(times.size, 3, weights.shape[0])
 
 
 def make_a_regular(seed_field: HalfField) -> HalfField:
@@ -724,11 +776,12 @@ def sweep_spectra(system: str, f: HalfField | None,
 def steady_sweep_spectra(system: str,
                          f: HalfField) -> tuple[SpectralField, SpectralField]:
     """Extension spectra (u0_hat, f_hat) of a sweep from the steady datum
-    A^{-1} P f of the constant forcing ``f``, for max_reg_sweep.
+    A^{-1} f_hat of the constant forcing ``f``, for max_reg_sweep.
 
-    The forcing's extension spectra are taken and Leray-split once, and the
-    datum is formed on the projected spectra, never as a half-field.  The
-    Stokes-type systems step P f, hodge_heat the forcing as given.
+    The forcing's extension spectra are taken once, and the datum is formed
+    on the spectra the system steps, never as a half-field: the Stokes-type
+    systems step P f, Leray-split in spectra, hodge_heat the forcing as
+    given.
     """
     if system not in SYSTEMS:
         raise ValueError(f"unknown system {system!r}")
@@ -736,9 +789,9 @@ def steady_sweep_spectra(system: str,
         raise ValueError("the steady datum A^{-1} P f needs a tangential-flavor "
                          "forcing")
     f_hat = extend_spectra(f)
-    pf_hat = leray_hat(f_hat)[0]
-    return (pf_hat.apply_multiplier(frac_symbol(f.grid, -2.0)),
-            f_hat if system == "hodge_heat" else pf_hat)
+    if system != "hodge_heat":
+        f_hat = leray_hat(f_hat)[0]
+    return f_hat.apply_multiplier(frac_symbol(f.grid, -2.0)), f_hat
 
 
 def max_reg_sweep(system: str, u0_hat: SpectralField,
@@ -754,10 +807,10 @@ def max_reg_sweep(system: str, u0_hat: SpectralField,
     they are and left unchanged, so several parameter sets can read the same
     spectra.  The parameter guards of every report (completeness,
     q = infinity) run before the spectra are read.  At p = 2 the five shell
-    Gram sums are taken once and only the closed-form rows are evaluated per
-    horizon, with no time stepping; at p != 2 each horizon steps a copy of
-    the datum spectra (the stepper updates its state in place) through the
-    same forcing spectra.
+    Gram sums are taken once and each horizon sums the closed form straight
+    into block energies, with no time stepping; at p != 2 each horizon steps
+    a copy of the datum spectra (the stepper updates its state in place)
+    through the same forcing spectra.
     """
     if system not in SYSTEMS:
         raise ValueError(f"unknown system {system!r}")
@@ -775,13 +828,13 @@ def max_reg_sweep(system: str, u0_hat: SpectralField,
         for acc in accs:
             acc.forcing(None if f_hat is None else gram.ff)
         require_in_window(bank, gram.uu, params.homogeneous)
+        gram = gram.on(bank.window_shells)
+        weights = shell_block_weights(params.homogeneous, bank)
         for acc in accs:
-            for m0, e_u, e_dt in _closed_form_rows(bank, acc.tg, gram):
-                acc.shell_rows(m0, e_u, e_dt)
+            acc.blocks(0, _closed_form_energies(bank, acc.tg, gram, weights))
     else:
         for acc in accs:
-            # the flavor tags node fields only, and a sweep forms none
-            stepper = _Stepper(u0_hat.map(np.copy), "Ht", acc.tg)
+            stepper = _Stepper(u0_hat.map(np.copy), acc.tg)
             for m, t in enumerate(acc.tg.nodes()):
                 if m:
                     stepper.advance(f_comps)

@@ -22,8 +22,12 @@ it only regroups the terms of the sum.  The band sums read only the window's
 shells (FilterBank.window_shells), those where some psi_j or the unit-scale
 low pass is nonzero; every other shell would add an exact zero.  The leakage
 guard still reads every shell, since leakage is the mass outside the window.
-The lattice tables (abs_freq, psi, low, phi_unit) serve the physical-space
-blocks and the Sobolev norms and are built on first use.
+A block energy is linear in the shell energies, one row of
+shell_block_weights, and block_besov_norm is the one p = 2 evaluator, from
+block energies however they were summed: shell_besov_norm takes them from
+shell energies, evolution's closed form folds the weights into its own
+table.  The lattice tables (abs_freq, psi, low, phi_unit) serve the
+physical-space blocks and the Sobolev norms and are built on first use.
 """
 
 from __future__ import annotations
@@ -254,6 +258,34 @@ def _block_labels(params: SpaceParams, bank: FilterBank) -> list[int]:
     return [-1] + [j for j in bank.window if j >= 0]
 
 
+def shell_block_weights(homogeneous: bool, bank: FilterBank) -> np.ndarray:
+    """(blocks, window shells) weights of the p = 2 block energies.
+
+    Row i weighs the shells of the i-th block of _block_labels: psi_j^2 over
+    the window (FilterBank.shell_psi_sq) for homogeneous norms; the unit-scale
+    low pass squared and the j >= 0 rows for inhomogeneous ones.  Read from
+    the bank at every call.
+    """
+    if homogeneous:
+        return bank.shell_psi_sq
+    return np.vstack((bank.shell_phi_unit_sq,
+                      bank.shell_psi_sq[np.asarray(bank.window) >= 0]))
+
+
+def block_besov_norm(params: SpaceParams, band_sq: np.ndarray,
+                     bank: FilterBank):
+    """p = 2 Besov norm from the energies of its dyadic blocks.
+
+    ``band_sq`` holds the block energies, shell energies on the window's
+    shells times shell_block_weights, with shape (blocks,) or (rows, blocks);
+    the result is a float or one norm per row.
+    """
+    labels = np.asarray(_block_labels(params, bank), dtype=float)
+    scale = bank.grid.cell_volume / bank.grid.points ** bank.grid.n
+    return _lq_aggregate(np.sqrt(band_sq * scale), 2.0 ** (params.s * labels),
+                         params.q)
+
+
 def shell_besov_norm(params: SpaceParams, energy: np.ndarray,
                      bank: FilterBank):
     """p = 2 Besov norm from per-shell energies on the window's shells.
@@ -266,17 +298,8 @@ def shell_besov_norm(params: SpaceParams, energy: np.ndarray,
     time derivative that is round-off everywhere carries no meaningful
     leakage fraction.
     """
-    labels = _block_labels(params, bank)
-    band_sq = (bank.shell_psi_sq @ energy.T).T
-    if not params.homogeneous:
-        # the j >= 0 scales close the window
-        low = np.asarray(bank.shell_phi_unit_sq @ energy.T)
-        band_sq = np.concatenate((low[..., None],
-                                  band_sq[..., bank.shell_psi_sq.shape[0]
-                                          - len(labels) + 1:]), axis=-1)
-    scale = bank.grid.cell_volume / bank.grid.points ** bank.grid.n
-    weights = 2.0 ** (params.s * np.asarray(labels, dtype=float))
-    return _lq_aggregate(np.sqrt(band_sq * scale), weights, params.q)
+    weights = shell_block_weights(params.homogeneous, bank)
+    return block_besov_norm(params, energy @ weights.T, bank)
 
 
 def besov_norm(params: SpaceParams, u: FormField, bank: FilterBank) -> float:

@@ -641,17 +641,20 @@ def test_maxreg_fft_count(tmp_path, fft_counts, monkeypatch, n, points):
     assert seen == [expected] * 8
 
 
-def _steady_half_datum(forcing):
-    """The steady datum as a half-field, restrict_spectra(A^{-1} P f_hat)."""
-    pf_hat = leray_hat(extend_spectra(forcing))[0]
-    return restrict_spectra(pf_hat.apply_multiplier(
+def _steady_half_datum(system, forcing):
+    """The steady datum as a half-field, restrict_spectra(A^{-1} f_hat) of
+    the spectra the system steps: P f_hat, or f_hat for hodge_heat."""
+    f_hat = extend_spectra(forcing)
+    if system != "hodge_heat":
+        f_hat = leray_hat(f_hat)[0]
+    return restrict_spectra(f_hat.apply_multiplier(
         frac_symbol(forcing.grid, -2.0)), forcing.flavor)
 
 
 @pytest.mark.parametrize("system", ["hodge_stokes", "hodge_heat"])
 def test_maxreg_spectral_datum_is_the_half_field_route(tmp_path, system):
-    # the command measures its steady datum on the forcing's projected
-    # spectra; max_reg_sweep on the restricted datum, re-extended and
+    # the command measures its steady datum on the spectra the system
+    # steps; max_reg_sweep on the restricted datum, re-extended and
     # re-projected, must give the same rows to round-off (the CSV keeps 12
     # digits), for a closed-form p = 2 set and a stepped p = 3 set
     grid = Grid(2, 32, 8.0)
@@ -665,7 +668,7 @@ def test_maxreg_spectral_datum_is_the_half_field_route(tmp_path, system):
     rows = read_csv(tmp_path / "maxreg.csv")
     forcing = random_half_field(grid, "Ht", [0b01, 0b10], seed=4,
                                 kind="annulus_band", radii=(1.0, 1.3))
-    u0 = _steady_half_datum(forcing)
+    u0 = _steady_half_datum(system, forcing)
     bank = default_bank(grid)
     spectra = sweep_spectra(system, forcing, u0)
     sweeps = [max_reg_sweep(system, *spectra, horizons, steps,
@@ -684,6 +687,37 @@ def test_maxreg_spectral_datum_is_the_half_field_route(tmp_path, system):
             assert ref[key] > 0.0
             assert abs(float(got[key]) - ref[key]) <= 1e-11 * ref[key], \
                 (got, ref, key)
+
+
+def test_maxreg_heat_datum_is_steady(tmp_path, monkeypatch):
+    # hodge_heat steps the forcing as drawn, so its steady datum is A^{-1} f:
+    # on the README configuration the ratio holds over T.  The Stokes datum
+    # A^{-1} P f is not steady for it, and the drift check must see that
+    from hodgehalf import cli
+
+    cfg = write_config(tmp_path, {
+        "grid": {"n": 2, "points": 128, "length": 16.0},
+        "system": "hodge_heat", "spq": [[0.0, 2.0, 1.0], [0.0, 2.0, 2.0]],
+        "T": [1.0, 10.0, 100.0], "M": 256, "radii": [1.0, 1.3]})
+
+    def spread(code):
+        rows = read_csv(tmp_path / "maxreg_spread.csv")
+        assert len(rows) == 1
+        return code, float(rows[0]["spread"])
+
+    code, value = spread(main(["maxreg", "--config", cfg, "--out",
+                               str(tmp_path)]))
+    assert code == 0 and value <= 1.1
+
+    def projected_datum(system, forcing):
+        f_hat = extend_spectra(forcing)
+        return (leray_hat(f_hat)[0].apply_multiplier(
+            frac_symbol(forcing.grid, -2.0)), f_hat)
+
+    monkeypatch.setattr(cli, "steady_sweep_spectra", projected_datum)
+    code, value = spread(main(["maxreg", "--config", cfg, "--out",
+                               str(tmp_path)]))
+    assert code == 1 and value > 1.1
 
 
 @pytest.mark.parametrize("spq", [[[0.0, 2.0, 2.0]], [[0.0, 2.0, 1.0]]],

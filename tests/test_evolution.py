@@ -120,7 +120,7 @@ def test_stepper_in_place_updates_leave_inputs_alone():
                           kind="annulus_band", radii=(1.0, 2.5))
     f_hat = {m: np.fft.fftn(a) for m, a in extend(f).comps.items()}
     f_kept = {m: a.copy() for m, a in f_hat.items()}
-    stepper = _Stepper(extend_spectra(u0), "Ht", tg)
+    stepper = _Stepper(extend_spectra(u0), tg)
     assert 0b10 not in stepper.state and 0b10 in f_hat
 
     absq = grid.freq_sq()
@@ -561,13 +561,9 @@ def test_closed_form_report_matches_the_stepped_trajectory(grid, monkeypatch,
 
     bank = default_bank(grid)
     steps = 32
-    for name, (system, f, u0, params, regular) in _closed_form_cases(grid).items():
-        if system == "hodge_heat":
-            traj = solve_hodge_heat(f, u0, horizon, steps)
-        else:
-            traj = solve_hodge_stokes(f, u0, horizon, steps, auto_project=True)
-        stepped = max_reg_report(traj, params, system, bank,
-                                 a_regular_checked=regular)
+    for name, case in _closed_form_cases(grid).items():
+        system, f, u0, params, regular = case
+        stepped = _stepped_report(case, bank, horizon, steps)
         with monkeypatch.context() as patch:
             # the closed form takes no step
             patch.setattr(evolution, "_Stepper", None)
@@ -580,6 +576,103 @@ def test_closed_form_report_matches_the_stepped_trajectory(grid, monkeypatch,
             assert closed.rhs_initial_norm == 0.0
         elif name != "stokes-no_forcing":
             assert closed.rhs_forcing_norm > 0.0 and closed.ratio > 0.0
+
+
+def _stepped_report(case, bank, horizon, steps):
+    """max_reg_report of a _closed_form_cases case on its stored trajectory."""
+    system, f, u0, params, regular = case
+    if system == "hodge_heat":
+        traj = solve_hodge_heat(f, u0, horizon, steps)
+    else:
+        traj = solve_hodge_stokes(f, u0, horizon, steps, auto_project=True)
+    return max_reg_report(traj, params, system, bank,
+                          a_regular_checked=regular)
+
+
+@pytest.fixture(scope="module")
+def stepped_reports():
+    """(bank, cases, stepped): the _closed_form_cases on the ``grid``
+    fixture's grid and their stepped reports at T = 1 and 100, 32 steps."""
+    grid = Grid(2, 64, 8.0)
+    bank = default_bank(grid)
+    cases = _closed_form_cases(grid)
+    stepped = {(name, horizon): _stepped_report(case, bank, horizon, 32)
+               for name, case in cases.items() for horizon in (1.0, 100.0)}
+    return bank, cases, stepped
+
+
+def _mutate_closed_form(monkeypatch, change):
+    from hodgehalf import evolution
+
+    real = evolution._closed_form
+
+    def mutant(*args):
+        form = real(*args)
+        change(form)
+        return form
+
+    monkeypatch.setattr(evolution, "_closed_form", mutant)
+
+
+def _flip_dt_cross_sign(monkeypatch):
+    # E_dt's ab coefficient, -2 lam rest G_rf, with the wrong sign
+    def change(form):
+        form.dt[1] *= -1.0
+
+    _mutate_closed_form(monkeypatch, change)
+
+
+def _halve_u_cross(monkeypatch):
+    # E_u's ab coefficient, 2 (rho / lam) G_uf, without its factor 2
+    def change(form):
+        form.u[1] *= 0.5
+
+    _mutate_closed_form(monkeypatch, change)
+
+
+def _drop_flat_t2(monkeypatch):
+    # the zero shell's E_u without its t^2 G_ff
+    def change(form):
+        form.flat[1] = 0.0
+
+    _mutate_closed_form(monkeypatch, change)
+
+
+def _zero_weight_row(monkeypatch):
+    # the table folds a zeroed row of the block weights
+    from hodgehalf import evolution
+
+    real = evolution._block_table
+
+    def mutant(form, weights, lam):
+        weights = weights.copy()
+        weights[1] = 0.0
+        return real(form, weights, lam)
+
+    monkeypatch.setattr(evolution, "_block_table", mutant)
+
+
+@pytest.mark.parametrize("mutate", [_flip_dt_cross_sign, _halve_u_cross,
+                                    _drop_flat_t2, _zero_weight_row],
+                         ids=["dt_cross_sign", "u_cross_factor", "flat_t2",
+                              "weight_row"])
+def test_closed_form_catches_a_mutant(stepped_reports, monkeypatch, mutate):
+    # each piece of the closed form's block table shows: on some case and
+    # horizon the mutated closed form misses the stepped report by more than
+    # the 1e-12 of test_closed_form_report_matches_the_stepped_trajectory
+    # (the zero shell's t^2 G_ff only once the mean's growth sets the sup)
+    bank, cases, stepped = stepped_reports
+    mutate(monkeypatch)
+    missed = []
+    for name, horizon in stepped:
+        system, f, u0, params, regular = cases[name]
+        closed = streaming_max_reg(system, f, u0, horizon, 32, params, bank,
+                                   a_regular_checked=regular)
+        want = stepped[name, horizon]
+        missed += [(name, horizon, key) for key in REPORT_FIELDS
+                   if abs(getattr(closed, key) - getattr(want, key))
+                   > 1e-12 * abs(getattr(want, key))]
+    assert missed
 
 
 def test_max_reg_time_quadrature_is_the_trapezoid_rule(grid):
@@ -607,8 +700,11 @@ def test_max_reg_time_quadrature_is_the_trapezoid_rule(grid):
 def test_closed_form_time_derivative_against_long_double():
     # steady datum at T = 1: du/dt = c f with c ~ 1e-6 is all that is left,
     # the hard case for both float64 routes; the reference runs the stepper's
-    # recurrence in long double from the same float64 spectra
-    from hodgehalf.evolution import _closed_form_rows, _shell_grams, _spectra_of
+    # recurrence in long double from the same float64 spectra.  The closed
+    # form's rows are summed shell by shell from the coefficients and the
+    # monomials that its block table contracts
+    from hodgehalf.evolution import (_closed_form, _monomials, _shell_grams,
+                                     _spectra_of)
 
     grid = Grid(2, 64, 8.0)
     bank = default_bank(grid)
@@ -618,8 +714,12 @@ def test_closed_form_time_derivative_against_long_double():
     u0 = leray_halfspace(steady_datum(f))[0]
     tg = TimeGrid(1.0, 256)
     u_hat, f_hat = _spectra_of(u0), _spectra_of(pf)
-    closed = np.concatenate([e_dt for _, _, e_dt in _closed_form_rows(
-        bank, tg, _shell_grams(bank, u_hat, f_hat))])
+    lam = bank.window_absq
+    form = _closed_form(lam, tg.dt, _shell_grams(bank, u_hat, f_hat).on(
+        bank.window_shells))
+    monomials = _monomials(tg.nodes()[:, None], lam)[:, :-2].reshape(
+        -1, 3, lam.size)
+    closed = np.einsum("ks,mks->ms", form.dt, monomials)
 
     absq = grid.freq_sq()
     stepped = []
@@ -744,16 +844,18 @@ def test_stepped_sweep_forms_no_node_field(monkeypatch):
 
 @pytest.mark.parametrize("system", ["hodge_heat", "hodge_stokes"])
 def test_steady_sweep_spectra_serve_every_set_unchanged(grid, system):
-    # the datum is A^{-1} P f in spectra; the Stokes system steps P f, the
-    # heat system f itself; sweeps at p = 2 and p != 2 leave both spectra
-    # as they were, so a caller can measure several sets on them
+    # the Stokes system steps P f, the heat system f itself, and the datum
+    # is A^{-1} of what is stepped, in spectra; sweeps at p = 2 and p != 2
+    # leave both spectra as they were, so a caller can measure several sets
+    # on them
     bank = default_bank(grid)
     f = random_half_field(grid, "Ht", [0b01, 0b10], seed=44,
                           kind="annulus_band", radii=(1.0, 2.2))
     u0_hat, f_hat = steady_sweep_spectra(system, f)
-    datum = restrict_spectra(u0_hat, "Ht")
-    assert (datum - steady_datum(f)).l2_norm() <= 1e-12 * datum.l2_norm()
     want = f if system == "hodge_heat" else leray_halfspace(f)[0]
+    datum = restrict_spectra(u0_hat, "Ht")
+    steady = restrict(frac_laplacian(-2.0, extend(want)), "Ht")
+    assert (datum - steady).l2_norm() <= 1e-12 * datum.l2_norm()
     stepped = restrict_spectra(f_hat, "Ht")
     assert (stepped - want).l2_norm() <= 1e-12 * want.l2_norm()
     before = [{k: a.copy() for k, a in x.comps.items()} for x in (u0_hat, f_hat)]

@@ -1,5 +1,7 @@
 """Verification suites: every check compares nonzero quantities."""
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -161,10 +163,16 @@ def test_evolution_suite_builds_only_what_it_reads(monkeypatch):
     # runs (17 + 33 + 65); Leray splits in verify: the suite's datum, and the
     # datum and the forcing profile g of the momentum residual
     fields, splits = [], []
-    real_field = evolution._Stepper.field
+    real_restrict = evolution.restrict_spectra
     real_split = verify.leray_halfspace
-    monkeypatch.setattr(evolution._Stepper, "field",
-                        lambda self: fields.append(None) or real_field(self))
+
+    def restrict(*args, **kwargs):
+        # a node field is the restriction _integrate's node visit makes
+        if sys._getframe(1).f_code.co_name == "visit":
+            fields.append(None)
+        return real_restrict(*args, **kwargs)
+
+    monkeypatch.setattr(evolution, "restrict_spectra", restrict)
     monkeypatch.setattr(verify, "leray_halfspace",
                         lambda u: splits.append(None) or real_split(u))
     outcome = run_suite("evolution", seed=0)
