@@ -279,15 +279,23 @@ def random_half_field(grid: Grid, flavor: str, masks, seed: int = 0,
     restrict(symmetrize(random_form(...), flavor), flavor), bit for bit, with
     only the stored rows formed.  Stored row j is torus row N/2 + j, so its
     symmetrized value is 0.5 (a[N/2 + j] + p a[N/2 - j]); the seam row
-    j = N/2 reads torus row 0 twice, and an odd component's seam is 0."""
+    j = N/2 reads torus row 0 twice, and an odd component's seam is 0.  The
+    sum or difference is written straight into the rows and then halved in
+    place, which rounds as 0.5 * (a + p a') does.  The draw itself is
+    random_form's, on the slabs its band reaches."""
     full = random_form(grid, masks, seed=seed, **kwargs)
     half = grid.points // 2
     comps = {}
     for mask, a in full.comps.items():
-        parity = component_parity(flavor, mask, grid.n)
+        even = component_parity(flavor, mask, grid.n) > 0
         rows = np.empty(half_shape(grid), dtype=complex)
-        rows[..., :half] = 0.5 * (a[..., half:] + parity * a[..., half:0:-1])
-        rows[..., half] = 0.5 * (a[..., 0] + a[..., 0]) if parity > 0 else 0.0
+        (np.add if even else np.subtract)(a[..., half:], a[..., half:0:-1],
+                                          out=rows[..., :half])
+        if even:
+            np.add(a[..., 0], a[..., 0], out=rows[..., half])
+        else:
+            rows[..., half] = 0.0
+        rows *= 0.5
         comps[mask] = rows
     return HalfField(grid, flavor, comps)
 

@@ -472,22 +472,29 @@ def test_solve_divergence_sees_an_unprojected_datum(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("n, points", [(2, 32), (3, 16)])
 def test_solve_fft_count(tmp_path, fft_counts, n, points):
-    # n-D: 2n to draw the datum and the forcing.  Each half-space transform
-    # of one component is a normal-axis pass (1 axis) and a tangential pass
-    # on the stored rows (n - 1 axes): n to extend each of the datum and the
-    # forcing before their splits in spectra, which the stepper reads, n to
-    # restrict grad p and n the projected forcing of Trajectory.f, and n for
-    # each of the two endpoint fields; the datum's gradient part is never
-    # inverted.  Per node one normal-axis pass for the divergence (a
-    # 1-form's delta has one component); its tangential sum and the boundary
-    # row are read by Parseval, with no (n-1)-D pass.  At n = 2 the keys 1
-    # and n - 1 coincide.
+    # The datum and the forcing are drawn on the annulus 1 <= |xi| <= 2.5.
+    # The lattice step is pi/8, so |xi_a| <= 2.5 holds for |k| <= 6 < N/2:
+    # two wrap-around slabs of lines per axis (k = 0..6 and k = -6..-1).  A
+    # draw inverts axis by axis, last axis first, and along axis a only the
+    # lines whose earlier coordinates lie in those slabs: 2^a one-axis passes
+    # (one per choice of slab on each earlier axis), so sum_a 2^a = 2^n - 1
+    # per component, for n components of each of the two draws.  Each
+    # half-space transform of one component is a normal-axis pass (1 axis)
+    # and a tangential pass on the stored rows (n - 1 axes): n to extend each
+    # of the datum and the forcing before their splits in spectra, which the
+    # stepper reads, n to restrict grad p and n the projected forcing of
+    # Trajectory.f, and n for each of the two endpoint fields; the datum's
+    # gradient part is never inverted.  Per node one normal-axis pass for the
+    # divergence (a 1-form's delta has one component); its tangential sum and
+    # the boundary row are read by Parseval, with no (n-1)-D pass.  At n = 2
+    # the keys 1 and n - 1 coincide.
+    assert 6 * math.pi / 8.0 <= 2.5 < 7 * math.pi / 8.0 and 6 < points // 2
     steps = 4
     _solve_rows(tmp_path, {"grid": {"n": n, "points": points, "length": 8.0},
                            "system": "navier_slip", "T": 1.0, "M": steps},
                 seed=0)
-    expected = collections.Counter({n: 2 * n})
-    expected[1] += 6 * n + steps + 1
+    expected = collections.Counter()
+    expected[1] += 2 * n * (2 ** n - 1) + 6 * n + steps + 1
     expected[n - 1] += 6 * n
     assert fft_counts == expected
 
@@ -598,14 +605,20 @@ def test_malformed_config_value_is_config_error(tmp_path, monkeypatch, capsys,
 
 @pytest.mark.parametrize("n, points", [(2, 32), (3, 16)])
 def test_maxreg_fft_count(tmp_path, fft_counts, monkeypatch, n, points):
-    # n n-D inverse transforms draw the forcing.  Its extension spectra are
-    # taken once, a normal-axis pass (1 axis) and a tangential pass on the
-    # stored rows (n - 1 axes) per component, and Leray-split once in
-    # spectra; the steady datum is formed on the projected spectra and never
-    # restricted, and every accepted (s, p, q) and horizon reads the same
-    # spectra: n component transforms, whatever the sets, T and M are.  At
-    # n = 2 the keys 1 and n - 1 coincide.  No array is transformed twice
-    # along the same axes.
+    # The forcing is drawn on the annulus 1 <= |xi| <= 1.3.  The lattice step
+    # is pi/8, so |xi_a| <= 1.3 holds for |k| <= 3 < N/2: two wrap-around
+    # slabs of lines per axis.  A draw inverts axis by axis, last axis first,
+    # and along axis a only the lines whose earlier coordinates lie in those
+    # slabs: 2^a one-axis passes, so 2^n - 1 per component for n components.
+    # Its extension spectra are taken once, a normal-axis pass (1 axis) and a
+    # tangential pass on the stored rows (n - 1 axes) per component, and
+    # Leray-split once in spectra; the steady datum is formed on the
+    # projected spectra and never restricted, and every accepted (s, p, q)
+    # and horizon reads the same spectra: n component transforms, whatever
+    # the sets, T and M are.  At n = 2 the keys 1 and n - 1 coincide.  No
+    # array is transformed twice along the same axes.
+    assert 3 * math.pi / 8.0 <= 1.3 < 4 * math.pi / 8.0 and 3 < points // 2
+    draw = n * (2 ** n - 1)
     inputs = []
     for kind in ("fftn", "ifftn"):
         def hashed(a, s=None, axes=None, *args, _counted=getattr(np.fft, kind),
@@ -634,9 +647,9 @@ def test_maxreg_fft_count(tmp_path, fft_counts, monkeypatch, n, points):
                 assert [r["status"] for r in rows] == \
                     ["ok"] * len(spq) * len(horizons)
                 seen.append(dict(fft_counts))
-                assert len(set(inputs)) == len(inputs) == 3 * n
-    expected = collections.Counter({n: n})
-    expected[1] += n
+                assert len(set(inputs)) == len(inputs) == draw + 2 * n
+    expected = collections.Counter()
+    expected[1] += draw + n
     expected[n - 1] += n
     assert seen == [expected] * 8
 

@@ -1,5 +1,6 @@
 """Grid, FFT transport, test-function synthesis, norms, and serialization."""
 
+import itertools
 import json
 import math
 import re
@@ -127,10 +128,50 @@ BANDS = [("annulus_band", {"radii": (1.0, 2.5)}),
          ("random_band", {"width": 1.5})]
 
 
+def _formula_envelope(grid, kind, kwargs):
+    """The band envelope on the full lattice, from the kinds' formulas."""
+    absxi = np.sqrt(grid.freq_sq())
+    if kind == "annulus_band":
+        r0, r1 = kwargs["radii"]
+        t = np.clip((absxi - r0) / (r1 - r0), 0.0, 1.0)
+        return np.where((absxi >= r0) & (absxi <= r1),
+                        np.sin(np.pi * t) ** 2, 0.0)
+    return np.exp(-absxi ** 2 * kwargs["width"] ** 2 / 2.0)
+
+
+def _formula_draw(grid, kind, kwargs, seed, envelope):
+    """ifftn(coeff * envelope) / max, coefficients from a generator seeded
+    with ``seed``, on the full lattice."""
+    rng = np.random.default_rng(seed)
+    spectrum = (rng.standard_normal(grid.shape)
+                + 1j * rng.standard_normal(grid.shape)) * envelope
+    if kind == "annulus_band" or kwargs.get("mean_free", True):
+        spectrum[(0,) * grid.n] = 0.0
+    want = np.fft.ifftn(spectrum)
+    return want / np.abs(want).max()
+
+
+def _slab_lines(grid, kind, kwargs):
+    """The lines of one axis that can hold a coefficient: |xi_a| <= r1 for an
+    annulus, every line for the Gaussian envelope."""
+    if kind == "annulus_band":
+        return np.flatnonzero(np.abs(grid.freq_axis()) <= kwargs["radii"][1])
+    return np.arange(grid.points)
+
+
 @pytest.mark.parametrize("kind, kwargs", BANDS, ids=[k for k, _ in BANDS])
-def test_band_draws_share_one_read_only_envelope(grid2, kind, kwargs):
+def test_band_draws_share_one_read_only_envelope(grid2, monkeypatch, kind,
+                                                 kwargs):
     from hodgehalf import fields
 
+    made = []
+    band_draw = fields._BandDraw
+
+    def counted(*args, **kw):
+        made.append(band_draw(*args, **kw))
+        return made[-1]
+
+    monkeypatch.setattr(fields, "_BandDraw", counted)
     masks = [0, 1, 2, 3]
     u = random_form(grid2, masks, seed=4, kind=kind, **kwargs)
     # every component has a seed of its own: no two are equal
@@ -138,31 +179,29 @@ def test_band_draws_share_one_read_only_envelope(grid2, kind, kwargs):
     for i, a in enumerate(comps):
         for b in comps[:i]:
             assert np.abs(a - b).max() > 0.1
-    # the draws are those of the formula, envelope made afresh per component
-    absxi = np.sqrt(grid2.freq_sq())
-    if kind == "annulus_band":
-        r0, r1 = kwargs["radii"]
-        t = np.clip((absxi - r0) / (r1 - r0), 0.0, 1.0)
-        envelope = np.where((absxi >= r0) & (absxi <= r1),
-                            np.sin(np.pi * t) ** 2, 0.0)
-        cached = fields._envelope(grid2, (r0, r1), None)
-    else:
-        envelope = np.exp(-absxi ** 2 * kwargs["width"] ** 2 / 2.0)
-        cached = fields._envelope(grid2, None, kwargs["width"])
-    assert np.array_equal(cached, envelope)
+    # the draws are those of the formula on the full lattice
+    envelope = _formula_envelope(grid2, kind, kwargs)
     for i, m in enumerate(masks):
-        rng = np.random.default_rng(4 * 1009 + i)
-        spectrum = (rng.standard_normal(grid2.shape)
-                    + 1j * rng.standard_normal(grid2.shape)) * envelope
-        spectrum[0, 0] = 0.0
-        want = np.fft.ifftn(spectrum)
-        assert np.array_equal(u.comps[m], want / np.abs(want).max())
-    # the cached envelope cannot be written through, and no draw keeps one
-    assert not cached.flags.writeable
-    with pytest.raises(ValueError):
-        cached[0, 0] = 1.0
-    random_form(grid2, masks, seed=4, kind=kind, **kwargs)
-    assert fields._envelope.cache_info().currsize == 0
+        want = _formula_draw(grid2, kind, kwargs, 4 * 1009 + i, envelope)
+        assert np.array_equal(u.comps[m], want)
+    # one envelope serves all four components: the formula's on the blocks
+    # of the slab lines' product, and exactly 0 on every other lattice point
+    (shared,) = made
+    lines = _slab_lines(grid2, kind, kwargs)
+    assert lines.size == (25 if kind == "annulus_band" else grid2.points)
+    assert len(shared.blocks) == (4 if kind == "annulus_band" else 1)
+    covered = np.zeros(grid2.shape, dtype=int)
+    for block, part in shared.blocks:
+        assert np.array_equal(part, envelope[block])
+        covered[block] += 1
+        # it cannot be written through
+        assert not part.flags.writeable
+        with pytest.raises(ValueError):
+            part[0, 0] = 1.0
+    inside = np.zeros(grid2.shape, dtype=int)
+    inside[np.ix_(lines, lines)] = 1
+    assert np.array_equal(covered, inside)
+    assert not np.any(envelope[inside == 0])
 
 
 def test_annulus_beyond_the_band_is_refused_on_every_call(grid2):
@@ -170,6 +209,95 @@ def test_annulus_beyond_the_band_is_refused_on_every_call(grid2):
         with pytest.raises(ValueError, match="annulus exceeds"):
             random_form(grid2, [0, 1], seed=0, kind="annulus_band",
                         radii=(1.0, 100.0))
+
+
+@pytest.mark.parametrize("grid", [Grid(2, 64, 16.0), Grid(3, 16, 8.0),
+                                  Grid(4, 8, 4.0)], ids=["n2", "n3", "n4"])
+def test_annulus_up_to_the_lattice_corner_is_drawn(grid):
+    # the largest |xi| on the lattice is the corner's, every axis at Nyquist
+    corner = np.sqrt(grid.freq_sq()).max()
+    u = random_form(grid, [0], seed=1, kind="annulus_band",
+                    radii=(1.0, corner))
+    assert abs(np.abs(u.comps[0]).max() - 1.0) < 1e-15
+    with pytest.raises(ValueError, match="annulus exceeds"):
+        random_form(grid, [0], seed=1, kind="annulus_band",
+                    radii=(1.0, np.nextafter(corner, np.inf)))
+
+
+# (grid, kind, options, slab lines per axis, slabs per axis).  On Grid(3, 16,
+# 8.0) the lattice step is pi/8 and the Nyquist frequency pi; on Grid(4, 8,
+# 4.0) they are pi/4 and pi.  An annulus with r1 past Nyquist keeps every
+# line; r1 = 2.5 keeps |k| <= 6 of 16, r1 = 2.0 keeps |k| <= 2 of 8, each in
+# two wrap-around slabs.
+PRUNED = [
+    (Grid(3, 16, 8.0), "annulus_band", {"radii": (1.0, 4.0)}, 16, 1),
+    (Grid(3, 16, 8.0), "annulus_band", {"radii": (1.0, 2.5)}, 13, 2),
+    (Grid(3, 16, 8.0), "random_band", {"width": 1.5}, 16, 1),
+    (Grid(4, 8, 4.0), "annulus_band", {"radii": (0.5, 3.5)}, 8, 1),
+    (Grid(4, 8, 4.0), "annulus_band", {"radii": (1.0, 2.0)}, 5, 2),
+    (Grid(4, 8, 4.0), "random_band", {"width": 1.0, "mean_free": False},
+     8, 1),
+]
+
+
+def _origin(view):
+    """Lattice index of a view's first element in the array it views."""
+    base = view.base
+    offset = (view.ctypes.data - base.ctypes.data) // base.itemsize
+    return np.unravel_index(offset, base.shape)
+
+
+@pytest.mark.parametrize("grid, kind, kwargs, count, slabs", PRUNED,
+                         ids=["n3-nyquist", "n3-pruned", "n3-gaussian",
+                              "n4-nyquist", "n4-pruned", "n4-gaussian"])
+def test_band_draw_transforms_only_the_slab_lines(fft_counts, monkeypatch,
+                                                  grid, kind, kwargs, count,
+                                                  slabs):
+    n, points = grid.n, grid.points
+    origins = []
+    ifftn = np.fft.ifftn
+
+    def located(a, *args, **kw):
+        origins.append(_origin(a))
+        return ifftn(a, *args, **kw)
+
+    monkeypatch.setattr(np.fft, "ifftn", located)
+    masks = [0, (1 << n) - 1]
+    u = random_form(grid, masks, seed=6, kind=kind, **kwargs)
+    lines = _slab_lines(grid, kind, kwargs)
+    assert lines.size == count
+    # per component sum_a slabs^a one-axis passes, last axis first; along
+    # axis a each earlier coordinate lies in the slab lines, each later one
+    # (already transformed) runs over the whole axis
+    per = sum(slabs ** a for a in range(n))
+    assert fft_counts == {1: per * len(masks)}
+    calls = list(zip(fft_counts.calls, origins))
+    need = {(a,) + k for a in range(n)
+            for k in itertools.product(lines, repeat=a)}
+    for c in range(len(masks)):
+        covered = []
+        axes_seen = []
+        for (axes, shape), origin in calls[c * per:(c + 1) * per]:
+            (a,) = axes
+            axes_seen.append(a)
+            assert shape[a:] == (points,) * (n - a)
+            assert all(o == 0 for o in origin[a:])
+            lead = [range(o, o + w) for o, w in zip(origin[:a], shape[:a])]
+            later = list(itertools.product(range(points), repeat=n - a - 1))
+            covered += [(a,) + k + rest for k in itertools.product(*lead)
+                        for rest in later]
+        assert axes_seen == sorted(axes_seen, reverse=True)
+        # every line that can hold a coefficient, each exactly once
+        assert len(covered) == len(set(covered))
+        assert {t[:t[0] + 1] for t in covered} == need
+        assert len(covered) == sum(count ** a * points ** (n - 1 - a)
+                                   for a in range(n))
+    # bit for bit the full-lattice formula
+    monkeypatch.setattr(np.fft, "ifftn", ifftn)
+    envelope = _formula_envelope(grid, kind, kwargs)
+    for i, m in enumerate(masks):
+        want = _formula_draw(grid, kind, kwargs, 6 * 1009 + i, envelope)
+        assert np.array_equal(u.comps[m], want), m
 
 
 def test_single_mode_rejects_off_lattice(grid2):
@@ -267,6 +395,25 @@ def test_save_load_half_field(tmp_path, grid2):
     assert v.flavor == "Ht"
     for m in u.comps:
         assert np.abs(v.comps[m] - u.comps[m]).max() < 1e-6
+
+
+def test_save_field_writes_the_header_and_c8_payload(tmp_path):
+    from hodgehalf.halfspace import HalfField
+
+    grid = Grid(2, 4, 1.5)
+    a0 = (np.arange(16.0) * (0.5 - 0.25j)).reshape(4, 4)
+    a3 = (np.arange(16.0) + 1j / 3.0).reshape(4, 4).T  # not C-contiguous
+    rows = (np.arange(12.0) - 2.5j).reshape(4, 3)
+    for field, masks, arrays in [
+            (FormField(grid, {3: a3, 0: a0}), [0, 3], [a0, a3]),
+            (HalfField(grid, "Ht", {1: rows}), [1], [rows])]:
+        path = str(tmp_path / "small.hhf")
+        save_field(path, field)
+        want = (b"HHF1" + struct.pack("<iidi", 2, 4, 1.5, len(masks))
+                + struct.pack(f"<{len(masks)}i", *masks)
+                + b"".join(a.astype("<c8").tobytes() for a in arrays))
+        with open(path, "rb") as fh:
+            assert fh.read() == want
 
 
 def test_load_rejects_garbage(tmp_path):
