@@ -919,3 +919,127 @@ def test_closed_form_refuses_a_non_tangential_flavor(grid, system):
         sweep_spectra(system, f, u0.with_flavor("N"))
     with pytest.raises(ValueError, match="acts on tangential-flavor fields"):
         sweep_spectra(system, f.with_flavor("Hn"), u0)
+
+
+# ---------------------------------------------------------------------------
+# a transform-free reference at p != 2
+# ---------------------------------------------------------------------------
+
+# The Neumann half-space mode e^{i xi'.x'} cos(xi_n x_n) extends evenly to the
+# same expression on the torus, and every block of it, of its Hessian and of
+# its unforced heat flow's du/dt = -|xi|^2 u is its symbol at |xi| times the
+# field, whose modulus depends on x_n alone.  So the reports of a sweep are
+# e^{-t |xi|^2} times sums of known samples, with no transform
+HALF_MODES = [(Grid(2, 64, 8.0), (3, 4)), (Grid(3, 16, 4.0), (1, 2, 2))]
+HALF_MODE_PARAMS = [SpaceParams(0.0, 3.0, 1.0),
+                    SpaceParams(-0.5, 3.0, 2.0, homogeneous=False)]
+HALF_MODE_TOL = 1e-13
+
+
+def half_mode(grid, k):
+    xi = [math.pi / grid.length * kk for kk in k]
+    phase = sum(a * x for a, x in zip(xi[:-1], grid.coords()[:-1]))
+    rows = grid.spacing * np.arange(grid.points // 2 + 1)
+    return HalfField(grid, "N", {0: np.exp(1j * phase) * np.cos(xi[-1] * rows)})
+
+
+def half_mode_reference(grid, k, params, bank, horizon, steps):
+    """The report numbers of the unforced heat flow of half_mode(grid, k)."""
+    from hodgehalf.littlewood_paley import radial_cutoff
+
+    xi = [math.pi / grid.length * kk for kk in k]
+    tangential, normal = sum(a * a for a in xi[:-1]), xi[-1] ** 2
+    lam = tangential + normal
+    x = grid.axis_coords()
+    cos, sin = np.abs(np.cos(xi[-1] * x)), np.abs(np.sin(xi[-1] * x))
+    # |u|, |Hessian| (each off-diagonal entry counted twice) and |du/dt| along
+    # x_n; the mixed tangential-normal entries carry sin
+    mags = {"u": cos, "dt": lam * cos,
+            "hess": np.sqrt((tangential ** 2 + normal ** 2) * cos ** 2
+                            + 2.0 * tangential * normal * sin ** 2)}
+    cells = grid.cell_volume * grid.points ** (grid.n - 1)
+    lp = {key: (cells * np.sum(m ** params.p)) ** (1.0 / params.p)
+          for key, m in mags.items()}
+
+    r = math.sqrt(lam)
+
+    def annulus(j):
+        return float(radial_cutoff(r / 2.0 ** (j + 1)) - radial_cutoff(r / 2.0 ** j))
+
+    if params.homogeneous:
+        blocks = [(j, annulus(j)) for j in range(bank.j_min, bank.j_max + 1)]
+    else:
+        blocks = [(-1, float(radial_cutoff(r)))] + [
+            (j, annulus(j)) for j in range(max(bank.j_min, 0), bank.j_max + 1)]
+
+    def besov(s, norm):
+        vals = np.array([2.0 ** (s * j) * sym * norm for j, sym in blocks])
+        return float(np.sum(vals ** params.q) ** (1.0 / params.q))
+
+    t = np.linspace(0.0, horizon, steps + 1)
+    decay = np.exp(-t * lam)
+    interp = decay * besov(params.s + 2.0 - 2.0 / params.q, lp["u"])
+    evol = decay * (besov(params.s, lp["dt"]) + besov(params.s, lp["hess"]))
+    w = np.full(t.size, horizon / steps)
+    w[[0, -1]] *= 0.5
+    lhs_lq = float(np.sum(w * evol ** params.q) ** (1.0 / params.q))
+    return {"sup_interp_norm": interp.max(), "lq_evolution_norm": lhs_lq,
+            "rhs_initial_norm": interp[0],
+            "ratio": (interp.max() + lhs_lq) / interp[0]}
+
+
+def half_mode_misses():
+    """(grid, k, params, T, field, got, want) of every report number of
+    max_reg_sweep off half_mode_reference by more than HALF_MODE_TOL
+    relative, on banks built at the call."""
+    missed = []
+    horizons, steps = [0.25, 1.0], 4
+    for grid_, k in HALF_MODES:
+        bank = default_bank(grid_)
+        spectra = sweep_spectra("hodge_heat", None, half_mode(grid_, k))
+        for params in HALF_MODE_PARAMS:
+            reports = max_reg_sweep("hodge_heat", *spectra, horizons, steps,
+                                    params, bank)
+            for horizon, rep in zip(horizons, reports):
+                assert rep.rhs_forcing_norm == 0.0
+                want = half_mode_reference(grid_, k, params, bank, horizon,
+                                           steps)
+                missed += [(grid_, k, params, horizon, key, getattr(rep, key),
+                            value) for key, value in want.items()
+                           if not abs(getattr(rep, key) - value)
+                           <= HALF_MODE_TOL * value]
+    return missed
+
+
+def test_p3_sweep_of_a_half_space_mode():
+    assert half_mode_misses() == []
+
+
+def _hessian_without_sqrt2(monkeypatch):
+    # the off-diagonal second derivatives counted once, not twice
+    from hodgehalf import evolution
+
+    real = evolution._hessian_spectra
+
+    def mutant(comps_hat, grid):
+        pairs = [(a, b) for a in range(grid.n) for b in range(a, grid.n)]
+        return {key: arr / math.sqrt(2.0) if len(set(pairs[key % len(pairs)])) == 2
+                else arr for key, arr in real(comps_hat, grid).items()}
+
+    monkeypatch.setattr(evolution, "_hessian_spectra", mutant)
+
+
+def _moved_block(monkeypatch):
+    # psi_1 built as psi_0, one octave down
+    from hodgehalf import littlewood_paley
+
+    real = littlewood_paley._annulus
+    monkeypatch.setattr(littlewood_paley, "_annulus",
+                        lambda absxi, j: real(2.0 * absxi if j == 1 else absxi, j))
+
+
+@pytest.mark.parametrize("mutate", [_hessian_without_sqrt2, _moved_block],
+                         ids=["hessian_sqrt2", "moved_block"])
+def test_half_space_mode_reference_catches_a_mutant(monkeypatch, mutate):
+    mutate(monkeypatch)
+    assert half_mode_misses()

@@ -331,6 +331,75 @@ def test_besov_inhomogeneous_accepts_low_frequencies(grid, bank):
 
 
 # ---------------------------------------------------------------------------
+# a transform-free reference at every p
+# ---------------------------------------------------------------------------
+
+# A lattice mode e^{i xi.x} makes every block its symbol at |xi| times the
+# mode, of constant modulus 1, so the block's L^p norm is psi_j(|xi|)
+# (2L)^{n/p}, or phi(|xi|) (2L)^{n/p} for the inhomogeneous low pass: a Besov
+# norm with no transform and no bank table
+LATTICE_MODES = [(Grid(2, 128, 16.0), (3, 5)), (Grid(2, 128, 16.0), (10, -7)),
+                 (Grid(2, 128, 16.0), (0, 12)), (Grid(3, 32, 8.0), (2, -3, 4))]
+MODE_PARAMS = [SpaceParams(0.0, 3.0, 1.0), SpaceParams(0.25, 1.5, 2.0),
+               SpaceParams(-0.3, 7.0, 3.0), SpaceParams(0.5, 2.0, 2.0),
+               SpaceParams(-0.2, 4.0, 1.5, homogeneous=False)]
+MODE_TOL = 1e-13
+
+
+def lattice_mode(grid, k):
+    phase = sum(math.pi / grid.length * kk * x for kk, x in zip(k, grid.coords()))
+    return FormField(grid, {0: np.exp(1j * phase)})
+
+
+def mode_besov_reference(params, grid, k, j_min, j_max):
+    """The Besov norm of lattice_mode(grid, k) from the profile at |xi|."""
+    r = math.pi / grid.length * math.sqrt(sum(kk * kk for kk in k))
+
+    def annulus(j):
+        return float(radial_cutoff(r / 2.0 ** (j + 1)) - radial_cutoff(r / 2.0 ** j))
+
+    if params.homogeneous:
+        blocks = [(j, annulus(j)) for j in range(j_min, j_max + 1)]
+    else:
+        blocks = [(-1, float(radial_cutoff(r)))] + [
+            (j, annulus(j)) for j in range(max(j_min, 0), j_max + 1)]
+    volume = (2.0 * grid.length) ** (grid.n / params.p)
+    vals = np.array([2.0 ** (params.s * j) * sym * volume for j, sym in blocks])
+    return float(np.sum(vals ** params.q) ** (1.0 / params.q))
+
+
+def lattice_mode_misses():
+    """(grid, k, params, got, want) of every case off the reference by more
+    than MODE_TOL relative, on banks built at the call."""
+    missed = []
+    for grid_, k in LATTICE_MODES:
+        bank = default_bank(grid_)
+        u = lattice_mode(grid_, k)
+        for params in MODE_PARAMS:
+            want = mode_besov_reference(params, grid_, k, bank.j_min, bank.j_max)
+            got = besov_norm(params, u, bank)
+            if not abs(got - want) <= MODE_TOL * want:
+                missed.append((grid_, k, params, got, want))
+    return missed
+
+
+def test_besov_norm_of_lattice_modes():
+    assert lattice_mode_misses() == []
+
+
+def test_lattice_mode_reference_catches_a_moved_block(monkeypatch):
+    # psi_1 built as psi_0, one octave down: its L^p norm moves at p = 2 and
+    # at p != 2
+    from hodgehalf import littlewood_paley
+
+    real = littlewood_paley._annulus
+    monkeypatch.setattr(littlewood_paley, "_annulus",
+                        lambda absxi, j: real(2.0 * absxi if j == 1 else absxi, j))
+    missed = lattice_mode_misses()
+    assert {params.p for *_, params, _, _ in missed} == {1.5, 2.0, 3.0, 4.0, 7.0}
+
+
+# ---------------------------------------------------------------------------
 # Sobolev norms
 # ---------------------------------------------------------------------------
 
