@@ -18,15 +18,14 @@ import os
 import sys
 from dataclasses import dataclass, field
 
-from .evolution import (SYSTEMS, SpaceParams, TimeGrid, max_reg_sweep,
-                        solve_hodge_heat, solve_hodge_stokes,
+from .evolution import (SYSTEMS, SpaceParams, TimeGrid, interpolation_space,
+                        max_reg_sweep, solve_hodge_heat, solve_hodge_stokes,
                         solve_navier_slip, steady_sweep_spectra)
 from .fields import Grid, SpectralField, load_field, random_form, save_field
 from .halfspace import (HalfField, NodeReader, leray_halfspace_checked,
                         random_half_field, remove_extended_mean,
                         restrict_spectra, split_residual, tangential_trace)
-from .littlewood_paley import (FilterBank, build_bank, completeness_ok,
-                               default_bank, space_norm)
+from .littlewood_paley import FilterBank, build_bank, default_bank, space_norm
 from .verify import SUITES, run_suite
 
 EXIT_OK = 0
@@ -338,11 +337,11 @@ def run_maxreg(cfg: RunConfig) -> int:
     accepted = []
     for params in spq:
         s, p, q = params.s, params.p, params.q
-        gate = SpaceParams(s + 2.0 - 2.0 / q, p, q)
+        interp, complete = interpolation_space(params, grid.n)
         reason = ""
-        if not completeness_ok(gate, grid.n):
+        if not complete:
             reason = (f"completeness predicate fails for "
-                      f"s={gate.s:g} p={p:g} q={q:g} n={grid.n}")
+                      f"s={interp.s:g} p={p:g} q={q:g} n={grid.n}")
         elif math.isinf(q):
             reason = "q = inf needs initial data checked to be operator-regular"
         if reason:

@@ -23,16 +23,13 @@ the time derivative is evaluated through the mild identity du/dt = Delta u + f
 rather than by finite differences, so the report never mixes time-stepping
 error into the estimate it measures.
 
-For p = 2 a report needs only |k|^2 shell energies (see littlewood_paley):
-E_u of the state, which gives the interpolation norm and, because
-sum_{a,b} |xi_a xi_b|^2 = |xi|^4, the Hessian norm as |xi|^4 E_u shell by
-shell; and E_dt of du/dt.  The symbols are radial, so the shell sums are
-exact regroupings of the lattice sums.  Only the window's shells, where some
-block of the bank is nonzero, are summed; the leakage guard of an input reads
-all shells.  A stepped node reduces the stepper's spectra,
-du/dt = -|xi|^2 u_hat + f_hat summed pointwise, to shell energies and those
-to block energies (shell_block_weights); stepped and closed-form nodes meet
-at the same block energies and one evaluator, block_besov_norm.
+Every node reaches the report as the L^p norms of the dyadic blocks of u,
+its Hessian and du/dt, summed by the one l^q aggregation of littlewood_paley
+(block_norms, then _lq_aggregate); the accumulator never branches on p.  A
+stepped node takes the three block norms of the stepper's spectra, with
+du/dt = -|xi|^2 u_hat + f_hat summed pointwise and the Hessian's spectra
+from _hessian_spectra, at p = 2 from |k|^2 shell energies, at other p by
+inverting each block.  The leakage guard of an input reads all shells.
 
 max_reg_sweep is the one driver.  It measures a parameter set over every
 horizon from one pair of extension spectra, the datum's and those of a
@@ -43,8 +40,10 @@ forcing, taken once, make E_u and E_dt on each of the window's shells a
 quadratic form in a = e^{-t lam} and b = 1 - a.  A p = 2 block energy is
 linear in the shell energies, so the coefficients, folded once per horizon
 with the bank's block weights (_block_table), take the monomials a^2, ab
-and b^2 of a block of nodes to the block energies of u, its Hessian and
-du/dt in one matrix product; no per-shell row is formed.  There du/dt is
+and b^2 of a block of nodes to the block energies of u, its Hessian (by
+sum_{a,b} |xi_a xi_b|^2 = |xi|^4, |xi|^4 E_u) and du/dt in one matrix
+product; no per-shell row is formed, and only the Parseval step
+block_l2_norms turns the energies into block norms.  There du/dt is
 written in the basis (r, f), r = u0 - f / |xi|^2 the datum less the steady
 state, since in the basis (u0, f) a steady datum leaves du/dt as the
 difference of O(1) terms.  At p != 2 it steps a copy of the datum spectra
@@ -54,7 +53,8 @@ systems (leray_hat, no physical P u0 or P f): sweep_spectra from a datum
 and a forcing, one transform per component of each, and
 steady_sweep_spectra from a forcing alone, the steady datum A^{-1} f_hat
 built on the spectra f_hat the system steps (P f, or f for hodge_heat);
-hodgehalf maxreg forms them once and measures every (s, p, q) on them.
+hodgehalf maxreg forms them once and measures every (s, p, q) on them, and
+a sweep guards and measures its forcing once for all its horizons.
 max_reg_report measures a stored trajectory of any forcing, time-dependent
 ones included; it is the oracle the driver is tested against.  Both refuse
 an initial datum or forcing whose spectrum leaks out of the bank window,
@@ -72,10 +72,9 @@ import numpy as np
 from .fields import Grid, SpectralField
 from .halfspace import (HalfField, extend_spectra, half_l2_norm_from_spectra,
                         leray_halfspace_hat, restrict_spectra)
-from .littlewood_paley import (FilterBank, SpaceParams, block_besov_norm,
-                               completeness_ok, lp_besov_norm,
-                               require_in_window, shell_besov_norm,
-                               shell_block_weights)
+from .littlewood_paley import (FilterBank, SpaceParams, _lq_aggregate,
+                               block_l2_norms, block_norms, completeness_ok,
+                               require_in_window, shell_block_weights)
 from .operators import frac_symbol, leray_hat, resolvent_hat
 
 SYSTEMS = ("hodge_heat", "hodge_stokes", "navier_slip")
@@ -151,10 +150,6 @@ class _Stepper:
                 self.state[m] += term
             else:
                 self.state[m] = term.copy()
-
-
-def _spectra_of(u: HalfField) -> dict[int, np.ndarray]:
-    return extend_spectra(u).comps
 
 
 class _Input:
@@ -394,6 +389,29 @@ def _hessian_spectra(comps_hat: dict[int, np.ndarray], grid: Grid) -> dict:
     return out
 
 
+def interpolation_space(params: SpaceParams, n: int) -> tuple[SpaceParams, bool]:
+    """The interpolation space B^{s + 2 - 2/q}_{p,q} of the estimate measured
+    in ``params``, and whether it passes the completeness predicate in
+    dimension ``n``."""
+    interp = SpaceParams(params.s + 2.0 - 2.0 / params.q, params.p, params.q,
+                         homogeneous=params.homogeneous)
+    return interp, completeness_ok(interp, n)
+
+
+def _forcing_norm(params: SpaceParams, fhat: dict[int, np.ndarray] | None,
+                  bank: FilterBank, energy: np.ndarray | None = None) -> float:
+    """Besov norm of the forcing spectra ``fhat``, 0 for None (no forcing),
+    after the window guard on its shell energy ``energy`` (taken from fhat
+    when None)."""
+    if fhat is None:
+        return 0.0
+    if energy is None:
+        energy = bank.shell_energy(fhat.values())
+    require_in_window(bank, energy, params.homogeneous)
+    return _lq_aggregate(params, block_norms(params, fhat.values(), bank,
+                                             energy), bank)
+
+
 class _MaxRegAccumulator:
     """Streams node data into the three norms of the regularity estimate.
 
@@ -401,19 +419,18 @@ class _MaxRegAccumulator:
     predicate of the interpolation space and, for q = infinity, the caller's
     word that the datum is operator-regular.  Node 0 carries the initial
     datum: its interpolation norm is the rhs_u0 term.  The datum and every
-    distinct forcing, the inputs, are guarded against window leakage;
-    derived spectra are not.  forcing() and node() guard on all shells;
-    the closed form's caller guards its datum itself.  The norm of a
-    forcing seen at consecutive nodes is computed once.  At p = 2 the nodes
-    arrive as block energies of u, its Hessian and du/dt (blocks), from the
-    stepper's spectra (node) or from the closed form directly.
+    distinct forcing, the inputs, are guarded against window leakage on all
+    shells; derived spectra are not.  node() guards a stepped trajectory's
+    inputs; the sweep guards its own.  The norm of a forcing seen at
+    consecutive nodes is computed once.  Every node arrives at blocks() as
+    the block norms of u, its Hessian and du/dt: from the stepper's spectra
+    (node) or from the closed form's block energies.
     """
 
     def __init__(self, grid: Grid, bank: FilterBank, params: SpaceParams,
                  tg: TimeGrid, a_regular_checked: bool):
-        interp = SpaceParams(params.s + 2.0 - 2.0 / params.q, params.p,
-                             params.q, homogeneous=params.homogeneous)
-        if not completeness_ok(interp, grid.n):
+        interp, complete = interpolation_space(params, grid.n)
+        if not complete:
             raise ValueError(
                 f"refusing the report: the space with s = {interp.s}, p = {interp.p}, "
                 f"q = {interp.q} fails the completeness predicate in dimension {grid.n} "
@@ -436,83 +453,51 @@ class _MaxRegAccumulator:
         self._fhat = None  # forcing spectra whose norm is self._rhs
         self._rhs = 0.0
 
-    def forcing(self, energy: np.ndarray | None, fhat=None):
-        """Take the forcing of the nodes to come from its shell energy.
-
-        None means no forcing; ``fhat``, its spectra, is needed for p != 2.
-        """
-        if energy is None:
-            self._rhs = 0.0
-            return
-        require_in_window(self.bank, energy, self.params.homogeneous)
-        if self.params.p == 2.0:
-            self._rhs = shell_besov_norm(
-                self.params, energy[self.bank.window_shells], self.bank)
-        else:
-            self._rhs = lp_besov_norm(self.params, SpectralField(self.grid, fhat),
-                                      self.bank)
+    def forcing(self, fhat: dict[int, np.ndarray] | None, rhs: float):
+        """Take the forcing of the nodes to come: its spectra (None: no
+        forcing) and its Besov norm, _forcing_norm."""
+        self._fhat, self._rhs = fhat, rhs
 
     @functools.cached_property
-    def _dt_buffers(self) -> tuple[np.ndarray, np.ndarray]:
-        """-|xi|^2 and the work array of _time_derivative, made at the first
-        stepped node (the closed form needs neither)."""
-        return -self.grid.freq_sq(), np.empty(self.grid.shape, dtype=complex)
+    def _neg_absq(self) -> np.ndarray:
+        """-|xi|^2, made at the first stepped node (the closed form needs
+        none)."""
+        return -self.grid.freq_sq()
 
-    def _time_derivative(self, state, fhat):
-        """Spectra of the mild du/dt = Delta u + f, component by component.
-
-        The components come one at a time in a single work array, refilled
-        in place; a consumer that keeps them must copy.
-        """
-        neg_absq, work = self._dt_buffers
-        for k, a in state.items():
-            np.multiply(neg_absq, a, out=work)
-            if fhat is not None and k in fhat:
-                work += fhat[k]
-            yield k, work
-        if fhat is not None:
-            for k, a in fhat.items():
-                if k not in state:
-                    yield k, a
+    def _time_derivative(self, state, fhat) -> list[np.ndarray]:
+        """Spectra of the mild du/dt = Delta u + f, component by component."""
+        fhat = fhat or {}
+        out = [self._neg_absq * a + fhat[k] if k in fhat
+               else self._neg_absq * a for k, a in state.items()]
+        return out + [a for k, a in fhat.items() if k not in state]
 
     def node(self, m: int, t: float, state: dict[int, np.ndarray],
              fhat: dict[int, np.ndarray] | None):
         """One node of a stepped trajectory, from its spectra."""
-        grid, bank, params = self.grid, self.bank, self.params
+        bank, params = self.bank, self.params
         if fhat is not self._fhat:
-            self._fhat = fhat
-            self.forcing(None if fhat is None
-                         else bank.shell_energy(fhat.values()), fhat)
-        e_u = bank.shell_energy(state.values())
+            self.forcing(fhat, _forcing_norm(params, fhat, bank))
+        energy = None
         if m == 0:
-            require_in_window(bank, e_u, params.homogeneous)
-        dudt = self._time_derivative(state, fhat)
-        if params.p == 2.0:
-            window = bank.window_shells
-            e_u = e_u[window]
-            e_dt = bank.shell_energy(a for _, a in dudt)[window]
-            # |Hessian|^2 = |xi|^4 |u_hat|^2 pointwise
-            shells = np.stack((e_u, bank.window_absq ** 2 * e_u, e_dt))
-            weights = shell_block_weights(params.homogeneous, bank)
-            self.blocks(m, (shells @ weights.T)[None])
-            return
-        interp = lp_besov_norm(self.interp, SpectralField(grid, state), bank)
-        dudt = SpectralField(grid, {k: a.copy() for k, a in dudt})
-        hess = SpectralField(grid, _hessian_spectra(state, grid))
-        evol = lp_besov_norm(params, dudt, bank) + lp_besov_norm(params, hess, bank)
-        self._add(m, np.array([interp]), np.array([evol]))
+            energy = bank.shell_energy(state.values())
+            require_in_window(bank, energy, params.homogeneous)
+        hess = _hessian_spectra(state, self.grid).values()
+        self.blocks(m, np.stack((
+            block_norms(params, state.values(), bank, energy),
+            block_norms(params, hess, bank),
+            block_norms(params, self._time_derivative(state, fhat), bank)))[None])
 
-    def blocks(self, m0: int, energies: np.ndarray):
-        """p = 2 nodes m0, m0 + 1, ... from their block energies.
+    def blocks(self, m0: int, norms: np.ndarray):
+        """Nodes m0, m0 + 1, ... from the norms of their blocks.
 
-        ``energies[m, i]`` holds the energies of the blocks of
-        shell_block_weights of u (i = 0), its Hessian (1) and du/dt (2) at
-        node m0 + m.  The caller has guarded the datum's energy on all shells.
+        ``norms[m, i]`` holds the block_norms of u (i = 0), its Hessian (1)
+        and du/dt (2) at node m0 + m.  The caller has guarded the datum on
+        all shells.
         """
         bank, params = self.bank, self.params
-        interp = block_besov_norm(self.interp, energies[:, 0], bank)
-        evol = (block_besov_norm(params, energies[:, 2], bank)
-                + block_besov_norm(params, energies[:, 1], bank))
+        interp = _lq_aggregate(self.interp, norms[:, 0], bank)
+        evol = (_lq_aggregate(params, norms[:, 2], bank)
+                + _lq_aggregate(params, norms[:, 1], bank))
         self._add(m0, interp, evol)
 
     def _add(self, m0: int, interp: np.ndarray, evol: np.ndarray):
@@ -701,8 +686,8 @@ def _block_table(form: _ClosedForm, weights: np.ndarray,
 
 def _closed_form_energies(bank: FilterBank, tg: TimeGrid, gram: _ShellGrams,
                           weights: np.ndarray) -> np.ndarray:
-    """Block energies of the stepped trajectory at every node, as
-    _MaxRegAccumulator.blocks takes them.
+    """Block energies of the stepped trajectory at every node, shaped as
+    _MaxRegAccumulator.blocks takes their norms (block_l2_norms).
 
     ``gram`` holds the Gram sums on the window's shells, the only ones
     evaluated, as no block weighs the others.  One matrix product per block
@@ -743,11 +728,12 @@ def max_reg_report(traj: Trajectory, params: SpaceParams, system: str,
     f_spectra = {}
     for fm in traj.f:
         if fm is not None and id(fm) not in f_spectra:
-            f_spectra[id(fm)] = _spectra_of(fm)
+            f_spectra[id(fm)] = extend_spectra(fm).comps
 
     acc = _MaxRegAccumulator(traj.u0.grid, bank, params, tg, a_regular_checked)
     for m, (um, fm, t) in enumerate(zip(traj.u, traj.f, tg.nodes())):
-        acc.node(m, t, _spectra_of(um), None if fm is None else f_spectra[id(fm)])
+        acc.node(m, t, extend_spectra(um).comps,
+                 None if fm is None else f_spectra[id(fm)])
     return acc.report(system)
 
 
@@ -806,9 +792,10 @@ def max_reg_sweep(system: str, u0_hat: SpectralField,
     forcing) as sweep_spectra or steady_sweep_spectra form them, measured as
     they are and left unchanged, so several parameter sets can read the same
     spectra.  The parameter guards of every report (completeness,
-    q = infinity) run before the spectra are read.  At p = 2 the five shell
-    Gram sums are taken once and each horizon sums the closed form straight
-    into block energies, with no time stepping; at p != 2 each horizon steps
+    q = infinity) run before the spectra are read, and the forcing's Besov
+    norm is taken once for every horizon.  At p = 2 the five shell Gram sums
+    are taken once and each horizon sums the closed form straight into block
+    energies, with no time stepping; at p != 2 each horizon steps
     a copy of the datum spectra (the stepper updates its state in place)
     through the same forcing spectra.
     """
@@ -821,19 +808,23 @@ def max_reg_sweep(system: str, u0_hat: SpectralField,
     accs = [_MaxRegAccumulator(u0_hat.grid, bank, params, TimeGrid(h, steps),
                                a_regular_checked) for h in horizons]
     f_comps = None if f_hat is None else f_hat.comps
+    # the inputs are guarded on all shells, the forcing first, and the
+    # forcing's norm serves every horizon
     if params.p == 2.0:
         gram = _shell_grams(bank, u0_hat.comps, f_comps or {})
-        # the inputs are guarded on all shells, the forcing first; node 0's
-        # E_u is the datum's G_uu
-        for acc in accs:
-            acc.forcing(None if f_hat is None else gram.ff)
+        rhs = _forcing_norm(params, f_comps, bank, gram.ff)
+        # node 0's E_u is the datum's G_uu
         require_in_window(bank, gram.uu, params.homogeneous)
         gram = gram.on(bank.window_shells)
         weights = shell_block_weights(params.homogeneous, bank)
         for acc in accs:
-            acc.blocks(0, _closed_form_energies(bank, acc.tg, gram, weights))
+            acc.forcing(f_comps, rhs)
+            acc.blocks(0, block_l2_norms(
+                _closed_form_energies(bank, acc.tg, gram, weights), bank))
     else:
+        rhs = _forcing_norm(params, f_comps, bank)
         for acc in accs:
+            acc.forcing(f_comps, rhs)
             stepper = _Stepper(u0_hat.map(np.copy), acc.tg)
             for m, t in enumerate(acc.tg.nodes()):
                 if m:

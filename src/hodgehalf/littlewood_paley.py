@@ -22,12 +22,17 @@ it only regroups the terms of the sum.  The band sums read only the window's
 shells (FilterBank.window_shells), those where some psi_j or the unit-scale
 low pass is nonzero; every other shell would add an exact zero.  The leakage
 guard still reads every shell, since leakage is the mass outside the window.
-A block energy is linear in the shell energies, one row of
-shell_block_weights, and block_besov_norm is the one p = 2 evaluator, from
-block energies however they were summed: shell_besov_norm takes them from
-shell energies, evolution's closed form folds the weights into its own
-table.  The lattice tables (abs_freq, psi, low, phi_unit) serve the
-physical-space blocks and the Sobolev norms and are built on first use.
+
+Every Besov norm is one evaluator in two parts.  block_norms gives the L^p
+norm of each block, in _block_labels order, and is the only place that
+branches on p: at p = 2 each block energy is one row of shell_block_weights
+applied to the shell energies and its norm follows by Parseval
+(block_l2_norms); any other p inverts each block.  _lq_aggregate sums the
+2^{js}-weighted norms in l^q, for one set of blocks or one per node of a
+trajectory.  evolution's closed form folds the weights into its own table
+and shares only block_l2_norms.  The lattice tables (abs_freq, psi, low,
+phi_unit) serve the physical-space blocks, p != 2 and the Sobolev norms and
+are built on first use.
 """
 
 from __future__ import annotations
@@ -38,8 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import (FormField, Grid, SpectralField, forward_fft, inverse_fft,
-                     lp_quadrature)
+from .fields import FormField, Grid, forward_fft, inverse_fft, lp_quadrature
 
 LEAK_TOL = 1e-10
 
@@ -237,16 +241,6 @@ def low_pass(bank: FilterBank, u: FormField) -> FormField:
     return inverse_fft(forward_fft(u).apply_multiplier(bank.low))
 
 
-def _lq_aggregate(values: np.ndarray, weights: np.ndarray, q: float):
-    """l^q sum over the last axis of weights * values; a float for one row."""
-    terms = weights * values
-    if math.isinf(q):
-        out = np.max(terms, axis=-1, initial=0.0)
-    else:
-        out = np.sum(terms ** q, axis=-1) ** (1.0 / q)
-    return float(out) if out.ndim == 0 else out
-
-
 def _block_labels(params: SpaceParams, bank: FilterBank) -> list[int]:
     """Scales j of the blocks a Besov norm aggregates.
 
@@ -272,34 +266,56 @@ def shell_block_weights(homogeneous: bool, bank: FilterBank) -> np.ndarray:
                       bank.shell_psi_sq[np.asarray(bank.window) >= 0]))
 
 
-def block_besov_norm(params: SpaceParams, band_sq: np.ndarray,
-                     bank: FilterBank):
-    """p = 2 Besov norm from the energies of its dyadic blocks.
+def block_l2_norms(energies: np.ndarray, bank: FilterBank) -> np.ndarray:
+    """L^2 norms of blocks from their energies, sqrt(E cell volume / N^n)
+    by Parseval, for an array of energies of any shape."""
+    scale = bank.grid.cell_volume / bank.grid.points ** bank.grid.n
+    return np.sqrt(energies * scale)
 
-    ``band_sq`` holds the block energies, shell energies on the window's
-    shells times shell_block_weights, with shape (blocks,) or (rows, blocks);
-    the result is a float or one norm per row.
+
+def block_norms(params: SpaceParams, spectra, bank: FilterBank,
+                energy: np.ndarray | None = None) -> np.ndarray:
+    """L^p norms of the dyadic blocks of some spectra, in _block_labels order.
+
+    ``spectra`` is a collection of component spectra; derived ones may stack
+    more components than a form has (evolution._hessian_spectra).  This is
+    the one place the Besov path branches on p.  p = 2 reads the block
+    energies by Parseval from ``energy``, the shell energies on all shells
+    (FilterBank.shell_energy of the spectra when None).  Any other p inverts
+    each block and sums its pointwise magnitude by quadrature.  The caller
+    guards the window (require_in_window).
+    """
+    if params.p == 2.0:
+        if energy is None:
+            energy = bank.shell_energy(spectra)
+        weights = shell_block_weights(params.homogeneous, bank)
+        return block_l2_norms(energy[bank.window_shells] @ weights.T, bank)
+    labels = _block_labels(params, bank)
+    if params.homogeneous:
+        blocks = [bank.psi[j] for j in labels]
+    else:
+        blocks = [bank.phi_unit] + [bank.psi[j] for j in labels[1:]]
+    norms = []
+    for sym in blocks:
+        mag_sq = sum(np.abs(np.fft.ifftn(a * sym)) ** 2 for a in spectra)
+        norms.append(lp_quadrature(np.sqrt(mag_sq), bank.grid, params.p))
+    return np.asarray(norms)
+
+
+def _lq_aggregate(params: SpaceParams, norms: np.ndarray, bank: FilterBank):
+    """The Besov norm of block norms: the l^q sum of 2^{js} times ``norms``
+    over the last axis, the blocks of _block_labels (block_norms).
+
+    A leading axis holds one set of blocks per row, a node of a trajectory
+    say; the result is a float for one set, else one norm per row.
     """
     labels = np.asarray(_block_labels(params, bank), dtype=float)
-    scale = bank.grid.cell_volume / bank.grid.points ** bank.grid.n
-    return _lq_aggregate(np.sqrt(band_sq * scale), 2.0 ** (params.s * labels),
-                         params.q)
-
-
-def shell_besov_norm(params: SpaceParams, energy: np.ndarray,
-                     bank: FilterBank):
-    """p = 2 Besov norm from per-shell energies on the window's shells.
-
-    ``energy`` holds FilterBank.shell_energy on bank.window_shells, with
-    shape (shells,) or (rows, shells), one row per node of a trajectory,
-    say; the result is a float or one norm per row.  The caller guards the
-    window (require_in_window) on all shells where the data is an input, then
-    selects ``energy[..., bank.window_shells]``; a derived quantity such as a
-    time derivative that is round-off everywhere carries no meaningful
-    leakage fraction.
-    """
-    weights = shell_block_weights(params.homogeneous, bank)
-    return block_besov_norm(params, energy @ weights.T, bank)
+    terms = 2.0 ** (params.s * labels) * norms
+    if math.isinf(params.q):
+        out = np.max(terms, axis=-1, initial=0.0)
+    else:
+        out = np.sum(terms ** params.q, axis=-1) ** (1.0 / params.q)
+    return float(out) if out.ndim == 0 else out
 
 
 def besov_norm(params: SpaceParams, u: FormField, bank: FilterBank) -> float:
@@ -307,37 +323,16 @@ def besov_norm(params: SpaceParams, u: FormField, bank: FilterBank) -> float:
 
     Homogeneous: blocks over the window, with a leakage check at both ends.
     Inhomogeneous: the unit-scale low pass plays the block at j = -1 and
-    only scales j >= 0 contribute.  p = 2 is evaluated by Parseval on the
-    |k|^2 shells, other p block by block in physical space.
+    only scales j >= 0 contribute.  The block norms come from block_norms,
+    the sum from _lq_aggregate.
     """
     if params.kind != "besov":
         raise ValueError("params.kind must be 'besov'")
-    uh = forward_fft(u)
-    energy = bank.shell_energy(uh.comps.values())
+    spectra = forward_fft(u).comps.values()
+    energy = bank.shell_energy(spectra)
     require_in_window(bank, energy, params.homogeneous)
-    if params.p == 2.0:
-        return shell_besov_norm(params, energy[bank.window_shells], bank)
-    return lp_besov_norm(params, uh, bank)
-
-
-def lp_besov_norm(params: SpaceParams, uh: SpectralField,
-                  bank: FilterBank) -> float:
-    """Besov norm of a spectrum from the L^p norms of its inverse-transformed
-    blocks; any p.  As with shell_besov_norm, the caller guards the window.
-    """
-    labels = _block_labels(params, bank)
-    if params.homogeneous:
-        blocks = [bank.psi[j] for j in labels]
-    else:
-        blocks = [bank.phi_unit] + [bank.psi[j] for j in labels[1:]]
-    weights = 2.0 ** (params.s * np.asarray(labels, dtype=float))
-    # the magnitude is taken here, not through a FormField: derived spectra
-    # may stack more components than a form has (evolution._hessian_spectra)
-    norms = []
-    for sym in blocks:
-        mag_sq = sum(np.abs(np.fft.ifftn(a * sym)) ** 2 for a in uh.comps.values())
-        norms.append(lp_quadrature(np.sqrt(mag_sq), bank.grid, params.p))
-    return _lq_aggregate(np.asarray(norms), weights, params.q)
+    return _lq_aggregate(params, block_norms(params, spectra, bank, energy),
+                         bank)
 
 
 def sobolev_norm(params: SpaceParams, u: FormField, bank: FilterBank) -> float:

@@ -703,8 +703,7 @@ def test_closed_form_time_derivative_against_long_double():
     # recurrence in long double from the same float64 spectra.  The closed
     # form's rows are summed shell by shell from the coefficients and the
     # monomials that its block table contracts
-    from hodgehalf.evolution import (_closed_form, _monomials, _shell_grams,
-                                     _spectra_of)
+    from hodgehalf.evolution import _closed_form, _monomials, _shell_grams
 
     grid = Grid(2, 64, 8.0)
     bank = default_bank(grid)
@@ -713,7 +712,7 @@ def test_closed_form_time_derivative_against_long_double():
     pf = leray_halfspace(f)[0]
     u0 = leray_halfspace(steady_datum(f))[0]
     tg = TimeGrid(1.0, 256)
-    u_hat, f_hat = _spectra_of(u0), _spectra_of(pf)
+    u_hat, f_hat = extend_spectra(u0).comps, extend_spectra(pf).comps
     lam = bank.window_absq
     form = _closed_form(lam, tg.dt, _shell_grams(bank, u_hat, f_hat).on(
         bank.window_shells))
@@ -840,6 +839,39 @@ def test_stepped_sweep_forms_no_node_field(monkeypatch):
     assert [rep.horizon for rep in reports] == [1.0, 4.0]
     assert all(rep.ratio > 0.0 for rep in reports)
     assert calls == []
+
+
+def test_sweep_measures_its_forcing_once(monkeypatch):
+    # the forcing's blocks are measured once per sweep, whatever the number of
+    # horizons; a stepped node measures u, its Hessian and du/dt, and the
+    # closed form measures no node through block_norms
+    from hodgehalf import evolution
+    from hodgehalf.littlewood_paley import block_norms
+
+    grid = Grid(2, 32, 8.0)
+    bank = default_bank(grid)
+    f = random_half_field(grid, "Ht", [0b01, 0b10], seed=46,
+                          kind="annulus_band", radii=(1.0, 2.2))
+    spectra = sweep_spectra("hodge_stokes", f, steady_datum(f))
+    forcing = list(spectra[1].comps.values())
+    calls = []
+
+    def counted(params, comps, bank, energy=None):
+        comps = list(comps)
+        calls.append(len(comps) == len(forcing)
+                     and all(a is b for a, b in zip(comps, forcing)))
+        return block_norms(params, comps, bank, energy)
+
+    monkeypatch.setattr(evolution, "block_norms", counted)
+    steps = 4
+    for params, per_node in ((SpaceParams(0.0, 3.0, 1.0), 3),
+                             (SpaceParams(0.0, 2.0, 1.0), 0)):
+        for horizons in ([1.0], [1.0, 4.0, 16.0]):
+            calls.clear()
+            max_reg_sweep("hodge_stokes", *spectra, horizons, steps, params,
+                          bank)
+            assert calls.count(True) == 1
+            assert len(calls) == 1 + per_node * (steps + 1) * len(horizons)
 
 
 @pytest.mark.parametrize("system", ["hodge_heat", "hodge_stokes"])

@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from hodgehalf.fields import FormField, Grid, random_form
-from hodgehalf.littlewood_paley import (SpaceParams, besov_norm, build_bank,
+from hodgehalf.littlewood_paley import (SpaceParams, _lq_aggregate, besov_norm,
+                                        block_norms, build_bank,
                                         completeness_ok, default_bank,
                                         dyadic_block, low_pass, radial_cutoff,
-                                        shell_besov_norm, sobolev_norm)
+                                        sobolev_norm)
 from hodgehalf.operators import laplacian
 
 
@@ -207,7 +208,8 @@ def test_besov_leakage_rejected(grid, bank):
         besov_norm(SpaceParams(0.0, 2.0, 2.0), u, bank)
 
 
-# the shell evaluator against a point-by-point lattice sum; the 3-d window
+# the p = 2 evaluator, block_norms from shell energies and _lq_aggregate,
+# against a point-by-point lattice sum; the 3-d window
 # [0, 1] needs pi/L in [2/3, 3/4] on a 16-point axis
 SHELL_CASES = [(Grid(2, 64, 8.0), 0, 2), (Grid(3, 16, 4.5), 0, 1)]
 
@@ -243,12 +245,11 @@ def random_spectra(grid, seed, count=2):
 
 def assert_shell_matches_lattice(bank, spectra):
     grid = bank.grid
-    energy = bank.shell_energy(spectra)[bank.window_shells]
     for homogeneous in (True, False):
         for q in (1.0, 2.0, math.inf):
             params = SpaceParams(0.5, 2.0, q, homogeneous=homogeneous)
             want = lattice_besov_p2(params, spectra, grid, bank.j_min, bank.j_max)
-            got = shell_besov_norm(params, energy, bank)
+            got = _lq_aggregate(params, block_norms(params, spectra, bank), bank)
             assert abs(got - want) <= 1e-12 * want, (homogeneous, q, got, want)
 
 
