@@ -52,7 +52,7 @@ u0 = steady + 0.05 * w
 params = SpaceParams(0.0, 2.0, 1.0)
 print("  forcing in equilibrium with the datum, measured in L^1_t Besov:")
 for rep in max_reg_sweep("hodge_stokes", *sweep_spectra("hodge_stokes", f, u0),
-                         (1.0, 10.0, 100.0), 256, params, bank):
+                         (1.0, 10.0, 100.0), 256, [params], bank):
     print(f"    T = {rep.horizon:5.0f}: |u|_sup = {rep.sup_interp_norm:7.3f}, "
           f"|(du/dt, hess u)|_Lq = {rep.lq_evolution_norm:8.3f}, "
           f"ratio = {rep.ratio:.6f}")

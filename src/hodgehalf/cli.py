@@ -314,8 +314,9 @@ def run_maxreg(cfg: RunConfig) -> int:
     drawn and steady_sweep_spectra takes its extension spectra once and
     forms the steady datum on the spectra the system steps (A^{-1} P f,
     split in spectra, for the Stokes-type systems; A^{-1} f for hodge_heat),
-    never as a half-field; every accepted (s, p, q) is measured on those
-    same spectra by max_reg_sweep.
+    never as a half-field.  One max_reg_sweep call measures every accepted
+    (s, p, q) on those spectra: one set of Gram sums serves the p = 2 sets
+    and one stepped pass per horizon all the others.
     """
     opts = cfg.options
     grid = cfg.grid()
@@ -356,11 +357,10 @@ def run_maxreg(cfg: RunConfig) -> int:
                                     seed=cfg.seed + 1,
                                     kind=opts.get("corpus_kind", "annulus_band"),
                                     radii=cfg.radii((1.0, 1.3)))
-        spectra = steady_sweep_spectra(system, forcing)
-        for params in accepted:
-            done.extend(dict(report.row(), status="ok", reason="")
-                        for report in max_reg_sweep(
-                            system, *spectra, horizons, steps, params, bank))
+        done = [dict(report.row(), status="ok", reason="")
+                for report in max_reg_sweep(
+                    system, *steady_sweep_spectra(system, forcing), horizons,
+                    steps, accepted, bank)]
     rows.extend(done)
 
     # flag ratio drift across the horizon sweep per parameter set

@@ -24,46 +24,49 @@ rather than by finite differences, so the report never mixes time-stepping
 error into the estimate it measures.
 
 Every node reaches the report as the L^p norms of the dyadic blocks of u,
-its Hessian and du/dt, summed by the one l^q aggregation of littlewood_paley
-(block_norms, then _lq_aggregate); the accumulator never branches on p.  A
-stepped node takes the three block norms of the stepper's spectra, with
-du/dt = -|xi|^2 u_hat + f_hat summed pointwise and the Hessian's spectra
-from _hessian_spectra, at p = 2 from |k|^2 shell energies, at other p by
-inverting each block.  The leakage guard of an input reads all shells.
+its Hessian and du/dt (_node_blocks, by block_norms), and _report sums a
+whole trajectory's: _lq_aggregate over the blocks, then _time_lq, its
+trapezoid twin over the nodes and the only place a report branches on
+q = infinity.  A stepped node takes the block norms of the stepper's
+spectra, with du/dt = -|xi|^2 u_hat + f_hat summed pointwise and the
+Hessian's spectra from _hessian_spectra, at p = 2 from |k|^2 shell
+energies, at other p by inverting each block.  The leakage guard of an
+input reads all shells.
 
-max_reg_sweep is the one driver.  It measures a parameter set over every
-horizon from one pair of extension spectra, the datum's and those of a
-constant or absent forcing; nothing but the node times depends on the
-horizon.  At p = 2 it does not step: the stepper's recurrence sums in closed
-form (_closed_form), and five per-shell Gram sums of the datum and the
-forcing, taken once, make E_u and E_dt on each of the window's shells a
+max_reg_sweep is the one driver.  It measures a list of parameter sets
+over every horizon from one pair of extension spectra, the datum's and
+those of a constant or absent forcing.  Nothing but the node times depends
+on the horizon, and a block's L^p norm depends only on the layout (p and
+the homogeneity): s only weighs the blocks and q only sums them.  At p = 2
+it does not step: the stepper's recurrence sums in closed form
+(_closed_form), and five per-shell Gram sums of the datum and the forcing,
+taken once per sweep, make E_u and E_dt on each of the window's shells a
 quadratic form in a = e^{-t lam} and b = 1 - a.  A p = 2 block energy is
-linear in the shell energies, so the coefficients, folded once per horizon
-with the bank's block weights (_block_table), take the monomials a^2, ab
-and b^2 of a block of nodes to the block energies of u, its Hessian (by
-sum_{a,b} |xi_a xi_b|^2 = |xi|^4, |xi|^4 E_u) and du/dt in one matrix
-product; no per-shell row is formed, and only the Parseval step
-block_l2_norms turns the energies into block norms.  There du/dt is
-written in the basis (r, f), r = u0 - f / |xi|^2 the datum less the steady
-state, since in the basis (u0, f) a steady datum leaves du/dt as the
-difference of O(1) terms.  At p != 2 it steps a copy of the datum spectra
-per horizon and reads each node from the stepper's spectra.  Two builders
-form the spectra, each Leray-projected in spectra for the Stokes-type
-systems (leray_hat, no physical P u0 or P f): sweep_spectra from a datum
-and a forcing, one transform per component of each, and
+linear in the shell energies, so the coefficients, folded once per
+homogeneity and horizon with the bank's block weights (_block_table), take
+the monomials a^2, ab and b^2 of a block of nodes to the block energies of
+u, its Hessian (by sum_{a,b} |xi_a xi_b|^2 = |xi|^4, |xi|^4 E_u) and du/dt
+in one matrix product, and only the Parseval step block_l2_norms turns
+them into block norms.  There du/dt is written in the basis (r, f),
+r = u0 - f / |xi|^2 the datum less the steady state, since in the basis
+(u0, f) a steady datum leaves du/dt as the difference of O(1) terms.  At
+p != 2 one copy of the datum spectra, stepped per horizon, serves every
+p != 2 set, and each node's blocks are measured once per layout.  Two
+builders form the spectra, each Leray-projected in spectra for the
+Stokes-type systems (leray_hat, no physical P u0 or P f): sweep_spectra
+from a datum and a forcing, one transform per component of each, and
 steady_sweep_spectra from a forcing alone, the steady datum A^{-1} f_hat
 built on the spectra f_hat the system steps (P f, or f for hodge_heat);
-hodgehalf maxreg forms them once and measures every (s, p, q) on them, and
-a sweep guards and measures its forcing once for all its horizons.
+hodgehalf maxreg forms them once and measures all its sets in one sweep.
 max_reg_report measures a stored trajectory of any forcing, time-dependent
-ones included; it is the oracle the driver is tested against.  Both refuse
+ones included, through the same _node_blocks and _report; it is the oracle
+the driver is tested against.  Both refuse
 an initial datum or forcing whose spectrum leaks out of the bank window,
 reading the leakage from the same shell energies.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -398,140 +401,78 @@ def interpolation_space(params: SpaceParams, n: int) -> tuple[SpaceParams, bool]
     return interp, completeness_ok(interp, n)
 
 
-def _forcing_norm(params: SpaceParams, fhat: dict[int, np.ndarray] | None,
-                  bank: FilterBank, energy: np.ndarray | None = None) -> float:
-    """Besov norm of the forcing spectra ``fhat``, 0 for None (no forcing),
-    after the window guard on its shell energy ``energy`` (taken from fhat
-    when None)."""
-    if fhat is None:
-        return 0.0
-    if energy is None:
-        energy = bank.shell_energy(fhat.values())
-    require_in_window(bank, energy, params.homogeneous)
-    return _lq_aggregate(params, block_norms(params, fhat.values(), bank,
-                                             energy), bank)
+def _report_space(params: SpaceParams, n: int,
+                  a_regular_checked: bool) -> SpaceParams:
+    """The interpolation space of a report in ``params`` (interpolation_space),
+    after the guards every report runs: its completeness predicate in
+    dimension ``n`` and, for q = infinity, the caller's word that the datum
+    is operator-regular."""
+    interp, complete = interpolation_space(params, n)
+    if not complete:
+        raise ValueError(
+            f"refusing the report: the space with s = {interp.s}, p = {interp.p}, "
+            f"q = {interp.q} fails the completeness predicate in dimension {n} "
+            f"(needs s < n/p, or q = 1 and s <= n/p)")
+    if math.isinf(params.q) and not a_regular_checked:
+        raise ValueError("q = infinity reports need operator-regular initial "
+                         "data; build it with make_a_regular and pass "
+                         "a_regular_checked=True")
+    return interp
 
 
-class _MaxRegAccumulator:
-    """Streams node data into the three norms of the regularity estimate.
+def _node_blocks(layouts: list[SpaceParams], state: dict[int, np.ndarray],
+                 fhat: dict[int, np.ndarray] | None, neg_absq: np.ndarray,
+                 bank: FilterBank,
+                 energy: np.ndarray | None = None) -> list[np.ndarray]:
+    """The block norms of one node in each layout: for every entry of
+    ``layouts``, whose p and homogeneity name a layout, a (3, blocks) array,
+    rows u, its Hessian and du/dt.
 
-    Construction runs the guards both drivers share: the completeness
-    predicate of the interpolation space and, for q = infinity, the caller's
-    word that the datum is operator-regular.  Node 0 carries the initial
-    datum: its interpolation norm is the rhs_u0 term.  The datum and every
-    distinct forcing, the inputs, are guarded against window leakage on all
-    shells; derived spectra are not.  node() guards a stepped trajectory's
-    inputs; the sweep guards its own.  The norm of a forcing seen at
-    consecutive nodes is computed once.  Every node arrives at blocks() as
-    the block norms of u, its Hessian and du/dt: from the stepper's spectra
-    (node) or from the closed form's block energies.
+    ``state`` and ``fhat`` are the node's spectra and its forcing's (None:
+    no forcing); ``energy`` is the state's shell energy when known.  The
+    Hessian (_hessian_spectra) and the mild du/dt = -|xi|^2 u_hat + f_hat,
+    ``neg_absq`` = -|xi|^2, are formed once for every layout.
     """
+    fhat = fhat or {}
+    hess = list(_hessian_spectra(state, bank.grid).values())
+    dt = [neg_absq * a + fhat[k] if k in fhat else neg_absq * a
+          for k, a in state.items()]
+    dt += [a for k, a in fhat.items() if k not in state]
+    return [np.stack((block_norms(params, state.values(), bank, energy),
+                      block_norms(params, hess, bank),
+                      block_norms(params, dt, bank)))
+            for params in layouts]
 
-    def __init__(self, grid: Grid, bank: FilterBank, params: SpaceParams,
-                 tg: TimeGrid, a_regular_checked: bool):
-        interp, complete = interpolation_space(params, grid.n)
-        if not complete:
-            raise ValueError(
-                f"refusing the report: the space with s = {interp.s}, p = {interp.p}, "
-                f"q = {interp.q} fails the completeness predicate in dimension {grid.n} "
-                f"(needs s < n/p, or q = 1 and s <= n/p)")
-        if math.isinf(params.q) and not a_regular_checked:
-            raise ValueError("q = infinity reports need operator-regular initial "
-                             "data; build it with make_a_regular and pass "
-                             "a_regular_checked=True")
-        self.grid = grid
-        self.bank = bank
-        self.params = params
-        self.interp = interp
-        self.tg = tg
-        self.sup_norm = 0.0
-        self.rhs_u0 = 0.0
-        self.evol_acc = 0.0
-        self.evol_max = 0.0
-        self.rhs_acc = 0.0
-        self.rhs_max = 0.0
-        self._fhat = None  # forcing spectra whose norm is self._rhs
-        self._rhs = 0.0
 
-    def forcing(self, fhat: dict[int, np.ndarray] | None, rhs: float):
-        """Take the forcing of the nodes to come: its spectra (None: no
-        forcing) and its Besov norm, _forcing_norm."""
-        self._fhat, self._rhs = fhat, rhs
+def _time_lq(values: np.ndarray, tg: TimeGrid, q: float) -> float:
+    """The L^q norm in time of node values on ``tg`` by the trapezoid rule
+    (the max at q = infinity), the time-axis twin of _lq_aggregate."""
+    if math.isinf(q):
+        return float(values.max())
+    w = np.full(values.size, tg.dt)
+    w[[0, -1]] *= 0.5
+    return float(np.sum(w * values ** q)) ** (1.0 / q)
 
-    @functools.cached_property
-    def _neg_absq(self) -> np.ndarray:
-        """-|xi|^2, made at the first stepped node (the closed form needs
-        none)."""
-        return -self.grid.freq_sq()
 
-    def _time_derivative(self, state, fhat) -> list[np.ndarray]:
-        """Spectra of the mild du/dt = Delta u + f, component by component."""
-        fhat = fhat or {}
-        out = [self._neg_absq * a + fhat[k] if k in fhat
-               else self._neg_absq * a for k, a in state.items()]
-        return out + [a for k, a in fhat.items() if k not in state]
+def _report(system: str, params: SpaceParams, interp: SpaceParams,
+            tg: TimeGrid, bank: FilterBank, norms: np.ndarray,
+            rhs: np.ndarray) -> MaxRegReport:
+    """The MaxRegReport of ``params`` over the nodes of ``tg``.
 
-    def node(self, m: int, t: float, state: dict[int, np.ndarray],
-             fhat: dict[int, np.ndarray] | None):
-        """One node of a stepped trajectory, from its spectra."""
-        bank, params = self.bank, self.params
-        if fhat is not self._fhat:
-            self.forcing(fhat, _forcing_norm(params, fhat, bank))
-        energy = None
-        if m == 0:
-            energy = bank.shell_energy(state.values())
-            require_in_window(bank, energy, params.homogeneous)
-        hess = _hessian_spectra(state, self.grid).values()
-        self.blocks(m, np.stack((
-            block_norms(params, state.values(), bank, energy),
-            block_norms(params, hess, bank),
-            block_norms(params, self._time_derivative(state, fhat), bank)))[None])
-
-    def blocks(self, m0: int, norms: np.ndarray):
-        """Nodes m0, m0 + 1, ... from the norms of their blocks.
-
-        ``norms[m, i]`` holds the block_norms of u (i = 0), its Hessian (1)
-        and du/dt (2) at node m0 + m.  The caller has guarded the datum on
-        all shells.
-        """
-        bank, params = self.bank, self.params
-        interp = _lq_aggregate(self.interp, norms[:, 0], bank)
-        evol = (_lq_aggregate(params, norms[:, 2], bank)
-                + _lq_aggregate(params, norms[:, 1], bank))
-        self._add(m0, interp, evol)
-
-    def _add(self, m0: int, interp: np.ndarray, evol: np.ndarray):
-        tg, q = self.tg, self.params.q
-        m = m0 + np.arange(interp.size)
-        w = np.where((m == 0) | (m == tg.steps), 0.5 * tg.dt, tg.dt)
-        if m0 == 0:
-            self.rhs_u0 = float(interp[0])
-        self.sup_norm = max(self.sup_norm, float(interp.max()))
-        if math.isinf(q):
-            self.evol_max = max(self.evol_max, float(evol.max()))
-            self.rhs_max = max(self.rhs_max, self._rhs)
-        else:
-            self.evol_acc += float(np.sum(w * evol ** q))
-            self.rhs_acc += float(np.sum(w)) * self._rhs ** q
-
-    def lq_evolution(self) -> float:
-        if math.isinf(self.params.q):
-            return self.evol_max
-        return self.evol_acc ** (1.0 / self.params.q)
-
-    def lq_forcing(self) -> float:
-        if math.isinf(self.params.q):
-            return self.rhs_max
-        return self.rhs_acc ** (1.0 / self.params.q)
-
-    def report(self, system: str) -> MaxRegReport:
-        """The measurement once every node has been seen."""
-        lhs = self.sup_norm + self.lq_evolution()
-        rhs = self.lq_forcing() + self.rhs_u0
-        ratio = 0.0 if lhs == 0.0 else lhs / rhs
-        return MaxRegReport(system, self.params.s, self.params.p, self.params.q,
-                            self.tg.horizon, self.sup_norm, self.lq_evolution(),
-                            self.lq_forcing(), self.rhs_u0, ratio)
+    ``norms[m, i]`` holds the block norms of u (i = 0), its Hessian (1) and
+    du/dt (2) at node m, ``rhs[m]`` the Besov norm of node m's forcing.
+    Node 0 carries the initial datum: its norm in the interpolation space
+    ``interp`` is the rhs_u0 term.
+    """
+    sup = _lq_aggregate(interp, norms[:, 0], bank)
+    evol = (_lq_aggregate(params, norms[:, 2], bank)
+            + _lq_aggregate(params, norms[:, 1], bank))
+    lhs_sup, rhs_u0 = float(sup.max()), float(sup[0])
+    lhs_lq, rhs_f = _time_lq(evol, tg, params.q), _time_lq(rhs, tg, params.q)
+    lhs = lhs_sup + lhs_lq
+    ratio = 0.0 if lhs == 0.0 else lhs / (rhs_f + rhs_u0)
+    return MaxRegReport(system, params.s, params.p, params.q, tg.horizon,
+                        lhs_sup, lhs_lq, rhs_f, rhs_u0, ratio)
 
 
 # nodes x shells entries per block of the closed-form monomials (three per
@@ -687,7 +628,7 @@ def _block_table(form: _ClosedForm, weights: np.ndarray,
 def _closed_form_energies(bank: FilterBank, tg: TimeGrid, gram: _ShellGrams,
                           weights: np.ndarray) -> np.ndarray:
     """Block energies of the stepped trajectory at every node, shaped as
-    _MaxRegAccumulator.blocks takes their norms (block_l2_norms).
+    _report takes their norms (block_l2_norms).
 
     ``gram`` holds the Gram sums on the window's shells, the only ones
     evaluated, as no block weighs the others.  One matrix product per block
@@ -724,17 +665,32 @@ def max_reg_report(traj: Trajectory, params: SpaceParams, system: str,
     of the two sides is the reported quantity.
     """
     tg = traj.time_grid
-    # a constant forcing is stored as one object at every node: transform it once
-    f_spectra = {}
+    interp = _report_space(params, traj.u0.grid.n, a_regular_checked)
+    # a constant forcing is stored as one object at every node: transform,
+    # guard and measure it once
+    forcings = {}
     for fm in traj.f:
-        if fm is not None and id(fm) not in f_spectra:
-            f_spectra[id(fm)] = extend_spectra(fm).comps
+        if fm is not None and id(fm) not in forcings:
+            fhat = extend_spectra(fm).comps
+            energy = bank.shell_energy(fhat.values())
+            require_in_window(bank, energy, params.homogeneous)
+            forcings[id(fm)] = fhat, _lq_aggregate(
+                params, block_norms(params, fhat.values(), bank, energy), bank)
 
-    acc = _MaxRegAccumulator(traj.u0.grid, bank, params, tg, a_regular_checked)
-    for m, (um, fm, t) in enumerate(zip(traj.u, traj.f, tg.nodes())):
-        acc.node(m, t, extend_spectra(um).comps,
-                 None if fm is None else f_spectra[id(fm)])
-    return acc.report(system)
+    neg_absq = -traj.u0.grid.freq_sq()
+    norms, rhs = [], []
+    for m, (um, fm) in enumerate(zip(traj.u, traj.f)):
+        fhat, norm = (None, 0.0) if fm is None else forcings[id(fm)]
+        state = extend_spectra(um).comps
+        energy = None
+        if m == 0:
+            energy = bank.shell_energy(state.values())
+            require_in_window(bank, energy, params.homogeneous)
+        norms.append(_node_blocks([params], state, fhat, neg_absq, bank,
+                                  energy)[0])
+        rhs.append(norm)
+    return _report(system, params, interp, tg, bank, np.array(norms),
+                   np.array(rhs))
 
 
 def sweep_spectra(system: str, f: HalfField | None,
@@ -782,22 +738,19 @@ def steady_sweep_spectra(system: str,
 
 def max_reg_sweep(system: str, u0_hat: SpectralField,
                   f_hat: SpectralField | None, horizons, steps: int,
-                  params: SpaceParams, bank: FilterBank,
+                  sets: list[SpaceParams], bank: FilterBank,
                   a_regular_checked: bool = False) -> list[MaxRegReport]:
-    """Measure over each horizon, without storing a trajectory.
+    """Measure every parameter set over each horizon, without storing a
+    trajectory.
 
-    Produces, horizon by horizon, the numbers of max_reg_report on the
-    stored trajectory of M = ``steps`` steps.  ``u0_hat`` and ``f_hat`` are
-    the extension spectra of the datum and of a constant forcing (None: no
-    forcing) as sweep_spectra or steady_sweep_spectra form them, measured as
-    they are and left unchanged, so several parameter sets can read the same
-    spectra.  The parameter guards of every report (completeness,
-    q = infinity) run before the spectra are read, and the forcing's Besov
-    norm is taken once for every horizon.  At p = 2 the five shell Gram sums
-    are taken once and each horizon sums the closed form straight into block
-    energies, with no time stepping; at p != 2 each horizon steps
-    a copy of the datum spectra (the stepper updates its state in place)
-    through the same forcing spectra.
+    Produces the numbers of max_reg_report on the stored trajectory of
+    M = ``steps`` steps, set by set and, within a set, horizon by horizon.
+    ``u0_hat`` and ``f_hat`` are the extension spectra of the datum and of a
+    constant forcing (None: no forcing) as sweep_spectra or
+    steady_sweep_spectra form them, left unchanged.  The parameter guards
+    of every set (completeness, q = infinity) run before the spectra are
+    read.  The inputs' shell energies are taken once, and block norms once
+    per layout: the forcing's per sweep, a node's per horizon.
     """
     if system not in SYSTEMS:
         raise ValueError(f"unknown system {system!r}")
@@ -805,37 +758,65 @@ def max_reg_sweep(system: str, u0_hat: SpectralField,
             and (f_hat is None or isinstance(f_hat, SpectralField))):
         raise TypeError("max_reg_sweep measures extension spectra; form them "
                         "from half-fields with sweep_spectra")
-    accs = [_MaxRegAccumulator(u0_hat.grid, bank, params, TimeGrid(h, steps),
-                               a_regular_checked) for h in horizons]
-    f_comps = None if f_hat is None else f_hat.comps
-    # the inputs are guarded on all shells, the forcing first, and the
-    # forcing's norm serves every horizon
-    if params.p == 2.0:
-        gram = _shell_grams(bank, u0_hat.comps, f_comps or {})
-        rhs = _forcing_norm(params, f_comps, bank, gram.ff)
-        # node 0's E_u is the datum's G_uu
-        require_in_window(bank, gram.uu, params.homogeneous)
+    grids = [TimeGrid(h, steps) for h in horizons]
+    interps = [_report_space(params, u0_hat.grid.n, a_regular_checked)
+               for params in sets]
+    layouts = {(params.p, params.homogeneous): params for params in sets}
+    closed = {key[1] for key in layouts if key[0] == 2.0}
+    stepped = [key for key in layouts if key[0] != 2.0]
+    u_comps, f_comps = u0_hat.comps, None if f_hat is None else f_hat.comps
+    if closed:
+        gram = _shell_grams(bank, u_comps, f_comps or {})
+        u_energy, f_energy = gram.uu, gram.ff
         gram = gram.on(bank.window_shells)
-        weights = shell_block_weights(params.homogeneous, bank)
-        for acc in accs:
-            acc.forcing(f_comps, rhs)
-            acc.blocks(0, block_l2_norms(
-                _closed_form_energies(bank, acc.tg, gram, weights), bank))
     else:
-        rhs = _forcing_norm(params, f_comps, bank)
-        for acc in accs:
-            acc.forcing(f_comps, rhs)
-            stepper = _Stepper(u0_hat.map(np.copy), acc.tg)
-            for m, t in enumerate(acc.tg.nodes()):
+        u_energy = bank.shell_energy(u_comps.values())
+        f_energy = None if f_comps is None else bank.shell_energy(
+            f_comps.values())
+    # the inputs are guarded on all shells, the forcing first
+    for params in sets:
+        if f_comps is not None:
+            require_in_window(bank, f_energy, params.homogeneous)
+        require_in_window(bank, u_energy, params.homogeneous)
+    f_blocks = {} if f_comps is None else {
+        key: block_norms(params, f_comps.values(), bank, f_energy)
+        for key, params in layouts.items()}
+
+    norms = {}  # (layout, horizon index) -> (M + 1, 3, blocks)
+    for homogeneous in closed:
+        weights = shell_block_weights(homogeneous, bank)
+        for i, tg in enumerate(grids):
+            norms[(2.0, homogeneous), i] = block_l2_norms(
+                _closed_form_energies(bank, tg, gram, weights), bank)
+    if stepped:
+        neg_absq = -u0_hat.grid.freq_sq()
+        stepped_sets = [layouts[key] for key in stepped]
+        for i, tg in enumerate(grids):
+            stepper = _Stepper(u0_hat.map(np.copy), tg)
+            nodes = []
+            for m in range(tg.steps + 1):
                 if m:
                     stepper.advance(f_comps)
-                acc.node(m, t, stepper.state, f_comps)
-    return [acc.report(system) for acc in accs]
+                nodes.append(_node_blocks(stepped_sets, stepper.state, f_comps,
+                                          neg_absq, bank))
+            for k, key in enumerate(stepped):
+                norms[key, i] = np.array([node[k] for node in nodes])
+
+    reports = []
+    for params, interp in zip(sets, interps):
+        key = (params.p, params.homogeneous)
+        rhs = 0.0 if f_comps is None else _lq_aggregate(params, f_blocks[key],
+                                                        bank)
+        reports += [_report(system, params, interp, tg, bank, norms[key, i],
+                            np.full(tg.steps + 1, rhs))
+                    for i, tg in enumerate(grids)]
+    return reports
 
 
 def streaming_max_reg(system: str, f, u0: HalfField, horizon: float, steps: int,
                       params: SpaceParams, bank: FilterBank,
                       a_regular_checked: bool = False) -> MaxRegReport:
-    """max_reg_sweep of the half-field datum and forcing over one horizon."""
+    """max_reg_sweep of the half-field datum and forcing over one horizon,
+    for one parameter set."""
     return max_reg_sweep(system, *sweep_spectra(system, f, u0), [horizon],
-                         steps, params, bank, a_regular_checked)[0]
+                         steps, [params], bank, a_regular_checked)[0]

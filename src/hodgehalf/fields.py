@@ -419,15 +419,22 @@ class _BandDraw:
         return u
 
 
+def _random_components(grid: Grid, masks, seed: int = 0,
+                       kind: str = "random_band", **kwargs) -> dict:
+    """The raw, unchecked component arrays of random_form, by mask."""
+    draw = _component_draw(TestFunctionSpec(kind=kind, **kwargs), grid)
+    return {mask: draw(np.random.default_rng(seed * 1009 + i))
+            for i, mask in enumerate(sorted(masks))}
+
+
 def random_form(grid: Grid, masks, seed: int = 0, kind: str = "random_band",
                 **kwargs) -> FormField:
     """Random smooth field with independent components, seeded per component
     (seed * 1009 + i for the i-th mask in sorted order).  A band kind's slabs
     and envelope are made once for all components; the components are
     checked once, by the one FormField built from them."""
-    draw = _component_draw(TestFunctionSpec(kind=kind, **kwargs), grid)
-    return FormField(grid, {mask: draw(np.random.default_rng(seed * 1009 + i))
-                            for i, mask in enumerate(sorted(masks))})
+    return FormField(grid, _random_components(grid, masks, seed, kind,
+                                              **kwargs))
 
 
 # ---------------------------------------------------------------------------

@@ -46,7 +46,7 @@ import numpy as np
 
 from .algebra import degree, lowering, raising
 from .fields import (FieldCore, FormField, Grid, SpectralField, _check_same_grid,
-                     random_form)
+                     _random_components)
 from .operators import (_LERAY, _apply_incidence, _leray_core, _refuse_mean,
                         heat_hat, leray_hat, resolvent_hat)
 
@@ -282,11 +282,12 @@ def random_half_field(grid: Grid, flavor: str, masks, seed: int = 0,
     j = N/2 reads torus row 0 twice, and an odd component's seam is 0.  The
     sum or difference is written straight into the rows and then halved in
     place, which rounds as 0.5 * (a + p a') does.  The draw itself is
-    random_form's, on the slabs its band reaches."""
-    full = random_form(grid, masks, seed=seed, **kwargs)
+    random_form's raw arrays, on the slabs its band reaches; only the
+    HalfField scans for non-finite samples, as every row is a sum or
+    difference of the samples it reads."""
     half = grid.points // 2
     comps = {}
-    for mask, a in full.comps.items():
+    for mask, a in _random_components(grid, masks, seed, **kwargs).items():
         even = component_parity(flavor, mask, grid.n) > 0
         rows = np.empty(half_shape(grid), dtype=complex)
         (np.add if even else np.subtract)(a[..., half:], a[..., half:0:-1],

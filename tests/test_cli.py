@@ -654,6 +654,39 @@ def test_maxreg_fft_count(tmp_path, fft_counts, monkeypatch, n, points):
     assert seen == [expected] * 8
 
 
+@pytest.mark.parametrize("spq", [
+    [[0.0, 2.0, 1.0], [-0.5, 2.0, 2.0], [0.25, 2.0, 1.5]],
+    [[0.0, 3.0, 1.0], [0.25, 3.0, 1.0], [0.5, 3.0, 1.0]]], ids=["p2", "p3"])
+def test_maxreg_sets_share_one_pass(tmp_path, fft_counts, monkeypatch, spq):
+    # block norms depend on (p, homogeneous) alone, so three sets of one
+    # layout make exactly the transforms and the lattice-to-shell reductions
+    # (np.bincount) of one set: at p = 2 one set of Gram sums, at p = 3 one
+    # stepped pass per horizon whose nodes invert their blocks
+    reductions = []
+    real = np.bincount
+
+    def counted(*args, **kwargs):
+        reductions.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np, "bincount", counted)
+    seen = []
+    for sets in (spq[:1], spq):
+        fft_counts.clear()
+        reductions.clear()
+        cfg = write_config(tmp_path, {
+            "grid": {"n": 2, "points": 32, "length": 8.0}, "spq": sets,
+            "T": [1.0, 4.0], "M": 4, "radii": [1.0, 1.3]})
+        assert main(["maxreg", "--config", cfg, "--out", str(tmp_path)]) == 0
+        rows = read_csv(tmp_path / "maxreg.csv")
+        assert [r["status"] for r in rows] == ["ok"] * 2 * len(sets)
+        seen.append((list(fft_counts.calls), len(reductions)))
+    assert seen[0] == seen[1]
+    # the draw and the extension spectra make 10 transforms (see
+    # test_maxreg_fft_count); only the stepped nodes add more
+    assert (len(seen[0][0]) > 10) == (spq[0][1] != 2.0)
+
+
 def _steady_half_datum(system, forcing):
     """The steady datum as a half-field, restrict_spectra(A^{-1} f_hat) of
     the spectra the system steps: P f_hat, or f_hat for hodge_heat."""
@@ -685,7 +718,7 @@ def test_maxreg_spectral_datum_is_the_half_field_route(tmp_path, system):
     bank = default_bank(grid)
     spectra = sweep_spectra(system, forcing, u0)
     sweeps = [max_reg_sweep(system, *spectra, horizons, steps,
-                            SpaceParams(s, p, q), bank) for s, p, q in spq]
+                            [SpaceParams(s, p, q)], bank) for s, p, q in spq]
     # the command exits 1 exactly when the reference's ratio drifts over T
     drift = any(max(r.ratio for r in reps) > 1.1 * min(r.ratio for r in reps)
                 for reps in sweeps)

@@ -479,7 +479,7 @@ def test_p2_max_reg_builds_no_lattice_table(grid):
     p2 = SpaceParams(0.0, 2.0, 1.0)
     for forcing in (f, None):  # closed form
         spectra = sweep_spectra("hodge_stokes", forcing, u0)
-        max_reg_sweep("hodge_stokes", *spectra, [1.0, 4.0], 8, p2, bank)
+        max_reg_sweep("hodge_stokes", *spectra, [1.0, 4.0], 8, [p2], bank)
         assert not {"abs_freq", "psi", "low", "phi_unit"} & vars(bank).keys()
     # stepped nodes, from the oracle
     max_reg_report(solve_hodge_stokes(f, u0, 1.0, 8, auto_project=True), p2,
@@ -487,11 +487,11 @@ def test_p2_max_reg_builds_no_lattice_table(grid):
     assert not {"abs_freq", "psi", "low", "phi_unit"} & vars(bank).keys()
     spectra = sweep_spectra("hodge_stokes", f, u0)
     max_reg_sweep("hodge_stokes", *spectra, [1.0], 2,
-                  SpaceParams(0.0, 3.0, 1.0), bank)
+                  [SpaceParams(0.0, 3.0, 1.0)], bank)
     assert {"abs_freq", "psi"} <= vars(bank).keys()
     psi = bank.psi
     max_reg_sweep("hodge_stokes", *spectra, [1.0], 2,
-                  SpaceParams(0.0, 3.0, 1.0), bank)
+                  [SpaceParams(0.0, 3.0, 1.0)], bank)
     assert bank.psi is psi
 
 
@@ -803,7 +803,7 @@ def test_max_reg_sweep_matches_per_horizon_reports(grid, system, params,
     u0 = steady_datum(f) + 0.1 * solenoidal_field(grid, 41)
     horizons = [1.0, 4.0, 16.0]
     swept = max_reg_sweep(system, *sweep_spectra(system, f, u0), horizons,
-                          steps, params, bank)
+                          steps, [params], bank)
     assert [rep.horizon for rep in swept] == horizons
     for horizon, rep in zip(horizons, swept):
         one = streaming_max_reg(system, f, u0, horizon, steps, params, bank)
@@ -835,16 +835,18 @@ def test_stepped_sweep_forms_no_node_field(monkeypatch):
 
     monkeypatch.setattr(evolution, "restrict_spectra", counted)
     reports = max_reg_sweep("hodge_stokes", *spectra, [1.0, 4.0], 4,
-                            SpaceParams(0.0, 3.0, 1.0), bank)
+                            [SpaceParams(0.0, 3.0, 1.0)], bank)
     assert [rep.horizon for rep in reports] == [1.0, 4.0]
     assert all(rep.ratio > 0.0 for rep in reports)
     assert calls == []
 
 
 def test_sweep_measures_its_forcing_once(monkeypatch):
-    # the forcing's blocks are measured once per sweep, whatever the number of
-    # horizons; a stepped node measures u, its Hessian and du/dt, and the
-    # closed form measures no node through block_norms
+    # block norms depend on the layout (p, homogeneous) alone: the forcing's
+    # blocks are measured once per layout and sweep, whatever the number of
+    # sets and horizons; a stepped node measures u, its Hessian and du/dt
+    # once per p != 2 layout, and the closed form measures no node through
+    # block_norms
     from hodgehalf import evolution
     from hodgehalf.littlewood_paley import block_norms
 
@@ -864,14 +866,54 @@ def test_sweep_measures_its_forcing_once(monkeypatch):
 
     monkeypatch.setattr(evolution, "block_norms", counted)
     steps = 4
-    for params, per_node in ((SpaceParams(0.0, 3.0, 1.0), 3),
-                             (SpaceParams(0.0, 2.0, 1.0), 0)):
+    p3 = [SpaceParams(s, 3.0, 1.0) for s in (0.0, 0.25, 0.5)]
+    inhomogeneous = SpaceParams(0.0, 3.0, 1.0, homogeneous=False)
+    p15 = SpaceParams(0.0, 1.5, 1.0)
+    p2 = [SpaceParams(0.0, 2.0, 1.0), SpaceParams(-0.5, 2.0, 2.0)]
+    # (sets, layouts, stepped layouts)
+    for sets, layouts, stepped in (([p3[0]], 1, 1), (p2[:1], 1, 0),
+                                   (p3, 1, 1), (p2, 1, 0),
+                                   (p3 + [inhomogeneous, p15], 3, 3),
+                                   (p2 + p3 + [p15], 3, 2)):
         for horizons in ([1.0], [1.0, 4.0, 16.0]):
             calls.clear()
-            max_reg_sweep("hodge_stokes", *spectra, horizons, steps, params,
-                          bank)
-            assert calls.count(True) == 1
-            assert len(calls) == 1 + per_node * (steps + 1) * len(horizons)
+            reports = max_reg_sweep("hodge_stokes", *spectra, horizons, steps,
+                                    sets, bank)
+            assert len(reports) == len(sets) * len(horizons)
+            assert calls.count(True) == layouts
+            assert len(calls) == layouts + 3 * stepped * (steps + 1) * len(
+                horizons)
+
+
+def test_sweep_takes_each_input_energy_once(monkeypatch):
+    # the datum and the forcing are guarded on their shell energies, taken
+    # once per sweep whatever the sets and horizons: directly at p != 2, as
+    # the Gram sums G_uu and G_ff (with G_rr the third) when a set has p = 2
+    from hodgehalf.littlewood_paley import FilterBank
+
+    grid = Grid(2, 32, 8.0)
+    bank = default_bank(grid)
+    f = random_half_field(grid, "Ht", [0b01, 0b10], seed=47,
+                          kind="annulus_band", radii=(1.0, 2.2))
+    spectra = sweep_spectra("hodge_stokes", f, steady_datum(f))
+    calls = []
+    real = FilterBank.shell_energy
+
+    def counted(self, comps):
+        calls.append(1)
+        return real(self, comps)
+
+    monkeypatch.setattr(FilterBank, "shell_energy", counted)
+    p3 = SpaceParams(0.0, 3.0, 1.0)
+    p2 = SpaceParams(0.0, 2.0, 1.0)
+    more = [SpaceParams(0.0, 3.0, 1.0, homogeneous=False),
+            SpaceParams(0.0, 1.5, 1.0)]
+    for sets, energies in (([p3], 2), ([p3] + more, 2), ([p2], 3),
+                           ([p2, p3] + more, 3)):
+        calls.clear()
+        max_reg_sweep("hodge_stokes", *spectra, [1.0, 4.0, 16.0], 4, sets,
+                      bank)
+        assert len(calls) == energies, sets
 
 
 @pytest.mark.parametrize("system", ["hodge_heat", "hodge_stokes"])
@@ -894,7 +936,7 @@ def test_steady_sweep_spectra_serve_every_set_unchanged(grid, system):
     for params, steps in ((SpaceParams(0.0, 2.0, 1.0), 8),
                           (SpaceParams(0.0, 3.0, 1.0), 4)):
         reports = max_reg_sweep(system, u0_hat, f_hat, [1.0, 4.0], steps,
-                                params, bank)
+                                [params], bank)
         assert [rep.horizon for rep in reports] == [1.0, 4.0]
     for x, old in zip((u0_hat, f_hat), before):
         assert all(np.array_equal(x.comps[k], a) for k, a in old.items())
@@ -906,7 +948,7 @@ def test_steady_sweep_spectra_serve_every_set_unchanged(grid, system):
     params = SpaceParams(0.0, 2.0, 1.0)
     for datum, forcing in ((f, f), (f, None), (u0_hat, f)):
         with pytest.raises(TypeError, match="sweep_spectra"):
-            max_reg_sweep(system, datum, forcing, [1.0], 8, params, bank)
+            max_reg_sweep(system, datum, forcing, [1.0], 8, [params], bank)
     with pytest.raises(TypeError, match="max_reg_report"):
         sweep_spectra(system, lambda t: f, f)
     with pytest.raises(ValueError, match="tangential-flavor forcing"):
@@ -932,14 +974,14 @@ def test_closed_form_refuses_a_mean(grid, system):
     u0 = steady_datum(f)
     params = SpaceParams(0.0, 2.0, 1.0)
     assert max_reg_sweep(system, *sweep_spectra(system, f, u0), [1.0, 4.0], 8,
-                         params, bank)
+                         [params], bank)
     for forcing, datum in ((_with_even_mean(f, 1e-9), u0),
                            (f, _with_even_mean(u0, 1e-9)),
                            (None, _with_even_mean(u0, 1e-9))):
         with pytest.raises(ValueError, match="Helmholtz-Leray projector "
                                              "needs a mean-free field"):
             max_reg_sweep(system, *sweep_spectra(system, forcing, datum),
-                          [1.0, 4.0], 8, params, bank)
+                          [1.0, 4.0], 8, [params], bank)
 
 
 @pytest.mark.parametrize("system", ["hodge_stokes", "navier_slip"])
@@ -1031,7 +1073,7 @@ def half_mode_misses():
         spectra = sweep_spectra("hodge_heat", None, half_mode(grid_, k))
         for params in HALF_MODE_PARAMS:
             reports = max_reg_sweep("hodge_heat", *spectra, horizons, steps,
-                                    params, bank)
+                                    [params], bank)
             for horizon, rep in zip(horizons, reports):
                 assert rep.rhs_forcing_norm == 0.0
                 want = half_mode_reference(grid_, k, params, bank, horizon,

@@ -79,6 +79,32 @@ def test_random_half_field_is_the_restricted_symmetrized_draw(grid, flavor,
             assert np.abs(ends).max() > 0.0, m
 
 
+@pytest.mark.parametrize("grid", [Grid(2, 32, 8.0), Grid(3, 16, 8.0)],
+                         ids=["n2", "n3"])
+def test_random_half_field_scans_only_the_stored_rows(monkeypatch, grid):
+    # the draw goes straight into the rows: the one finiteness scan per
+    # component is the HalfField's, on the half_shape rows, and a non-finite
+    # draw still fails it
+    shapes = []
+    real = np.isfinite
+
+    def counted(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "isfinite", counted)
+    masks = range(1 << grid.n)
+    random_half_field(grid, "Ht", masks, seed=3, kind="annulus_band",
+                      radii=(1.0, 2.5))
+    assert shapes == [half_shape(grid)] * len(masks)
+    monkeypatch.setattr(halfspace, "_random_components",
+                        lambda grid_, masks_, *args, **kwargs: {
+                            m: np.full(grid_.shape, np.nan + 0j)
+                            for m in masks_})
+    with pytest.raises(ValueError, match="non-finite samples"):
+        random_half_field(grid, "Ht", [0, 1], seed=3)
+
+
 def test_extension_is_even_for_scalars(grid2):
     u = random_half_field(grid2, "Ht", [0], seed=0, width=2.0)
     U = extend(u)

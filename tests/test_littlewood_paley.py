@@ -400,6 +400,64 @@ def test_lattice_mode_reference_catches_a_moved_block(monkeypatch):
     assert {params.p for *_, params, _, _ in missed} == {1.5, 2.0, 3.0, 4.0, 7.0}
 
 
+# The same modes under sobolev_norm: the resummed filter is the symbol at
+# |xi| times the mode, so the norm is |xi|^s sum_j psi_j(|xi|) (2L)^{n/p}
+# (homogeneous) or (1 + |xi|^2)^{s/2} (2L)^{n/p} (inhomogeneous)
+SOBOLEV_MODE_PARAMS = [
+    SpaceParams(s, p, kind="sobolev")
+    for s, p in ((0.0, 3.0), (0.25, 1.5), (-0.3, 7.0), (0.5, 2.0))] + [
+    SpaceParams(s, p, homogeneous=False, kind="sobolev")
+    for s, p in ((-0.2, 4.0), (1.0, 3.0))]
+
+
+def mode_sobolev_reference(params, grid, k, j_min, j_max):
+    """The Sobolev norm of lattice_mode(grid, k) from the profile at |xi|."""
+    r = math.pi / grid.length * math.sqrt(sum(kk * kk for kk in k))
+    if params.homogeneous:
+        window = sum(float(radial_cutoff(r / 2.0 ** (j + 1))
+                           - radial_cutoff(r / 2.0 ** j))
+                     for j in range(j_min, j_max + 1))
+        symbol = r ** params.s * window
+    else:
+        symbol = (1.0 + r * r) ** (params.s / 2.0)
+    return symbol * (2.0 * grid.length) ** (grid.n / params.p)
+
+
+def sobolev_mode_misses():
+    """(grid, k, params, got, want) of every case off the reference by more
+    than MODE_TOL relative, on banks built at the call."""
+    missed = []
+    for grid_, k in LATTICE_MODES:
+        bank = default_bank(grid_)
+        u = lattice_mode(grid_, k)
+        for params in SOBOLEV_MODE_PARAMS:
+            want = mode_sobolev_reference(params, grid_, k, bank.j_min,
+                                          bank.j_max)
+            got = sobolev_norm(params, u, bank)
+            if not abs(got - want) <= MODE_TOL * want:
+                missed.append((grid_, k, params, got, want))
+    return missed
+
+
+def test_sobolev_norm_of_lattice_modes():
+    assert sobolev_mode_misses() == []
+
+
+def test_sobolev_mode_reference_catches_a_dropped_block(monkeypatch):
+    # psi_1 dropped from the bank: the homogeneous window sum no longer
+    # telescopes to 1 on modes that block reaches, at p = 2 and p != 2; the
+    # inhomogeneous Bessel symbol reads no block
+    from hodgehalf import littlewood_paley
+
+    real = littlewood_paley._annulus
+    monkeypatch.setattr(littlewood_paley, "_annulus",
+                        lambda absxi, j: 0.0 * absxi if j == 1
+                        else real(absxi, j))
+    missed = sobolev_mode_misses()
+    assert {params.p for *_, params, _, _ in missed} == {1.5, 2.0, 3.0, 7.0}
+    assert all(params.homogeneous for *_, params, _, _ in missed)
+
+
 # ---------------------------------------------------------------------------
 # Sobolev norms
 # ---------------------------------------------------------------------------
