@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import os
 import struct
 from dataclasses import dataclass
 
@@ -475,7 +476,10 @@ def load_field(path: str):
     """Read a field written by save_field; returns FormField or HalfField.
 
     A container whose header, sidecar and payload size disagree is refused
-    with a ValueError that names the file.
+    with a ValueError that names the file, before any sample is read.  The
+    samples are then read one component at a time through one reusable
+    complex64 buffer into each component's complex128 array, so the payload
+    is never held whole.
     """
     from .halfspace import HalfField, half_shape
 
@@ -492,27 +496,31 @@ def load_field(path: str):
         if len(raw_masks) != 4 * ncomp:
             raise ValueError(f"{path}: truncated or corrupt header")
         masks = list(struct.unpack(f"<{ncomp}i", raw_masks))
-        payload = fh.read()
-    header = {"n": n, "points": points, "length": length, "masks": masks}
-    for key, value in header.items():
-        if meta.get(key) != value:
-            raise ValueError(f"{path}: header has {key} = {value}, sidecar "
-                             f"has {meta.get(key)}")
-    if len(set(masks)) != ncomp:
-        raise ValueError(f"{path}: repeated component masks {masks}")
-    try:
-        grid = Grid(n, points, length)
-        half = meta.get("field_type") == "half"
-        shape = half_shape(grid) if half else grid.shape
-        count = int(np.prod(shape))
-        if len(payload) != 8 * count * ncomp:
-            raise ValueError(f"payload has {len(payload)} bytes, expected "
-                             f"{8 * count * ncomp} for {ncomp} components of "
-                             f"shape {shape}")
-        data = np.frombuffer(payload, dtype="<c8").reshape((ncomp,) + shape)
-        comps = {m: data[i].astype(complex) for i, m in enumerate(masks)}
-        if half:
-            return HalfField(grid, meta["flavor"], comps)
-        return FormField(grid, comps)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
+        payload = os.fstat(fh.fileno()).st_size - fh.tell()
+        header = {"n": n, "points": points, "length": length, "masks": masks}
+        for key, value in header.items():
+            if meta.get(key) != value:
+                raise ValueError(f"{path}: header has {key} = {value}, "
+                                 f"sidecar has {meta.get(key)}")
+        if len(set(masks)) != ncomp:
+            raise ValueError(f"{path}: repeated component masks {masks}")
+        try:
+            grid = Grid(n, points, length)
+            half = meta.get("field_type") == "half"
+            shape = half_shape(grid) if half else grid.shape
+            count = int(np.prod(shape))
+            if payload != 8 * count * ncomp:
+                raise ValueError(f"payload has {payload} bytes, expected "
+                                 f"{8 * count * ncomp} for {ncomp} components "
+                                 f"of shape {shape}")
+            buffer = np.empty(shape, dtype="<c8")
+            comps = {}
+            for m in masks:
+                if fh.readinto(buffer) != buffer.nbytes:
+                    raise ValueError("payload ended before its last sample")
+                comps[m] = buffer.astype(complex)
+            if half:
+                return HalfField(grid, meta["flavor"], comps)
+            return FormField(grid, comps)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from exc

@@ -23,17 +23,21 @@ N/2 + 1 stored rows, parity-extends them and transforms the normal axis;
 restrict_spectra runs the mirror image.  leray_halfspace and q_projector
 give leray_hat between the two, bit for bit, but run the normal-axis work one
 block of first-axis tangential frequency rows at a time (_row_blocks, about
-_BLOCK_ENTRIES extension entries per component): each block is extended,
-transformed along x_n, split by leray_hat's core on the block's frequencies,
-inverted and restricted, so on a grid of several blocks no array holds a
-whole extension.  d_half and delta_half take one one-axis spectral
-derivative per term of the incidence tables: a tangential one on the stored
-rows, a normal one on the one component's extension, over the same blocks.
-No transform of theirs covers all n axes of the doubled torus.
-leray_halfspace_checked reads |delta_half Pu| and |d_half Gu| from the
-parts' stored rows before their tangential inverse, while a tangential
-derivative is still a multiplication, so only the normal derivatives
-transform.  NodeReader reads
+_BLOCK_ENTRIES extension entries per component): each block is extended
+into one block buffer per component, made once per call, transformed along
+x_n there, split there by leray_hat's core on the block's frequencies (P over
+the extension), inverted and restricted, G into its output and P over the
+block's rows of u's tangential spectra, which become Pu.  So on a grid of
+several blocks no array holds a whole extension, and the split holds u, its
+two parts and one set of block buffers.  d_half and delta_half take one
+one-axis spectral derivative per term of the incidence tables: a tangential
+one on the stored rows, a normal one on the one component's extension, over
+the same blocks in one block buffer.  No transform of theirs covers all n
+axes of the doubled torus.  leray_halfspace_checked reads |delta_half Pu|
+and |d_half Gu| from the parts' stored rows before their tangential inverse,
+while a tangential derivative is still a multiplication, so only the normal
+derivatives transform; it forms each target block by block in a block-sized
+accumulator, work array and extension buffer.  NodeReader reads
 the L^2 norm, |delta_half u| and the tangential trace's norm of a node
 straight from the extension spectra an evolution stepper holds: per target
 of delta it takes one normal-axis inverse transform, into arrays made once
@@ -133,16 +137,16 @@ class HalfField(FieldCore):
         return float(np.sqrt(max(total * self.grid.cell_volume, 0.0)))
 
 
-def _half_row_sum(a: np.ndarray, parity: int,
-                  b: np.ndarray | None = None) -> complex:
-    """Sum of a * conj(b) (of a alone when b is None) over the stored rows,
-    with the trapezoid weights of a component of this parity: half the torus
-    sum of the same product of the extensions.
+def _half_row_lines(a: np.ndarray, parity: int,
+                    b: np.ndarray | None = None) -> np.ndarray:
+    """Per line along x_n, the sum of a * conj(b) (of a alone when b is
+    None) over the stored rows, with the trapezoid weights of a component of
+    this parity.
 
-    Each line along x_n sums its interior rows from a view (np.sum, or
-    np.vecdot for the product) and adds its weighted end rows, so no weighted
-    copy of a is made.  An odd component's end rows never enter the sum: a
-    full sum less the end rows would cancel when they outweigh the rest.
+    Each line sums its interior rows from a view (np.sum, or np.vecdot for
+    the product) and adds its weighted end rows, so no weighted copy of a is
+    made.  An odd component's end rows never enter the sum: a full sum less
+    the end rows would cancel when they outweigh the rest.
     """
     end = 0.5 if parity > 0 else 0.0
     if b is None:
@@ -154,22 +158,43 @@ def _half_row_sum(a: np.ndarray, parity: int,
         if end:
             lines += end * (np.conj(b[..., 0]) * a[..., 0]
                             + np.conj(b[..., -1]) * a[..., -1])
-    return complex(np.sum(lines))
+    return lines
+
+
+def _half_row_sum(a: np.ndarray, parity: int,
+                  b: np.ndarray | None = None) -> complex:
+    """Sum of a * conj(b) (of a alone when b is None) over the stored rows,
+    with the trapezoid weights of a component of this parity
+    (_half_row_lines): half the torus sum of the same product of the
+    extensions."""
+    return complex(np.sum(_half_row_lines(a, parity, b)))
 
 
 # ---------------------------------------------------------------------------
 # extension / restriction / symmetrization
 # ---------------------------------------------------------------------------
 
-def _extend_array(arr: np.ndarray, parity: int, points: int) -> np.ndarray:
+def _extend_array(arr: np.ndarray, parity: int, points: int,
+                  out: np.ndarray | None = None) -> np.ndarray:
+    """The ``parity`` extension of stored rows to the torus' ``points`` rows
+    along x_n, written into ``out`` when given, else into a fresh array.
+
+    Stored row j is torus row N/2 + j; the mirrored rows N/2 - j are copied
+    (even) or negated (odd) straight from the stored rows with np.copyto and
+    np.negative, so no scaled temporary is formed.  The seam row (torus row
+    0) is the stored seam row for an even component; an odd reflection
+    forces it and the boundary row to zero.
+    """
     half = points // 2
-    shape = arr.shape[:-1] + (points,)
-    out = np.empty(shape, dtype=complex)  # every row is written below
-    out[..., half:] = arr[..., :half]
-    out[..., 0] = parity * arr[..., half] if parity > 0 else 0.0
-    out[..., 1:half] = parity * arr[..., half - 1:0:-1]
-    if parity < 0:
-        out[..., half] = 0.0  # odd reflection forces the boundary row to zero
+    if out is None:
+        out = np.empty(arr.shape[:-1] + (points,), dtype=complex)
+    np.copyto(out[..., half:], arr[..., :half])
+    if parity > 0:
+        np.copyto(out[..., 0], arr[..., half])
+        np.copyto(out[..., 1:half], arr[..., half - 1:0:-1])
+    else:
+        np.negative(arr[..., half - 1:0:-1], out=out[..., 1:half])
+        out[..., [0, half]] = 0.0
     return out
 
 
@@ -248,13 +273,28 @@ def restrict_spectra(U_hat: SpectralField, flavor: str) -> HalfField:
 _BLOCK_ENTRIES = 1 << 15
 
 
+def _block_rows(grid: Grid) -> int:
+    """First-axis rows per block: max(1, _BLOCK_ENTRIES // N^(n-1)), at most
+    N."""
+    return min(grid.points,
+               max(1, _BLOCK_ENTRIES // grid.points ** (grid.n - 1)))
+
+
 def _row_blocks(grid: Grid) -> list[slice]:
-    """Slices of the first axis, max(1, _BLOCK_ENTRIES // N^(n-1)) rows each
-    (the last one may be shorter), over which the normal-axis work of the
-    Leray split and of _half_incidence runs.  That work never mixes rows of
-    the first axis, whether they hold samples or tangential frequencies."""
-    rows = max(1, _BLOCK_ENTRIES // grid.points ** (grid.n - 1))
+    """Slices of the first axis, _block_rows rows each (the last one may be
+    shorter), over which the normal-axis work of the Leray split and of
+    _half_incidence runs.  That work never mixes rows of the first axis,
+    whether they hold samples or tangential frequencies."""
+    rows = _block_rows(grid)
     return [slice(r, r + rows) for r in range(0, grid.points, rows)]
+
+
+def _block_buffer(grid: Grid, last: int) -> np.ndarray:
+    """An uninitialized array for one full block of first-axis rows, with
+    ``last`` entries along x_n (N for an extension, N/2 + 1 for stored
+    rows); a shorter last block uses its leading rows."""
+    shape = (_block_rows(grid),) + (grid.points,) * (grid.n - 2) + (last,)
+    return np.empty(shape, dtype=complex)
 
 
 def reflect_normal(arr: np.ndarray) -> np.ndarray:
@@ -315,17 +355,19 @@ def _axis_derivative(arr: np.ndarray, symbol: np.ndarray, axis: int,
 
 
 def _normal_derivative(rows: np.ndarray, parity: int, symbol: np.ndarray,
-                       target_parity: int, grid: Grid,
+                       target_parity: int, dst: np.ndarray,
                        out: np.ndarray) -> np.ndarray:
     """The normal-axis multiplier ``symbol`` on the ``parity`` extension of
-    stored rows, restricted with ``target_parity`` into ``out``, one block of
-    first-axis rows (_row_blocks) at a time.  The rows may hold samples or
-    tangential spectra: the normal-axis work never mixes first-axis rows."""
-    for block in _row_blocks(grid):
-        ext = _extend_array(rows[block], parity, grid.points)
-        _restrict_array(_axis_derivative(ext, symbol, grid.n - 1, out=ext),
-                        target_parity, out=out[block])
-    return out
+    one block of stored rows (_row_blocks), restricted with
+    ``target_parity`` into ``dst``.  The extension is written into the
+    leading rows of the block buffer ``out`` (_block_buffer) and transformed
+    there in place, so a caller reuses one buffer over all its blocks.  The
+    rows may hold samples or tangential spectra: the normal-axis work never
+    mixes first-axis rows."""
+    ext = _extend_array(rows, parity, out.shape[-1], out=out[:len(rows)])
+    _restrict_array(_axis_derivative(ext, symbol, ext.ndim - 1, out=ext),
+                    target_parity, out=dst)
+    return dst
 
 
 def _half_incidence(u: HalfField, table, unit: complex) -> HalfField:
@@ -335,22 +377,25 @@ def _half_incidence(u: HalfField, table, unit: complex) -> HalfField:
 
     A tangential derivative commutes with the reflection, so it acts on the
     stored rows, with an odd component's end rows zeroed as extend zeroes
-    them.  A normal one acts on the component's extension, restricted by the
-    target's parity (_normal_derivative).
+    them.  A normal one acts on the component's extension, block by block in
+    one block buffer, restricted by the target's parity
+    (_normal_derivative).
     """
     grid = u.grid
     normal = grid.n - 1
     coef = [unit * xi for xi in grid.odd_freqs()]
+    ext = _block_buffer(grid, grid.points)
     out: dict[int, np.ndarray] = {}
     for mask, arr in u.comps.items():
         parity = component_parity(u.flavor, mask, grid.n)
         for axis, target, sign in table[mask]:
             symbol = sign * coef[axis]
             if axis == normal:
-                term = _normal_derivative(
-                    arr, parity, symbol,
-                    component_parity(u.flavor, target, grid.n), grid,
-                    np.empty_like(arr))
+                target_parity = component_parity(u.flavor, target, grid.n)
+                term = np.empty_like(arr)
+                for block in _row_blocks(grid):
+                    _normal_derivative(arr[block], parity, symbol,
+                                       target_parity, term[block], ext)
             else:
                 rows = arr
                 if parity < 0:
@@ -382,13 +427,18 @@ def _incidence_norm_from_rows(grid: Grid, flavor: str,
     """|_half_incidence(u, table, unit)| for the half-field u whose stored
     rows have the tangential spectra ``rows``, with no tangential transform.
 
-    Targets are summed one at a time, each in one array plus one work array.
-    A tangential derivative is the multiplication by sign * unit * xi~_axis;
-    it keeps the component's parity, and an odd target's end rows weigh 0 in
-    _half_row_sum, so the end rows _half_incidence zeroes never enter the
-    norm.  A normal one is _normal_derivative on the spectra.  The norm is
-    _half_row_sum at the target's parity over N^(n-1), Parseval along the
-    tangential axes.
+    Each target is formed one block of first-axis rows (_row_blocks) at a
+    time, in a block-sized accumulator and work array, with one extension
+    buffer for the normal derivatives (_block_buffer); nothing of the size
+    of a component is allocated.  A tangential derivative is the
+    multiplication by sign * unit * xi~_axis, with the block's slice of
+    xi~_0; it keeps the component's parity, and an odd target's end rows
+    weigh 0 in the trapezoid row sum, so the end rows _half_incidence zeroes
+    never enter the norm.  A normal one is _normal_derivative on the
+    spectra, which re-extends the restricted rows.  Each block writes its
+    lines' trapezoid row sums (_half_row_lines) into one array of lines, so
+    a target's sum is _half_row_sum's, bit for bit; the norm is that sum at
+    the target's parity over N^(n-1), Parseval along the tangential axes.
     """
     normal = grid.n - 1
     coef = [unit * xi for xi in grid.odd_freqs()]
@@ -396,22 +446,30 @@ def _incidence_norm_from_rows(grid: Grid, flavor: str,
     for mask in rows:
         for axis, target, sign in table[mask]:
             terms.setdefault(target, []).append((mask, axis, sign * coef[axis]))
-    acc = np.empty(half_shape(grid), dtype=complex)
+    acc = _block_buffer(grid, grid.points // 2 + 1)
     work = np.empty_like(acc)
+    ext = _block_buffer(grid, grid.points)
+    lines = np.empty(half_shape(grid)[:-1], dtype=complex)
     total = 0.0
     for target, entries in terms.items():
         target_parity = component_parity(flavor, target, grid.n)
-        for i, (mask, axis, symbol) in enumerate(entries):
-            term = work if i else acc
-            if axis == normal:
-                _normal_derivative(rows[mask],
-                                   component_parity(flavor, mask, grid.n),
-                                   symbol, target_parity, grid, term)
-            else:
-                np.multiply(rows[mask], symbol, out=term)
-            if i:
-                acc += work
-        total += _half_row_sum(acc, target_parity, acc).real
+        for block in _row_blocks(grid):
+            size = len(lines[block])
+            for i, (mask, axis, symbol) in enumerate(entries):
+                term = work[:size] if i else acc[:size]
+                if axis == normal:
+                    _normal_derivative(rows[mask][block],
+                                       component_parity(flavor, mask, grid.n),
+                                       symbol, target_parity, term, ext)
+                else:
+                    np.multiply(rows[mask][block],
+                                symbol[block] if axis == 0 else symbol,
+                                out=term)
+                if i:
+                    acc[:size] += term
+            lines[block] = _half_row_lines(acc[:size], target_parity,
+                                           acc[:size])
+        total += np.sum(lines).real
     tangential_points = grid.points ** normal
     return float(np.sqrt(max(total * grid.cell_volume / tangential_points,
                              0.0)))
@@ -686,14 +744,18 @@ def _half_leray_rows(u: HalfField) -> tuple[dict, dict]:
     is twice the trapezoid mean of an even component (odd ones have none, as
     remove_extended_mean reads them) and its norm is sqrt 2 |u|, summed as
     HalfField.l2_norm sums it.  Then each component's tangential transform
-    is taken once; per block (_row_blocks) the rows are parity-extended and
-    transformed along the normal axis, split by _leray_core on the block's
-    frequencies, inverted along the normal axis and restricted into the two
-    outputs.  The spectra of u are freed on return.
+    is taken once, into a fresh array.  Per block (_split_block) the rows
+    are parity-extended into one block buffer per component, made once per
+    call, transformed along the normal axis there, and split there by
+    _leray_core, which writes P over the extension.  G is inverted along the
+    normal axis and restricted into its output; P is inverted and restricted
+    over the block's rows of u's own spectra, which the extension already
+    holds, so u's spectra become Pu's rows.  A component of P that u lacks
+    gets a fresh output.  So besides u, the call holds the two parts, the
+    block buffers and one block's Leray temporaries.
     """
     grid, flavor = u.grid, u.flavor
-    normal = grid.n - 1
-    tangential = tuple(range(normal))
+    tangential = tuple(range(grid.n - 1))
     parity = {m: component_parity(flavor, m, grid.n) for m in range(1 << grid.n)}
     cells = grid.points ** grid.n
     worst = total = 0.0
@@ -705,20 +767,35 @@ def _half_leray_rows(u: HalfField) -> tuple[dict, dict]:
                  _LERAY)
     rows = {m: np.fft.fftn(a, axes=tangential, out=np.empty_like(a))
             for m, a in u.comps.items()}
-    xi = grid.odd_freqs()
+    buffers = {m: _block_buffer(grid, grid.points) for m in rows}
     parts: tuple[dict, dict] = ({}, {})
     for block in _row_blocks(grid):
-        ext = {}
-        for m, r in rows.items():
-            e = _extend_array(r[block], parity[m], grid.points)
-            ext[m] = np.fft.fftn(e, axes=(normal,), out=e)
-        for split, out in zip(_leray_core(ext, [xi[0][block]] + xi[1:]), parts):
-            for m, a in split.items():
-                if m not in out:
-                    out[m] = np.empty(half_shape(grid), dtype=complex)
-                _restrict_array(np.fft.ifftn(a, axes=(normal,), out=a),
-                                parity[m], out=out[m][block])
+        _split_block(grid, rows, block, buffers, parity, parts)
     return parts
+
+
+def _split_block(grid: Grid, rows: dict[int, np.ndarray], block: slice,
+                 buffers: dict[int, np.ndarray], parity: dict[int, int],
+                 parts: tuple[dict, dict]) -> None:
+    """One block of _half_leray_rows: extend, transform and split the
+    block's rows in ``buffers``, then invert and restrict both parts into
+    ``parts``, P over ``rows``.  Its temporaries die on return, so none
+    outlives its block."""
+    normal = grid.n - 1
+    ext = {}
+    for m, r in rows.items():
+        e = _extend_array(r[block], parity[m], grid.points,
+                          out=buffers[m][:len(r[block])])
+        ext[m] = np.fft.fftn(e, axes=(normal,), out=e)
+    xi = grid.odd_freqs()
+    split = _leray_core(ext, [xi[0][block]] + xi[1:], out=ext)
+    for part, out, own in zip(split, parts, (rows, {})):
+        for m, a in part.items():
+            if m not in out:
+                out[m] = own[m] if m in own else np.empty(half_shape(grid),
+                                                          dtype=complex)
+            _restrict_array(np.fft.ifftn(a, axes=(normal,), out=a),
+                            parity[m], out=out[m][block])
 
 
 def _tangential_inverse(grid: Grid, flavor: str,
@@ -772,6 +849,8 @@ def leray_halfspace_checked(u: HalfField
     are still tangential spectra (_incidence_norm_from_rows), before the
     same tangential inverse leray_halfspace takes.
 
+    The split and the checks each run in block buffers made once per call,
+    so besides u the call holds Pu, Gu and one set of block-sized arrays.
     The normal derivatives re-extend the restricted rows, so a wrong
     restriction shows in the norms; the tangential inverse is not checked
     here, but by the parts against u (split_residual).

@@ -253,14 +253,16 @@ def interior_const(vec, u: FormField) -> FormField:
 _LERAY = "the Helmholtz-Leray projector"
 
 
-def _leray_core(comps: dict[int, np.ndarray],
-                xi: list[np.ndarray]) -> tuple[dict, dict]:
+def _leray_core(comps: dict[int, np.ndarray], xi: list[np.ndarray],
+                out: dict[int, np.ndarray] | None = None) -> tuple[dict, dict]:
     """(P u_hat, G u_hat) of the spectra ``comps`` on the frequencies ``xi``
     (Grid.odd_freqs(), or a block of its rows): G = d Delta~^{-1} delta.
 
     delta's targets are fresh arrays, so Delta~^{-1} scales them in place.
     The zero mode, where sum xi~^2 vanishes, maps to 0; the guard against a
-    mean is the caller's.
+    mean is the caller's.  P is written into ``out[m]`` for the masks ``out``
+    holds, which may be ``comps`` itself (P over the input, as u - G is
+    elementwise), and into fresh arrays otherwise, with the same ufunc.
     """
     w = _apply_incidence(lowering(len(xi)), [-1j * x for x in xi], comps)
     # d delta + delta d has the symbol sum xi~^2; inverting that keeps P an
@@ -269,10 +271,21 @@ def _leray_core(comps: dict[int, np.ndarray],
     inv = np.divide(1.0, absq, out=np.zeros(absq.shape), where=absq > 0)
     for a in w.values():
         a *= inv
+    del absq, inv  # freed before G's targets are made
     g = _apply_incidence(raising(len(xi)), [1j * x for x in xi], w)
     # P = u - G over the components of either, as field subtraction forms it
-    p = {m: np.subtract(comps.get(m, 0.0), g[m]) if m in g else comps[m].copy()
-         for m in set(comps) | set(g)}
+    out = {} if out is None else out
+    p = {}
+    for m in set(comps) | set(g):
+        dst = out.get(m)
+        if m in g:
+            p[m] = np.subtract(comps.get(m, 0.0), g[m], out=dst)
+        elif dst is None:
+            p[m] = comps[m].copy()
+        else:
+            if dst is not comps[m]:
+                np.copyto(dst, comps[m])
+            p[m] = dst
     return p, g
 
 

@@ -921,8 +921,8 @@ def test_incidence_norms_from_tangential_spectra(grid, flavor):
             assert (want > 0.1 * uk.l2_norm()) == bool(image.comps)
 
 
-@pytest.mark.parametrize("grid", [Grid(2, 64, 8.0), Grid(3, 64, 8.0)],
-                         ids=["n2", "n3-64"])
+@pytest.mark.parametrize("grid", [Grid(2, 64, 8.0), Grid(3, 64, 8.0),
+                                  BLOCKED_GRID], ids=["n2", "n3-64", "n3-48"])
 def test_checked_split_is_the_split_with_its_checks(grid):
     u = white_noise(grid, "Ht", seed=12)
     pu, gu = leray_halfspace(u)
@@ -938,6 +938,77 @@ def test_checked_split_is_the_split_with_its_checks(grid):
     # a part off by a tenth of u shows in the residual at that size
     off = pu + 0.1 * u
     assert split_residual(u, off, gu) == (off + gu - u).l2_norm() > 0.09 * scale
+
+def split_inputs(grid, flavor):
+    """Mean-free white noise of every degree, of all degrees at once, and
+    inputs lacking components the split reaches: the first component of
+    each degree 1..n-1 alone, and a 1-form without its normal component."""
+    u = white_noise(grid, flavor, seed=14)
+    inputs = [u] + [HalfField(grid, flavor, {m: a for m, a in u.comps.items()
+                                             if degree(m) == k})
+                    for k in range(grid.n + 1)]
+    for k in range(1, grid.n):
+        first = min(m for m in u.comps if degree(m) == k)
+        inputs.append(HalfField(grid, flavor, {first: u.comps[first]}))
+    inputs.append(HalfField(grid, flavor, {1 << a: u.comps[1 << a]
+                                           for a in range(grid.n - 1)}))
+    return inputs
+
+
+@pytest.mark.parametrize("grid", [Grid(2, 16, 4.0), BLOCKED_GRID],
+                         ids=["n2", "n3-48"])
+@pytest.mark.parametrize("flavor", sorted(PROJECTORS))
+def test_split_leaves_its_inputs_alone(grid, flavor):
+    # the split writes Pu over spectra it takes itself and runs in buffers of
+    # its own: every input array keeps its bytes, no part is a view of one,
+    # and a component of P that u lacks still gets the extension route's
+    # numbers, in the extension route's component order
+    splits = [PROJECTORS[flavor]]
+    if flavor == "Ht":
+        splits.append(lambda v: leray_halfspace_checked(v)[:2])
+    for u in split_inputs(grid, flavor):
+        want = [restrict_spectra(part, flavor)
+                for part in leray_hat(extend_spectra(u))]
+        for split in splits:
+            before = {m: a.tobytes() for m, a in u.comps.items()}
+            got = split(u)
+            assert {m: a.tobytes() for m, a in u.comps.items()} == before
+            for g, w in zip(got, want):
+                assert list(g.comps) == list(w.comps), sorted(u.comps)
+                for m, a in g.comps.items():
+                    assert np.array_equal(a, w.comps[m]), (sorted(u.comps), m)
+                    assert not any(np.shares_memory(a, b)
+                                   for b in u.comps.values())
+
+
+def test_checked_split_footprint():
+    # a 48^3 1-form runs in four blocks of 14, 14, 14 and 6 rows.  Besides
+    # the input, the checked split may hold its two parts (six stored-row
+    # components) and, for one block, the three extension buffers, delta's
+    # one target and d's three: seven block extensions, and one more for the
+    # block's frequency tables and row sums.  Holding u's tangential spectra
+    # beside fresh Pu arrays would cost three components more, over five
+    # block extensions at this grid.
+    import tracemalloc
+
+    grid = BLOCKED_GRID
+    assert [len(range(grid.points)[b])
+            for b in halfspace._row_blocks(grid)] == [14, 14, 14, 6]
+    u = white_noise(grid, "Ht", seed=15)
+    u = HalfField(grid, "Ht", {m: a for m, a in u.comps.items()
+                               if degree(m) == 1})
+    component = u.comps[1].nbytes
+    block = 14 * grid.points ** 2 * np.dtype(complex).itemsize
+    bound = 6 * component + 8 * block
+    tracemalloc.start()
+    try:
+        live = tracemalloc.get_traced_memory()[0]
+        pu, gu, _, _ = leray_halfspace_checked(u)
+        peak = tracemalloc.get_traced_memory()[1] - live
+    finally:
+        tracemalloc.stop()
+    assert len(pu.comps) == len(gu.comps) == 3
+    assert peak <= bound, (peak, bound)
 
 # ---------------------------------------------------------------------------
 # the node reader of solve against the field oracles
