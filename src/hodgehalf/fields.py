@@ -289,23 +289,40 @@ def synthesize(spec: TestFunctionSpec, grid: Grid, masks=(0,)) -> FormField:
     drawn in turn from one generator seeded with ``spec.seed``."""
     rng = np.random.default_rng(spec.seed)
     draw = _component_draw(spec, grid)
-    return FormField(grid, {mask: draw(rng) for mask in masks})
+    return FormField(grid, {mask: draw(rng, first=i == 0)
+                            for i, mask in enumerate(masks)})
 
 
 def _component_draw(spec: TestFunctionSpec, grid: Grid):
-    """The samples of one component of ``spec`` as a function of a generator.
-    A band kind makes its slabs and envelope here, once for every component
-    drawn with it."""
+    """The samples of one component of ``spec`` as a function of a generator
+    and of whether it is the first component drawn.  A band kind makes its
+    slabs and envelope here, once for every component drawn with it.  A
+    later bump or mode takes a phase from the generator, and a bump also a
+    centre offset of up to half a width per axis, so that no two components
+    of one draw are equal."""
     if spec.kind == "gaussian_bump":
-        return lambda rng: spec.amplitude * _gaussian(grid, spec.center,
-                                                      spec.width)
+        def bump(rng, first):
+            if first:
+                return spec.amplitude * _gaussian(grid, spec.center, spec.width)
+            center = np.add(spec.center or (0.0,) * grid.n,
+                            spec.width * rng.uniform(-0.5, 0.5, grid.n))
+            return (spec.amplitude * _phase(rng)
+                    * _gaussian(grid, tuple(center), spec.width))
+        return bump
     if spec.kind == "single_mode":
-        return lambda rng: spec.amplitude * _single_mode(grid, spec.mode)
+        def mode(rng, first):
+            samples = spec.amplitude * _single_mode(grid, spec.mode)
+            return samples if first else _phase(rng) * samples
+        return mode
     if spec.kind == "annulus_band":
         return _BandDraw(grid, spec.radii, None)
     if spec.kind == "random_band":
         return _BandDraw(grid, None, spec.width, spec.mean_free)
     raise ValueError(f"unknown test-function kind {spec.kind!r}")
+
+
+def _phase(rng) -> complex:
+    return complex(np.exp(2j * np.pi * rng.uniform()))
 
 
 def _gaussian(grid: Grid, center, width: float) -> np.ndarray:
@@ -399,10 +416,11 @@ class _BandDraw:
                        for lead in itertools.product(slabs, repeat=a)]
         self._normals = np.empty((2,) + grid.shape)
 
-    def __call__(self, rng) -> np.ndarray:
+    def __call__(self, rng, first: bool) -> np.ndarray:
         """One component: ifftn(coeff * envelope) / max over the torus, bit
         for bit, with the coefficients' real and imaginary parts the
-        generator's next two shape-sized standard normal draws."""
+        generator's next two shape-sized standard normal draws.  The first
+        component is drawn as every other one."""
         normals = self._normals
         rng.standard_normal(out=normals)  # the stream of two shape-sized draws
         u = np.zeros(self.shape, dtype=complex)
@@ -424,7 +442,7 @@ def _random_components(grid: Grid, masks, seed: int = 0,
                        kind: str = "random_band", **kwargs) -> dict:
     """The raw, unchecked component arrays of random_form, by mask."""
     draw = _component_draw(TestFunctionSpec(kind=kind, **kwargs), grid)
-    return {mask: draw(np.random.default_rng(seed * 1009 + i))
+    return {mask: draw(np.random.default_rng(seed * 1009 + i), first=i == 0)
             for i, mask in enumerate(sorted(masks))}
 
 

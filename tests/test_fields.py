@@ -102,6 +102,23 @@ def test_translation_is_unimodular_phase(grid2):
 # synthesis
 # ---------------------------------------------------------------------------
 
+@pytest.mark.parametrize("kind, options", [
+    ("gaussian_bump", {"width": 2.0, "center": (1.0, 2.0, 0.5)}),
+    ("single_mode", {"mode": (np.pi / 4, -np.pi / 8, np.pi / 2)}),
+    ("annulus_band", {"radii": (1.0, 3.0)}), ("random_band", {"width": 2.0})])
+def test_no_two_components_of_a_draw_are_equal(kind, options):
+    # a check that pairs two components sees a rule that swaps them only if
+    # they differ; the first component is the one-mask draw
+    grid, masks = Grid(3, 16, 8.0), list(range(1, 8))
+    spec = TestFunctionSpec(kind, seed=3, **options)
+    for draw in (lambda m: random_form(grid, m, seed=3, kind=kind, **options),
+                 lambda m: synthesize(spec, grid, m)):
+        u = draw(masks)
+        for a, b in itertools.combinations(masks, 2):
+            assert not np.allclose(u.comps[a], u.comps[b]), (a, b)
+        assert np.array_equal(u.comps[1], draw([1]).comps[1])
+
+
 def test_gaussian_decay(grid2):
     width = 1.5
     u = synthesize(TestFunctionSpec("gaussian_bump", width=width), grid2, (0,))

@@ -11,8 +11,8 @@ from hodgehalf import halfspace
 from hodgehalf.halfspace import (FLAVORS, HalfField, NodeReader,
                                  component_parity, d_half, delta_half, extend,
                                  extend_spectra, half_domain_integral,
-                                 half_l2_inner, half_l2_norm_from_spectra,
-                                 half_shape, hodge_bc_residual,
+                                 half_l2_norm_from_spectra, half_shape,
+                                 hodge_bc_residual,
                                  hodge_heat, hodge_resolvent, hodge_stokes_apply,
                                  leray_halfspace, leray_halfspace_checked,
                                  navier_slip_residual,
@@ -23,7 +23,8 @@ from hodgehalf.halfspace import (FLAVORS, HalfField, NodeReader,
                                  tangential_trace)
 from hodgehalf.operators import (d, delta, grad_l2, hess_l2, laplacian,
                                  leray_hat, resolvent)
-from hodgehalf.verify import series_resolvent
+from hodgehalf.verify import (VerifyOutcome, check_half_split, check_resolvent,
+                              series_resolvent)
 
 
 @pytest.fixture
@@ -251,48 +252,6 @@ def test_normal_trace_vanishes_for_odd_components(grid2):
     assert v.l2_norm() < 1e-13
 
 
-@pytest.mark.parametrize("n,points", [(2, 128), (3, 64)])
-def test_trace_duality_tangential(n, points):
-    grid = Grid(n, points, 16.0)
-    rng = np.random.default_rng(42 + n)
-    masks_u = [m for m in range(1 << n) if bin(m).count("1") in (1, 2)]
-    masks_psi = [m for m in range(1 << n) if bin(m).count("1") in (0, 1)]
-    worst = 0.0
-    for trial in range(10):
-        center_u = tuple(rng.uniform(-2, 2, n - 1)) + (rng.uniform(0.5, 2.5),)
-        center_p = tuple(rng.uniform(-2, 2, n - 1)) + (rng.uniform(0.5, 2.5),)
-        u = random_form(grid, masks_u, seed=1000 + trial,
-                        kind="gaussian_bump", width=2.0, center=center_u)
-        psi = random_form(grid, masks_psi, seed=2000 + trial,
-                          kind="gaussian_bump", width=2.0, center=center_p)
-        boundary = {m: psi.comps[m][..., grid.points // 2] for m in psi.comps}
-        lhs = tangential_trace(u).pair_with_boundary_values(boundary)
-        rhs = half_l2_inner(u, d(psi)) - half_l2_inner(delta(u), psi)
-        worst = max(worst, rel(abs(lhs - rhs), u.l2_norm() * psi.l2_norm()))
-    assert worst < 1e-6
-
-
-@pytest.mark.parametrize("n,points", [(2, 128), (3, 64)])
-def test_trace_duality_normal(n, points):
-    grid = Grid(n, points, 16.0)
-    rng = np.random.default_rng(52 + n)
-    masks_u = [m for m in range(1 << n) if bin(m).count("1") == 1]
-    masks_psi = [m for m in range(1 << n) if bin(m).count("1") == 2]
-    worst = 0.0
-    for trial in range(10):
-        center_u = tuple(rng.uniform(-2, 2, n - 1)) + (rng.uniform(0.5, 2.5),)
-        center_p = tuple(rng.uniform(-2, 2, n - 1)) + (rng.uniform(0.5, 2.5),)
-        u = random_form(grid, masks_u, seed=3000 + trial,
-                        kind="gaussian_bump", width=2.0, center=center_u)
-        psi = random_form(grid, masks_psi, seed=4000 + trial,
-                          kind="gaussian_bump", width=2.0, center=center_p)
-        boundary = {m: psi.comps[m][..., grid.points // 2] for m in psi.comps}
-        lhs = normal_trace(u).pair_with_boundary_values(boundary)
-        rhs = half_l2_inner(d(u), psi) - half_l2_inner(u, delta(psi))
-        worst = max(worst, rel(abs(lhs - rhs), u.l2_norm() * psi.l2_norm()))
-    assert worst < 1e-6
-
-
 def test_half_domain_integral_oracle(grid2):
     # separable erf closed form for a shifted gaussian over the half-domain
     from math import erf, pi, sqrt
@@ -315,22 +274,12 @@ def test_half_domain_integral_oracle(grid2):
 def test_reflection_identity_sector_samples(grid2):
     f = random_half_field(grid2, "Ht", [0b01, 0b10], seed=11,
                           kind="annulus_band", radii=(1.0, 3.0))
-    radii = (0.1, 1.0, 10.0, 100.0)
-    angles = (0.0, 2.3, -2.3)
-    worst = 0.0
-    worst_bc = 0.0
-    for r in radii:
-        for th in angles:
-            lam = r * np.exp(1j * th)
-            u = hodge_resolvent(lam, f)
-            lhs = extend(u)
-            rhs = resolvent(lam, extend(f))
-            worst = max(worst, rel((lhs - rhs).l2_norm(), rhs.l2_norm()))
-            bc = (tangential_trace(u).l2_norm()
-                  + tangential_trace(d_half(u)).l2_norm())
-            worst_bc = max(worst_bc, rel(bc, u.l2_norm()))
-    assert worst < 1e-12
-    assert worst_bc < 1e-8
+    outcome = VerifyOutcome("probe")
+    for r in (0.1, 1.0, 10.0, 100.0):
+        for th in (0.0, 2.3, -2.3):
+            check_resolvent(outcome, r * np.exp(1j * th), f)
+    assert set(outcome.worst) == {"reflection_identity", "boundary_conditions"}
+    assert outcome.status == "ok", outcome.worst
 
 
 def test_hodge_resolvent_scalar_neumann(grid2):
@@ -449,15 +398,12 @@ def make_tangential_field(grid, seed):
 
 def test_leray_halfspace_properties(grid2):
     u = make_tangential_field(grid2, 17)
-    pu, gu = leray_halfspace(u)
+    outcome = VerifyOutcome("probe")
+    pu, gu = check_half_split(outcome, u)
+    assert len(outcome.worst) == 4 and outcome.status == "ok", outcome.worst
     nu = u.l2_norm()
-    assert (pu + gu - u).l2_norm() <= 1e-13 * nu
     assert delta_half(pu).l2_norm() <= 1e-9 * nu
     assert d_half(gu).l2_norm() <= 1e-9 * nu
-    assert tangential_trace(pu).l2_norm() <= 1e-8 * nu
-    assert abs(pu.l2_inner(gu)) <= 1e-8 * nu ** 2
-    pp, _ = leray_halfspace(pu)
-    assert (pp - pu).l2_norm() <= 1e-9 * nu
 
 
 def test_leray_halfspace_fixes_solenoidal(grid2):

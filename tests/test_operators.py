@@ -11,18 +11,7 @@ from hodgehalf.operators import (SectorPoint, d, delta, frac_laplacian,
                                  hodge_star_field, interior_const, laplacian,
                                  leray_wholespace, resolvent, riesz,
                                  sector_sweep, wedge_const)
-
-FD8_WEIGHTS = np.array([1 / 280, -4 / 105, 1 / 5, -4 / 5, 0.0,
-                        4 / 5, -1 / 5, 4 / 105, -1 / 280])
-
-
-def fd8(arr, axis, spacing):
-    """8th-order centered finite difference on the periodic grid."""
-    out = np.zeros_like(arr)
-    for off, c in zip(range(-4, 5), FD8_WEIGHTS):
-        if c:
-            out += c * np.roll(arr, -off, axis=axis)
-    return out / spacing
+from hodgehalf.verify import VerifyOutcome, check_wholespace_split, fd8
 
 
 def h2_surrogate(u):
@@ -359,11 +348,9 @@ def test_leray_vector_formula(grid2):
 
 def test_leray_splits_and_projects(grid2):
     u = random_form(grid2, [1, 2], seed=29, kind="annulus_band", radii=(1.0, 3.0))
-    pu, gu = leray_wholespace(u)
-    assert (pu + gu - u).l2_norm() <= 1e-14 * u.l2_norm()
-    assert delta(pu).l2_norm() <= 1e-10 * grad_l2(u)
-    assert d(gu).l2_norm() <= 1e-10 * grad_l2(u)
-    assert abs(pu.l2_inner(gu)) <= 1e-10 * u.l2_norm() ** 2
+    outcome = VerifyOutcome("probe")
+    pu, _ = check_wholespace_split(outcome, u)
+    assert len(outcome.worst) == 4 and outcome.status == "ok", outcome.worst
     pp, _ = leray_wholespace(pu)
     assert (pp - pu).l2_norm() <= 1e-10 * u.l2_norm()
 

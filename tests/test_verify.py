@@ -10,8 +10,8 @@ from hodgehalf.fields import Grid, random_form
 from hodgehalf.halfspace import (HalfField, d_half, extend_spectra,
                                  hodge_resolvent, random_half_field)
 from hodgehalf.operators import d
-from hodgehalf.verify import (SUITES, VerifyOutcome, _zero_scale, run_suite,
-                              series_resolvent)
+from hodgehalf.verify import (SUITES, TOLERANCES, VerifyOutcome, _zero_scale,
+                              run_suite, series_resolvent, trace_duality)
 
 
 @pytest.mark.parametrize("suite", SUITES)
@@ -29,10 +29,40 @@ def test_every_check_compares_nonzero_quantities(suite):
 
 def test_zero_versus_zero_check_fails_as_vacuous():
     out = VerifyOutcome("probe")
-    out.record("zero_with_zero", 0.0, 1e-10, 0.0)
+    out.record("zero_with_zero", 0.0, 0.0, tol=1e-10)
     assert out.failed == 1 and out.passed == 0
     assert out.worst["zero_with_zero"]["status"] == "vacuous"
     assert out.status == "fail"
+
+
+def test_record_keeps_the_worst_case_of_each_check():
+    out = VerifyOutcome("probe", tol_scale=2.0)
+    out.record("check", 1e-12, 3.0, tol=1e-10)
+    out.record("check", 5e-11, 1.0, tol=1e-10)
+    assert out.worst["check"] == {"residual": 5e-11, "scale": 3.0,
+                                  "tol": 2e-10, "status": "ok"}
+    out.record("other", 0.0, 0.0, tol=1e-10)
+    assert (out.passed, out.failed) == (1, 1)
+    out.record("check", 3e-10, 1.0, tol=1e-10)
+    assert out.worst["check"]["status"] == "fail" and out.failed == 2
+    for residual in (np.nan, 0.0):  # a NaN case stays the worst
+        out.record("nan", residual, 1.0, tol=1e-10)
+    assert np.isnan(out.worst["nan"]["residual"]) and out.failed == 3
+
+
+def test_shared_tolerances_are_the_criteria_bounds():
+    # the bounds criteria 01, 03, 04, 06 and 07 state; the suites and the
+    # criteria read them from verify
+    assert TOLERANCES == {
+        "wedge_anticommutativity": 1e-12, "star_involution_sign": 1e-12,
+        "wedge_interior_adjointness": 1e-12, "lagrange_identity": 1e-12,
+        "nilpotence": 1e-12, "split_reconstructs": 1e-14,
+        "p_part_divergence_free": 1e-10, "g_part_curl_free": 1e-10,
+        "orthogonality": 1e-10, "reflection_identity": 1e-12,
+        "boundary_conditions": 1e-8, "neumann_dirichlet_decoupling": 1e-10,
+        "half_split_reconstructs": 1e-13, "half_orthogonality": 1e-8,
+        "half_idempotence": 1e-9, "half_p_boundary": 1e-8,
+        "tangential_trace_duality": 1e-6, "normal_trace_duality": 1e-6}
 
 
 def test_nilpotence_past_the_top_degree_is_vacuous():
@@ -42,7 +72,7 @@ def test_nilpotence_past_the_top_degree_is_vacuous():
     v = random_form(grid, [1, 2], seed=1, width=2.0)
     ddv = d(d(v))
     out = VerifyOutcome("probe")
-    out.record("d_squared_zero", ddv.l2_norm(), 1e-10, _zero_scale(ddv, 1.0))
+    out.record("d_squared_zero", ddv.l2_norm(), _zero_scale(ddv, 1.0), tol=1e-10)
     assert ddv.l2_norm() == 0.0
     assert out.worst["d_squared_zero"]["status"] == "vacuous"
     assert out.failed == 1
@@ -108,13 +138,47 @@ def test_swapped_tangential_parity_fails_a_suite(monkeypatch):
         return original("Hn" if flavor == "Ht" else flavor, mask, n)
 
     monkeypatch.setattr(halfspace, "component_parity", swapped)
-    failed = {(suite, check) for suite in ("halfspace", "traces")
-              for check, info in run_suite(suite, seed=0).worst.items()
+    # the traces suite pairs whole-grid fields and reads no parity
+    failed = {check for check, info in run_suite("halfspace", seed=0).worst.items()
               if info["status"] != "ok"}
-    assert ("halfspace", "neumann_dirichlet_decoupling") in failed
+    assert "neumann_dirichlet_decoupling" in failed
     monkeypatch.undo()
     for suite in ("halfspace", "traces"):
         assert run_suite(suite, seed=0).status == "ok"
+
+
+def _swap_trace_rows(name):
+    # verify's ``name`` trace with its 3-D rows under 0b001 and 0b010 swapped:
+    # those of the 2-forms 0b101 and 0b110 (tangential) or of the 1-forms
+    # 0b001 and 0b010 (normal)
+    def mutate(monkeypatch):
+        real = getattr(verify, name)
+
+        def mutant(u):
+            trace = real(u)
+            if u.grid.n == 3 and {0b001, 0b010} <= set(trace.comps):
+                trace.comps[0b001], trace.comps[0b010] = (trace.comps[0b010],
+                                                          trace.comps[0b001])
+            return trace
+
+        monkeypatch.setattr(verify, name, mutant)
+    return mutate
+
+
+@pytest.mark.parametrize("mutate, check", [
+    (_swap_trace_rows("tangential_trace"), "tangential_trace_duality"),
+    (_swap_trace_rows("normal_trace"), "normal_trace_duality"),
+], ids=["tangential_2form_rows", "normal_1form_rows"])
+def test_trace_duality_catches_a_mutant(monkeypatch, mutate, check):
+    # both mutants are invisible in 2-D and on draws whose components are
+    # all equal; criterion 07's first 3-D draw and the traces suite see them
+    mutate(monkeypatch)
+    out = VerifyOutcome("criterion 07")
+    trace_duality(out, Grid(3, 64, 16.0), np.random.default_rng(63),
+                  seed=500, trials=1)
+    assert out.worst[check]["status"] == "fail"
+    assert out.worst[check]["residual"] > 1e-3
+    assert run_suite("traces", seed=0).worst[check]["status"] == "fail"
 
 
 def test_pressure_check_takes_each_gradient_field_once(monkeypatch):
