@@ -8,12 +8,12 @@ conditions of resolvent and heat outputs hold to round-off by symmetry.
 import numpy as np
 
 from hodgehalf.fields import Grid, random_form
-from hodgehalf.halfspace import (d_half, delta_half, extend, half_l2_inner,
-                                 hodge_resolvent, leray_halfspace,
-                                 navier_slip_residual, normal_trace,
-                                 q_projector, random_half_field, restrict,
-                                 tangential_trace)
-from hodgehalf.operators import d, delta, resolvent
+from hodgehalf.halfspace import (d_half, delta_half, extend, hodge_resolvent,
+                                 leray_halfspace, navier_slip_residual,
+                                 normal_trace, q_projector, random_half_field,
+                                 restrict, tangential_trace)
+from hodgehalf.operators import resolvent
+from hodgehalf.verify import VerifyOutcome, check_tangential_duality
 
 grid = Grid(2, 128, 16.0)
 
@@ -33,12 +33,13 @@ uu = random_form(grid, [0b01, 0b10, 0b11], seed=2, kind="gaussian_bump",
                  width=2.0, center=(0.5, 1.5))
 psi = random_form(grid, [0, 0b01], seed=3, kind="gaussian_bump",
                   width=2.0, center=(-1.0, 1.0))
-boundary = {m: psi.comps[m][..., grid.points // 2] for m in psi.comps}
-lhs = tangential_trace(uu).pair_with_boundary_values(boundary)
-rhs = half_l2_inner(uu, d(psi)) - half_l2_inner(delta(uu), psi)
-print(f"  integral of <nu _| u, psi> on the wall: {lhs.real:+.8f}")
-print(f"  bulk integral <u, d psi> - <delta u, psi>: {rhs.real:+.8f}")
-print(f"  duality defect: {abs(lhs - rhs):.3e}")
+duality = VerifyOutcome("demo")
+check_tangential_duality(duality, uu, psi)
+info = duality.worst["tangential_trace_duality"]
+print("  wall integral of <nu _| u, psi> against <u, d psi> - <delta u, psi>")
+print(f"  modulus of the larger side: {info['scale']:.3e}")
+print(f"  duality defect / (|u| |psi|): {info['residual']:.3e} "
+      f"(tol {info['tol']:.0e})")
 
 print("\n== half-space Hodge decomposition ==")
 pu, gu = leray_halfspace(f)

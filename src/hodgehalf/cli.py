@@ -270,15 +270,13 @@ def run_solve(cfg: RunConfig) -> int:
 
     grad_p = None
     if system == "hodge_heat":
-        solve_hodge_heat(forcing, u0, horizon, steps, observer=observer,
-                         store=False)
+        solve_hodge_heat(forcing, u0, horizon, steps, observer=observer)
     elif system == "hodge_stokes":
         solve_hodge_stokes(forcing, u0, horizon, steps, auto_project=True,
-                           observer=observer, store=False)
+                           observer=observer)
     else:
         _, grad_p = solve_navier_slip(forcing, u0, horizon, steps,
-                                      auto_project=True, observer=observer,
-                                      store=False)
+                                      auto_project=True, observer=observer)
     if grad_p is not None:
         grad_p_l2 = {}  # a constant forcing gives one gradient field at every node
         for row, gp in zip(rows, grad_p):

@@ -13,8 +13,10 @@ multiplier between extend_spectra and restrict_spectra, so the Stokes-type
 solvers split each input once, in spectra (leray_halfspace_hat), and step
 the projected spectra as they come.  Only the parts a caller receives go
 back to physical space: grad p of solve_navier_slip and the node fields a
-Trajectory keeps.  The datum's gradient part is only measured, for the
-auto_project=False guard, and never inverted.
+Trajectory keeps, which a solve given an observer does not return: it hands
+the observer every node's spectra (_integrate) and keeps nothing.  The
+datum's gradient part is only measured, for the auto_project=False guard,
+and never inverted.
 
 The regularity reports measure the trajectory in time-Lebesgue / space-Besov
 norms.  Spatial Besov norms of half-space fields are computed on the flavored
@@ -108,13 +110,16 @@ class TimeGrid:
 
 @dataclass
 class Trajectory:
-    """Node snapshots of a solve: solution, forcing, and the initial datum."""
+    """Node snapshots of a solve: solution and forcing."""
 
     time_grid: TimeGrid
     u: list
     f: list
-    u0: HalfField
-    flavor: str = "Ht"
+
+    @property
+    def u0(self) -> HalfField:
+        """The node-0 field, the datum as the solver steps it."""
+        return self.u[0]
 
     def times(self) -> np.ndarray:
         return self.time_grid.nodes()
@@ -128,8 +133,7 @@ class _Stepper:
     """
 
     def __init__(self, u0_hat: SpectralField, time_grid: TimeGrid):
-        self.grid = u0_hat.grid
-        absq = self.grid.freq_sq()
+        absq = u0_hat.grid.freq_sq()
         dt = time_grid.dt
         self.full_step = np.exp(-dt * absq)
         self.dt_half_step = dt * np.exp(-0.5 * dt * absq)
@@ -201,60 +205,59 @@ def _forcing_reader(f, read):
     raise TypeError("forcing must be None, a HalfField or a callable")
 
 
-def _integrate(reader, u0_hat: SpectralField, flavor: str, tg: TimeGrid,
-               observer, store: bool, gradients: list | None = None,
-               u0: HalfField | None = None) -> Trajectory:
-    """Step the datum spectra u0_hat through the forcing ``reader``
-    (_forcing_reader) and visit the nodes.
-
-    A kept node is restricted to a ``flavor`` half-field.  A node's forcing
-    input is read once and serves its snapshot, its gradient part (appended
-    to ``gradients`` when given) and the observer.  Trajectory.u0 is
-    ``u0``, or the node-0 field when None.
-    """
+def _integrate(reader, u0_hat: SpectralField, tg: TimeGrid, visit):
+    """Step the datum spectra u0_hat through the forcing ``reader`` (a pair
+    mid, node, as _forcing_reader makes) and hand every node to ``visit(m, t,
+    state, node(m, t))``, state the stepper's spectra, updated in place: the
+    one loop that advances a _Stepper, and it keeps nothing."""
     mid, node = reader
     stepper = _Stepper(u0_hat, tg)
     times = tg.nodes()
+    visit(0, times[0], stepper.state, node(0, times[0]))
+    for m in range(tg.steps):
+        stepper.advance(mid(m, times[m] + 0.5 * tg.dt))
+        visit(m + 1, times[m + 1], stepper.state, node(m + 1, times[m + 1]))
+
+
+def _solve(tg: TimeGrid, u0_hat: SpectralField, reader, flavor: str,
+           observer, gradients: list | None = None) -> Trajectory | None:
+    """_integrate for a solve: pass every node to the ``observer`` and
+    return None, or, without one, return the Trajectory of every node as a
+    ``flavor`` half-field.  ``gradients``, when given, receives each node
+    input's gradient part."""
     u_nodes, f_nodes = [], []
 
-    def visit(m):
-        keep = store or m in (0, tg.steps)
-        if not keep and observer is None and gradients is None:
-            return
-        entry = node(m, times[m])
-        if keep:
-            u_nodes.append(restrict_spectra(
-                SpectralField(stepper.grid, stepper.state), flavor))
-            f_nodes.append(None if entry is None else entry.field)
+    def visit(m, t, state, entry):
         if gradients is not None and entry is not None:
             gradients.append(entry.grad)
         if observer is not None:
-            observer(m, times[m], stepper.state,
-                     None if entry is None else entry.hat)
+            observer(m, t, state, None if entry is None else entry.hat)
+            return
+        u_nodes.append(restrict_spectra(SpectralField(u0_hat.grid, state),
+                                        flavor))
+        f_nodes.append(None if entry is None else entry.field)
 
-    visit(0)
-    for m in range(tg.steps):
-        stepper.advance(mid(m, times[m] + 0.5 * tg.dt))
-        visit(m + 1)
-    return Trajectory(tg, u_nodes, f_nodes, u_nodes[0] if u0 is None else u0,
-                      flavor)
+    _integrate(reader, u0_hat, tg, visit)
+    if observer is not None:
+        return None
+    return Trajectory(tg, u_nodes, f_nodes)
 
 
 def solve_hodge_heat(f, u0: HalfField, horizon: float, steps: int,
-                     observer=None, store: bool = True) -> Trajectory:
+                     observer=None) -> Trajectory | None:
     """Mild solution of the flavored Hodge-heat system du/dt - Delta u = f.
 
     The boundary conditions ride on the flavor of u0 and hold at every node.
     ``f`` may be None, a constant HalfField or a callable t -> HalfField.
-    ``observer(m, t, state, f_hat)`` runs at every node when provided, with
-    the stepper's extended state spectra (owned by the stepper, updated in
-    place) and the node forcing spectra (None without forcing); pass
-    store=False to keep only the endpoint snapshots (streaming use).
+    Without an ``observer`` the solve returns the Trajectory of every node.
+    With one it returns None and builds no node field: ``observer(m, t,
+    state, f_hat)`` runs at every node with the stepper's extended state
+    spectra (updated in place) and the node forcing spectra (None without
+    forcing).
     """
-    tg = TimeGrid(horizon, steps)
     reader = _forcing_reader(f, lambda u, node: _Input(u.flavor, field=u))
-    return _integrate(reader, extend_spectra(u0), u0.flavor, tg, observer,
-                      store, u0=u0)
+    return _solve(TimeGrid(horizon, steps), extend_spectra(u0), reader,
+                  u0.flavor, observer)
 
 
 def _projected_datum(u0: HalfField, auto_project: bool) -> SpectralField:
@@ -294,35 +297,26 @@ def _split_forcing(f, keep_gradients: bool):
     return _forcing_reader(f, read)
 
 
-def _stokes_flow(f, u0: HalfField, horizon: float, steps: int,
-                 auto_project: bool, observer, store: bool,
-                 gradients: list | None) -> Trajectory:
-    tg = TimeGrid(horizon, steps)
-    pu0_hat = _projected_datum(u0, auto_project)
-    reader = _split_forcing(f, keep_gradients=gradients is not None)
-    return _integrate(reader, pu0_hat, u0.flavor, tg, observer, store,
-                      gradients)
-
-
 def solve_hodge_stokes(f, u0: HalfField, horizon: float, steps: int,
-                       auto_project: bool = False, observer=None,
-                       store: bool = True) -> Trajectory:
+                       auto_project: bool = False,
+                       observer=None) -> Trajectory | None:
     """Mild solution of the Hodge-Stokes system: heat flow of projected data.
 
     u0 must be solenoidal with vanishing tangential trace (checked via the
     Leray projector; pass auto_project=True to project instead of failing).
     The datum and the forcing are split in spectra and stepped from there
     (_projected_datum, _split_forcing): once if the forcing is constant, once
-    per evaluation of a callable.  Trajectory.u0 is the projected datum, the
-    node-0 field.
+    per evaluation of a callable.  ``observer`` acts as in solve_hodge_heat;
+    a Trajectory's u0 is the projected datum.
     """
-    return _stokes_flow(f, u0, horizon, steps, auto_project, observer, store,
-                        None)
+    return _solve(TimeGrid(horizon, steps), _projected_datum(u0, auto_project),
+                  _split_forcing(f, keep_gradients=False), u0.flavor,
+                  observer)
 
 
 def solve_navier_slip(f, u0: HalfField, horizon: float, steps: int,
-                      auto_project: bool = False, observer=None,
-                      store: bool = True) -> tuple[Trajectory, list]:
+                      auto_project: bool = False,
+                      observer=None) -> tuple[Trajectory | None, list]:
     """Stokes flow of a vector field under Navier-slip boundary conditions.
 
     Returns the velocity trajectory and the pressure-gradient snapshots
@@ -332,15 +326,15 @@ def solve_navier_slip(f, u0: HalfField, horizon: float, steps: int,
     conditions, so the velocity solve is the Stokes one.  For a constant or
     absent forcing every entry of grad p is the same field, as the entries
     of ``Trajectory.f`` are, so callers must not mutate them in place.
-    ``observer`` and ``store`` act as in solve_hodge_heat: with store=False
-    the trajectory keeps only the endpoint velocities, while grad p keeps
-    every node, whatever the forcing.
+    With an ``observer`` (as in solve_hodge_heat) the trajectory is None;
+    grad p keeps every node either way.
     """
     if u0.degrees() != [1]:
         raise ValueError("the Navier-slip system runs on vector fields")
     grad_p = []
-    traj = _stokes_flow(f, u0, horizon, steps, auto_project, observer, store,
-                        grad_p)
+    traj = _solve(TimeGrid(horizon, steps), _projected_datum(u0, auto_project),
+                  _split_forcing(f, keep_gradients=True), u0.flavor,
+                  observer, grad_p)
     if not grad_p:
         grad_p = [HalfField.zero(u0.grid, u0.flavor, u0.masks())] * (steps + 1)
     return traj, grad_p
@@ -791,14 +785,12 @@ def max_reg_sweep(system: str, u0_hat: SpectralField,
     if stepped:
         neg_absq = -u0_hat.grid.freq_sq()
         stepped_sets = [layouts[key] for key in stepped]
+        constant = (lambda m, t: f_comps,) * 2
         for i, tg in enumerate(grids):
-            stepper = _Stepper(u0_hat.map(np.copy), tg)
             nodes = []
-            for m in range(tg.steps + 1):
-                if m:
-                    stepper.advance(f_comps)
-                nodes.append(_node_blocks(stepped_sets, stepper.state, f_comps,
-                                          neg_absq, bank))
+            _integrate(constant, u0_hat.map(np.copy), tg,
+                       lambda m, t, state, fhat: nodes.append(_node_blocks(
+                           stepped_sets, state, fhat, neg_absq, bank)))
             for k, key in enumerate(stepped):
                 norms[key, i] = np.array([node[k] for node in nodes])
 

@@ -17,11 +17,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import algebra as alg
-from .fields import Grid, random_form
+from .fields import Grid, SpectralField, random_form
 from .halfspace import (NodeReader, d_half, extend, extend_spectra,
-                        half_l2_inner, hodge_resolvent, leray_halfspace,
-                        normal_trace, random_half_field, restrict_spectra,
-                        tangential_trace)
+                        half_l2_inner, half_l2_norm_from_spectra,
+                        hodge_resolvent, leray_halfspace, normal_trace,
+                        random_half_field, restrict_spectra, tangential_trace)
 from .operators import (_lam_value, d, delta, grad_l2, hess_l2,
                         leray_wholespace, resolvent, sector_sweep)
 
@@ -401,11 +401,9 @@ def suite_evolution(seed: int = 0, tol_scale: float = 1.0) -> VerifyOutcome:
         out.record("solenoidality", _rel(columns["divergence"], norm),
                    norm if reader.targets else 0.0, tol=1e-9)
 
-    solve_hodge_stokes(fconst, u0, 1.0, 32, observer=observer, store=False)
-
     # pressure gradient is curl-free; a constant forcing gives one gradient
     # field at every node
-    _, grad_p = solve_navier_slip(fconst, u0, 1.0, 8, store=False)
+    _, grad_p = solve_navier_slip(fconst, u0, 1.0, 32, observer=observer)
     for gp in {id(gp): gp for gp in grad_p}.values():
         curl = d_half(gp)
         out.record("pressure_curl_free", _rel(curl.l2_norm(), gp.l2_norm()),
@@ -416,20 +414,32 @@ def suite_evolution(seed: int = 0, tol_scale: float = 1.0) -> VerifyOutcome:
     for i, r in enumerate(ratios):
         out.record(f"self_convergence_doubling_{i}", abs(r - 4.0), r, tol=0.4)
 
-    # semigroup consistency with f = 0
-    traj_a = solve_hodge_stokes(None, u0, 0.5, 16, store=False)
-    traj_b = solve_hodge_stokes(None, traj_a.u[-1], 0.5, 16, store=False)
-    traj_c = solve_hodge_stokes(None, u0, 1.0, 32, store=False)
-    diff = (traj_b.u[-1] - traj_c.u[-1]).l2_norm()
-    out.record("semigroup_consistency", _rel(diff, u0.l2_norm()),
-               traj_c.u[-1].l2_norm(), tol=1e-10)
+    # semigroup consistency with f = 0: two half-horizon legs, the second
+    # restarted from the first one's end as a half-field, against one leg
+    def end(u, horizon, steps):
+        last = {}  # the state spectra of the last node visited
+        solve_hodge_stokes(None, u, horizon, steps,
+                           observer=lambda *node: last.update(node[2]))
+        return SpectralField(grid, last)
+
+    two_legs = end(restrict_spectra(end(u0, 0.5, 16), "Ht"), 0.5, 16)
+    one_leg = end(u0, 1.0, 32)
+    out.record("semigroup_consistency",
+               _rel(half_l2_norm_from_spectra(two_legs - one_leg),
+                    u0.l2_norm()),
+               half_l2_norm_from_spectra(one_leg), tol=1e-10)
     return out
 
 
 def momentum_residual_ratios(grid: Grid, seed: int = 0, steps0: int = 16,
                              doublings: int = 2) -> list[float]:
-    """Momentum-residual reduction factors under time-step doubling, T = 1."""
-    from .evolution import solve_navier_slip
+    """Momentum-residual reduction factors under time-step doubling, T = 1.
+
+    Over step m of the Stokes solve forced by c(t) g, the residual of
+    du/dt - Delta u + grad p - f at the midpoint is R = (S_{m+1} - S_m) / dt
+    + |xi|^2 (S_{m+1} + S_m) / 2 + c(t_mid)(G - g), read from the state
+    spectra S the solve hands its observer; G is the gradient part of g."""
+    from .evolution import TimeGrid, solve_hodge_stokes
 
     masks = [1 << a for a in range(grid.n)]
     u0 = random_half_field(grid, "Ht", masks, seed=seed, kind="annulus_band",
@@ -437,34 +447,31 @@ def momentum_residual_ratios(grid: Grid, seed: int = 0, steps0: int = 16,
     u0, _ = leray_halfspace(u0)
     g = random_half_field(grid, "Ht", masks, seed=seed + 1,
                           kind="annulus_band", radii=(1.0, 2.5))
-    # the forcing is c(t) g: its gradient part is c(t) times that of g, split
-    # here once and independently of the solver's splits
+    # G is split here once and independently of the solver's splits
     _, grad_g = leray_halfspace(g)
+    gap = (extend_spectra(grad_g) - extend_spectra(g)).comps
+    half_absq = 0.5 * grid.freq_sq()
 
     def amplitude(t):
         return 1.0 + 0.5 * np.sin(2.0 * np.pi * t)
 
-    def forcing(t):
-        return amplitude(t) * g
-
     residuals = []
     for level in range(doublings + 1):
-        steps = steps0 * 2 ** level
-        traj, grad_p = solve_navier_slip(forcing, u0, 1.0, steps)
-        dt = traj.time_grid.dt
-        worst = 0.0
-        times = traj.times()
-        for m in range(steps):
-            t_mid = times[m] + 0.5 * dt
-            fmid = forcing(t_mid)
-            gp = amplitude(t_mid) * grad_g
-            du = (1.0 / dt) * (traj.u[m + 1] - traj.u[m])
-            mid = 0.5 * (traj.u[m + 1] + traj.u[m])
-            lap = restrict_spectra(
-                extend_spectra(mid).apply_multiplier(-grid.freq_sq()), "Ht")
-            resid = du - lap + gp - fmid
-            worst = max(worst, resid.l2_norm())
-        residuals.append(worst)
+        tg = TimeGrid(1.0, steps0 * 2 ** level)
+        times, previous, worst = tg.nodes(), {}, []
+
+        def observer(m, t, state, f_hat):
+            if m:
+                c = amplitude(times[m - 1] + 0.5 * tg.dt)
+                worst.append(half_l2_norm_from_spectra(SpectralField(grid, {
+                    k: (1.0 / tg.dt) * (a - previous[k])
+                    + half_absq * (a + previous[k]) + c * gap[k]
+                    for k, a in state.items()})))
+            previous.update((k, a.copy()) for k, a in state.items())
+
+        solve_hodge_stokes(lambda t: amplitude(t) * g, u0, tg.horizon,
+                           tg.steps, observer=observer)
+        residuals.append(max(worst))
     return [residuals[i] / residuals[i + 1] for i in range(doublings)]
 
 

@@ -390,13 +390,16 @@ def test_solve_non_finite_node_is_refused(tmp_path, monkeypatch):
     assert not os.path.exists(tmp_path / "solve.csv")
 
 
-def test_solve_non_finite_error_names_the_node(tmp_path, monkeypatch, capsys):
+def test_solve_non_finite_error_names_the_node(tmp_path, capsys):
     # a numerical failure on a valid configuration is a run error, not a
-    # config problem
-    assert _solve_with_nan_at_node(tmp_path, monkeypatch, node=3) == 2
-    err = capsys.readouterr().err
-    assert "node 3 " in err
-    assert err.startswith("run error: solve: ")
+    # config problem, at an inner node and at the last one (M = 8), which no
+    # endpoint field is built from before the observer sees it
+    for node in (3, 8):
+        with pytest.MonkeyPatch.context() as patch:
+            assert _solve_with_nan_at_node(tmp_path, patch, node=node) == 2
+        err = capsys.readouterr().err
+        assert f"node {node} " in err
+        assert err.startswith("run error: solve: ")
 
 
 @pytest.mark.parametrize("system, flavor", [("hodge_heat", "N"),
@@ -482,9 +485,9 @@ def test_solve_fft_count(tmp_path, fft_counts, n, points):
     # half-space transform of one component is a normal-axis pass (1 axis)
     # and a tangential pass on the stored rows (n - 1 axes): n to extend each
     # of the datum and the forcing before their splits in spectra, which the
-    # stepper reads, n to restrict grad p and n the projected forcing of
-    # Trajectory.f, and n for each of the two endpoint fields; the datum's
-    # gradient part is never inverted.  Per node one normal-axis pass for the
+    # stepper reads, and n to restrict grad p; the observed solve keeps no
+    # node field, and the datum's gradient part is never inverted.  Per node
+    # one normal-axis pass for the
     # divergence (a 1-form's delta has one component); its tangential sum and
     # the boundary row are read by Parseval, with no (n-1)-D pass.  At n = 2
     # the keys 1 and n - 1 coincide.
@@ -494,8 +497,8 @@ def test_solve_fft_count(tmp_path, fft_counts, n, points):
                            "system": "navier_slip", "T": 1.0, "M": steps},
                 seed=0)
     expected = collections.Counter()
-    expected[1] += 2 * n * (2 ** n - 1) + 6 * n + steps + 1
-    expected[n - 1] += 6 * n
+    expected[1] += 2 * n * (2 ** n - 1) + 3 * n + steps + 1
+    expected[n - 1] += 3 * n
     assert fft_counts == expected
 
 

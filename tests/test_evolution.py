@@ -10,7 +10,7 @@ from hodgehalf.evolution import (SpaceParams, TimeGrid, _Stepper,
                                  solve_hodge_heat, solve_hodge_stokes,
                                  solve_navier_slip, steady_sweep_spectra,
                                  streaming_max_reg, sweep_spectra)
-from hodgehalf.fields import Grid, synthesize, TestFunctionSpec
+from hodgehalf.fields import Grid, SpectralField, synthesize, TestFunctionSpec
 from hodgehalf.halfspace import (HalfField, d_half, delta_half, extend,
                                  extend_spectra, leray_halfspace,
                                  leray_halfspace_hat, random_half_field,
@@ -266,19 +266,61 @@ def test_navier_slip_pressure_is_curl_free(grid):
         assert d_half(gp).l2_norm() <= 1e-9 * max(gp.l2_norm(), 1e-30)
 
 
-def test_navier_slip_streaming_keeps_endpoints_and_every_gradient(grid):
+def test_navier_slip_observed_returns_only_the_gradients(grid):
+    # with an observer the solve returns no trajectory, yet grad p at every
+    # node; the observer sees the states the stored trajectory keeps
     u0 = solenoidal_field(grid, 16)
     f = random_half_field(grid, "Ht", [0b01, 0b10], seed=17,
                           kind="annulus_band", radii=(1.0, 2.5))
     for forcing in (f, lambda t: float(np.cos(t)) * f):  # constant, callable
         full, grad_full = solve_navier_slip(forcing, u0, 1.0, 8)
-        ends, grad_ends = solve_navier_slip(forcing, u0, 1.0, 8, store=False)
-        assert len(full.u) == 9 and len(ends.u) == 2
-        for a, b in zip(ends.u, (full.u[0], full.u[-1])):
-            assert (a - b).l2_norm() == 0.0
-        assert len(grad_ends) == 9
-        assert all((a - b).l2_norm() == 0.0
-                   for a, b in zip(grad_ends, grad_full))
+        seen = []
+        traj, grad_seen = solve_navier_slip(
+            forcing, u0, 1.0, 8,
+            observer=lambda m, t, state, f_hat: seen.append(restrict_spectra(
+                SpectralField(grid, state), "Ht")))
+        assert traj is None and len(full.u) == len(seen) == 9
+        assert len(grad_seen) == 9
+        for a, b in zip(seen + grad_seen, full.u + grad_full):
+            assert a.masks() == b.masks()
+            for mask in a.masks():
+                assert np.array_equal(a.component(mask), b.component(mask))
+
+
+@pytest.mark.parametrize("system", ["hodge_heat", "hodge_stokes",
+                                    "navier_slip"])
+@pytest.mark.parametrize("kind", ["constant", "callable"])
+def test_observed_solve_builds_only_the_gradients(grid, monkeypatch, system,
+                                                  kind):
+    # an observed solve restricts no node field: only navier_slip goes back
+    # to physical space, once per distinct node input (for grad p)
+    from hodgehalf import evolution
+
+    u0 = solenoidal_field(grid, 31)
+    g = random_half_field(grid, "Ht", [0b01, 0b10], seed=32,
+                          kind="annulus_band", radii=(1.0, 2.5))
+    forcing = g if kind == "constant" else (lambda t: float(np.cos(t)) * g)
+    calls = []
+    real = evolution.restrict_spectra
+    monkeypatch.setattr(evolution, "restrict_spectra",
+                        lambda *args: calls.append(None) or real(*args))
+    nodes = []
+
+    def observer(m, t, state, f_hat):
+        nodes.append(m)
+
+    if system == "hodge_heat":
+        assert solve_hodge_heat(forcing, u0, 1.0, 8, observer=observer) is None
+    elif system == "hodge_stokes":
+        assert solve_hodge_stokes(forcing, u0, 1.0, 8,
+                                  observer=observer) is None
+    else:
+        traj, grad_p = solve_navier_slip(forcing, u0, 1.0, 8,
+                                         observer=observer)
+        assert traj is None and len(grad_p) == 9
+    assert nodes == list(range(9))
+    want = 0 if system != "navier_slip" else 1 if kind == "constant" else 9
+    assert len(calls) == want
 
 
 def test_navier_slip_momentum_self_convergence(grid):
@@ -330,8 +372,9 @@ def test_navier_slip_pressure_comes_from_the_forcing_split(grid, monkeypatch,
 
 
 def test_node_forcing_is_evaluated_once_per_node(grid, monkeypatch):
-    # the stored snapshot and the observer share one evaluation of a callable
-    # forcing: 8 midpoints + 9 nodes + the datum = 18 Leray splits either way
+    # a callable forcing is split once per midpoint and once per node, with
+    # or without an observer: 8 midpoints + 9 nodes + the datum = 18 Leray
+    # splits either way
     from hodgehalf import evolution
 
     u0 = solenoidal_field(grid, 29)
@@ -344,18 +387,11 @@ def test_node_forcing_is_evaluated_once_per_node(grid, monkeypatch):
         return leray_halfspace_hat(u)
 
     monkeypatch.setattr(evolution, "leray_halfspace_hat", counted)
-    runs = []
     for observer in (None, lambda m, t, state, f_hat: None):
         calls.clear()
-        runs.append(solve_navier_slip(lambda t: float(np.cos(t)) * g, u0,
-                                      1.0, 8, observer=observer))
+        solve_navier_slip(lambda t: float(np.cos(t)) * g, u0, 1.0, 8,
+                          observer=observer)
         assert len(calls) == 18
-    (plain, grad_plain), (observed, grad_observed) = runs
-    for a, b in zip(plain.u + plain.f + grad_plain,
-                    observed.u + observed.f + grad_observed):
-        assert a.masks() == b.masks()
-        for mask in a.masks():
-            assert np.array_equal(a.component(mask), b.component(mask))
 
 
 def test_navier_slip_needs_vector_fields(grid):
@@ -722,7 +758,7 @@ def test_closed_form_time_derivative_against_long_double():
 
     absq = grid.freq_sq()
     stepped = []
-    solve_hodge_heat(pf, u0, 1.0, tg.steps, store=False,
+    solve_hodge_heat(pf, u0, 1.0, tg.steps,
                      observer=lambda m, t, state, fh: stepped.append(
                          bank.shell_energy(-absq * state[k] + fh[k]
                                            for k in state)))

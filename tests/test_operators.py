@@ -335,17 +335,6 @@ def test_leray_fixes_divergence_free(grid3):
     assert gw.l2_norm() <= 1e-10 * w.l2_norm()
 
 
-def test_leray_vector_formula(grid2):
-    # on 1-forms P = I + grad (-Delta)^{-1} div, componentwise
-    u = random_form(grid2, [0b01, 0b10], seed=28, kind="annulus_band",
-                    radii=(1.0, 3.0))
-    pu, _ = leray_wholespace(u)
-    div = -1 * delta(u)            # delta restricted to 1-forms is -div
-    pot = resolvent(0.0, div)      # (-Delta)^{-1} div u
-    expected = u + d(pot)          # d on scalars is the gradient
-    assert (pu - expected).l2_norm() <= 1e-12 * u.l2_norm()
-
-
 def test_leray_splits_and_projects(grid2):
     u = random_form(grid2, [1, 2], seed=29, kind="annulus_band", radii=(1.0, 3.0))
     outcome = VerifyOutcome("probe")

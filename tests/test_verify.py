@@ -1,7 +1,5 @@
 """Verification suites: every check compares nonzero quantities."""
 
-import sys
-
 import numpy as np
 import pytest
 
@@ -182,7 +180,7 @@ def test_trace_duality_catches_a_mutant(monkeypatch, mutate, check):
 
 
 def test_pressure_check_takes_each_gradient_field_once(monkeypatch):
-    # a constant forcing gives one gradient field shared by all 9 nodes
+    # a constant forcing gives one gradient field shared by all 33 nodes
     calls = []
 
     def counted(u):
@@ -222,25 +220,40 @@ def test_solenoidality_sees_an_unprojected_forcing(monkeypatch):
 
 
 def test_evolution_suite_builds_only_what_it_reads(monkeypatch):
-    # node fields: 2 endpoints each for solenoidality, the pressure check and
-    # the three semigroup flows, and every node of the three momentum-residual
-    # runs (17 + 33 + 65); Leray splits in verify: the suite's datum, and the
-    # datum and the forcing profile g of the momentum residual
-    fields, splits = [], []
-    real_restrict = evolution.restrict_spectra
-    real_split = verify.leray_halfspace
+    # half-fields out of spectra: in evolution, grad p of the one constant
+    # forcing; in verify, the datum of the semigroup check's second leg.  No
+    # solve keeps a node field.  Leray splits in verify: the suite's datum,
+    # and the datum and the forcing profile g of the momentum residual
+    def counted(module, name):
+        calls, real = [], getattr(module, name)
+        monkeypatch.setattr(module, name,
+                            lambda *args: calls.append(None) or real(*args))
+        return calls
 
-    def restrict(*args, **kwargs):
-        # a node field is the restriction _integrate's node visit makes
-        if sys._getframe(1).f_code.co_name == "visit":
-            fields.append(None)
-        return real_restrict(*args, **kwargs)
-
-    monkeypatch.setattr(evolution, "restrict_spectra", restrict)
-    monkeypatch.setattr(verify, "leray_halfspace",
-                        lambda u: splits.append(None) or real_split(u))
+    in_evolution = counted(evolution, "restrict_spectra")
+    in_verify = counted(verify, "restrict_spectra")
+    splits = counted(verify, "leray_halfspace")
     outcome = run_suite("evolution", seed=0)
-    assert len(fields) == 2 + 2 + 6 + 115
+    assert len(in_evolution) == 1
+    assert len(in_verify) == 1
     assert len(splits) == 3
     for check, info in outcome.worst.items():
         assert info["status"] == "ok" and info["scale"] > 0, check
+
+
+def test_momentum_residual_catches_a_mutant(monkeypatch):
+    # mutation: the stepper weighs the midpoint forcing by dt e^{-dt |xi|^2},
+    # a first-order quadrature, so halving dt only halves the residual
+    grid = Grid(2, 64, 8.0)
+    for r in verify.momentum_residual_ratios(grid, seed=0):
+        assert 3.6 <= r <= 4.4
+    real = evolution._Stepper.__init__
+
+    def first_order(self, u0_hat, time_grid):
+        real(self, u0_hat, time_grid)
+        self.dt_half_step = time_grid.dt * self.full_step
+
+    monkeypatch.setattr(evolution._Stepper, "__init__", first_order)
+    ratios = verify.momentum_residual_ratios(grid, seed=0)
+    assert all(not 3.6 <= r <= 4.4 for r in ratios), ratios
+    assert run_suite("evolution", seed=0).status == "fail"
