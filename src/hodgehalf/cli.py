@@ -18,15 +18,15 @@ import os
 import sys
 from dataclasses import dataclass, field
 
-from .evolution import (SYSTEMS, SpaceParams, TimeGrid, interpolation_space,
-                        max_reg_sweep, solve_hodge_heat, solve_hodge_stokes,
+from .evolution import (SYSTEMS, SpaceParams, TimeGrid, max_reg_sweep, refusal,
+                        solve_hodge_heat, solve_hodge_stokes,
                         solve_navier_slip, steady_sweep_spectra)
 from .fields import Grid, SpectralField, load_field, random_form, save_field
 from .halfspace import (HalfField, NodeReader, leray_halfspace_checked,
                         random_half_field, remove_extended_mean,
                         restrict_spectra, split_residual, tangential_trace)
 from .littlewood_paley import FilterBank, build_bank, default_bank, space_norm
-from .verify import SUITES, run_suite
+from .verify import SUITES, VerifyOutcome, run_suite
 
 EXIT_OK = 0
 EXIT_TOL = 1
@@ -157,8 +157,7 @@ def run_verify(cfg: RunConfig) -> int:
         if name not in SUITES:
             raise ConfigError(f"unknown suite {name!r}; choose from "
                               f"{', '.join(SUITES)}")
-    outcomes = [run_suite(name, seed=cfg.seed, tol_scale=cfg.tol_scale)
-                for name in cfg.suites]
+    outcomes = [_guarded_suite(name, cfg) for name in cfg.suites]
     for outcome in outcomes:
         for check, info in outcome.worst.items():
             status = info["status"]
@@ -173,6 +172,18 @@ def run_verify(cfg: RunConfig) -> int:
     _write_csv(os.path.join(cfg.out_dir, "verify.csv"), rows)
     print(f"verify: {sum(o.passed for o in outcomes)} passed, {failed} failed")
     return EXIT_OK if failed == 0 else EXIT_TOL
+
+
+def _guarded_suite(name: str, cfg: RunConfig) -> VerifyOutcome:
+    """run_suite; a guard raised inside the suite (a ValueError) is printed
+    and recorded as the suite's failing check ``guard``."""
+    try:
+        return run_suite(name, seed=cfg.seed, tol_scale=cfg.tol_scale)
+    except ValueError as exc:
+        print(f"[{name}] guard raised: {exc}")
+        outcome = VerifyOutcome(name, cfg.tol_scale)
+        outcome.record("guard", math.nan, math.nan, tol=0.0)
+        return outcome
 
 
 def run_decompose(cfg: RunConfig) -> int:
@@ -258,7 +269,7 @@ def run_solve(cfg: RunConfig) -> int:
     stride = max(1, steps // 4) if opts.get("save_snapshots") else None
     rows, snapshots = [], []
 
-    def observer(m, t, state, f_hat):
+    def observer(m, t, state):
         columns = reader(state)
         if not math.isfinite(columns["l2"]):
             raise RunError(f"solve: the state at node {m} (t = {t:g}) is "
@@ -335,18 +346,12 @@ def run_maxreg(cfg: RunConfig) -> int:
     rows = []
     accepted = []
     for params in spq:
-        s, p, q = params.s, params.p, params.q
-        interp, complete = interpolation_space(params, grid.n)
-        reason = ""
-        if not complete:
-            reason = (f"completeness predicate fails for "
-                      f"s={interp.s:g} p={p:g} q={q:g} n={grid.n}")
-        elif math.isinf(q):
-            reason = "q = inf needs initial data checked to be operator-regular"
+        reason = refusal(params, grid.n)
         if reason:
-            rows.append({"system": system, "s": s, "p": p, "q": q, "T": "",
-                         "lhs_sup": "", "lhs_lq": "", "rhs_f": "", "rhs_u0": "",
-                         "ratio": "", "status": "rejected", "reason": reason})
+            rows.append({"system": system, "s": params.s, "p": params.p,
+                         "q": params.q, "T": "", "lhs_sup": "", "lhs_lq": "",
+                         "rhs_f": "", "rhs_u0": "", "ratio": "",
+                         "status": "rejected", "reason": reason})
         else:
             accepted.append(params)
     done = []
@@ -409,25 +414,34 @@ def run_normtable(cfg: RunConfig) -> int:
 
 # ---------------------------------------------------------------------------
 
+_FLAGS = {"--suite": {"help": "restrict verify to one suite"},
+          "--seed": {"type": int, "help": "corpus seed"},
+          "--tol-scale": {"type": float, "default": 1.0,
+                          "help": "multiply every tolerance by this factor"}}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hodgehalf",
         description="spectral exterior-calculus verification and solver driver")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in [
-            ("verify", "run identity-check suites"),
-            ("decompose", "Hodge-split a stored half-space field"),
-            ("solve", "run an evolution system and emit diagnostics"),
-            ("maxreg", "maximal-regularity ratio sweep"),
-            ("normtable", "emit a Besov/Sobolev norm table")]:
+    # besides --config and --out, each command takes the flags it reads; an
+    # absent flag reads as its default
+    for name, help_text, flags in [
+            ("verify", "run identity-check suites", _FLAGS),
+            ("decompose", "Hodge-split a stored half-space field",
+             ["--tol-scale"]),
+            ("solve", "run an evolution system and emit diagnostics",
+             ["--seed"]),
+            ("maxreg", "maximal-regularity ratio sweep",
+             ["--seed", "--tol-scale"]),
+            ("normtable", "emit a Besov/Sobolev norm table", ["--seed"])]:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", default=None, help="JSON configuration path")
-        p.add_argument("--suite", default=None,
-                       help="restrict verify to one suite")
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--seed", type=int, default=None, help="corpus seed")
-        p.add_argument("--tol-scale", type=float, default=1.0,
-                       help="multiply every tolerance by this factor")
+        p.set_defaults(suite=None, seed=None, tol_scale=1.0)
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
     return parser
 
 

@@ -14,9 +14,10 @@ solvers split each input once, in spectra (leray_halfspace_hat), and step
 the projected spectra as they come.  Only the parts a caller receives go
 back to physical space: grad p of solve_navier_slip and the node fields a
 Trajectory keeps, which a solve given an observer does not return: it hands
-the observer every node's spectra (_integrate) and keeps nothing.  The
-datum's gradient part is only measured, for the auto_project=False guard,
-and never inverted.
+the observer (m, t, state), every node's time and state spectra
+(_integrate), keeps nothing and reads a node's forcing only for grad p.
+The datum's gradient part is only measured, for the auto_project=False
+guard, and never inverted.
 
 The regularity reports measure the trajectory in time-Lebesgue / space-Besov
 norms.  Spatial Besov norms of half-space fields are computed on the flavored
@@ -28,12 +29,12 @@ error into the estimate it measures.
 Every node reaches the report as the L^p norms of the dyadic blocks of u,
 its Hessian and du/dt (_node_blocks, by block_norms), and _report sums a
 whole trajectory's: _lq_aggregate over the blocks, then _time_lq, its
-trapezoid twin over the nodes and the only place a report branches on
-q = infinity.  A stepped node takes the block norms of the stepper's
-spectra, with du/dt = -|xi|^2 u_hat + f_hat summed pointwise and the
-Hessian's spectra from _hessian_spectra, at p = 2 from |k|^2 shell
-energies, at other p by inverting each block.  The leakage guard of an
-input reads all shells.
+trapezoid twin over the nodes.  Reports measure q < infinity only: refusal
+is the one rule that refuses one and words why.  A stepped node takes the
+block norms of the stepper's spectra, with du/dt = -|xi|^2 u_hat + f_hat
+summed pointwise and the Hessian's spectra from _hessian_spectra, at p = 2
+from |k|^2 shell energies, at other p by inverting each block.  The
+leakage guard of an input reads all shells.
 
 max_reg_sweep is the one driver.  It measures a list of parameter sets
 over every horizon from one pair of extension spectra, the datum's and
@@ -62,7 +63,7 @@ built on the spectra f_hat the system steps (P f, or f for hodge_heat);
 hodgehalf maxreg forms them once and measures all its sets in one sweep.
 max_reg_report measures a stored trajectory of any forcing, time-dependent
 ones included, through the same _node_blocks and _report; it is the oracle
-the driver is tested against.  Both refuse
+the driver is tested against.  Both refuse what refusal refuses, and
 an initial datum or forcing whose spectrum leaks out of the bank window,
 reading the leakage from the same shell energies.
 """
@@ -70,7 +71,7 @@ reading the leakage from the same shell energies.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -120,9 +121,6 @@ class Trajectory:
     def u0(self) -> HalfField:
         """The node-0 field, the datum as the solver steps it."""
         return self.u[0]
-
-    def times(self) -> np.ndarray:
-        return self.time_grid.nodes()
 
 
 class _Stepper:
@@ -186,37 +184,36 @@ class _Input:
 
 
 def _forcing_reader(f, read):
-    """(mid, node) of a forcing argument: mid(m, t) the spectra the stepper
-    adds over step m (t its midpoint), node(m, t) the _Input of node m; both
-    None without forcing.
+    """(mid, node) of a forcing argument: mid(t) the spectra the stepper adds
+    over the step whose midpoint is t, node(t) the _Input of the node at t;
+    both None without forcing.
 
     ``read(u, node)`` makes the _Input of an input field, ``node`` telling a
     node input from a midpoint one.  A constant forcing is read once, for
     every node and step; a callable at every evaluation.
     """
     if f is None:
-        return (lambda m, t: None), (lambda m, t: None)
+        return (lambda t: None), (lambda t: None)
     if isinstance(f, HalfField):
         entry = read(f, True)
-        return (lambda m, t: entry.hat), (lambda m, t: entry)
+        return (lambda t: entry.hat), (lambda t: entry)
     if callable(f):
-        return (lambda m, t: read(f(t), False).hat,
-                lambda m, t: read(f(t), True))
+        return (lambda t: read(f(t), False).hat,
+                lambda t: read(f(t), True))
     raise TypeError("forcing must be None, a HalfField or a callable")
 
 
-def _integrate(reader, u0_hat: SpectralField, tg: TimeGrid, visit):
-    """Step the datum spectra u0_hat through the forcing ``reader`` (a pair
-    mid, node, as _forcing_reader makes) and hand every node to ``visit(m, t,
-    state, node(m, t))``, state the stepper's spectra, updated in place: the
-    one loop that advances a _Stepper, and it keeps nothing."""
-    mid, node = reader
+def _integrate(mid, u0_hat: SpectralField, tg: TimeGrid, visit):
+    """Step the datum spectra u0_hat, adding mid(t) over the step whose
+    midpoint is t, and hand every node to ``visit(m, t, state)``, state the
+    stepper's spectra, updated in place: the one loop that advances a
+    _Stepper, and it keeps nothing."""
     stepper = _Stepper(u0_hat, tg)
     times = tg.nodes()
-    visit(0, times[0], stepper.state, node(0, times[0]))
+    visit(0, times[0], stepper.state)
     for m in range(tg.steps):
-        stepper.advance(mid(m, times[m] + 0.5 * tg.dt))
-        visit(m + 1, times[m + 1], stepper.state, node(m + 1, times[m + 1]))
+        stepper.advance(mid(times[m] + 0.5 * tg.dt))
+        visit(m + 1, times[m + 1], stepper.state)
 
 
 def _solve(tg: TimeGrid, u0_hat: SpectralField, reader, flavor: str,
@@ -224,20 +221,22 @@ def _solve(tg: TimeGrid, u0_hat: SpectralField, reader, flavor: str,
     """_integrate for a solve: pass every node to the ``observer`` and
     return None, or, without one, return the Trajectory of every node as a
     ``flavor`` half-field.  ``gradients``, when given, receives each node
-    input's gradient part."""
+    input's gradient part.  A node's forcing input is read only where it is
+    kept: in the Trajectory or as a gradient."""
+    mid, node = reader
     u_nodes, f_nodes = [], []
 
-    def visit(m, t, state, entry):
+    def visit(m, t, state):
+        entry = node(t) if observer is None or gradients is not None else None
         if gradients is not None and entry is not None:
             gradients.append(entry.grad)
         if observer is not None:
-            observer(m, t, state, None if entry is None else entry.hat)
-            return
+            return observer(m, t, state)
         u_nodes.append(restrict_spectra(SpectralField(u0_hat.grid, state),
                                         flavor))
         f_nodes.append(None if entry is None else entry.field)
 
-    _integrate(reader, u0_hat, tg, visit)
+    _integrate(mid, u0_hat, tg, visit)
     if observer is not None:
         return None
     return Trajectory(tg, u_nodes, f_nodes)
@@ -250,10 +249,9 @@ def solve_hodge_heat(f, u0: HalfField, horizon: float, steps: int,
     The boundary conditions ride on the flavor of u0 and hold at every node.
     ``f`` may be None, a constant HalfField or a callable t -> HalfField.
     Without an ``observer`` the solve returns the Trajectory of every node.
-    With one it returns None and builds no node field: ``observer(m, t,
-    state, f_hat)`` runs at every node with the stepper's extended state
-    spectra (updated in place) and the node forcing spectra (None without
-    forcing).
+    With one it returns None, builds no node field and reads no node forcing:
+    ``observer(m, t, state)`` runs at every node with the stepper's extended
+    state spectra, updated in place.
     """
     reader = _forcing_reader(f, lambda u, node: _Input(u.flavor, field=u))
     return _solve(TimeGrid(horizon, steps), extend_spectra(u0), reader,
@@ -327,7 +325,8 @@ def solve_navier_slip(f, u0: HalfField, horizon: float, steps: int,
     absent forcing every entry of grad p is the same field, as the entries
     of ``Trajectory.f`` are, so callers must not mutate them in place.
     With an ``observer`` (as in solve_hodge_heat) the trajectory is None;
-    grad p keeps every node either way.
+    grad p keeps every node either way, so each node's forcing is split
+    either way.
     """
     if u0.degrees() != [1]:
         raise ValueError("the Navier-slip system runs on vector fields")
@@ -358,18 +357,15 @@ class MaxRegReport:
     rhs_forcing_norm: float
     rhs_initial_norm: float
     ratio: float
-    extras: dict = field(default_factory=dict)
 
     def row(self) -> dict:
-        out = {"system": self.system, "s": self.s, "p": self.p,
-               "q": self.q, "T": self.horizon,
-               "lhs_sup": self.sup_interp_norm,
-               "lhs_lq": self.lq_evolution_norm,
-               "rhs_f": self.rhs_forcing_norm,
-               "rhs_u0": self.rhs_initial_norm,
-               "ratio": self.ratio}
-        out.update(self.extras)
-        return out
+        return {"system": self.system, "s": self.s, "p": self.p,
+                "q": self.q, "T": self.horizon,
+                "lhs_sup": self.sup_interp_norm,
+                "lhs_lq": self.lq_evolution_norm,
+                "rhs_f": self.rhs_forcing_norm,
+                "rhs_u0": self.rhs_initial_norm,
+                "ratio": self.ratio}
 
 
 def _hessian_spectra(comps_hat: dict[int, np.ndarray], grid: Grid) -> dict:
@@ -386,32 +382,33 @@ def _hessian_spectra(comps_hat: dict[int, np.ndarray], grid: Grid) -> dict:
     return out
 
 
-def interpolation_space(params: SpaceParams, n: int) -> tuple[SpaceParams, bool]:
+def interpolation_space(params: SpaceParams) -> SpaceParams:
     """The interpolation space B^{s + 2 - 2/q}_{p,q} of the estimate measured
-    in ``params``, and whether it passes the completeness predicate in
-    dimension ``n``."""
-    interp = SpaceParams(params.s + 2.0 - 2.0 / params.q, params.p, params.q,
-                         homogeneous=params.homogeneous)
-    return interp, completeness_ok(interp, n)
+    in ``params``."""
+    return SpaceParams(params.s + 2.0 - 2.0 / params.q, params.p, params.q,
+                       homogeneous=params.homogeneous)
 
 
-def _report_space(params: SpaceParams, n: int,
-                  a_regular_checked: bool) -> SpaceParams:
-    """The interpolation space of a report in ``params`` (interpolation_space),
-    after the guards every report runs: its completeness predicate in
-    dimension ``n`` and, for q = infinity, the caller's word that the datum
-    is operator-regular."""
-    interp, complete = interpolation_space(params, n)
-    if not complete:
-        raise ValueError(
-            f"refusing the report: the space with s = {interp.s}, p = {interp.p}, "
-            f"q = {interp.q} fails the completeness predicate in dimension {n} "
-            f"(needs s < n/p, or q = 1 and s <= n/p)")
-    if math.isinf(params.q) and not a_regular_checked:
-        raise ValueError("q = infinity reports need operator-regular initial "
-                         "data; build it with make_a_regular and pass "
-                         "a_regular_checked=True")
-    return interp
+def refusal(params: SpaceParams, n: int) -> str:
+    """Why a report in ``params`` in dimension ``n`` is refused, or "" when
+    it is not: its interpolation space fails the completeness predicate, or
+    q = infinity, which no report measures."""
+    interp = interpolation_space(params)
+    if not completeness_ok(interp, n):
+        return (f"completeness predicate fails for s={interp.s:g} "
+                f"p={params.p:g} q={params.q:g} n={n}")
+    if math.isinf(params.q):
+        return "q = inf is not measured; reports take q < inf"
+    return ""
+
+
+def _report_space(params: SpaceParams, n: int) -> SpaceParams:
+    """The interpolation space of a report in ``params``, after the refusal
+    every report runs."""
+    reason = refusal(params, n)
+    if reason:
+        raise ValueError(f"refusing the report: {reason}")
+    return interpolation_space(params)
 
 
 def _node_blocks(layouts: list[SpaceParams], state: dict[int, np.ndarray],
@@ -439,10 +436,8 @@ def _node_blocks(layouts: list[SpaceParams], state: dict[int, np.ndarray],
 
 
 def _time_lq(values: np.ndarray, tg: TimeGrid, q: float) -> float:
-    """The L^q norm in time of node values on ``tg`` by the trapezoid rule
-    (the max at q = infinity), the time-axis twin of _lq_aggregate."""
-    if math.isinf(q):
-        return float(values.max())
+    """The L^q norm in time of node values on ``tg``, q < infinity, by the
+    trapezoid rule: the time-axis twin of _lq_aggregate."""
     w = np.full(values.size, tg.dt)
     w[[0, -1]] *= 0.5
     return float(np.sum(w * values ** q)) ** (1.0 / q)
@@ -644,13 +639,16 @@ def _closed_form_energies(bank: FilterBank, tg: TimeGrid, gram: _ShellGrams,
 
 def make_a_regular(seed_field: HalfField) -> HalfField:
     """Apply the resolvent at lambda = 1 twice to the Leray projection, all
-    on the extension spectra; regular enough data for q = infinity reports."""
+    on the extension spectra: a solenoidal datum in the domain of A^2, A the
+    Hodge-Stokes operator, the operator-regular data the q = infinity
+    estimate of the theory asks for.  Reports refuse q = infinity
+    (refusal)."""
     once = resolvent_hat(1.0, leray_halfspace_hat(seed_field)[0])
     return restrict_spectra(resolvent_hat(1.0, once), "Ht")
 
 
 def max_reg_report(traj: Trajectory, params: SpaceParams, system: str,
-                   bank: FilterBank, a_regular_checked: bool = False) -> MaxRegReport:
+                   bank: FilterBank) -> MaxRegReport:
     """Measure a stored trajectory against the maximal-regularity estimate.
 
     lhs: sup-in-time interpolation norm plus the L^q-in-time norm of the pair
@@ -659,7 +657,7 @@ def max_reg_report(traj: Trajectory, params: SpaceParams, system: str,
     of the two sides is the reported quantity.
     """
     tg = traj.time_grid
-    interp = _report_space(params, traj.u0.grid.n, a_regular_checked)
+    interp = _report_space(params, traj.u0.grid.n)
     # a constant forcing is stored as one object at every node: transform,
     # guard and measure it once
     forcings = {}
@@ -732,8 +730,8 @@ def steady_sweep_spectra(system: str,
 
 def max_reg_sweep(system: str, u0_hat: SpectralField,
                   f_hat: SpectralField | None, horizons, steps: int,
-                  sets: list[SpaceParams], bank: FilterBank,
-                  a_regular_checked: bool = False) -> list[MaxRegReport]:
+                  sets: list[SpaceParams], bank: FilterBank
+                  ) -> list[MaxRegReport]:
     """Measure every parameter set over each horizon, without storing a
     trajectory.
 
@@ -741,9 +739,8 @@ def max_reg_sweep(system: str, u0_hat: SpectralField,
     M = ``steps`` steps, set by set and, within a set, horizon by horizon.
     ``u0_hat`` and ``f_hat`` are the extension spectra of the datum and of a
     constant forcing (None: no forcing) as sweep_spectra or
-    steady_sweep_spectra form them, left unchanged.  The parameter guards
-    of every set (completeness, q = infinity) run before the spectra are
-    read.  The inputs' shell energies are taken once, and block norms once
+    steady_sweep_spectra form them, left unchanged.  The refusal of every
+    set runs before the spectra are read.  The inputs' shell energies are taken once, and block norms once
     per layout: the forcing's per sweep, a node's per horizon.
     """
     if system not in SYSTEMS:
@@ -753,8 +750,7 @@ def max_reg_sweep(system: str, u0_hat: SpectralField,
         raise TypeError("max_reg_sweep measures extension spectra; form them "
                         "from half-fields with sweep_spectra")
     grids = [TimeGrid(h, steps) for h in horizons]
-    interps = [_report_space(params, u0_hat.grid.n, a_regular_checked)
-               for params in sets]
+    interps = [_report_space(params, u0_hat.grid.n) for params in sets]
     layouts = {(params.p, params.homogeneous): params for params in sets}
     closed = {key[1] for key in layouts if key[0] == 2.0}
     stepped = [key for key in layouts if key[0] != 2.0]
@@ -785,12 +781,11 @@ def max_reg_sweep(system: str, u0_hat: SpectralField,
     if stepped:
         neg_absq = -u0_hat.grid.freq_sq()
         stepped_sets = [layouts[key] for key in stepped]
-        constant = (lambda m, t: f_comps,) * 2
         for i, tg in enumerate(grids):
             nodes = []
-            _integrate(constant, u0_hat.map(np.copy), tg,
-                       lambda m, t, state, fhat: nodes.append(_node_blocks(
-                           stepped_sets, state, fhat, neg_absq, bank)))
+            _integrate(lambda t: f_comps, u0_hat.map(np.copy), tg,
+                       lambda m, t, state: nodes.append(_node_blocks(
+                           stepped_sets, state, f_comps, neg_absq, bank)))
             for k, key in enumerate(stepped):
                 norms[key, i] = np.array([node[k] for node in nodes])
 
@@ -806,9 +801,8 @@ def max_reg_sweep(system: str, u0_hat: SpectralField,
 
 
 def streaming_max_reg(system: str, f, u0: HalfField, horizon: float, steps: int,
-                      params: SpaceParams, bank: FilterBank,
-                      a_regular_checked: bool = False) -> MaxRegReport:
+                      params: SpaceParams, bank: FilterBank) -> MaxRegReport:
     """max_reg_sweep of the half-field datum and forcing over one horizon,
     for one parameter set."""
     return max_reg_sweep(system, *sweep_spectra(system, f, u0), [horizon],
-                         steps, [params], bank, a_regular_checked)[0]
+                         steps, [params], bank)[0]

@@ -482,18 +482,6 @@ def half_l2_norm_from_spectra(U_hat: SpectralField) -> float:
     return float(U_hat.l2_norm() / np.sqrt(2.0))
 
 
-def _torus_row_weights(points: int, parity: int) -> np.ndarray:
-    """_half_row_sum's trapezoid weights on the torus rows that
-    _restrict_array keeps: the stored rows x_n = 0, ..., L - h are torus rows
-    N/2, ..., N - 1 and the seam row x_n = L is torus row 0; the mirrored
-    rows 1, ..., N/2 - 1 weigh 0."""
-    half = points // 2
-    weights = np.zeros(points)
-    weights[half + 1:] = 1.0
-    weights[[0, half]] = 0.5 if parity > 0 else 0.0
-    return weights
-
-
 class NodeReader:
     """The solve.csv columns of a node, read from its extension spectra.
 
@@ -506,10 +494,11 @@ class NodeReader:
       has these spectra (for spectra outside the flavor's symmetry class,
       the norm of the restriction of delta of the torus field), with delta's
       symbol accumulated in place into target arrays made once, then per
-      target one normal-axis
-      inverse transform, the stored rows and trapezoid weights of
-      HalfField.l2_norm (_torus_row_weights), and Parseval along the
-      tangential axes, which divides by N^(n-1) in place of inverting them;
+      target one normal-axis inverse transform in place, its stored rows
+      (_restrict_array) in one buffer made once and summed by
+      HalfField.l2_norm's own trapezoid rule (_half_row_sum), and Parseval
+      along the tangential axes, which divides by N^(n-1) in place of
+      inverting them;
     - ``tangential_trace``: |tangential_trace(u)|.  At the boundary row,
       torus index N/2, the normal phase is e^{i pi k_n} = (-1)^{k_n}, so
       each normal-bearing component's row has the tangential spectra
@@ -528,11 +517,9 @@ class NodeReader:
         self.targets = tuple(targets)
         self._acc = {t: np.empty(grid.shape, dtype=complex) for t in targets}
         self._work = np.empty(grid.shape, dtype=complex)
-        # the weights enter |rows|^2, so the rows are scaled by their roots
-        self._root_weights = {
-            t: np.sqrt(_torus_row_weights(grid.points,
-                                          component_parity(flavor, t, grid.n)))
-            for t in targets}
+        self._parity = {t: component_parity(flavor, t, grid.n)
+                        for t in targets}
+        self._rows = np.empty(half_shape(grid), dtype=complex)
         tangential_points = grid.points ** (grid.n - 1)
         self._div_scale = grid.cell_volume / tangential_points
         self._trace_scale = grid.spacing ** (grid.n - 1) / tangential_points
@@ -552,9 +539,10 @@ class NodeReader:
                          work=self._work)
         total = 0.0
         for t, acc in self._acc.items():
-            rows = np.fft.ifftn(acc, axes=(self.grid.n - 1,))
-            rows *= self._root_weights[t]
-            total += np.vdot(rows, rows).real
+            np.fft.ifftn(acc, axes=(self.grid.n - 1,), out=acc)
+            parity = self._parity[t]
+            rows = _restrict_array(acc, parity, out=self._rows)
+            total += _half_row_sum(rows, parity, rows).real
         return float(np.sqrt(total * self._div_scale))
 
     def _tangential_trace(self, spectra) -> float:

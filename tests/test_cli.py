@@ -14,7 +14,8 @@ import pytest
 
 from hodgehalf import halfspace
 from hodgehalf.cli import main
-from hodgehalf.evolution import SpaceParams, max_reg_sweep, sweep_spectra
+from hodgehalf.evolution import (SpaceParams, max_reg_sweep, refusal,
+                                 sweep_spectra)
 from hodgehalf.fields import Grid, save_field
 from hodgehalf.halfspace import (d_half, extend_spectra, random_half_field,
                                  restrict_spectra)
@@ -46,6 +47,25 @@ def test_verify_algebra_suite_passes(tmp_path, capsys):
 def test_verify_unknown_suite_is_config_error(tmp_path, capsys):
     code = main(["verify", "--suite", "nonsense", "--out", str(tmp_path)])
     assert code == 2
+
+
+def test_verify_guard_in_a_suite_fails_that_suite(tmp_path, monkeypatch,
+                                                 capsys):
+    # a numerical guard raised inside a suite is a failing check of that
+    # suite (exit 1), not a configuration error (exit 2)
+    from hodgehalf import verify
+
+    def guard(u):
+        raise ValueError("the Helmholtz-Leray projector needs a mean-free "
+                         "field; component mean 1.000e-03 exceeds 1e-10 * |u|")
+
+    monkeypatch.setattr(verify, "leray_halfspace", guard)
+    code = main(["verify", "--suite", "halfspace", "--out", str(tmp_path)])
+    assert code == 1
+    assert "mean-free" in capsys.readouterr().out
+    rows = read_csv(tmp_path / "verify.csv")
+    assert [(r["suite"], r["check"], r["status"]) for r in rows] == \
+        [("halfspace", "guard", "fail")]
 
 
 def test_verify_impossible_tolerance_fails(tmp_path):
@@ -418,7 +438,7 @@ def test_solve_snapshots_match_stored_nodes(tmp_path, system, flavor):
     for m in (0, 2, 4, 6, 8):
         name = f"snapshot_{m:05d}.hhf"
         save_field(str(oracle / name), traj.u[m],
-                   metadata={"t": traj.times()[m]})
+                   metadata={"t": traj.time_grid.nodes()[m]})
         for suffix in ("", ".json"):
             assert (out / (name + suffix)).read_bytes() \
                 == (oracle / (name + suffix)).read_bytes()
@@ -567,8 +587,9 @@ def test_maxreg_csv_with_rejected_row(tmp_path):
 
 
 def test_maxreg_rejects_a_q_infinity_set_and_runs_the_others(tmp_path):
-    # the steady datum is not checked to be operator-regular, so a q = inf
-    # set is a rejected row, as a set failing the completeness gate is
+    # reports measure q < inf only, so a q = inf set is a rejected row, as a
+    # set failing the completeness gate is, with the reason of the refusal
+    # the library raises
     cfg = write_config(tmp_path, {
         "grid": {"n": 2, "points": 64, "length": 16.0},
         "spq": [[0.0, 2.0, 2.0], [-2.0, 2.0, math.inf], [0.0, 2.0, 1.0]],
@@ -577,7 +598,8 @@ def test_maxreg_rejects_a_q_infinity_set_and_runs_the_others(tmp_path):
     rows = read_csv(tmp_path / "maxreg.csv")
     rejected = {r["q"]: r["reason"] for r in rows if r["status"] == "rejected"}
     assert "completeness" in rejected.pop("2")
-    assert "operator-regular" in rejected.pop("inf")
+    assert rejected.pop("inf") == refusal(SpaceParams(-2.0, 2.0, math.inf), 2)
+    assert refusal(SpaceParams(-2.0, 2.0, math.inf), 2).startswith("q = inf")
     assert not rejected
     accepted = [r for r in rows if r["status"] == "ok"]
     assert [(r["q"], r["T"]) for r in accepted] == [("1", "1"), ("1", "4")]
@@ -845,6 +867,19 @@ def test_outputs_deterministic_for_fixed_seed(tmp_path):
                  "--seed", "7"]) == 0
     assert (out_a / "normtable.csv").read_bytes() == \
         (out_b / "normtable.csv").read_bytes()
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("decompose", "--suite", "algebra"), ("solve", "--suite", "algebra"),
+    ("maxreg", "--suite", "algebra"), ("normtable", "--suite", "algebra"),
+    ("decompose", "--seed", "3"), ("solve", "--tol-scale", "2"),
+    ("normtable", "--tol-scale", "2")])
+def test_a_flag_its_command_never_reads_is_refused(command, flag, value,
+                                                   capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, flag, value])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_parser_is_built_once_and_reused(tmp_path, monkeypatch):

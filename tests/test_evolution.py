@@ -7,7 +7,7 @@ import pytest
 
 from hodgehalf.evolution import (SpaceParams, TimeGrid, _Stepper,
                                  make_a_regular, max_reg_report, max_reg_sweep,
-                                 solve_hodge_heat, solve_hodge_stokes,
+                                 refusal, solve_hodge_heat, solve_hodge_stokes,
                                  solve_navier_slip, steady_sweep_spectra,
                                  streaming_max_reg, sweep_spectra)
 from hodgehalf.fields import Grid, SpectralField, synthesize, TestFunctionSpec
@@ -277,7 +277,7 @@ def test_navier_slip_observed_returns_only_the_gradients(grid):
         seen = []
         traj, grad_seen = solve_navier_slip(
             forcing, u0, 1.0, 8,
-            observer=lambda m, t, state, f_hat: seen.append(restrict_spectra(
+            observer=lambda m, t, state: seen.append(restrict_spectra(
                 SpectralField(grid, state), "Ht")))
         assert traj is None and len(full.u) == len(seen) == 9
         assert len(grad_seen) == 9
@@ -306,7 +306,7 @@ def test_observed_solve_builds_only_the_gradients(grid, monkeypatch, system,
                         lambda *args: calls.append(None) or real(*args))
     nodes = []
 
-    def observer(m, t, state, f_hat):
+    def observer(m, t, state):
         nodes.append(m)
 
     if system == "hodge_heat":
@@ -372,9 +372,11 @@ def test_navier_slip_pressure_comes_from_the_forcing_split(grid, monkeypatch,
 
 
 def test_node_forcing_is_evaluated_once_per_node(grid, monkeypatch):
-    # a callable forcing is split once per midpoint and once per node, with
-    # or without an observer: 8 midpoints + 9 nodes + the datum = 18 Leray
-    # splits either way
+    # a callable forcing is split once per midpoint and, where the solve
+    # keeps it, once per node: the datum + 8 midpoints + 9 nodes = 18 Leray
+    # splits for a stored Stokes solve and for navier_slip, whose grad p
+    # keeps every node with or without an observer; an observed Stokes
+    # solve keeps no node input and makes the datum + 8 midpoints = 9
     from hodgehalf import evolution
 
     u0 = solenoidal_field(grid, 29)
@@ -387,11 +389,15 @@ def test_node_forcing_is_evaluated_once_per_node(grid, monkeypatch):
         return leray_halfspace_hat(u)
 
     monkeypatch.setattr(evolution, "leray_halfspace_hat", counted)
-    for observer in (None, lambda m, t, state, f_hat: None):
+    forcing = lambda t: float(np.cos(t)) * g  # noqa: E731
+    for solve, observed, splits in ((solve_hodge_stokes, False, 18),
+                                    (solve_hodge_stokes, True, 9),
+                                    (solve_navier_slip, False, 18),
+                                    (solve_navier_slip, True, 18)):
         calls.clear()
-        solve_navier_slip(lambda t: float(np.cos(t)) * g, u0, 1.0, 8,
-                          observer=observer)
-        assert len(calls) == 18
+        observer = (lambda m, t, state: None) if observed else None
+        solve(forcing, u0, 1.0, 8, observer=observer)
+        assert len(calls) == splits, (solve.__name__, observed)
 
 
 def test_navier_slip_needs_vector_fields(grid):
@@ -452,19 +458,25 @@ def test_max_reg_ratio_uniform_in_horizon(grid):
     assert all(np.isfinite(r) and r > 0 for r in ratios)
 
 
-def test_max_reg_q_infinity_needs_regular_datum(grid):
+def test_max_reg_refuses_q_infinity(grid):
+    # reports measure q < inf only: every entry point refuses q = inf, even
+    # on an operator-regular datum, before it reads a spectrum
     bank = default_bank(grid)
     f = random_half_field(grid, "Ht", [0b01, 0b10], seed=23,
                           kind="annulus_band", radii=(1.0, 2.2))
-    u0 = steady_datum(f)
+    u0 = make_a_regular(steady_datum(f))
     # s + 2 - 2/q = 0.5 < n/p keeps the completeness gate open at q = inf
     params = SpaceParams(-1.5, 2.0, math.inf)
-    with pytest.raises(ValueError, match="regular"):
+    assert refusal(params, grid.n).startswith("q = inf")
+    match = r"^refusing the report: q = inf"
+    with pytest.raises(ValueError, match=match):
         streaming_max_reg("hodge_stokes", f, u0, 1.0, 8, params, bank)
-    regular = make_a_regular(u0)
-    rep = streaming_max_reg("hodge_stokes", f, regular, 1.0, 8, params, bank,
-                            a_regular_checked=True)
-    assert np.isfinite(rep.ratio)
+    with pytest.raises(ValueError, match=match):
+        max_reg_sweep("hodge_stokes", *sweep_spectra("hodge_stokes", f, u0),
+                      [1.0], 8, [params], bank)
+    traj = solve_hodge_stokes(f, u0, 1.0, 8, auto_project=True)
+    with pytest.raises(ValueError, match=match):
+        max_reg_report(traj, params, "hodge_stokes", bank)
 
 
 def test_max_reg_refuses_data_outside_the_bank_window(grid):
@@ -558,34 +570,32 @@ def _closed_form_cases(grid):
                           kind="annulus_band", radii=(1.0, 2.2))
     steady = steady_datum(f)
     p2 = SpaceParams(0.0, 2.0, 1.0)
-    cases = {f"stokes-{name}": ("hodge_stokes", f, datum, p2, False)
+    cases = {f"stokes-{name}": ("hodge_stokes", f, datum, p2)
              for name, datum in (("steady", steady), ("zero", 0.0 * steady),
                                  ("anti_steady", -1.0 * steady),
                                  ("twice_steady", 2.0 * steady))}
-    cases["stokes-no_forcing"] = ("hodge_stokes", None, steady, p2, False)
+    cases["stokes-no_forcing"] = ("hodge_stokes", None, steady, p2)
     cases["stokes-q1.5"] = ("hodge_stokes", f, steady,
-                            SpaceParams(0.0, 2.0, 1.5), False)
-    cases["stokes-q_inf"] = ("hodge_stokes", f, make_a_regular(steady),
-                             SpaceParams(-1.5, 2.0, math.inf), True)
+                            SpaceParams(0.0, 2.0, 1.5))
     cases["stokes-inhomogeneous"] = ("hodge_stokes", f, steady,
                                      SpaceParams(0.0, 2.0, 1.0,
-                                                 homogeneous=False), False)
+                                                 homogeneous=False))
     for flavor in ("D", "N", "Ht", "Hn"):
         g = random_half_field(grid, flavor, [0, 0b01, 0b10, 0b11], seed=31,
                               kind="annulus_band", radii=(1.0, 2.2))
         datum = restrict(frac_laplacian(-2.0, extend(g)), flavor)
-        cases[f"heat-{flavor}"] = ("hodge_heat", g, datum, p2, False)
+        cases[f"heat-{flavor}"] = ("hodge_heat", g, datum, p2)
     # a mean on the zero shell, lam = 0, which only inhomogeneous norms admit
     g = random_half_field(grid, "N", [0], seed=35, kind="annulus_band",
                           radii=(1.0, 2.2))
     with_mean = HalfField(grid, "N", {0: g.comps[0] + 0.3})
     cases["heat-N-mean-inhomogeneous"] = (
         "hodge_heat", with_mean, 2.0 * with_mean,
-        SpaceParams(0.0, 2.0, 1.0, homogeneous=False), False)
+        SpaceParams(0.0, 2.0, 1.0, homogeneous=False))
     # the forcing carries a mask the datum lacks
     u0 = random_half_field(grid, "Ht", [0b01], seed=32, kind="annulus_band",
                            radii=(1.0, 2.2))
-    cases["heat-forcing_mask_absent_from_u0"] = ("hodge_heat", f, u0, p2, False)
+    cases["heat-forcing_mask_absent_from_u0"] = ("hodge_heat", f, u0, p2)
     return cases
 
 
@@ -598,13 +608,13 @@ def test_closed_form_report_matches_the_stepped_trajectory(grid, monkeypatch,
     bank = default_bank(grid)
     steps = 32
     for name, case in _closed_form_cases(grid).items():
-        system, f, u0, params, regular = case
+        system, f, u0, params = case
         stepped = _stepped_report(case, bank, horizon, steps)
         with monkeypatch.context() as patch:
             # the closed form takes no step
             patch.setattr(evolution, "_Stepper", None)
             closed = streaming_max_reg(system, f, u0, horizon, steps, params,
-                                       bank, a_regular_checked=regular)
+                                       bank)
         for key in REPORT_FIELDS:
             want, got = getattr(stepped, key), getattr(closed, key)
             assert abs(got - want) <= 1e-12 * abs(want), (name, key, got, want)
@@ -616,13 +626,12 @@ def test_closed_form_report_matches_the_stepped_trajectory(grid, monkeypatch,
 
 def _stepped_report(case, bank, horizon, steps):
     """max_reg_report of a _closed_form_cases case on its stored trajectory."""
-    system, f, u0, params, regular = case
+    system, f, u0, params = case
     if system == "hodge_heat":
         traj = solve_hodge_heat(f, u0, horizon, steps)
     else:
         traj = solve_hodge_stokes(f, u0, horizon, steps, auto_project=True)
-    return max_reg_report(traj, params, system, bank,
-                          a_regular_checked=regular)
+    return max_reg_report(traj, params, system, bank)
 
 
 @pytest.fixture(scope="module")
@@ -701,9 +710,8 @@ def test_closed_form_catches_a_mutant(stepped_reports, monkeypatch, mutate):
     mutate(monkeypatch)
     missed = []
     for name, horizon in stepped:
-        system, f, u0, params, regular = cases[name]
-        closed = streaming_max_reg(system, f, u0, horizon, 32, params, bank,
-                                   a_regular_checked=regular)
+        system, f, u0, params = cases[name]
+        closed = streaming_max_reg(system, f, u0, horizon, 32, params, bank)
         want = stepped[name, horizon]
         missed += [(name, horizon, key) for key in REPORT_FIELDS
                    if abs(getattr(closed, key) - getattr(want, key))
@@ -759,8 +767,8 @@ def test_closed_form_time_derivative_against_long_double():
     absq = grid.freq_sq()
     stepped = []
     solve_hodge_heat(pf, u0, 1.0, tg.steps,
-                     observer=lambda m, t, state, fh: stepped.append(
-                         bank.shell_energy(-absq * state[k] + fh[k]
+                     observer=lambda m, t, state: stepped.append(
+                         bank.shell_energy(-absq * state[k] + f_hat[k]
                                            for k in state)))
     lam = absq.astype(np.longdouble)
     dt = np.longdouble(tg.horizon) / tg.steps

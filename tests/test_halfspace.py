@@ -236,9 +236,13 @@ def test_tangential_trace_vector_sign(grid2):
 
 
 def test_normal_trace_picks_tangential_components(grid2):
-    u = random_half_field(grid2, "Hn", [0, 0b01], seed=9, width=2.0)
+    # the tangential flavor keeps both n-free boundary rows nonzero (under
+    # Hn they vanish and each assertion would compare 0 with 0)
+    u = random_half_field(grid2, "Ht", [0, 0b01], seed=9, width=2.0)
     tr = normal_trace(u)
     assert tr.wedged_normal
+    for mask in (0, 0b01):
+        assert np.abs(u.boundary_row(mask)).max() > 0.1
     # 0-form: sign (-1)^(0+1) = -1; 1-form dx1: sign (-1)^(1+1) = +1
     assert np.abs(tr.component(0) + u.boundary_row(0)).max() < 1e-15
     assert np.abs(tr.component(0b01) - u.boundary_row(0b01)).max() < 1e-15
@@ -631,11 +635,29 @@ def _trapezoid_variant(even_end, odd_end):
 ])
 def test_half_row_quadrature_mutations_are_caught(monkeypatch, even_end,
                                                   odd_end, caught):
+    # every gate must move: the half-field norms and pairing, and the
+    # divergence column NodeReader sums by the same rule
     monkeypatch.setattr(halfspace, "_half_row_sum",
                         _trapezoid_variant(even_end, odd_end))
-    worst = max(quadrature_error(grid, flavor)
-                for grid in QUADRATURE_GRIDS for flavor in FLAVORS)
-    assert (worst > 1e-3) if caught else (worst <= 1e-13)
+    for gate in (quadrature_error, reader_divergence_error):
+        worst = max(gate(grid, flavor)
+                    for grid in QUADRATURE_GRIDS for flavor in FLAVORS)
+        assert (worst > 1e-3) if caught else (worst <= 1e-13), gate.__name__
+
+
+def reader_divergence_error(grid, flavor):
+    """Worst relative gap, over the degrees 1..n of white-noise spectra, of
+    NodeReader's divergence from the extension oracle: |delta U| restricted
+    and re-extended, over sqrt 2 (no half-row sum)."""
+    worst = 0.0
+    for k in range(1, grid.n + 1):
+        state = white_noise_spectra(grid, k)
+        got = NodeReader(grid, flavor, state)(state)["divergence"]
+        ext = extend(restrict(delta(inverse_fft(SpectralField(grid, state))),
+                              flavor))
+        want = np.sqrt(0.5 * ext.l2_inner(ext).real)
+        worst = max(worst, abs(got - want) / want)
+    return worst
 
 
 def _half_domain_integral_fftn(values, grid):
@@ -982,16 +1004,6 @@ def reader_columns(grid, flavor, k):
     return got, want
 
 
-def reader_gap(grid, flavor):
-    """Worst relative gap of the reader's columns from their oracles, over
-    the degrees 0..n."""
-    worst = 0.0
-    for k in range(grid.n + 1):
-        got, want = reader_columns(grid, flavor, k)
-        worst = max([worst] + [abs(got[c] - w) / w for c, w in want.items() if w])
-    return worst
-
-
 @pytest.mark.parametrize("grid", QUADRATURE_GRIDS, ids=lambda g: f"n{g.n}")
 @pytest.mark.parametrize("flavor", FLAVORS)
 def test_node_reader_matches_the_field_oracles(grid, flavor):
@@ -1044,30 +1056,3 @@ def test_node_reader_refuses_other_components():
         reader(white_noise_spectra(grid, 2))
     with pytest.raises(ValueError, match="flavor"):
         NodeReader(grid, "X", [1, 2])
-
-
-def _row_weight_variant(seam, end):
-    """The reader's torus-row weights with the seam row kept or dropped and a
-    chosen end weight for even components."""
-    def weights(points, parity):
-        half = points // 2
-        w = np.zeros(points)
-        w[half + 1:] = 1.0
-        if parity > 0:
-            w[[0, half] if seam else half] = end
-        return w
-    return weights
-
-
-@pytest.mark.parametrize("seam, end, caught", [
-    (True, 0.5, False),   # the rule itself: the harness below is faithful
-    (False, 0.5, True),   # the seam row x_n = L (torus row 0) dropped
-    (True, 1.0, True),    # end rows counted whole
-])
-def test_node_reader_row_weight_mutations_are_caught(monkeypatch, seam, end,
-                                                     caught):
-    monkeypatch.setattr(halfspace, "_torus_row_weights",
-                        _row_weight_variant(seam, end))
-    worst = max(reader_gap(grid, flavor)
-                for grid in QUADRATURE_GRIDS for flavor in FLAVORS)
-    assert (worst > 1e-3) if caught else (worst <= 1e-12)

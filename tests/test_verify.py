@@ -163,13 +163,26 @@ def _swap_trace_rows(name):
     return mutate
 
 
+def _unsigned_normal_trace(monkeypatch):
+    # verify's normal trace with its sign (-1)^{k+1} forced to +1, which
+    # flips the trace of every even-degree component
+    def mutant(u):
+        return halfspace.BoundaryForm(
+            u.grid, halfspace._boundary_values(u, normal=False),
+            wedged_normal=True)
+
+    monkeypatch.setattr(verify, "normal_trace", mutant)
+
+
 @pytest.mark.parametrize("mutate, check", [
     (_swap_trace_rows("tangential_trace"), "tangential_trace_duality"),
     (_swap_trace_rows("normal_trace"), "normal_trace_duality"),
-], ids=["tangential_2form_rows", "normal_1form_rows"])
+    (_unsigned_normal_trace, "normal_trace_duality"),
+], ids=["tangential_2form_rows", "normal_1form_rows", "normal_sign"])
 def test_trace_duality_catches_a_mutant(monkeypatch, mutate, check):
-    # both mutants are invisible in 2-D and on draws whose components are
-    # all equal; criterion 07's first 3-D draw and the traces suite see them
+    # the row swaps are invisible in 2-D and on draws whose components are
+    # all equal, the sign only where an even-degree component is paired;
+    # criterion 07's first 3-D draw and the traces suite see each of them
     mutate(monkeypatch)
     out = VerifyOutcome("criterion 07")
     trace_duality(out, Grid(3, 64, 16.0), np.random.default_rng(63),
@@ -223,7 +236,10 @@ def test_evolution_suite_builds_only_what_it_reads(monkeypatch):
     # half-fields out of spectra: in evolution, grad p of the one constant
     # forcing; in verify, the datum of the semigroup check's second leg.  No
     # solve keeps a node field.  Leray splits in verify: the suite's datum,
-    # and the datum and the forcing profile g of the momentum residual
+    # and the datum and the forcing profile g of the momentum residual.
+    # Splits in spectra, in evolution: the Navier-slip datum and forcing
+    # (2), each momentum-residual solve's datum and midpoints, no node input
+    # (17 + 33 + 65), and the three semigroup legs' data (3)
     def counted(module, name):
         calls, real = [], getattr(module, name)
         monkeypatch.setattr(module, name,
@@ -233,10 +249,12 @@ def test_evolution_suite_builds_only_what_it_reads(monkeypatch):
     in_evolution = counted(evolution, "restrict_spectra")
     in_verify = counted(verify, "restrict_spectra")
     splits = counted(verify, "leray_halfspace")
+    spectral_splits = counted(evolution, "leray_halfspace_hat")
     outcome = run_suite("evolution", seed=0)
     assert len(in_evolution) == 1
     assert len(in_verify) == 1
     assert len(splits) == 3
+    assert len(spectral_splits) == 120
     for check, info in outcome.worst.items():
         assert info["status"] == "ok" and info["scale"] > 0, check
 
