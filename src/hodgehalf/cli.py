@@ -26,7 +26,7 @@ from .halfspace import (HalfField, NodeReader, leray_halfspace_checked,
                         random_half_field, remove_extended_mean,
                         restrict_spectra, split_residual, tangential_trace)
 from .littlewood_paley import FilterBank, build_bank, default_bank, space_norm
-from .verify import SUITES, VerifyOutcome, run_suite
+from .verify import SUITES, run_suite
 
 EXIT_OK = 0
 EXIT_TOL = 1
@@ -157,8 +157,11 @@ def run_verify(cfg: RunConfig) -> int:
         if name not in SUITES:
             raise ConfigError(f"unknown suite {name!r}; choose from "
                               f"{', '.join(SUITES)}")
-    outcomes = [_guarded_suite(name, cfg) for name in cfg.suites]
+    outcomes = [run_suite(name, seed=cfg.seed, tol_scale=cfg.tol_scale)
+                for name in cfg.suites]
     for outcome in outcomes:
+        if outcome.guard:
+            print(f"[{outcome.suite}] guard raised: {outcome.guard}")
         for check, info in outcome.worst.items():
             status = info["status"]
             print(f"[{outcome.suite}] {check}: residual {info['residual']:.3e} "
@@ -172,18 +175,6 @@ def run_verify(cfg: RunConfig) -> int:
     _write_csv(os.path.join(cfg.out_dir, "verify.csv"), rows)
     print(f"verify: {sum(o.passed for o in outcomes)} passed, {failed} failed")
     return EXIT_OK if failed == 0 else EXIT_TOL
-
-
-def _guarded_suite(name: str, cfg: RunConfig) -> VerifyOutcome:
-    """run_suite; a guard raised inside the suite (a ValueError) is printed
-    and recorded as the suite's failing check ``guard``."""
-    try:
-        return run_suite(name, seed=cfg.seed, tol_scale=cfg.tol_scale)
-    except ValueError as exc:
-        print(f"[{name}] guard raised: {exc}")
-        outcome = VerifyOutcome(name, cfg.tol_scale)
-        outcome.record("guard", math.nan, math.nan, tol=0.0)
-        return outcome
 
 
 def run_decompose(cfg: RunConfig) -> int:
@@ -236,11 +227,9 @@ def run_decompose(cfg: RunConfig) -> int:
 
 
 def _corpus_field(cfg: RunConfig, grid: Grid, flavor: str = "Ht") -> HalfField:
-    opts = cfg.options
     masks = [1 << a for a in range(grid.n)]
-    kind = opts.get("corpus_kind", "annulus_band")
-    return random_half_field(grid, flavor, masks, seed=cfg.seed, kind=kind,
-                             radii=cfg.radii((1.0, 2.5)))
+    return random_half_field(grid, flavor, masks, seed=cfg.seed,
+                             kind="annulus_band", radii=cfg.radii((1.0, 2.5)))
 
 
 def run_solve(cfg: RunConfig) -> int:
@@ -260,7 +249,7 @@ def run_solve(cfg: RunConfig) -> int:
     forcing = None
     if opts.get("forcing", "random") != "none":
         forcing = random_half_field(grid, flavor, u0.masks(), seed=cfg.seed + 1,
-                                    kind=opts.get("corpus_kind", "annulus_band"),
+                                    kind="annulus_band",
                                     radii=cfg.radii((1.0, 2.5)))
     # every node column is read from the stepper's extension spectra by one
     # reader whose work arrays serve all nodes; no node field is built
@@ -358,7 +347,7 @@ def run_maxreg(cfg: RunConfig) -> int:
     if accepted:
         forcing = random_half_field(grid, "Ht", [1 << a for a in range(grid.n)],
                                     seed=cfg.seed + 1,
-                                    kind=opts.get("corpus_kind", "annulus_band"),
+                                    kind="annulus_band",
                                     radii=cfg.radii((1.0, 1.3)))
         done = [dict(report.row(), status="ok", reason="")
                 for report in max_reg_sweep(

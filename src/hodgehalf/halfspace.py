@@ -110,12 +110,6 @@ class HalfField(FieldCore):
             raise ValueError(f"boundary flavor mismatch: {self.flavor} vs "
                              f"{other.flavor}")
 
-    def with_flavor(self, flavor: str) -> "HalfField":
-        return HalfField(self.grid, flavor, self.comps)
-
-    def boundary_row(self, mask: int) -> np.ndarray:
-        return self.component(mask)[..., 0]
-
     def l2_inner(self, other: "HalfField") -> complex:
         """L^2(half-space) pairing: half the torus pairing of the extensions.
 

@@ -12,6 +12,7 @@ outcome's tol_scale, so a caller can tighten or loosen a whole run.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -57,6 +58,7 @@ class VerifyOutcome:
     suite: str
     tol_scale: float = 1.0
     worst: dict = field(default_factory=dict)
+    guard: str = ""
 
     @property
     def passed(self) -> int:
@@ -256,13 +258,11 @@ def trace_duality(out: VerifyOutcome, grid: Grid, rng, seed: int, trials: int):
 # suites
 # ---------------------------------------------------------------------------
 
-def suite_algebra(seed: int = 0, tol_scale: float = 1.0) -> VerifyOutcome:
-    out = VerifyOutcome("algebra", tol_scale)
+def suite_algebra(out: VerifyOutcome, seed: int = 0):
     rng = np.random.default_rng(seed)
     for n in range(1, alg.MAX_DIM + 1):
         avec = rng.standard_normal(n)
         check_algebra(out, avec, rng.standard_normal(n))
-    return out
 
 
 def fd8(arr: np.ndarray, axis: int, spacing: float) -> np.ndarray:
@@ -276,8 +276,7 @@ def fd8(arr: np.ndarray, axis: int, spacing: float) -> np.ndarray:
     return out / spacing
 
 
-def suite_symbols(seed: int = 0, tol_scale: float = 1.0) -> VerifyOutcome:
-    out = VerifyOutcome("symbols", tol_scale)
+def suite_symbols(out: VerifyOutcome, seed: int = 0):
     grid = Grid(2, 128, 16.0)
     u = random_form(grid, [0], seed=seed, width=2.0)
     v = random_form(grid, [1, 2], seed=seed + 1, width=2.0)
@@ -311,11 +310,9 @@ def suite_symbols(seed: int = 0, tol_scale: float = 1.0) -> VerifyOutcome:
     ratios = [r["ratio"] for r in rows]
     out.record("resolvent_sweep_spread", max(ratios) / min(ratios),
                max(ratios), tol=3.0)
-    return out
 
 
-def suite_decomposition(seed: int = 0, tol_scale: float = 1.0) -> VerifyOutcome:
-    out = VerifyOutcome("decomposition", tol_scale)
+def suite_decomposition(out: VerifyOutcome, seed: int = 0):
     grid = Grid(2, 128, 16.0)
     for trial in range(5):
         u = random_form(grid, [1, 2], seed=seed + 10 * trial,
@@ -324,11 +321,9 @@ def suite_decomposition(seed: int = 0, tol_scale: float = 1.0) -> VerifyOutcome:
         pp, _ = leray_wholespace(pu)
         out.record("idempotence", _rel((pp - pu).l2_norm(), u.l2_norm()),
                    pu.l2_norm(), tol=1e-10)
-    return out
 
 
-def suite_halfspace(seed: int = 0, tol_scale: float = 1.0) -> VerifyOutcome:
-    out = VerifyOutcome("halfspace", tol_scale)
+def suite_halfspace(out: VerifyOutcome, seed: int = 0):
     grid = Grid(2, 128, 16.0)
     f = random_half_field(grid, "Ht", [1, 2], seed=seed, kind="annulus_band",
                           radii=(1.0, 3.0))
@@ -336,7 +331,6 @@ def suite_halfspace(seed: int = 0, tol_scale: float = 1.0) -> VerifyOutcome:
         check_resolvent(out, lam, f)
     check_decoupling(out, 2.0 * np.exp(0.3j), f)
     check_half_split(out, f)
-    return out
 
 
 def series_resolvent(lam, rows: np.ndarray, grid: Grid, bc: str) -> np.ndarray:
@@ -370,20 +364,17 @@ def series_resolvent(lam, rows: np.ndarray, grid: Grid, bc: str) -> np.ndarray:
     return out
 
 
-def suite_traces(seed: int = 0, tol_scale: float = 1.0) -> VerifyOutcome:
+def suite_traces(out: VerifyOutcome, seed: int = 0):
     """Trace duality on ten draws at 2-D 128^2 and one at 3-D 64^3 (L = 16),
     so that a rule of a 3-D-only component is seen too."""
-    out = VerifyOutcome("traces", tol_scale)
     rng = np.random.default_rng(seed)
     trace_duality(out, Grid(2, 128, 16.0), rng, seed + 100, trials=10)
     trace_duality(out, Grid(3, 64, 16.0), rng, seed + 400, trials=1)
-    return out
 
 
-def suite_evolution(seed: int = 0, tol_scale: float = 1.0) -> VerifyOutcome:
+def suite_evolution(out: VerifyOutcome, seed: int = 0):
     from .evolution import solve_hodge_stokes, solve_navier_slip
 
-    out = VerifyOutcome("evolution", tol_scale)
     grid = Grid(2, 64, 8.0)
     masks = [1, 2]
     u0 = random_half_field(grid, "Ht", masks, seed=seed, kind="annulus_band",
@@ -428,7 +419,6 @@ def suite_evolution(seed: int = 0, tol_scale: float = 1.0) -> VerifyOutcome:
                _rel(half_l2_norm_from_spectra(two_legs - one_leg),
                     u0.l2_norm()),
                half_l2_norm_from_spectra(one_leg), tol=1e-10)
-    return out
 
 
 def momentum_residual_ratios(grid: Grid, seed: int = 0, steps0: int = 16,
@@ -476,9 +466,19 @@ def momentum_residual_ratios(grid: Grid, seed: int = 0, steps0: int = 16,
 
 
 def run_suite(name: str, seed: int = 0, tol_scale: float = 1.0) -> VerifyOutcome:
+    """The outcome of suite ``name``.  A numerical guard raised inside the
+    suite (a ValueError) ends it: the checks that ran keep their entries,
+    and the guard is the failing check ``guard``, its message in
+    ``outcome.guard``."""
     table = {"algebra": suite_algebra, "symbols": suite_symbols,
              "decomposition": suite_decomposition, "halfspace": suite_halfspace,
              "traces": suite_traces, "evolution": suite_evolution}
     if name not in table:
         raise KeyError(f"unknown suite {name!r}; choose from {', '.join(SUITES)}")
-    return table[name](seed=seed, tol_scale=tol_scale)
+    out = VerifyOutcome(name, tol_scale)
+    try:
+        table[name](out, seed=seed)
+    except ValueError as exc:
+        out.guard = str(exc)
+        out.record("guard", math.nan, math.nan, tol=0.0)
+    return out

@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import mutants
 from hodgehalf import halfspace
 from hodgehalf.cli import main
 from hodgehalf.evolution import (SpaceParams, max_reg_sweep, refusal,
@@ -49,23 +50,22 @@ def test_verify_unknown_suite_is_config_error(tmp_path, capsys):
     assert code == 2
 
 
-def test_verify_guard_in_a_suite_fails_that_suite(tmp_path, monkeypatch,
-                                                 capsys):
+def test_verify_guard_in_a_suite_fails_that_suite(tmp_path, capsys):
     # a numerical guard raised inside a suite is a failing check of that
-    # suite (exit 1), not a configuration error (exit 2)
-    from hodgehalf import verify
-
-    def guard(u):
-        raise ValueError("the Helmholtz-Leray projector needs a mean-free "
-                         "field; component mean 1.000e-03 exceeds 1e-10 * |u|")
-
-    monkeypatch.setattr(verify, "leray_halfspace", guard)
-    code = main(["verify", "--suite", "halfspace", "--out", str(tmp_path)])
+    # suite (exit 1), not a configuration error (exit 2), and the checks
+    # that ran before it keep their rows: under whole even end rows the
+    # split's mean-free guard fires after the resolvent checks
+    with mutants.applied(mutants.ROWS["even_end_whole"]):
+        code = main(["verify", "--suite", "halfspace", "--out",
+                     str(tmp_path)])
     assert code == 1
     assert "mean-free" in capsys.readouterr().out
     rows = read_csv(tmp_path / "verify.csv")
-    assert [(r["suite"], r["check"], r["status"]) for r in rows] == \
-        [("halfspace", "guard", "fail")]
+    assert [(r["suite"], r["check"]) for r in rows] == [
+        ("halfspace", check) for check in (
+            "reflection_identity", "boundary_conditions",
+            "neumann_dirichlet_decoupling", "guard")]
+    assert rows[-1]["status"] == "fail"
 
 
 def test_verify_impossible_tolerance_fails(tmp_path):
@@ -126,47 +126,18 @@ def test_decompose_single_precision_round_trip(tmp_path, grid):
     assert report["orthogonality_defect"] <= 1e-13
 
 
-def _skip_one_tangential_inverse(monkeypatch):
-    # Pu stays in tangential spectra
-    real = halfspace._tangential_inverse
-    calls = []
-
-    def mutant(grid, flavor, rows):
-        calls.append(1)
-        if len(calls) == 1:
-            return halfspace.HalfField(grid, flavor, rows)
-        return real(grid, flavor, rows)
-
-    monkeypatch.setattr(halfspace, "_tangential_inverse", mutant)
-
-
-def _seam_from_wrong_row(monkeypatch):
-    # an even component's seam row x_n = L is read from torus row 1, the
-    # mirror of x_n = L - h, in place of row 0
-    def mutant(arr, parity, out=None):
-        half = arr.shape[-1] // 2
-        if out is None:
-            out = np.empty(arr.shape[:-1] + (half + 1,), dtype=complex)
-        out[..., :half] = arr[..., half:]
-        out[..., half] = arr[..., 1] if parity > 0 else 0.0
-        return out
-
-    monkeypatch.setattr(halfspace, "_restrict_array", mutant)
-
-
-def _nyquist_symbol(monkeypatch):
-    # the odd symbols read the true xi at k = N/2 again
-    monkeypatch.setattr(Grid, "odd_freqs", Grid.freqs)
-
-
-@pytest.mark.parametrize("mutate, key", [
-    (_skip_one_tangential_inverse, "split_residual"),
-    (_seam_from_wrong_row, "g_curl"),
-    (_nyquist_symbol, "p_divergence"),
+@pytest.mark.parametrize("row, key", [
+    ("skipped_inverse", "split_residual"),
+    ("seam_row", "g_curl"),
+    ("nyquist_symbol", "p_divergence"),
 ], ids=["skipped_inverse", "seam_row", "nyquist_symbol"])
-def test_decompose_catches_a_mutant(tmp_path, monkeypatch, mutate, key):
-    mutate(monkeypatch)
-    code, report = _decompose_stored(tmp_path, Grid(2, 64, 16.0), seed=3)
+def test_decompose_catches_a_mutant(tmp_path, row, key):
+    # the command's own tolerance check flags each: Pu left in tangential
+    # spectra, an even seam row x_n = L read from torus row 1 (the mirror of
+    # x_n = L - h) in place of row 0, the odd symbols reading the true xi at
+    # k = N/2
+    with mutants.applied(mutants.ROWS[row]):
+        code, report = _decompose_stored(tmp_path, Grid(2, 64, 16.0), seed=3)
     assert code == 1
     assert report[key] > 1e-8
 
@@ -363,25 +334,16 @@ def test_solve_spectral_columns_match_node_fields(tmp_path, monkeypatch,
         assert max(traces) < 1e-14
 
 
-def test_solve_trace_sees_an_even_normal_part(tmp_path, monkeypatch):
+def test_solve_trace_sees_an_even_normal_part(tmp_path):
     # mutation: every step adds to the normal component an even part (a copy
     # of the tangential one), which the odd Ht extension forbids; the
     # boundary row is then nonzero and the trace column must say so
-    from hodgehalf.evolution import _Stepper
-
     payload = _solve_payload("navier_slip", "Ht")
     rows = _solve_rows(tmp_path, payload, seed=5)
     assert all(float(r["tangential_trace"]) <= 1e-9 * float(r["l2"])
                for r in rows)
-
-    real = _Stepper.advance
-
-    def advance(self, f_mid_hat):
-        real(self, f_mid_hat)
-        self.state[2] += 0.1 * self.state[1]
-
-    monkeypatch.setattr(_Stepper, "advance", advance)
-    rows = _solve_rows(tmp_path, payload, seed=5)
+    with mutants.applied(mutants.ROWS["even_normal_part"]):
+        rows = _solve_rows(tmp_path, payload, seed=5)
     assert all(float(r["tangential_trace"]) > 1e-9 * float(r["l2"])
                for r in rows[1:])
 
@@ -445,51 +407,25 @@ def test_solve_snapshots_match_stored_nodes(tmp_path, system, flavor):
     assert len(list(out.glob("snapshot_*"))) == 10
 
 
-def _leaky_split(monkeypatch, leaky_call):
-    """Patch the solvers' Leray split so that its ``leaky_call``-th call (1:
-    the datum, 2: the forcing) hands back the input's extension spectra as
-    the projected part and no gradient part; returns the list of calls."""
-    from hodgehalf import evolution
-    from hodgehalf.fields import SpectralField
-    from hodgehalf.halfspace import extend_spectra
-
-    real = evolution.leray_halfspace_hat
-    calls = []
-
-    def leaky(u):
-        calls.append(u)
-        if len(calls) != leaky_call:
-            return real(u)
-        uh = extend_spectra(u)
-        return uh, SpectralField(u.grid, {m: np.zeros_like(a)
-                                          for m, a in uh.comps.items()})
-
-    monkeypatch.setattr(evolution, "leray_halfspace_hat", leaky)
-    return calls
-
-
-def test_solve_divergence_sees_an_unprojected_forcing(tmp_path, monkeypatch):
+def test_solve_divergence_sees_an_unprojected_forcing(tmp_path):
     # mutation: the forcing split returns the forcing's own spectra as the
     # projected part, so the flow leaves the solenoidal class and the column
     # must say so
     payload = _solve_payload("navier_slip", "Ht")
     rows = _solve_rows(tmp_path, payload, seed=5)
     assert all(float(r["divergence"]) <= 1e-9 * float(r["l2"]) for r in rows)
-
-    calls = _leaky_split(monkeypatch, leaky_call=2)
-    rows = _solve_rows(tmp_path, payload, seed=5)
-    assert len(calls) == 2
+    with mutants.applied(mutants.ROWS["unprojected_forcing"]):
+        rows = _solve_rows(tmp_path, payload, seed=5)
     assert any(float(r["divergence"]) > 1e-9 * float(r["l2"]) for r in rows)
 
 
-def test_solve_divergence_sees_an_unprojected_datum(tmp_path, monkeypatch):
+def test_solve_divergence_sees_an_unprojected_datum(tmp_path):
     # mutation: the stepper starts from the unprojected datum's spectra while
     # the forcing keeps its projection; the datum's divergence decays but
     # never reaches round-off within T = 1, so every node must show it
     payload = _solve_payload("navier_slip", "Ht")
-    calls = _leaky_split(monkeypatch, leaky_call=1)
-    rows = _solve_rows(tmp_path, payload, seed=5)
-    assert len(calls) == 2
+    with mutants.applied(mutants.ROWS["unprojected_datum"]):
+        rows = _solve_rows(tmp_path, payload, seed=5)
     assert all(float(r["divergence"]) > 1e-9 * float(r["l2"]) for r in rows)
 
 

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import mutants
 from hodgehalf.evolution import (SpaceParams, TimeGrid, _Stepper,
                                  make_a_regular, max_reg_report, max_reg_sweep,
                                  refusal, solve_hodge_heat, solve_hodge_stokes,
@@ -56,20 +57,20 @@ def test_heat_decoupled_boundary_conditions(grid):
     u0 = random_half_field(grid, "Ht", [0b10], seed=0, width=1.5)
     traj = solve_hodge_heat(None, u0, 1.0, 16)
     for um in traj.u:
-        assert np.abs(um.boundary_row(0b10)).max() <= 1e-8 * max(um.l2_norm(), 1e-30)
+        assert np.abs(um.comps[0b10][..., 0]).max() <= 1e-8 * max(um.l2_norm(), 1e-30)
     # and a scalar flows under Neumann: normal derivative vanishes
     v0 = random_half_field(grid, "Ht", [0], seed=1, width=1.5)
     traj = solve_hodge_heat(None, v0, 1.0, 16)
     for vm in traj.u:
         dv = d_half(vm)
-        assert np.abs(dv.boundary_row(0b10)).max() <= 1e-8
+        assert np.abs(dv.comps[0b10][..., 0]).max() <= 1e-8
 
 
 def test_heat_single_mode_closed_form(grid):
     # constant forcing, zero start: u(t) = (1 - exp(-t |xi|^2)) f / |xi|^2
     xi0 = (np.pi / 8 * 2, np.pi / 8 * 3)
     mode = synthesize(TestFunctionSpec("single_mode", mode=xi0), grid, (0,))
-    f = restrict(mode, "N").with_flavor("N")
+    f = restrict(mode, "N")
     u0 = HalfField.zero(grid, "N", [0])
     horizon, steps = 1.0, 128
     traj = solve_hodge_heat(f, u0, horizon, steps)
@@ -601,8 +602,7 @@ def _closed_form_cases(grid):
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("horizon", [1.0, 100.0])
-def test_closed_form_report_matches_the_stepped_trajectory(grid, monkeypatch,
-                                                           horizon):
+def test_closed_form_report_matches_the_stepped_trajectory(grid, horizon):
     from hodgehalf import evolution
 
     bank = default_bank(grid)
@@ -610,7 +610,7 @@ def test_closed_form_report_matches_the_stepped_trajectory(grid, monkeypatch,
     for name, case in _closed_form_cases(grid).items():
         system, f, u0, params = case
         stepped = _stepped_report(case, bank, horizon, steps)
-        with monkeypatch.context() as patch:
+        with pytest.MonkeyPatch.context() as patch:
             # the closed form takes no step
             patch.setattr(evolution, "_Stepper", None)
             closed = streaming_max_reg(system, f, u0, horizon, steps, params,
@@ -646,76 +646,24 @@ def stepped_reports():
     return bank, cases, stepped
 
 
-def _mutate_closed_form(monkeypatch, change):
-    from hodgehalf import evolution
-
-    real = evolution._closed_form
-
-    def mutant(*args):
-        form = real(*args)
-        change(form)
-        return form
-
-    monkeypatch.setattr(evolution, "_closed_form", mutant)
-
-
-def _flip_dt_cross_sign(monkeypatch):
-    # E_dt's ab coefficient, -2 lam rest G_rf, with the wrong sign
-    def change(form):
-        form.dt[1] *= -1.0
-
-    _mutate_closed_form(monkeypatch, change)
-
-
-def _halve_u_cross(monkeypatch):
-    # E_u's ab coefficient, 2 (rho / lam) G_uf, without its factor 2
-    def change(form):
-        form.u[1] *= 0.5
-
-    _mutate_closed_form(monkeypatch, change)
-
-
-def _drop_flat_t2(monkeypatch):
-    # the zero shell's E_u without its t^2 G_ff
-    def change(form):
-        form.flat[1] = 0.0
-
-    _mutate_closed_form(monkeypatch, change)
-
-
-def _zero_weight_row(monkeypatch):
-    # the table folds a zeroed row of the block weights
-    from hodgehalf import evolution
-
-    real = evolution._block_table
-
-    def mutant(form, weights, lam):
-        weights = weights.copy()
-        weights[1] = 0.0
-        return real(form, weights, lam)
-
-    monkeypatch.setattr(evolution, "_block_table", mutant)
-
-
-@pytest.mark.parametrize("mutate", [_flip_dt_cross_sign, _halve_u_cross,
-                                    _drop_flat_t2, _zero_weight_row],
-                         ids=["dt_cross_sign", "u_cross_factor", "flat_t2",
-                              "weight_row"])
-def test_closed_form_catches_a_mutant(stepped_reports, monkeypatch, mutate):
+@pytest.mark.parametrize("row", ["dt_cross_sign", "u_cross_factor", "flat_t2",
+                                 "weight_row"])
+def test_closed_form_catches_a_mutant(stepped_reports, row):
     # each piece of the closed form's block table shows: on some case and
     # horizon the mutated closed form misses the stepped report by more than
     # the 1e-12 of test_closed_form_report_matches_the_stepped_trajectory
     # (the zero shell's t^2 G_ff only once the mean's growth sets the sup)
     bank, cases, stepped = stepped_reports
-    mutate(monkeypatch)
     missed = []
-    for name, horizon in stepped:
-        system, f, u0, params = cases[name]
-        closed = streaming_max_reg(system, f, u0, horizon, 32, params, bank)
-        want = stepped[name, horizon]
-        missed += [(name, horizon, key) for key in REPORT_FIELDS
-                   if abs(getattr(closed, key) - getattr(want, key))
-                   > 1e-12 * abs(getattr(want, key))]
+    with mutants.applied(mutants.ROWS[row]):
+        for name, horizon in stepped:
+            system, f, u0, params = cases[name]
+            closed = streaming_max_reg(system, f, u0, horizon, 32, params,
+                                       bank)
+            want = stepped[name, horizon]
+            missed += [(name, horizon, key) for key in REPORT_FIELDS
+                       if abs(getattr(closed, key) - getattr(want, key))
+                       > 1e-12 * abs(getattr(want, key))]
     assert missed
 
 
@@ -996,7 +944,7 @@ def test_steady_sweep_spectra_serve_every_set_unchanged(grid, system):
     with pytest.raises(TypeError, match="max_reg_report"):
         sweep_spectra(system, lambda t: f, f)
     with pytest.raises(ValueError, match="tangential-flavor forcing"):
-        steady_sweep_spectra(system, f.with_flavor("Hn"))
+        steady_sweep_spectra(system, HalfField(f.grid, "Hn", f.comps))
 
 
 def _with_even_mean(u, relative):
@@ -1034,9 +982,9 @@ def test_closed_form_refuses_a_non_tangential_flavor(grid, system):
                           kind="annulus_band", radii=(1.0, 2.2))
     u0 = steady_datum(f)
     with pytest.raises(ValueError, match="uses the tangential flavor"):
-        sweep_spectra(system, f, u0.with_flavor("N"))
+        sweep_spectra(system, f, HalfField(u0.grid, "N", u0.comps))
     with pytest.raises(ValueError, match="acts on tangential-flavor fields"):
-        sweep_spectra(system, f.with_flavor("Hn"), u0)
+        sweep_spectra(system, HalfField(f.grid, "Hn", f.comps), u0)
 
 
 # ---------------------------------------------------------------------------
@@ -1133,31 +1081,9 @@ def test_p3_sweep_of_a_half_space_mode():
     assert half_mode_misses() == []
 
 
-def _hessian_without_sqrt2(monkeypatch):
-    # the off-diagonal second derivatives counted once, not twice
-    from hodgehalf import evolution
-
-    real = evolution._hessian_spectra
-
-    def mutant(comps_hat, grid):
-        pairs = [(a, b) for a in range(grid.n) for b in range(a, grid.n)]
-        return {key: arr / math.sqrt(2.0) if len(set(pairs[key % len(pairs)])) == 2
-                else arr for key, arr in real(comps_hat, grid).items()}
-
-    monkeypatch.setattr(evolution, "_hessian_spectra", mutant)
-
-
-def _moved_block(monkeypatch):
-    # psi_1 built as psi_0, one octave down
-    from hodgehalf import littlewood_paley
-
-    real = littlewood_paley._annulus
-    monkeypatch.setattr(littlewood_paley, "_annulus",
-                        lambda absxi, j: real(2.0 * absxi if j == 1 else absxi, j))
-
-
-@pytest.mark.parametrize("mutate", [_hessian_without_sqrt2, _moved_block],
-                         ids=["hessian_sqrt2", "moved_block"])
-def test_half_space_mode_reference_catches_a_mutant(monkeypatch, mutate):
-    mutate(monkeypatch)
-    assert half_mode_misses()
+@pytest.mark.parametrize("row", ["hessian_sqrt2", "moved_block"])
+def test_half_space_mode_reference_catches_a_mutant(row):
+    # the off-diagonal second derivatives counted once, not twice; psi_1
+    # built as psi_0, one octave down
+    with mutants.applied(mutants.ROWS[row]):
+        assert half_mode_misses()

@@ -1,8 +1,11 @@
 """Reflection extensions, traces, half-space Hodge machinery, Navier-slip."""
 
+from contextlib import nullcontext
+
 import numpy as np
 import pytest
 
+import mutants
 from hodgehalf.algebra import degree, lowering, raising
 from hodgehalf.evolution import make_a_regular
 from hodgehalf.fields import (Grid, SpectralField, TestFunctionSpec,
@@ -155,7 +158,7 @@ def test_extension_of_interior_support_is_mirror_pair(grid2):
 def test_odd_full_field_restricts_to_zero_boundary_row(grid2):
     U = symmetrize(random_form(grid2, [0b10], seed=4, width=2.0), "Ht")
     u = restrict(U, "Ht")
-    assert np.abs(u.boundary_row(0b10)).max() < 1e-15
+    assert np.abs(u.comps[0b10][..., 0]).max() < 1e-15
 
 
 def test_half_field_shape_validation(grid2):
@@ -194,7 +197,7 @@ def test_d_half_scalar_gradient_symmetry(grid2):
     du = d_half(u)
     # the normal component of the gradient of an even function is odd:
     # its boundary row vanishes
-    assert np.abs(du.boundary_row(0b10)).max() < 1e-13
+    assert np.abs(du.comps[0b10][..., 0]).max() < 1e-13
 
 
 def test_commutation_residual_random_fields(grid2):
@@ -231,7 +234,7 @@ def test_tangential_trace_vector_sign(grid2):
     # on 1-forms nu _| u is -(-u_n)(., 0) = u_n(., 0) up to the stated sign
     u = random_half_field(grid2, "Hn", [0b10], seed=8, width=2.0)
     tr = tangential_trace(u)
-    expected = -u.boundary_row(0b10)  # (-1)^k with k = 1
+    expected = -u.comps[0b10][..., 0]  # (-1)^k with k = 1
     assert np.abs(tr.component(0) - expected).max() < 1e-15
 
 
@@ -242,10 +245,27 @@ def test_normal_trace_picks_tangential_components(grid2):
     tr = normal_trace(u)
     assert tr.wedged_normal
     for mask in (0, 0b01):
-        assert np.abs(u.boundary_row(mask)).max() > 0.1
+        assert np.abs(u.comps[mask][..., 0]).max() > 0.1
     # 0-form: sign (-1)^(0+1) = -1; 1-form dx1: sign (-1)^(1+1) = +1
-    assert np.abs(tr.component(0) + u.boundary_row(0)).max() < 1e-15
-    assert np.abs(tr.component(0b01) - u.boundary_row(0b01)).max() < 1e-15
+    assert np.abs(tr.component(0) + u.comps[0][..., 0]).max() < 1e-15
+    assert np.abs(tr.component(0b01) - u.comps[0b01][..., 0]).max() < 1e-15
+
+
+@pytest.mark.parametrize("which", ["tangential", "normal"])
+def test_3d_traces_carry_every_boundary_row(which):
+    # nu _| u holds (-1)^k u_I(., 0) at I less the normal axis for every
+    # normal-bearing I of degree k, and nu ^ u holds (-1)^(k+1) u_I(., 0) at
+    # every n-free I; each flavor keeps the rows read nonzero
+    normal = which == "tangential"
+    masks = [m for m in range(8) if bool(m & 0b100) == normal]
+    u = random_half_field(Grid(3, 8, 4.0), "Hn" if normal else "Ht", masks,
+                          seed=11, width=2.0)
+    tr = tangential_trace(u) if normal else normal_trace(u)
+    for mask in masks:
+        row = u.comps[mask][..., 0]
+        sign = (-1) ** (degree(mask) + (not normal))
+        assert np.abs(row).max() > 0.1, mask
+        assert np.abs(tr.component(mask & 0b011) - sign * row).max() < 1e-15
 
 
 def test_normal_trace_vanishes_for_odd_components(grid2):
@@ -291,7 +311,7 @@ def test_hodge_resolvent_scalar_neumann(grid2):
     f = random_half_field(grid2, "Ht", [0], seed=12, width=2.0)
     u = hodge_resolvent(2.0, f)
     du = d_half(u)
-    assert np.abs(du.boundary_row(0b10)).max() < 1e-10
+    assert np.abs(du.comps[0b10][..., 0]).max() < 1e-10
     # matches the cosine-series Neumann resolvent componentwise
     per = series_resolvent(2.0, f.comps[0], grid2, "N")
     assert np.abs(u.comps[0] - per).max() < 1e-13
@@ -305,7 +325,7 @@ def test_hodge_resolvent_dirichlet_components(grid3):
     lam = 1.5 * np.exp(0.4j)
     u = hodge_resolvent(lam, f)
     for m in masks:
-        assert np.abs(u.boundary_row(m)).max() < 1e-13
+        assert np.abs(u.comps[m][..., 0]).max() < 1e-13
         per = series_resolvent(lam, f.comps[m], grid3, "D")
         assert np.abs(u.comps[m] - per).max() <= 1e-10 * np.abs(per).max()
 
@@ -547,7 +567,7 @@ def test_half_field_flavor_mismatch_guarded(grid2):
     with pytest.raises(ValueError):
         a.l2_inner(b)
     with pytest.raises(ValueError, match="flavor mismatch"):
-        a.with_flavor("D").l2_inner(b.with_flavor("N"))
+        HalfField(grid2, "D", a.comps).l2_inner(HalfField(grid2, "N", b.comps))
 
 
 # ---------------------------------------------------------------------------
@@ -618,31 +638,21 @@ def test_half_row_sum_matches_the_weighted_sum(parity, end_scale):
         assert abs(got - want) <= 1e-14 * abs(want), (other is None, got, want)
 
 
-def _trapezoid_variant(even_end, odd_end):
-    """An independent weighted row sum with chosen end-row weights."""
-    def row_sum(a, parity, b=None):
-        weights = np.ones(a.shape[-1])
-        weights[[0, -1]] = even_end if parity > 0 else odd_end
-        product = a if b is None else a * np.conj(b)
-        return complex(np.sum(product * weights))
-    return row_sum
-
-
 @pytest.mark.parametrize("even_end, odd_end, caught", [
-    (0.5, 0.0, False),   # the rule itself: the harness below is faithful
+    (0.5, 0.0, False),   # the rule itself: the gates pass
     (1.0, 0.0, True),    # end rows counted whole
     (0.5, 0.5, True),    # odd components keep their end rows
 ])
-def test_half_row_quadrature_mutations_are_caught(monkeypatch, even_end,
-                                                  odd_end, caught):
+def test_half_row_quadrature_mutations_are_caught(even_end, odd_end, caught):
     # every gate must move: the half-field norms and pairing, and the
     # divergence column NodeReader sums by the same rule
-    monkeypatch.setattr(halfspace, "_half_row_sum",
-                        _trapezoid_variant(even_end, odd_end))
-    for gate in (quadrature_error, reader_divergence_error):
-        worst = max(gate(grid, flavor)
-                    for grid in QUADRATURE_GRIDS for flavor in FLAVORS)
-        assert (worst > 1e-3) if caught else (worst <= 1e-13), gate.__name__
+    row = {(1.0, 0.0): "even_end_whole",
+           (0.5, 0.5): "odd_end_kept"}.get((even_end, odd_end))
+    with mutants.applied(mutants.ROWS[row]) if caught else nullcontext():
+        for gate in (quadrature_error, reader_divergence_error):
+            worst = max(gate(grid, flavor)
+                        for grid in QUADRATURE_GRIDS for flavor in FLAVORS)
+            assert (worst > 1e-3) if caught else (worst <= 1e-13), gate.__name__
 
 
 def reader_divergence_error(grid, flavor):
@@ -721,10 +731,10 @@ def test_white_noise_d_squared_vanishes(grid, flavor):
 
 @pytest.mark.parametrize("grid", NOISE_GRIDS, ids=["n2", "n3"])
 @pytest.mark.parametrize("flavor", sorted(PROJECTORS))
-def test_white_noise_catches_a_nyquist_symbol(monkeypatch, grid, flavor):
+def test_white_noise_catches_a_nyquist_symbol(grid, flavor):
     # mutation: the odd symbols read the true xi at k = N/2 again
-    monkeypatch.setattr(Grid, "odd_freqs", Grid.freqs)
-    res = projector_residuals(grid, flavor)
+    with mutants.applied(mutants.ROWS["nyquist_symbol"]):
+        res = projector_residuals(grid, flavor)
     # P leaves the flavor's symmetry class on the normal Nyquist plane: the
     # Ht split then shows in delta(Pu), the mirror Hn split in d(Gu)
     assert res["idempotent"] > 1e-3, res

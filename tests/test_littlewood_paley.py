@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import mutants
 from hodgehalf.fields import FormField, Grid, random_form
 from hodgehalf.littlewood_paley import (SpaceParams, _lq_aggregate, besov_norm,
                                         block_norms, build_bank,
@@ -388,15 +389,11 @@ def test_besov_norm_of_lattice_modes():
     assert lattice_mode_misses() == []
 
 
-def test_lattice_mode_reference_catches_a_moved_block(monkeypatch):
+def test_lattice_mode_reference_catches_a_moved_block():
     # psi_1 built as psi_0, one octave down: its L^p norm moves at p = 2 and
     # at p != 2
-    from hodgehalf import littlewood_paley
-
-    real = littlewood_paley._annulus
-    monkeypatch.setattr(littlewood_paley, "_annulus",
-                        lambda absxi, j: real(2.0 * absxi if j == 1 else absxi, j))
-    missed = lattice_mode_misses()
+    with mutants.applied(mutants.ROWS["moved_block"]):
+        missed = lattice_mode_misses()
     assert {params.p for *_, params, _, _ in missed} == {1.5, 2.0, 3.0, 4.0, 7.0}
 
 
@@ -443,17 +440,12 @@ def test_sobolev_norm_of_lattice_modes():
     assert sobolev_mode_misses() == []
 
 
-def test_sobolev_mode_reference_catches_a_dropped_block(monkeypatch):
+def test_sobolev_mode_reference_catches_a_dropped_block():
     # psi_1 dropped from the bank: the homogeneous window sum no longer
     # telescopes to 1 on modes that block reaches, at p = 2 and p != 2; the
     # inhomogeneous Bessel symbol reads no block
-    from hodgehalf import littlewood_paley
-
-    real = littlewood_paley._annulus
-    monkeypatch.setattr(littlewood_paley, "_annulus",
-                        lambda absxi, j: 0.0 * absxi if j == 1
-                        else real(absxi, j))
-    missed = sobolev_mode_misses()
+    with mutants.applied(mutants.ROWS["dropped_block"]):
+        missed = sobolev_mode_misses()
     assert {params.p for *_, params, _, _ in missed} == {1.5, 2.0, 3.0, 7.0}
     assert all(params.homogeneous for *_, params, _, _ in missed)
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import mutants
 from hodgehalf.algebra import AlgebraElement, interior, wedge
 from hodgehalf.fields import (FormField, Grid, TestFunctionSpec, forward_fft,
                               random_form, synthesize)
@@ -429,9 +430,11 @@ def test_single_mode_matches_algebra_symbol(op, n):
     assert _mode_error(_mode_case(op, n)) < 1e-10
 
 
-def test_flipped_table_sign_fails_the_algebra_checks(monkeypatch):
-    # e_1 ^ dx_2 = +dx_{12} in dimension 3; the mutation makes it -dx_{12},
-    # and with it the adjoint entry e_1 _| dx_{12} = +dx_2
+def test_flipped_table_sign_fails_the_algebra_checks():
+    # e_1 ^ dx_2 = +dx_{12} in dimension 3; the mutant makes it -dx_{12},
+    # and with it the adjoint entry e_1 _| dx_{12} = +dx_2.  The oracles are
+    # built before the edit, so the lowering table and the interior and
+    # delta paths are held to the true sign too
     from hodgehalf import algebra
 
     n, axis, mask = 3, 1, 0b100
@@ -439,25 +442,13 @@ def test_flipped_table_sign_fails_the_algebra_checks(monkeypatch):
     cases = [_const_case(wedge_const, n, mask),
              _const_case(interior_const, n, mask | 1 << axis)]
     modes = [_mode_case(d, n), _mode_case(delta, n)]
-    original = algebra.insert_sign
     table_row = algebra.raising(n)[mask]
-
-    def flipped(a, m):
-        return -original(a, m) if (a, m) == (axis, mask) else original(a, m)
-
-    monkeypatch.setattr(algebra, "insert_sign", flipped)
-    algebra.raising.cache_clear()
-    algebra.lowering.cache_clear()
-    try:
+    with mutants.applied(mutants.ROWS["flipped_table_sign"]):
         assert algebra.raising(n)[mask] != table_row
         for case in cases:
             assert _const_error(case) > 1e-6
         for case in modes:
             assert _mode_error(case) > 1e-6
-    finally:
-        monkeypatch.undo()
-        algebra.raising.cache_clear()
-        algebra.lowering.cache_clear()
     for case in cases:
         assert _const_error(case) < 1e-12
     for case in modes:

@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
+import mutants
 from hodgehalf import evolution, halfspace, verify
 from hodgehalf.fields import Grid, random_form
-from hodgehalf.halfspace import (HalfField, d_half, extend_spectra,
-                                 hodge_resolvent, random_half_field)
+from hodgehalf.halfspace import (HalfField, d_half, hodge_resolvent,
+                                 random_half_field)
 from hodgehalf.operators import d
 from hodgehalf.verify import (SUITES, TOLERANCES, VerifyOutcome, _zero_scale,
                               run_suite, series_resolvent, trace_duality)
@@ -100,96 +101,51 @@ def test_series_resolvent_matches_the_reflection_route(n, points):
     assert np.abs(swapped - want).max() > 1e-3 * np.abs(want).max()
 
 
-def test_decoupling_check_fails_when_the_dn_rule_is_swapped(monkeypatch):
-    swap = {"D": "N", "N": "D"}
-    monkeypatch.setattr(verify, "series_resolvent",
-                        lambda lam, rows, grid, bc: series_resolvent(
-                            lam, rows, grid, swap[bc]))
-    info = run_suite("halfspace", seed=0).worst["neumann_dirichlet_decoupling"]
+def test_decoupling_check_fails_when_the_dn_rule_is_swapped():
+    with mutants.applied(mutants.ROWS["dn_rule_swapped"]):
+        info = run_suite("halfspace", seed=0).worst[
+            "neumann_dirichlet_decoupling"]
     assert info["status"] == "fail" and info["residual"] > 1e-3
 
 
-def test_shifted_restriction_fails_the_reflection_checks(monkeypatch):
+def test_shifted_restriction_fails_the_reflection_checks():
     # hodge_resolvent restricts by restrict_spectra and the reflection
     # identity's oracle by restrict, so a restriction that keeps the rows
     # one step off along x_n fails both resolvent checks
-    original = halfspace.restrict_spectra
-
-    def shifted(U_hat, flavor):
-        u = original(U_hat, flavor)
-        return HalfField(u.grid, flavor, {m: np.roll(a, 1, axis=-1)
-                                          for m, a in u.comps.items()})
-
-    monkeypatch.setattr(halfspace, "restrict_spectra", shifted)
-    worst = run_suite("halfspace", seed=0).worst
+    with mutants.applied(mutants.ROWS["shifted_restriction"]):
+        worst = run_suite("halfspace", seed=0).worst
     for check in ("reflection_identity", "neumann_dirichlet_decoupling"):
         assert worst[check]["status"] == "fail", check
         assert worst[check]["residual"] > 1e-3, check
 
 
-def test_swapped_tangential_parity_fails_a_suite(monkeypatch):
-    # mutation smoke test: under 'Ht' the normal-bearing components extend
-    # evenly and the others oddly, the 'Hn' rule
-    original = halfspace.component_parity
-
-    def swapped(flavor, mask, n):
-        return original("Hn" if flavor == "Ht" else flavor, mask, n)
-
-    monkeypatch.setattr(halfspace, "component_parity", swapped)
-    # the traces suite pairs whole-grid fields and reads no parity
-    failed = {check for check, info in run_suite("halfspace", seed=0).worst.items()
-              if info["status"] != "ok"}
-    assert "neumann_dirichlet_decoupling" in failed
-    monkeypatch.undo()
+def test_swapped_tangential_parity_fails_a_suite():
+    # under 'Ht' the normal-bearing components extend evenly and the others
+    # oddly, the 'Hn' rule; the traces suite pairs whole-grid fields and
+    # reads no parity
+    with mutants.applied(mutants.ROWS["swapped_tangential_parity"]):
+        worst = run_suite("halfspace", seed=0).worst
+    assert worst["neumann_dirichlet_decoupling"]["status"] != "ok"
     for suite in ("halfspace", "traces"):
         assert run_suite(suite, seed=0).status == "ok"
 
 
-def _swap_trace_rows(name):
-    # verify's ``name`` trace with its 3-D rows under 0b001 and 0b010 swapped:
-    # those of the 2-forms 0b101 and 0b110 (tangential) or of the 1-forms
-    # 0b001 and 0b010 (normal)
-    def mutate(monkeypatch):
-        real = getattr(verify, name)
-
-        def mutant(u):
-            trace = real(u)
-            if u.grid.n == 3 and {0b001, 0b010} <= set(trace.comps):
-                trace.comps[0b001], trace.comps[0b010] = (trace.comps[0b010],
-                                                          trace.comps[0b001])
-            return trace
-
-        monkeypatch.setattr(verify, name, mutant)
-    return mutate
-
-
-def _unsigned_normal_trace(monkeypatch):
-    # verify's normal trace with its sign (-1)^{k+1} forced to +1, which
-    # flips the trace of every even-degree component
-    def mutant(u):
-        return halfspace.BoundaryForm(
-            u.grid, halfspace._boundary_values(u, normal=False),
-            wedged_normal=True)
-
-    monkeypatch.setattr(verify, "normal_trace", mutant)
-
-
-@pytest.mark.parametrize("mutate, check", [
-    (_swap_trace_rows("tangential_trace"), "tangential_trace_duality"),
-    (_swap_trace_rows("normal_trace"), "normal_trace_duality"),
-    (_unsigned_normal_trace, "normal_trace_duality"),
+@pytest.mark.parametrize("row, check", [
+    ("tangential_2form_rows", "tangential_trace_duality"),
+    ("normal_1form_rows", "normal_trace_duality"),
+    ("normal_sign", "normal_trace_duality"),
 ], ids=["tangential_2form_rows", "normal_1form_rows", "normal_sign"])
-def test_trace_duality_catches_a_mutant(monkeypatch, mutate, check):
+def test_trace_duality_catches_a_mutant(row, check):
     # the row swaps are invisible in 2-D and on draws whose components are
     # all equal, the sign only where an even-degree component is paired;
     # criterion 07's first 3-D draw and the traces suite see each of them
-    mutate(monkeypatch)
-    out = VerifyOutcome("criterion 07")
-    trace_duality(out, Grid(3, 64, 16.0), np.random.default_rng(63),
-                  seed=500, trials=1)
-    assert out.worst[check]["status"] == "fail"
-    assert out.worst[check]["residual"] > 1e-3
-    assert run_suite("traces", seed=0).worst[check]["status"] == "fail"
+    with mutants.applied(mutants.ROWS[row]):
+        out = VerifyOutcome("criterion 07")
+        trace_duality(out, Grid(3, 64, 16.0), np.random.default_rng(63),
+                      seed=500, trials=1)
+        assert out.worst[check]["status"] == "fail"
+        assert out.worst[check]["residual"] > 1e-3
+        assert run_suite("traces", seed=0).worst[check]["status"] == "fail"
 
 
 def test_pressure_check_takes_each_gradient_field_once(monkeypatch):
@@ -218,17 +174,12 @@ def test_solenoidality_reads_the_stepper_spectra(monkeypatch):
     assert info["status"] == "ok" and info["scale"] > 0
 
 
-def test_solenoidality_sees_an_unprojected_forcing(monkeypatch):
-    # mutation: the Leray split in spectra hands back the input's own
-    # spectra as the projected part; the suite's data are solenoidal, so it
-    # is the forcing that takes the flow out of the solenoidal class
-    real = evolution.leray_halfspace_hat
-
-    def unprojected(u):
-        return extend_spectra(u), real(u)[1]
-
-    monkeypatch.setattr(evolution, "leray_halfspace_hat", unprojected)
-    info = run_suite("evolution", seed=0).worst["solenoidality"]
+def test_solenoidality_sees_an_unprojected_forcing():
+    # mutation: the forcing's Leray split hands back its own spectra as the
+    # projected part; the suite's data are solenoidal, so it is the forcing
+    # that takes the flow out of the solenoidal class
+    with mutants.applied(mutants.ROWS["unprojected_forcing"]):
+        info = run_suite("evolution", seed=0).worst["solenoidality"]
     assert info["status"] == "fail" and info["residual"] > 1e-6
 
 
@@ -259,19 +210,13 @@ def test_evolution_suite_builds_only_what_it_reads(monkeypatch):
         assert info["status"] == "ok" and info["scale"] > 0, check
 
 
-def test_momentum_residual_catches_a_mutant(monkeypatch):
+def test_momentum_residual_catches_a_mutant():
     # mutation: the stepper weighs the midpoint forcing by dt e^{-dt |xi|^2},
     # a first-order quadrature, so halving dt only halves the residual
     grid = Grid(2, 64, 8.0)
     for r in verify.momentum_residual_ratios(grid, seed=0):
         assert 3.6 <= r <= 4.4
-    real = evolution._Stepper.__init__
-
-    def first_order(self, u0_hat, time_grid):
-        real(self, u0_hat, time_grid)
-        self.dt_half_step = time_grid.dt * self.full_step
-
-    monkeypatch.setattr(evolution._Stepper, "__init__", first_order)
-    ratios = verify.momentum_residual_ratios(grid, seed=0)
-    assert all(not 3.6 <= r <= 4.4 for r in ratios), ratios
-    assert run_suite("evolution", seed=0).status == "fail"
+    with mutants.applied(mutants.ROWS["first_order_forcing"]):
+        ratios = verify.momentum_residual_ratios(grid, seed=0)
+        assert all(not 3.6 <= r <= 4.4 for r in ratios), ratios
+        assert run_suite("evolution", seed=0).status == "fail"
