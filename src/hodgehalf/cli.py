@@ -32,6 +32,19 @@ EXIT_OK = 0
 EXIT_TOL = 1
 EXIT_CONFIG = 2
 
+# the top-level config keys each command reads, "out" aside; a command that
+# reads "grid" reads the keys GRID_KEYS of it
+CONFIG_KEYS = {
+    "verify": {"suites", "seed", "tol_scale"},
+    "decompose": {"field", "tol_scale"},
+    "solve": {"grid", "seed", "system", "T", "M", "flavor", "forcing",
+              "save_snapshots", "radii"},
+    "maxreg": {"grid", "seed", "tol_scale", "system", "spq", "T", "M", "bank",
+               "radii"},
+    "normtable": {"grid", "seed", "bank", "norms", "corpus_size", "radii"},
+}
+GRID_KEYS = {"n", "points", "length"}
+
 
 @dataclass
 class RunConfig:
@@ -59,6 +72,12 @@ class RunConfig:
         if not isinstance(options, dict):
             raise ConfigError(f"config {args.config} is not a JSON object")
         grid = _read(options, "grid", {}, dict)
+        unread = sorted(options.keys() - CONFIG_KEYS[command] - {"out"})
+        if "grid" in CONFIG_KEYS[command]:
+            unread += [f"grid.{key}" for key in sorted(grid.keys() - GRID_KEYS)]
+        if unread:
+            raise ConfigError(f"config key {unread[0]!r} is not read by "
+                              f"{command}")
         cfg = cls(command=command,
                   grid_n=_read(grid, "n", 2, int),
                   grid_points=_read(grid, "points", 128, int),

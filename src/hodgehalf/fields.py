@@ -19,10 +19,21 @@ each draw is bit for bit ifftn(coeff * envelope) / max on the full lattice.
 The generator is the floor: both Gaussians of every lattice point are still
 drawn, so the stream and the seeds are those of a full-lattice draw, and
 they take about 8 of the 14 ms of a 64^3 component.
+
+Grid tables.  Grid.freq_sq() is built once per grid value (an equal Grid
+built elsewhere gets the same object) and kept while the process lives, for
+the GRID_TABLES grids asked for last: one read-only N^n float64 array per
+grid, 2 MiB at 64^3, so at most 8 MiB at 64^3.  operators.frac_symbol and
+littlewood_paley's banks are kept the same way; every such table is made
+non-writeable (read_only), so no caller can change it for the others.
+Keeping them pays only in a process that asks for a grid's tables again (a
+benchmark or test loop, hodgehalf verify); a single command run from a shell
+builds each table once either way.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import os
@@ -96,16 +107,32 @@ class Grid:
                 for m in range(self.n)]
 
     def freq_sq(self) -> np.ndarray:
-        """|xi|^2 on the full lattice."""
-        out = np.zeros(self.shape)
-        for xi in self.freqs():
-            out = out + xi ** 2
-        return out
+        """|xi|^2 on the full lattice, one read-only array per grid value."""
+        return _freq_sq(self)
 
     @property
     def nyquist(self) -> float:
         """Largest resolvable per-axis frequency magnitude."""
         return np.pi / self.length * (self.points // 2)
+
+
+def read_only(a: np.ndarray) -> np.ndarray:
+    """``a``, made non-writeable: a table shared by every caller."""
+    a.flags.writeable = False
+    return a
+
+
+# grid tables are kept for this many argument tuples (a grid, or a grid with
+# an exponent or a window), the least recently used one dropped first
+GRID_TABLES = 4
+
+
+@functools.lru_cache(maxsize=GRID_TABLES)
+def _freq_sq(grid: Grid) -> np.ndarray:
+    out = np.zeros(grid.shape)
+    for xi in grid.freqs():
+        out = out + xi ** 2
+    return read_only(out)
 
 
 def _check_same_grid(a: Grid, b: Grid):

@@ -33,6 +33,16 @@ trajectory.  evolution's closed form folds the weights into its own table
 and shares only block_l2_norms.  The lattice tables (abs_freq, psi, low,
 phi_unit) serve the physical-space blocks, p != 2 and the Sobolev norms and
 are built on first use.
+
+Banks are kept while the process lives, for the fields.GRID_TABLES (grid,
+window) pairs asked for last.  build_bank and default_bank hand out one
+FilterBank per (grid, window), equal grids built apart sharing it, so a
+second command on a grid builds no table.  A bank holds its shell tables,
+an N^n intp shell_index (2 MiB at 64^3) and one float per shell and window
+scale (1 621 shells, 885 of them weighed, at 128^2), and, once a p != 2 or
+Sobolev norm or a physical-space block reads them, its lattice tables: for a
+window of J scales, J + 3 float64 arrays of N^n entries (abs_freq, one psi_j
+per scale, low, phi_unit).  Every array of a bank is read-only.
 """
 
 from __future__ import annotations
@@ -43,7 +53,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import FormField, Grid, forward_fft, inverse_fft, lp_quadrature
+from .fields import (GRID_TABLES, FormField, Grid, forward_fft, inverse_fft,
+                     lp_quadrature, read_only)
 
 LEAK_TOL = 1e-10
 
@@ -138,24 +149,28 @@ class FilterBank:
         self._shell_outside = {
             True: (shell_abs > 1.5 * 2.0 ** j_max) | (shell_abs < 2.0 ** j_min),
             False: shell_abs > 1.5 * 2.0 ** j_max}
+        for table in (self.shell_index, self.shell_absq, self.window_shells,
+                      self.window_absq, self.shell_psi_sq,
+                      self.shell_phi_unit_sq, *self._shell_outside.values()):
+            read_only(table)
 
     # lattice tables, built on first use: the p = 2 evaluator reads none
     @functools.cached_property
     def abs_freq(self) -> np.ndarray:
-        return np.sqrt(self.grid.freq_sq())
+        return read_only(np.sqrt(self.grid.freq_sq()))
 
     @functools.cached_property
     def psi(self) -> dict[int, np.ndarray]:
-        return {j: _annulus(self.abs_freq, j) for j in self.window}
+        return {j: read_only(_annulus(self.abs_freq, j)) for j in self.window}
 
     @functools.cached_property
     def low(self) -> np.ndarray:
-        return radial_cutoff(self.abs_freq / 2.0 ** self.j_min)
+        return read_only(radial_cutoff(self.abs_freq / 2.0 ** self.j_min))
 
     @functools.cached_property
     def phi_unit(self) -> np.ndarray:
         """The unit-scale cutoff, the inhomogeneous low-pass block."""
-        return radial_cutoff(self.abs_freq)
+        return read_only(radial_cutoff(self.abs_freq))
 
     @property
     def window(self) -> range:
@@ -211,9 +226,15 @@ def require_in_window(bank: FilterBank, energy: np.ndarray,
                          f"window [{bank.j_min}, {bank.j_max}]")
 
 
-def build_bank(grid: Grid, j_min: int, j_max: int) -> FilterBank:
-    """Construct the Littlewood-Paley family over a dyadic window."""
+@functools.lru_cache(maxsize=GRID_TABLES)
+def _shared_bank(grid: Grid, j_min: int, j_max: int) -> FilterBank:
     return FilterBank(grid, j_min, j_max)
+
+
+def build_bank(grid: Grid, j_min: int, j_max: int) -> FilterBank:
+    """The Littlewood-Paley family over a dyadic window: one shared bank per
+    (grid, window), built on first use."""
+    return _shared_bank(grid, j_min, j_max)
 
 
 def default_bank(grid: Grid) -> FilterBank:
@@ -226,7 +247,7 @@ def default_bank(grid: Grid) -> FilterBank:
         j_min += 1
     if j_min > j_max:
         raise ValueError("lattice too coarse for a dyadic window")
-    return FilterBank(grid, j_min, j_max)
+    return _shared_bank(grid, j_min, j_max)
 
 
 def dyadic_block(bank: FilterBank, j: int, u: FormField) -> FormField:

@@ -19,16 +19,24 @@ symmetry class; the Leray projector inverts sum xi~^2 to match, so it stays
 an orthogonal projector on the Nyquist planes too.  The radial multipliers
 (laplacian, resolvent, heat, frac_laplacian) and riesz keep the true xi, so
 (d + delta)^2 = -Delta holds off the Nyquist planes only.
+
+Grid tables.  The radial multipliers read |xi|^2 from Grid.freq_sq(), and
+frac_symbol(grid, s) keeps one read-only N^n float64 array per (grid, s)
+while the process lives, for the fields.GRID_TABLES pairs asked for last
+(2 MiB each at 64^3; the CLI uses s = -2 only).  Both are shared and
+non-writeable.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .algebra import lowering, raising
-from .fields import FormField, Grid, SpectralField, forward_fft, inverse_fft
+from .fields import (GRID_TABLES, FormField, Grid, SpectralField, forward_fft,
+                     inverse_fft, read_only)
 
 MEAN_FREE_TOL = 1e-12
 
@@ -182,13 +190,15 @@ def heat(t: float, u: FormField) -> FormField:
     return inverse_fft(heat_hat(t, forward_fft(u)))
 
 
+@functools.lru_cache(maxsize=GRID_TABLES)
 def frac_symbol(grid: Grid, s: float) -> np.ndarray:
-    """The multiplier |xi|^s of (-Delta)^{s/2}, 0 on the zero mode."""
+    """The multiplier |xi|^s of (-Delta)^{s/2}, 0 on the zero mode: one
+    read-only array per (grid, s), kept as fields.Grid.freq_sq() is."""
     absq = grid.freq_sq()
     symbol = np.zeros(grid.shape)
     nz = absq > 0
     symbol[nz] = absq[nz] ** (s / 2.0)
-    return symbol
+    return read_only(symbol)
 
 
 def frac_laplacian(s: float, u: FormField) -> FormField:

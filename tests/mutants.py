@@ -75,8 +75,9 @@ def _bound_modules():
 
 
 def _clear_caches():
-    # tables cached from the original (algebra.raising, lowering) are rebuilt
-    # from the mutant, and again once it is undone
+    # tables cached from the original (algebra.raising and lowering, the
+    # shared filter banks, Grid.freq_sq, frac_symbol) are rebuilt from the
+    # mutant, and again once it is undone
     for module in _bound_modules():
         for value in vars(module).values():
             if isinstance(value, functools._lru_cache_wrapper):
@@ -218,7 +219,10 @@ MUTANTS = (
            "return -1 if below & 1 else 1",
            "return -1 if (below & 1) != ((axis, mask) == (1, 0b100)) else 1",
            (gate("test_algebra::test_adjointness_exhaustive", 3),
-            gate("test_algebra::test_nilpotence", 3))),
+            gate("test_algebra::test_nilpotence", 3),
+            gate("test_operators::test_interior_const_matches_algebra"),
+            gate("test_operators::test_single_mode_matches_algebra_symbol",
+                 delta, 3))),
     Mutant("tangential_sign", "hodgehalf.halfspace:tangential_trace",
            "sign = -1 if degree(mask) & 1 else 1", "sign = 1",
            (gate("test_halfspace::test_tangential_trace_vector_sign",

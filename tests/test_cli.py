@@ -13,14 +13,14 @@ import numpy as np
 import pytest
 
 import mutants
-from hodgehalf import halfspace
+from hodgehalf import fields, halfspace, operators
 from hodgehalf.cli import main
 from hodgehalf.evolution import (SpaceParams, max_reg_sweep, refusal,
                                  sweep_spectra)
 from hodgehalf.fields import Grid, save_field
 from hodgehalf.halfspace import (d_half, extend_spectra, random_half_field,
                                  restrict_spectra)
-from hodgehalf.littlewood_paley import default_bank
+from hodgehalf.littlewood_paley import FilterBank, default_bank
 from hodgehalf.operators import frac_symbol, leray_hat
 
 
@@ -562,6 +562,56 @@ def test_malformed_config_value_is_config_error(tmp_path, monkeypatch, capsys,
     code = main([command, "--config", cfg])
     assert code == 2
     assert "configuration error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, payload, key", [
+    ("verify", {"suite": "algebra"}, "suite"),
+    ("decompose", {"feild": "u.hhf"}, "feild"),
+    ("solve", {"sytem": "hodge_heat"}, "sytem"),
+    ("solve", {"grid": {"n": 2, "point": 16}}, "grid.point"),
+    ("maxreg", {"sqp": [[0, 3, 1]]}, "sqp"),
+    ("normtable", {"tol_scale": 2.0}, "tol_scale"),
+], ids=["verify", "decompose", "solve", "solve-grid", "maxreg", "normtable"])
+def test_unread_config_key_is_config_error(tmp_path, capsys, command, payload,
+                                           key):
+    # a misspelt key would otherwise run the default silently
+    cfg = write_config(tmp_path, payload)
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (f"configuration error: config key "
+                                       f"{key!r} is not read by {command}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("n, points", [(2, 32), (3, 16)])
+def test_a_second_maxreg_builds_no_grid_table(tmp_path, monkeypatch, n,
+                                              points):
+    # the bank, |xi|^2 and |xi|^-2 depend on the grid alone and are kept: a
+    # second command on an equal grid builds none of them
+    banks = []
+    init = FilterBank.__init__
+
+    def counted(self, *args, **kwargs):
+        banks.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(FilterBank, "__init__", counted)
+    mutants._clear_caches()
+    cfg = write_config(tmp_path, {
+        "grid": {"n": n, "points": points, "length": 8.0},
+        "spq": [[0.0, 2.0, 1.0]], "T": [1.0, 10.0], "M": 8,
+        "radii": [1.0, 1.3]})
+    seen = []
+    for _ in range(2):
+        banks.clear()
+        before = (fields._freq_sq.cache_info().misses,
+                  operators.frac_symbol.cache_info().misses)
+        assert main(["maxreg", "--config", cfg, "--out", str(tmp_path)]) == 0
+        assert read_csv(tmp_path / "maxreg.csv")[0]["status"] == "ok"
+        seen.append((len(banks),
+                     fields._freq_sq.cache_info().misses - before[0],
+                     operators.frac_symbol.cache_info().misses - before[1]))
+    assert seen == [(1, 1, 1), (0, 0, 0)]
 
 
 @pytest.mark.parametrize("n, points", [(2, 32), (3, 16)])

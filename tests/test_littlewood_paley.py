@@ -7,12 +7,13 @@ import pytest
 
 import mutants
 from hodgehalf.fields import FormField, Grid, random_form
-from hodgehalf.littlewood_paley import (SpaceParams, _lq_aggregate, besov_norm,
+from hodgehalf.littlewood_paley import (FilterBank, SpaceParams,
+                                        _lq_aggregate, besov_norm,
                                         block_norms, build_bank,
                                         completeness_ok, default_bank,
                                         dyadic_block, low_pass, radial_cutoff,
                                         sobolev_norm)
-from hodgehalf.operators import laplacian
+from hodgehalf.operators import frac_symbol, laplacian
 
 
 @pytest.fixture(scope="module")
@@ -263,9 +264,12 @@ def test_shell_evaluator_matches_lattice_sum(grid_, j_min, j_max):
 
 @pytest.mark.parametrize("grid_, j_min, j_max", SHELL_CASES)
 def test_shell_oracle_catches_a_zeroed_band(grid_, j_min, j_max):
+    # a bank of its own with one psi_j^2 row zeroed in a copy: the shared
+    # banks of build_bank are read-only
     spectra = random_spectra(grid_, seed=41)
     for row in range(j_max - j_min + 1):
-        bank = build_bank(grid_, j_min, j_max)
+        bank = FilterBank(grid_, j_min, j_max)
+        bank.shell_psi_sq = bank.shell_psi_sq.copy()
         bank.shell_psi_sq[row] = 0.0
         with pytest.raises(AssertionError):
             assert_shell_matches_lattice(bank, spectra)
@@ -301,10 +305,43 @@ def test_shell_index_is_the_sorted_unique_index(grid_):
                           (np.pi / grid_.length) ** 2 * shells.astype(float))
 
 
+def test_grid_tables_are_shared_and_read_only():
+    # equal grids built apart share every table; no caller can write into one
+    grid, twin = Grid(2, 32, 8.0), Grid(2, 32, 8.0)
+    assert grid is not twin
+    bank = default_bank(grid)
+    assert default_bank(twin) is bank is build_bank(twin, bank.j_min,
+                                                    bank.j_max)
+    assert twin.freq_sq() is grid.freq_sq()
+    assert frac_symbol(twin, -2.0) is frac_symbol(grid, -2.0)
+    for table in (grid.freq_sq(), frac_symbol(grid, -2.0),
+                  frac_symbol(grid, 1.0), bank.shell_index,
+                  bank.shell_psi_sq, bank.low, bank.psi[bank.j_min]):
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = 0
+
+
+def test_a_mutant_row_gets_its_own_bank():
+    # the caches are cleared as a row is applied and as it is undone, so the
+    # row's psi_j reach the bank and the original ones come back
+    grid = Grid(2, 128, 16.0)
+    bank = default_bank(grid)
+    with mutants.applied(mutants.ROWS["moved_block"]):
+        moved = default_bank(grid)
+        assert not np.array_equal(moved.shell_psi_sq, bank.shell_psi_sq)
+    back = default_bank(grid)
+    assert back is not moved
+    for name in ("shell_index", "window_shells", "shell_psi_sq",
+                 "shell_phi_unit_sq"):
+        assert np.array_equal(getattr(back, name), getattr(bank, name)), name
+
+
 def test_lattice_tables_are_built_on_first_use(grid):
     # p = 2 norms read shell tables only; a lattice table is built when it is
-    # first read and then kept
-    bank = default_bank(grid)
+    # first read and then kept.  A bank of its own on the default window: the
+    # shared one may hold lattice tables another norm built
+    window = default_bank(grid)
+    bank = FilterBank(grid, window.j_min, window.j_max)
     u = random_form(grid, [0, 1], seed=12, kind="annulus_band", radii=(1.0, 3.0))
     for homogeneous in (True, False):
         besov_norm(SpaceParams(0.5, 2.0, 2.0, homogeneous=homogeneous), u, bank)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import mutants
-from hodgehalf.algebra import AlgebraElement, interior, wedge
+from hodgehalf.algebra import AlgebraElement, inner, interior, wedge
 from hodgehalf.fields import (FormField, Grid, TestFunctionSpec, forward_fft,
                               random_form, synthesize)
 from hodgehalf.operators import (SectorPoint, d, delta, frac_laplacian,
@@ -358,6 +358,17 @@ def test_leray_rejects_nonzero_mean(grid2):
 ALL_MASKS = [(n, mask) for n in (2, 3, 4) for mask in range(1 << n)]
 
 
+def _contraction(vec, coeff):
+    """vec _| coeff for a real covector, from its adjointness against the
+    wedge: the dx_T coefficient is <coeff, vec ^ dx_T>.  It reads the wedge's
+    merge sign (algebra.wedge_sign), not the incidence tables' insert_sign
+    that algebra.interior and the field operators share."""
+    a = AlgebraElement.one_form(vec)
+    return AlgebraElement(coeff.n, [
+        inner(coeff, wedge(a, AlgebraElement.basis(coeff.n, t)))
+        for t in range(1 << coeff.n)])
+
+
 def _const_case(op, n, mask, seed=31):
     """(call giving the field result, algebra oracle, sample point) for a
     constant covector acting on one random component."""
@@ -372,7 +383,7 @@ def _const_case(op, n, mask, seed=31):
     if op is wedge_const:
         expected = wedge(AlgebraElement.one_form(vec), coeff)
     else:
-        expected = interior(vec, coeff)
+        expected = _contraction(vec, coeff)
     return lambda: op(vec, u), expected, idx
 
 
@@ -389,7 +400,7 @@ def _mode_case(op, n, seed=7):
     if op is d:
         expected = wedge(AlgebraElement.one_form(1j * xi0), coeff)
     else:
-        expected = (-1j) * interior(xi0, coeff)
+        expected = (-1j) * _contraction(xi0, coeff)
     return lambda: op(u), expected, mode.comps[0]
 
 
