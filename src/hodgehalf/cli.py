@@ -79,18 +79,18 @@ class RunConfig:
             raise ConfigError(f"config key {unread[0]!r} is not read by "
                               f"{command}")
         cfg = cls(command=command,
-                  grid_n=_read(grid, "n", 2, int),
-                  grid_points=_read(grid, "points", 128, int),
+                  grid_n=_read(grid, "n", 2, _integer),
+                  grid_points=_read(grid, "points", 128, _integer),
                   grid_length=_read(grid, "length", 16.0, float),
                   seed=args.seed if args.seed is not None
-                  else _read(options, "seed", 0, int),
+                  else _read(options, "seed", 0, _integer),
                   tol_scale=args.tol_scale * _read(options, "tol_scale", 1.0, float),
                   out_dir=args.out or _read(options, "out", ".", os.fspath),
                   options=options)
         if args.suite:
             cfg.suites = [args.suite]
         elif "suites" in options:
-            cfg.suites = _read(options, "suites", None, list)
+            cfg.suites = _read(options, "suites", None, _strings)
         if cfg.tol_scale <= 0:
             raise ConfigError("tolerance scale must be positive")
         return cfg
@@ -106,7 +106,7 @@ class RunConfig:
         """Bank over the window [j_min, j_max] of config key 'bank', else the
         widest window the grid supports."""
         window = _read(self.options, "bank", None,
-                       lambda w: w and [int(j) for j in w])
+                       lambda w: w and [_integer(j) for j in w])
         if not window:
             return default_bank(grid)
         j_min, j_max = window
@@ -120,6 +120,19 @@ def _read(options: dict, key: str, default, convert):
         return convert(options.get(key, default))
     except TypeError as exc:
         raise ConfigError(f"config key {key!r} is malformed: {exc}") from None
+
+
+def _integer(value) -> int:
+    """An integer config value; int() would take a bool, string or fraction."""
+    if type(value) is int or type(value) is float and value.is_integer():
+        return int(value)
+    raise TypeError(f"{value!r} is not an integer")
+
+
+def _strings(values) -> list[str]:
+    if isinstance(values, list) and all(isinstance(v, str) for v in values):
+        return values
+    raise TypeError(f"{values!r} is not a list of strings")
 
 
 def _floats(values) -> list[float]:
@@ -257,7 +270,7 @@ def run_solve(cfg: RunConfig) -> int:
     system = opts.get("system", "hodge_stokes")
     grid = cfg.grid()
     horizon = _read(opts, "T", 1.0, float)
-    steps = _read(opts, "M", 64, int)
+    steps = _read(opts, "M", 64, _integer)
     flavor = opts.get("flavor", "Ht")
     if system not in SYSTEMS:
         raise ConfigError(f"unknown system {system!r}")
@@ -339,7 +352,7 @@ def run_maxreg(cfg: RunConfig) -> int:
     grid = cfg.grid()
     spq = _read(opts, "spq", [[0.0, 2.0, 2.0]], _parameter_sets)
     horizons = _read(opts, "T", [1.0, 10.0, 100.0], _floats)
-    steps = _read(opts, "M", 256, int)
+    steps = _read(opts, "M", 256, _integer)
     system = opts.get("system", "hodge_stokes")
     if system not in SYSTEMS:
         raise ConfigError(f"unknown system {system!r}")
@@ -402,7 +415,7 @@ def run_normtable(cfg: RunConfig) -> int:
     norms = _read(opts, "norms", [
         {"kind": "besov", "s": 0.0, "p": 2.0, "q": 2.0, "homogeneous": True}],
         lambda entries: [_norm_params(e) for e in entries])
-    count = _read(opts, "corpus_size", 3, int)
+    count = _read(opts, "corpus_size", 3, _integer)
     radii = cfg.radii((1.0, 2.5))
     rows = []
     for i in range(count):

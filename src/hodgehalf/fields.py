@@ -520,16 +520,18 @@ def save_field(path: str, u, metadata: dict | None = None):
 def load_field(path: str):
     """Read a field written by save_field; returns FormField or HalfField.
 
-    A container whose header, sidecar and payload size disagree is refused
-    with a ValueError that names the file, before any sample is read.  The
-    samples are then read one component at a time through one reusable
-    complex64 buffer into each component's complex128 array, so the payload
-    is never held whole.
+    A container whose header, sidecar and payload size disagree, or whose
+    sidecar describes no field, is refused with a ValueError that names the
+    file, before any sample is read.  The samples are then read one
+    component at a time through one reusable complex64 buffer into each
+    component's complex128 array, so the payload is never held whole.
     """
     from .halfspace import HalfField, half_shape
 
     with open(path + ".json") as fh:
         meta = json.load(fh)
+    if not isinstance(meta, dict):
+        raise ValueError(f"{path}: sidecar is not a JSON object")
     with open(path, "rb") as fh:
         if fh.read(4) != _MAGIC:
             raise ValueError(f"{path}: not a field container")
@@ -552,6 +554,8 @@ def load_field(path: str):
         try:
             grid = Grid(n, points, length)
             half = meta.get("field_type") == "half"
+            if half and "flavor" not in meta:
+                raise ValueError("half-field sidecar names no flavor")
             shape = half_shape(grid) if half else grid.shape
             count = int(np.prod(shape))
             if payload != 8 * count * ncomp:

@@ -20,28 +20,17 @@ Tangential transforms commute with the normal reflection, so the operators
 below that work in spectra never transform the mirrored rows along a
 tangential axis.  extend_spectra transforms the tangential axes on the
 N/2 + 1 stored rows, parity-extends them and transforms the normal axis;
-restrict_spectra runs the mirror image.  leray_halfspace and q_projector
-give leray_hat between the two, bit for bit, but run the normal-axis work one
-block of first-axis tangential frequency rows at a time (_row_blocks, about
-_BLOCK_ENTRIES extension entries per component): each block is extended
-into one block buffer per component, made once per call, transformed along
-x_n there, split there by leray_hat's core on the block's frequencies (P over
-the extension), inverted and restricted, G into its output and P over the
-block's rows of u's tangential spectra, which become Pu.  So on a grid of
-several blocks no array holds a whole extension, and the split holds u, its
-two parts and one set of block buffers.  d_half and delta_half take one
-one-axis spectral derivative per term of the incidence tables: a tangential
-one on the stored rows, a normal one on the one component's extension, over
-the same blocks in one block buffer.  No transform of theirs covers all n
-axes of the doubled torus.  leray_halfspace_checked reads |delta_half Pu|
-and |d_half Gu| from the parts' stored rows before their tangential inverse,
-while a tangential derivative is still a multiplication, so only the normal
-derivatives transform; it forms each target block by block in a block-sized
-accumulator, work array and extension buffer.  NodeReader reads
-the L^2 norm, |delta_half u| and the tangential trace's norm of a node
-straight from the extension spectra an evolution stepper holds: per target
-of delta it takes one normal-axis inverse transform, into arrays made once
-per run, and reads the tangential axes by Parseval instead of inverting them.
+restrict_spectra runs the mirror image.  d_half, delta_half, hodge_resolvent
+and hodge_heat are whole-space symbols between the two, so no transform of
+theirs covers all n axes of the doubled torus.
+
+The split decompose runs and the node reader of solve keep routes of their
+own, with the same numbers, each tested against d_half and delta_half:
+leray_halfspace and q_projector run leray_hat one block of first-axis
+tangential frequency rows at a time (_half_leray_rows),
+leray_halfspace_checked reads |delta_half Pu| and |d_half Gu| from the parts'
+stored rows in tangential spectra (_incidence_norm_from_rows), and NodeReader
+reads a node's columns from the extension spectra an evolution stepper holds.
 """
 
 from __future__ import annotations
@@ -51,8 +40,9 @@ import numpy as np
 from .algebra import degree, lowering, raising
 from .fields import (FieldCore, FormField, Grid, SpectralField, _check_same_grid,
                      _random_components)
-from .operators import (_LERAY, _apply_incidence, _leray_core, _refuse_mean,
-                        heat_hat, leray_hat, resolvent_hat)
+from .operators import (_LERAY, _apply_incidence, _d_hat, _delta_hat,
+                        _leray_core, _refuse_mean, heat_hat, leray_hat,
+                        resolvent_hat)
 
 FLAVORS = ("D", "N", "Ht", "Hn")
 
@@ -276,9 +266,9 @@ def _block_rows(grid: Grid) -> int:
 
 def _row_blocks(grid: Grid) -> list[slice]:
     """Slices of the first axis, _block_rows rows each (the last one may be
-    shorter), over which the normal-axis work of the Leray split and of
-    _half_incidence runs.  That work never mixes rows of the first axis,
-    whether they hold samples or tangential frequencies."""
+    shorter), over which the normal-axis work of the Leray split and of its
+    checks (_incidence_norm_from_rows) runs.  That work never mixes rows of
+    the first axis, whether they hold samples or tangential frequencies."""
     rows = _block_rows(grid)
     return [slice(r, r + rows) for r in range(0, grid.points, rows)]
 
@@ -336,17 +326,8 @@ def random_half_field(grid: Grid, flavor: str, masks, seed: int = 0,
 
 
 # ---------------------------------------------------------------------------
-# derivatives and the commutation route
+# derivatives through the extension
 # ---------------------------------------------------------------------------
-
-def _axis_derivative(arr: np.ndarray, symbol: np.ndarray, axis: int,
-                     out: np.ndarray | None = None) -> np.ndarray:
-    """The multiplier ``symbol`` (a function of xi_axis alone) along one
-    axis, written into ``out`` (which may be ``arr``) when given."""
-    spectrum = np.fft.fftn(arr, axes=(axis,), out=out)
-    spectrum *= symbol
-    return np.fft.ifftn(spectrum, axes=(axis,), out=spectrum)
-
 
 def _normal_derivative(rows: np.ndarray, parity: int, symbol: np.ndarray,
                        target_parity: int, dst: np.ndarray,
@@ -355,71 +336,32 @@ def _normal_derivative(rows: np.ndarray, parity: int, symbol: np.ndarray,
     one block of stored rows (_row_blocks), restricted with
     ``target_parity`` into ``dst``.  The extension is written into the
     leading rows of the block buffer ``out`` (_block_buffer) and transformed
-    there in place, so a caller reuses one buffer over all its blocks.  The
-    rows may hold samples or tangential spectra: the normal-axis work never
-    mixes first-axis rows."""
+    there in place, so a caller reuses one buffer over all its blocks."""
     ext = _extend_array(rows, parity, out.shape[-1], out=out[:len(rows)])
-    _restrict_array(_axis_derivative(ext, symbol, ext.ndim - 1, out=ext),
-                    target_parity, out=dst)
-    return dst
-
-
-def _half_incidence(u: HalfField, table, unit: complex) -> HalfField:
-    """restrict(X(extend(u)), flavor) for the first-order operator X whose
-    symbol sums sign * unit * xi~_axis over the entries (axis, target, sign)
-    of an incidence table, one one-axis derivative per entry.
-
-    A tangential derivative commutes with the reflection, so it acts on the
-    stored rows, with an odd component's end rows zeroed as extend zeroes
-    them.  A normal one acts on the component's extension, block by block in
-    one block buffer, restricted by the target's parity
-    (_normal_derivative).
-    """
-    grid = u.grid
-    normal = grid.n - 1
-    coef = [unit * xi for xi in grid.odd_freqs()]
-    ext = _block_buffer(grid, grid.points)
-    out: dict[int, np.ndarray] = {}
-    for mask, arr in u.comps.items():
-        parity = component_parity(u.flavor, mask, grid.n)
-        for axis, target, sign in table[mask]:
-            symbol = sign * coef[axis]
-            if axis == normal:
-                target_parity = component_parity(u.flavor, target, grid.n)
-                term = np.empty_like(arr)
-                for block in _row_blocks(grid):
-                    _normal_derivative(arr[block], parity, symbol,
-                                       target_parity, term[block], ext)
-            else:
-                rows = arr
-                if parity < 0:
-                    rows = arr.copy()
-                    rows[..., [0, -1]] = 0.0
-                term = _axis_derivative(rows, symbol, axis)
-            if target in out:
-                out[target] += term
-            else:
-                out[target] = term
-    return HalfField(grid, u.flavor, out)
+    normal = (ext.ndim - 1,)
+    np.fft.fftn(ext, axes=normal, out=ext)
+    ext *= symbol
+    return _restrict_array(np.fft.ifftn(ext, axes=normal, out=ext),
+                           target_parity, out=dst)
 
 
 def d_half(u: HalfField) -> HalfField:
-    """Exterior derivative through the extension, restrict(d(extend(u))),
-    by one-axis derivatives; the flavor is preserved."""
-    return _half_incidence(u, raising(u.grid.n), 1j)
+    """restrict(d(extend(u))), by d's symbol on the extension spectra."""
+    return restrict_spectra(_d_hat(extend_spectra(u)), u.flavor)
 
 
 def delta_half(u: HalfField) -> HalfField:
-    """Coderivative through the extension, restrict(delta(extend(u))), by
-    one-axis derivatives; the flavor is preserved."""
-    return _half_incidence(u, lowering(u.grid.n), -1j)
+    """restrict(delta(extend(u))), by delta's symbol on the extension
+    spectra."""
+    return restrict_spectra(_delta_hat(extend_spectra(u)), u.flavor)
 
 
 def _incidence_norm_from_rows(grid: Grid, flavor: str,
                               rows: dict[int, np.ndarray], table,
                               unit: complex) -> float:
-    """|_half_incidence(u, table, unit)| for the half-field u whose stored
-    rows have the tangential spectra ``rows``, with no tangential transform.
+    """|d_half(u)| for (raising, 1j), |delta_half(u)| for (lowering, -1j),
+    for the half-field u whose stored rows have the tangential spectra
+    ``rows``, with no tangential transform.
 
     Each target is formed one block of first-axis rows (_row_blocks) at a
     time, in a block-sized accumulator and work array, with one extension
@@ -427,8 +369,8 @@ def _incidence_norm_from_rows(grid: Grid, flavor: str,
     of a component is allocated.  A tangential derivative is the
     multiplication by sign * unit * xi~_axis, with the block's slice of
     xi~_0; it keeps the component's parity, and an odd target's end rows
-    weigh 0 in the trapezoid row sum, so the end rows _half_incidence zeroes
-    never enter the norm.  A normal one is _normal_derivative on the
+    weigh 0 in the trapezoid row sum, so the end rows extend zeroes never
+    enter the norm.  A normal one is _normal_derivative on the
     spectra, which re-extends the restricted rows.  Each block writes its
     lines' trapezoid row sums (_half_row_lines) into one array of lines, so
     a target's sum is _half_row_sum's, bit for bit; the norm is that sum at

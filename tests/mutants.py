@@ -26,8 +26,7 @@ from dataclasses import dataclass
 import pytest
 
 from hodgehalf.fields import Grid
-from hodgehalf.halfspace import d_half, delta_half
-from hodgehalf.operators import d, delta
+from hodgehalf.operators import delta
 
 
 @dataclass(frozen=True)
@@ -209,11 +208,14 @@ MUTANTS = (
            "end = 0.5 if parity > 0 else 0.0", "end = 0.5",
            (gate("test_halfspace::test_half_row_sum_matches_the_weighted_sum",
                  -1, 1.0),)),
-    Mutant("odd_ends_differentiated", "hodgehalf.halfspace:_half_incidence",
-           "rows[..., [0, -1]] = 0.0", "pass",
-           sum((stored_rows("test_half_derivatives_match_the_extension_route",
-                            ("D", "Ht", "Hn"), op, whole)
-                for op, whole in ((d_half, d), (delta_half, delta))), ())),
+    # an odd component's end rows kept in its extension, so every operator
+    # through the extension differentiates them; the stored-row sums, which
+    # never extend, no longer match the extension's
+    Mutant("odd_ends_differentiated", "hodgehalf.halfspace:_extend_array",
+           "out[..., [0, half]] = 0.0",
+           "out[..., [0, half]] = arr[..., [half, 0]]",
+           stored_rows("test_half_row_quadrature_matches_extension",
+                       ("D", "Ht", "Hn"))),
     # -- sign tables and trace rules ------------------------------------------
     Mutant("flipped_table_sign", "hodgehalf.algebra:insert_sign",
            "return -1 if below & 1 else 1",

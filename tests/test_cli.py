@@ -189,6 +189,26 @@ def test_decompose_bad_container_is_config_error(tmp_path, capsys):
     assert f"{field_path}: payload has" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("edit, message", [
+    (lambda meta: [1, 2], "sidecar is not a JSON object"),
+    (lambda meta: {k: v for k, v in meta.items() if k != "flavor"},
+     "half-field sidecar names no flavor"),
+], ids=["not-object", "no-flavor"])
+def test_decompose_sidecar_without_a_field_is_config_error(tmp_path, capsys,
+                                                           edit, message):
+    # a sidecar that does not describe a field is refused with its file named,
+    # not a traceback (exit 1 would read as a tolerance failure)
+    cfg = _stored_half_field(tmp_path, Grid(2, 16, 8.0), seed=1)
+    field_path = str(tmp_path / "u.hhf")
+    with open(field_path + ".json") as fh:
+        meta = json.load(fh)
+    with open(field_path + ".json", "w") as fh:
+        json.dump(edit(meta), fh)
+    assert main(["decompose", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == (f"configuration error: {field_path}: "
+                                       f"{message}\n")
+
+
 def test_bench_tracer_wraps_and_restores(tmp_path):
     # the benchmark's --trace mode patches these names where they are bound
     from hodgehalf import cli, halfspace
@@ -562,6 +582,32 @@ def test_malformed_config_value_is_config_error(tmp_path, monkeypatch, capsys,
     code = main([command, "--config", cfg])
     assert code == 2
     assert "configuration error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, payload, key", [
+    ("solve", {"grid": {"n": True}}, "n"),
+    ("maxreg", {"grid": {"points": 16.9}}, "points"),
+    ("normtable", {"seed": 2.9}, "seed"),
+    ("solve", {"M": 4.7}, "M"),
+    ("solve", {"M": True}, "M"),
+    ("maxreg", {"M": "4"}, "M"),
+    ("normtable", {"corpus_size": 2.5}, "corpus_size"),
+    ("maxreg", {"bank": [0, "2"]}, "bank"),
+    ("normtable", {"bank": [0.5, 2]}, "bank"),
+    ("verify", {"suites": "algebra"}, "suites"),
+], ids=["grid.n-bool", "grid.points-fraction", "seed-fraction", "M-fraction",
+        "M-bool", "M-string", "corpus_size-fraction", "bank-string",
+        "bank-fraction", "suites-string"])
+def test_integer_config_key_takes_only_integers(tmp_path, capsys, command,
+                                                payload, key):
+    # refused, not truncated or coerced: "M": 4.7 would run 4 steps, "M":
+    # true 1 step, and "suites": "algebra" names the suites a, l, g, ...
+    cfg = write_config(tmp_path, payload)
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"configuration error: config key {key!r} is malformed: ")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command, payload, key", [

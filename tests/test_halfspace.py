@@ -398,17 +398,33 @@ def test_hodge_heat_refuses_negative_time(grid2):
 @pytest.mark.parametrize("n, points", [(2, 32), (3, 16)])
 def test_functions_of_the_laplacian_make_no_full_transform(fft_counts, n,
                                                            points):
-    # the resolvent, the heat semigroup and make_a_regular run between
-    # extend_spectra and restrict_spectra: no transform covers all n axes
+    # the resolvent, the heat semigroup, make_a_regular, d_half, delta_half
+    # and the Stokes operator run between extend_spectra and restrict_spectra:
+    # no transform covers all n axes
     grid = Grid(n, points, 8.0)
     f = random_half_field(grid, "Ht", [1 << a for a in range(n)], seed=22,
                           kind="annulus_band", radii=(1.0, 2.5))
+    pf, _ = leray_halfspace(f)
     fft_counts.clear()
     hodge_resolvent(1.0, f)
     hodge_heat(0.5, f)
     make_a_regular(f)
+    d_half(f)
+    delta_half(f)
+    hodge_stokes_apply(pf)
     assert fft_counts[n] == 0
     assert fft_counts[1] > 0
+    # exactly: one extend_spectra per input component, one restrict_spectra
+    # per output target, and no per-term pass
+    tangential, normal = tuple(range(n - 1)), (n - 1,)
+    for op in (d_half, delta_half):
+        fft_counts.clear()
+        out = op(f)
+        want = ([(tangential, half_shape(grid)), (normal, grid.shape)]
+                * len(f.comps)
+                + [(normal, grid.shape), (tangential, half_shape(grid))]
+                * len(out.comps))
+        assert sorted(fft_counts.calls) == sorted(want), op.__name__
 
 
 # ---------------------------------------------------------------------------
@@ -784,6 +800,11 @@ BLOCKED_GRID = Grid(3, 48, 8.0)
 @pytest.mark.parametrize("op, whole", [(d_half, d), (delta_half, delta)],
                          ids=["d", "delta"])
 def test_half_derivatives_match_the_extension_route(grid, flavor, op, whole):
+    # the same symbol on both sides: this checks the half-row transport
+    # (extend_spectra, restrict_spectra) against forward_fft(extend(.)) and
+    # restrict(inverse_fft(.)); the symbols themselves are checked without
+    # the extension (test_operators' test_single_mode_matches_algebra_symbol
+    # and criterion 02's d_vs_fd8)
     u = raw_half_field(grid, flavor, seed=7)
     for k in range(grid.n + 1):
         uk = HalfField(grid, flavor, {m: a for m, a in u.comps.items()
@@ -880,9 +901,10 @@ def test_leray_split_refuses_the_other_flavors(flavor):
     pytest.param(Grid(3, 64, 8.0), id="n3-64")], ids=lambda g: f"n{g.n}")
 @pytest.mark.parametrize("flavor", FLAVORS)
 def test_incidence_norms_from_tangential_spectra(grid, flavor):
-    # |delta_half| and |d_half| read from the stored rows' tangential spectra,
-    # on every degree of white noise whose odd components carry nonzero end
-    # rows; 64^3 runs its normal derivatives in eight blocks
+    # |delta_half| and |d_half| read from the stored rows' tangential spectra
+    # against the plain route (the symbols between extend_spectra and
+    # restrict_spectra), on every degree of white noise whose odd components
+    # carry nonzero end rows; 64^3 runs its normal derivatives in eight blocks
     u = raw_half_field(grid, flavor, seed=11)
     tangential = tuple(range(grid.n - 1))
     for k in range(grid.n + 1):
@@ -902,6 +924,7 @@ def test_incidence_norms_from_tangential_spectra(grid, flavor):
 @pytest.mark.parametrize("grid", [Grid(2, 64, 8.0), Grid(3, 64, 8.0),
                                   BLOCKED_GRID], ids=["n2", "n3-64", "n3-48"])
 def test_checked_split_is_the_split_with_its_checks(grid):
+    # the blocked checks against the plain route's delta_half and d_half
     u = white_noise(grid, "Ht", seed=12)
     pu, gu = leray_halfspace(u)
     p2, g2, p_divergence, g_curl = leray_halfspace_checked(u)
@@ -1034,7 +1057,8 @@ def test_node_reader_matches_the_field_oracles(grid, flavor):
 def test_node_reader_divergence_is_delta_half_in_the_symmetry_class(grid,
                                                                     flavor):
     # spectra of an extension: then restricting delta of the torus field is
-    # delta_half of the half-field (odd end rows, which extend drops, included)
+    # delta_half of the half-field (odd end rows, which extend drops,
+    # included), here by the plain route, which runs no NodeReader code
     u = raw_half_field(grid, flavor, seed=8)
     for k in range(1, grid.n + 1):
         uk = HalfField(grid, flavor, {m: a for m, a in u.comps.items()
