@@ -16,49 +16,167 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
 
 from .evolution import (SYSTEMS, SpaceParams, TimeGrid, max_reg_sweep, refusal,
                         solve_hodge_heat, solve_hodge_stokes,
                         solve_navier_slip, steady_sweep_spectra)
 from .fields import Grid, SpectralField, load_field, random_form, save_field
-from .halfspace import (HalfField, NodeReader, leray_halfspace_checked,
-                        random_half_field, remove_extended_mean,
+from .halfspace import (FLAVORS, HalfField, NodeReader, random_half_field,
+                        leray_halfspace_checked, remove_extended_mean,
                         restrict_spectra, split_residual, tangential_trace)
-from .littlewood_paley import FilterBank, build_bank, default_bank, space_norm
+from .littlewood_paley import build_bank, default_bank, space_norm
 from .verify import SUITES, run_suite
 
 EXIT_OK = 0
 EXIT_TOL = 1
 EXIT_CONFIG = 2
 
-# the top-level config keys each command reads, "out" aside; a command that
-# reads "grid" reads the keys GRID_KEYS of it
-CONFIG_KEYS = {
-    "verify": {"suites", "seed", "tol_scale"},
-    "decompose": {"field", "tol_scale"},
-    "solve": {"grid", "seed", "system", "T", "M", "flavor", "forcing",
-              "save_snapshots", "radii"},
-    "maxreg": {"grid", "seed", "tol_scale", "system", "spq", "T", "M", "bank",
-               "radii"},
-    "normtable": {"grid", "seed", "bank", "norms", "corpus_size", "radii"},
+
+class ConfigError(Exception):
+    pass
+
+
+class RunError(Exception):
+    """A run that could not complete on a valid configuration."""
+
+
+# ---------------------------------------------------------------------------
+# configuration: one table per command, every key read once, before any work
+# ---------------------------------------------------------------------------
+# A reader takes a key's JSON value and returns what the command reads, or
+# raises TypeError saying why the value is malformed (ConfigError where it
+# words the whole message).
+
+def _int(value) -> int:
+    """An integer; int() would take a bool, a string or a fraction."""
+    if type(value) is int or type(value) is float and value.is_integer():
+        return int(value)
+    raise TypeError(f"{value!r} is not an integer")
+
+
+def _count(value) -> int:
+    if _int(value) < 1:
+        raise TypeError(f"{value!r} is not a positive integer")
+    return int(value)
+
+
+def _num(value) -> float:
+    """An int or a float, never a bool or a string.  A non-finite number is
+    read as it is: the value it builds (Grid, TimeGrid, SpaceParams) refuses
+    it where it has no meaning."""
+    if type(value) in (int, float):
+        return float(value)
+    raise TypeError(f"{value!r} is not a number")
+
+
+def _exact(kind: type, noun: str):
+    """Reader of a value of type ``kind`` exactly: a bool is no int."""
+    def read(value):
+        if type(value) is not kind:
+            raise TypeError(f"{value!r} is not {noun}")
+        return value
+    return read
+
+
+_bool = _exact(bool, "true or false")
+_str = _exact(str, "a string")
+
+
+def _one_of(noun: str, names):
+    """Reader of one of ``names``; any other value is an unknown ``noun``."""
+    def read(value):
+        if value not in names:
+            raise ConfigError(f"unknown {noun} {value!r}; choose from "
+                              f"{', '.join(names)}")
+        return value
+    return read
+
+
+def _list(item, noun: str, size: int = 0):
+    """Reader of a list whose entries ``item`` reads: ``size`` of them, with
+    ``noun`` naming the list, or where size is 0 any number but none, with
+    ``noun`` naming one entry."""
+    def read(value):
+        if not isinstance(value, list) or size and len(value) != size:
+            raise TypeError(f"{value!r} is not {noun if size else 'a list'}")
+        if not value:
+            raise TypeError(f"names no {noun}")
+        return tuple(item(entry) for entry in value)
+    return read
+
+
+def _parse(table: dict, value, path: str = "") -> dict:
+    """Every key of ``table``, which maps it to (reader, default), read from
+    the JSON object ``value``: an absent key takes its default, and a
+    default of ``...`` makes it required.  A key the table does not list is
+    a KeyError naming it.  ``path`` prefixes a nested object's keys."""
+    if not isinstance(value, dict):
+        raise TypeError(f"{value!r} is not an object")
+    for key in sorted(value.keys() - table.keys()):
+        raise KeyError(path + key)
+    parsed = {}
+    for key, (reader, default) in table.items():
+        if key not in value and default is ...:
+            raise ConfigError(f"config key {path + key!r} is missing")
+        try:
+            parsed[key] = reader(value[key]) if key in value else default
+        except TypeError as exc:
+            raise ConfigError(f"config key {path + key!r} is malformed: "
+                              f"{exc}") from None
+    return parsed
+
+
+def _object(build, table: dict, path: str):
+    """Reader of a JSON object through ``table``, passed to ``build``."""
+    return lambda value: build(**_parse(table, value, path))
+
+
+def _spq(value) -> SpaceParams:
+    return SpaceParams(*_list(_num, "an (s, p, q) triple", 3)(value))
+
+
+_grid = _object(Grid, {"n": (_int, 2), "points": (_int, 128),
+                       "length": (_num, 16.0)}, "grid.")
+_norm = _object(SpaceParams, {  # one normtable entry
+    "kind": (_one_of("kind", ("besov", "sobolev")), "besov"),
+    "s": (_num, ...), "p": (_num, ...), "q": (_num, 2.0),
+    "homogeneous": (_bool, True)}, "norms.")
+_GRID = (_grid, _grid({}))
+_SYSTEM = (_one_of("system", SYSTEMS), "hodge_stokes")
+_BANK = (_list(_int, "a pair of integers", 2), None)  # None: default_bank
+_RADII = _list(_num, "a pair of numbers", 2)
+
+# each command's keys, "out" included
+TABLES = {
+    "verify": {"suites": (_list(_one_of("suite", SUITES), "suite"), SUITES),
+               "seed": (_int, 0), "tol_scale": (_num, 1.0)},
+    "decompose": {"field": (_str, ...), "tol_scale": (_num, 1.0)},
+    "solve": {"grid": _GRID, "seed": (_int, 0), "system": _SYSTEM,
+              "T": (_num, 1.0), "M": (_int, 64),
+              "flavor": (_one_of("flavor", FLAVORS), "Ht"),
+              "forcing": (_one_of("forcing", ("random", "none")), "random"),
+              "save_snapshots": (_bool, False), "radii": (_RADII, (1.0, 2.5))},
+    "maxreg": {"grid": _GRID, "seed": (_int, 0), "tol_scale": (_num, 1.0),
+               "system": _SYSTEM,
+               "spq": (_list(_spq, "(s, p, q)"), (SpaceParams(0.0, 2.0),)),
+               "T": (_list(_num, "final time"), (1.0, 10.0, 100.0)),
+               "M": (_int, 256), "bank": _BANK, "radii": (_RADII, (1.0, 1.3))},
+    "normtable": {"grid": _GRID, "seed": (_int, 0), "bank": _BANK,
+                  "norms": (_list(_norm, "norm"), (SpaceParams(0.0, 2.0),)),
+                  "corpus_size": (_count, 3), "radii": (_RADII, (1.0, 2.5))},
 }
-GRID_KEYS = {"n", "points", "length"}
+for _table in TABLES.values():
+    _table["out"] = (_str, ".")
 
 
-@dataclass
-class RunConfig:
-    """Parsed run configuration shared by all commands."""
+class RunConfig(dict):
+    """Every key of a command's table: the value a flag or the config gives,
+    else the table's default."""
 
-    command: str
-    grid_n: int = 2
-    grid_points: int = 128
-    grid_length: float = 16.0
-    suites: list = field(default_factory=lambda: list(SUITES))
-    seed: int = 0
-    tol_scale: float = 1.0
-    out_dir: str = "."
-    options: dict = field(default_factory=dict)
+    def output(self, name: str) -> str:
+        """The path of output ``name`` in the out directory, made if absent."""
+        os.makedirs(self["out"], exist_ok=True)
+        return os.path.join(self["out"], name)
 
     @classmethod
     def from_args(cls, command: str, args) -> "RunConfig":
@@ -71,102 +189,30 @@ class RunConfig:
                 raise ConfigError(f"cannot read config {args.config}: {exc}")
         if not isinstance(options, dict):
             raise ConfigError(f"config {args.config} is not a JSON object")
-        grid = _read(options, "grid", {}, dict)
-        unread = sorted(options.keys() - CONFIG_KEYS[command] - {"out"})
-        if "grid" in CONFIG_KEYS[command]:
-            unread += [f"grid.{key}" for key in sorted(grid.keys() - GRID_KEYS)]
-        if unread:
-            raise ConfigError(f"config key {unread[0]!r} is not read by "
-                              f"{command}")
-        cfg = cls(command=command,
-                  grid_n=_read(grid, "n", 2, _integer),
-                  grid_points=_read(grid, "points", 128, _integer),
-                  grid_length=_read(grid, "length", 16.0, float),
-                  seed=args.seed if args.seed is not None
-                  else _read(options, "seed", 0, _integer),
-                  tol_scale=args.tol_scale * _read(options, "tol_scale", 1.0, float),
-                  out_dir=args.out or _read(options, "out", ".", os.fspath),
-                  options=options)
-        if args.suite:
-            cfg.suites = [args.suite]
-        elif "suites" in options:
-            cfg.suites = _read(options, "suites", None, _strings)
-        if cfg.tol_scale <= 0:
-            raise ConfigError("tolerance scale must be positive")
+        # a flag sets its key, read as the key is; --tol-scale multiplies it
+        flags = {"seed": args.seed, "out": args.out or None,
+                 "suites": [args.suite] if args.suite else None}
+        options.update((k, v) for k, v in flags.items() if v is not None)
+        try:
+            cfg = cls(_parse(TABLES[command], options))
+        except KeyError as exc:
+            raise ConfigError(f"config key {exc.args[0]!r} is not read by "
+                              f"{command}") from None
+        if "tol_scale" in cfg:
+            cfg["tol_scale"] *= args.tol_scale
+            if not 0 < cfg["tol_scale"] < math.inf:
+                raise ConfigError(f"tolerance scale (--tol-scale times config "
+                                  f"key 'tol_scale') must be finite and "
+                                  f"positive, got {cfg['tol_scale']}")
         return cfg
-
-    def grid(self) -> Grid:
-        return Grid(self.grid_n, self.grid_points, self.grid_length)
-
-    def radii(self, default: tuple) -> tuple:
-        """Annulus radii of the synthesized corpus, config key 'radii'."""
-        return _read(self.options, "radii", default, lambda r: tuple(_floats(r)))
-
-    def bank(self, grid: Grid) -> FilterBank:
-        """Bank over the window [j_min, j_max] of config key 'bank', else the
-        widest window the grid supports."""
-        window = _read(self.options, "bank", None,
-                       lambda w: w and [_integer(j) for j in w])
-        if not window:
-            return default_bank(grid)
-        j_min, j_max = window
-        return build_bank(grid, j_min, j_max)
-
-
-def _read(options: dict, key: str, default, convert):
-    """``convert(options.get(key, default))``; a value of the wrong type is a
-    configuration error, not a traceback."""
-    try:
-        return convert(options.get(key, default))
-    except TypeError as exc:
-        raise ConfigError(f"config key {key!r} is malformed: {exc}") from None
-
-
-def _integer(value) -> int:
-    """An integer config value; int() would take a bool, string or fraction."""
-    if type(value) is int or type(value) is float and value.is_integer():
-        return int(value)
-    raise TypeError(f"{value!r} is not an integer")
-
-
-def _strings(values) -> list[str]:
-    if isinstance(values, list) and all(isinstance(v, str) for v in values):
-        return values
-    raise TypeError(f"{values!r} is not a list of strings")
-
-
-def _floats(values) -> list[float]:
-    return [float(x) for x in values]
-
-
-def _norm_params(entry: dict) -> SpaceParams:
-    """One normtable entry: s and p required, q = 2 and homogeneous Besov
-    by default."""
-    return SpaceParams(float(entry["s"]), float(entry["p"]),
-                       float(entry.get("q", 2.0)),
-                       homogeneous=bool(entry.get("homogeneous", True)),
-                       kind=entry.get("kind", "besov"))
-
-
-class ConfigError(Exception):
-    pass
-
-
-class RunError(Exception):
-    """A run that could not complete on a valid configuration."""
 
 
 def _write_csv(path: str, rows: list[dict]) -> None:
-    if not rows:
-        with open(path, "w", newline="") as fh:
-            fh.write("")
-        return
-    keys = list(rows[0].keys())
     with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=keys)
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({k: _fmt(v) for k, v in row.items()})
+        if rows:
+            writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+            writer.writeheader()
+            writer.writerows({k: _fmt(v) for k, v in r.items()} for r in rows)
 
 
 def _fmt(value) -> str:
@@ -185,12 +231,8 @@ def run_verify(cfg: RunConfig) -> int:
     """Run the named suites; print one line per check and a summary."""
     failed = 0
     rows = []
-    for name in cfg.suites:
-        if name not in SUITES:
-            raise ConfigError(f"unknown suite {name!r}; choose from "
-                              f"{', '.join(SUITES)}")
-    outcomes = [run_suite(name, seed=cfg.seed, tol_scale=cfg.tol_scale)
-                for name in cfg.suites]
+    outcomes = [run_suite(name, seed=cfg["seed"], tol_scale=cfg["tol_scale"])
+                for name in cfg["suites"]]
     for outcome in outcomes:
         if outcome.guard:
             print(f"[{outcome.suite}] guard raised: {outcome.guard}")
@@ -203,8 +245,7 @@ def run_verify(cfg: RunConfig) -> int:
                          "residual": info["residual"], "tol": info["tol"],
                          "scale": info["scale"], "status": status})
         failed += outcome.failed
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    _write_csv(os.path.join(cfg.out_dir, "verify.csv"), rows)
+    _write_csv(cfg.output("verify.csv"), rows)
     print(f"verify: {sum(o.passed for o in outcomes)} passed, {failed} failed")
     return EXIT_OK if failed == 0 else EXIT_TOL
 
@@ -220,9 +261,7 @@ def run_decompose(cfg: RunConfig) -> int:
     parts' stored rows while they are still tangential spectra
     (leray_halfspace_checked).
     """
-    path = _read(cfg.options, "field", None, lambda p: p and os.fspath(p))
-    if not path:
-        raise ConfigError("decompose needs config key 'field' (container path)")
+    path = cfg["field"]
     if not os.path.exists(path):
         raise ConfigError(f"field container {path} does not exist")
     u = load_field(path)
@@ -232,9 +271,8 @@ def run_decompose(cfg: RunConfig) -> int:
     # projecting so the strict mean-free guard sees clean input
     u, removed_mean = remove_extended_mean(u)
     pu, gu, p_divergence, g_curl = leray_halfspace_checked(u)
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    save_field(os.path.join(cfg.out_dir, "p_part.hhf"), pu)
-    save_field(os.path.join(cfg.out_dir, "g_part.hhf"), gu)
+    save_field(cfg.output("p_part.hhf"), pu)
+    save_field(cfg.output("g_part.hhf"), gu)
     u_norm = u.l2_norm()
     norm = max(u_norm, 1e-300)
     report = {
@@ -249,45 +287,38 @@ def run_decompose(cfg: RunConfig) -> int:
         "orthogonality_defect": abs(pu.l2_inner(gu)) / norm ** 2,
         "p_tangential_trace": tangential_trace(pu).l2_norm() / norm,
     }
-    with open(os.path.join(cfg.out_dir, "decompose.json"), "w") as fh:
+    with open(cfg.output("decompose.json"), "w") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
     print(json.dumps(report, indent=2, sort_keys=True))
-    tol = 1e-8 * cfg.tol_scale
+    tol = 1e-8 * cfg["tol_scale"]
     bad = max(report["split_residual"], report["p_divergence"],
               report["g_curl"], report["orthogonality_defect"]) > tol
     return EXIT_TOL if bad else EXIT_OK
 
 
-def _corpus_field(cfg: RunConfig, grid: Grid, flavor: str = "Ht") -> HalfField:
-    masks = [1 << a for a in range(grid.n)]
-    return random_half_field(grid, flavor, masks, seed=cfg.seed,
-                             kind="annulus_band", radii=cfg.radii((1.0, 2.5)))
+def _corpus_field(cfg: RunConfig, flavor: str, seed: int) -> HalfField:
+    """A random half 1-form on the annulus of config key 'radii'."""
+    grid = cfg["grid"]
+    return random_half_field(grid, flavor, [1 << a for a in range(grid.n)],
+                             seed=seed, kind="annulus_band",
+                             radii=cfg["radii"])
 
 
 def run_solve(cfg: RunConfig) -> int:
     """Drive one evolution run and emit per-node diagnostics as CSV."""
-    opts = cfg.options
-    system = opts.get("system", "hodge_stokes")
-    grid = cfg.grid()
-    horizon = _read(opts, "T", 1.0, float)
-    steps = _read(opts, "M", 64, _integer)
-    flavor = opts.get("flavor", "Ht")
-    if system not in SYSTEMS:
-        raise ConfigError(f"unknown system {system!r}")
+    grid, system, flavor = cfg["grid"], cfg["system"], cfg["flavor"]
+    horizon, steps = cfg["T"], cfg["M"]
     TimeGrid(horizon, steps)  # refuses T <= 0 and M < 1 before any work
     if system != "hodge_heat" and flavor != "Ht":
         raise ConfigError("Stokes-type systems use the tangential flavor")
-    u0 = _corpus_field(cfg, grid, flavor=flavor)
-    forcing = None
-    if opts.get("forcing", "random") != "none":
-        forcing = random_half_field(grid, flavor, u0.masks(), seed=cfg.seed + 1,
-                                    kind="annulus_band",
-                                    radii=cfg.radii((1.0, 2.5)))
+    u0 = _corpus_field(cfg, flavor, cfg["seed"])
+    forcing = (_corpus_field(cfg, flavor, cfg["seed"] + 1)
+               if cfg["forcing"] == "random" else None)
     # every node column is read from the stepper's extension spectra by one
     # reader whose work arrays serve all nodes; no node field is built
     # except the snapshots asked for
     reader = NodeReader(grid, flavor, u0.masks())
-    stride = max(1, steps // 4) if opts.get("save_snapshots") else None
+    stride = max(1, steps // 4) if cfg["save_snapshots"] else None
     rows, snapshots = [], []
 
     def observer(m, t, state):
@@ -315,26 +346,12 @@ def run_solve(cfg: RunConfig) -> int:
             if id(gp) not in grad_p_l2:
                 grad_p_l2[id(gp)] = gp.l2_norm()
             row["grad_p_l2"] = grad_p_l2[id(gp)]
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    _write_csv(os.path.join(cfg.out_dir, "solve.csv"), rows)
+    path = cfg.output("solve.csv")
+    _write_csv(path, rows)
     for m, t, um in snapshots:
-        save_field(os.path.join(cfg.out_dir, f"snapshot_{m:05d}.hhf"), um,
-                   metadata={"t": t})
-    print(f"solve: {system}, T={horizon}, M={steps}, wrote "
-          f"{os.path.join(cfg.out_dir, 'solve.csv')}")
+        save_field(cfg.output(f"snapshot_{m:05d}.hhf"), um, metadata={"t": t})
+    print(f"solve: {system}, T={horizon}, M={steps}, wrote {path}")
     return EXIT_OK
-
-
-def _parameter_sets(entries) -> list[SpaceParams]:
-    """The (s, p, q) entries of config key 'spq', each a SpaceParams."""
-    sets = []
-    for entry in entries:
-        values = _floats(entry)
-        if len(values) != 3:
-            raise ConfigError(f"config key 'spq' entry {entry!r} is not an "
-                              f"(s, p, q) triple")
-        sets.append(SpaceParams(*values))
-    return sets
 
 
 def run_maxreg(cfg: RunConfig) -> int:
@@ -348,21 +365,12 @@ def run_maxreg(cfg: RunConfig) -> int:
     (s, p, q) on those spectra: one set of Gram sums serves the p = 2 sets
     and one stepped pass per horizon all the others.
     """
-    opts = cfg.options
-    grid = cfg.grid()
-    spq = _read(opts, "spq", [[0.0, 2.0, 2.0]], _parameter_sets)
-    horizons = _read(opts, "T", [1.0, 10.0, 100.0], _floats)
-    steps = _read(opts, "M", 256, _integer)
-    system = opts.get("system", "hodge_stokes")
-    if system not in SYSTEMS:
-        raise ConfigError(f"unknown system {system!r}")
-    if not spq:
-        raise ConfigError("config key 'spq' names no (s, p, q)")
-    if not horizons:
-        raise ConfigError("config key 'T' names no final time")
+    grid, system, spq = cfg["grid"], cfg["system"], cfg["spq"]
+    horizons, steps = cfg["T"], cfg["M"]
     for horizon in horizons:
         TimeGrid(horizon, steps)  # refuses T <= 0, T not finite and M < 1
-    bank = cfg.bank(grid)
+    bank = (build_bank(grid, *cfg["bank"]) if cfg["bank"]
+            else default_bank(grid))
 
     rows = []
     accepted = []
@@ -377,10 +385,7 @@ def run_maxreg(cfg: RunConfig) -> int:
             accepted.append(params)
     done = []
     if accepted:
-        forcing = random_half_field(grid, "Ht", [1 << a for a in range(grid.n)],
-                                    seed=cfg.seed + 1,
-                                    kind="annulus_band",
-                                    radii=cfg.radii((1.0, 1.3)))
+        forcing = _corpus_field(cfg, "Ht", cfg["seed"] + 1)
         done = [dict(report.row(), status="ok", reason="")
                 for report in max_reg_sweep(
                     system, *steady_sweep_spectra(system, forcing), horizons,
@@ -398,38 +403,32 @@ def run_maxreg(cfg: RunConfig) -> int:
                                 "ratio_min": min(ratios),
                                 "ratio_max": max(ratios),
                                 "spread": max(ratios) / max(min(ratios), 1e-300)})
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    _write_csv(os.path.join(cfg.out_dir, "maxreg.csv"), rows)
+    path = cfg.output("maxreg.csv")
+    _write_csv(path, rows)
     if spread_rows:
-        _write_csv(os.path.join(cfg.out_dir, "maxreg_spread.csv"), spread_rows)
-    print(f"maxreg: {len(rows)} rows -> {os.path.join(cfg.out_dir, 'maxreg.csv')}")
-    drift = any(r["spread"] > 1.1 * cfg.tol_scale for r in spread_rows)
+        _write_csv(cfg.output("maxreg_spread.csv"), spread_rows)
+    print(f"maxreg: {len(rows)} rows -> {path}")
+    drift = any(r["spread"] > 1.1 * cfg["tol_scale"] for r in spread_rows)
     return EXIT_TOL if drift else EXIT_OK
 
 
 def run_normtable(cfg: RunConfig) -> int:
     """Besov / Sobolev norm table of a randomized corpus, one CSV row per norm."""
-    opts = cfg.options
-    grid = cfg.grid()
-    bank = cfg.bank(grid)
-    norms = _read(opts, "norms", [
-        {"kind": "besov", "s": 0.0, "p": 2.0, "q": 2.0, "homogeneous": True}],
-        lambda entries: [_norm_params(e) for e in entries])
-    count = _read(opts, "corpus_size", 3, _integer)
-    radii = cfg.radii((1.0, 2.5))
+    grid = cfg["grid"]
+    bank = (build_bank(grid, *cfg["bank"]) if cfg["bank"]
+            else default_bank(grid))
     rows = []
-    for i in range(count):
-        u = random_form(grid, [0], seed=cfg.seed + i, kind="annulus_band",
-                        radii=radii)
-        for params in norms:
+    for i in range(cfg["corpus_size"]):
+        u = random_form(grid, [0], seed=cfg["seed"] + i, kind="annulus_band",
+                        radii=cfg["radii"])
+        for params in cfg["norms"]:
             rows.append({"field_id": i, "kind": params.kind, "s": params.s,
                          "p": params.p, "q": params.q,
                          "homogeneous": params.homogeneous,
                          "value": space_norm(params, u, bank)})
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    _write_csv(os.path.join(cfg.out_dir, "normtable.csv"), rows)
-    print(f"normtable: {len(rows)} rows -> "
-          f"{os.path.join(cfg.out_dir, 'normtable.csv')}")
+    path = cfg.output("normtable.csv")
+    _write_csv(path, rows)
+    print(f"normtable: {len(rows)} rows -> {path}")
     return EXIT_OK
 
 

@@ -36,6 +36,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import math
 import os
 import struct
 from dataclasses import dataclass
@@ -60,8 +61,9 @@ class Grid:
             raise ValueError("dimension must be in 1..4")
         if self.points < 4 or self.points % 2:
             raise ValueError("points per axis must be even and >= 4")
-        if self.length <= 0:
-            raise ValueError("half length must be positive")
+        if not 0 < self.length < math.inf:
+            raise ValueError(f"half length must be finite and positive, got "
+                             f"{self.length}")
 
     @property
     def spacing(self) -> float:
@@ -529,7 +531,10 @@ def load_field(path: str):
     from .halfspace import HalfField, half_shape
 
     with open(path + ".json") as fh:
-        meta = json.load(fh)
+        try:
+            meta = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: sidecar is not JSON: {exc}") from exc
     if not isinstance(meta, dict):
         raise ValueError(f"{path}: sidecar is not a JSON object")
     with open(path, "rb") as fh:

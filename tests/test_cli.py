@@ -7,6 +7,7 @@ import importlib.util
 import json
 import math
 import os
+import re
 from pathlib import Path
 
 import numpy as np
@@ -187,6 +188,12 @@ def test_decompose_bad_container_is_config_error(tmp_path, capsys):
     cfg = write_config(tmp_path, {"field": field_path})
     assert main(["decompose", "--config", cfg, "--out", str(tmp_path)]) == 2
     assert f"{field_path}: payload has" in capsys.readouterr().err
+    # a sidecar that is not JSON is refused with the container named too
+    with open(field_path + ".json", "w") as fh:
+        fh.write("{not json")
+    assert main(["decompose", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"configuration error: {field_path}: sidecar is not JSON: ")
 
 
 @pytest.mark.parametrize("edit, message", [
@@ -255,14 +262,12 @@ def test_solve_free_decay_matches_semigroup(tmp_path):
     assert norms[-1] < norms[0]
     assert all(float(r["divergence"]) < 1e-9 * max(norms[0], 1e-30) for r in rows)
     # spectral decay oracle: rebuild the same seeded datum and evolve exactly
-    from hodgehalf.cli import RunConfig, _corpus_field
     from hodgehalf.halfspace import extend, leray_halfspace
     from hodgehalf.operators import heat
 
-    grid = Grid(2, 64, 8.0)
-    cfg_obj = RunConfig(command="solve", grid_n=2, grid_points=64,
-                        grid_length=8.0, seed=3)
-    u0, _ = leray_halfspace(_corpus_field(cfg_obj, grid))
+    u0, _ = leray_halfspace(random_half_field(
+        Grid(2, 64, 8.0), "Ht", [1, 2], seed=3, kind="annulus_band",
+        radii=(1.0, 2.5)))
     U0 = extend(u0)
     for m, row in enumerate(rows):
         t = float(row["t"])
@@ -289,15 +294,12 @@ def _solve_payload(system, flavor, **extra):
 
 def _rebuilt_trajectory(system, flavor, seed):
     """The run of _solve_payload through the solver API, every node stored."""
-    from hodgehalf.cli import RunConfig, _corpus_field
     from hodgehalf.evolution import (solve_hodge_heat, solve_hodge_stokes,
                                      solve_navier_slip)
 
-    grid = Grid(2, 32, 8.0)
-    u0 = _corpus_field(RunConfig(command="solve", seed=seed), grid,
-                       flavor=flavor)
-    f = random_half_field(grid, flavor, u0.masks(), seed=seed + 1,
-                          kind="annulus_band", radii=(1.0, 2.5))
+    u0, f = (random_half_field(Grid(2, 32, 8.0), flavor, [1, 2], seed=s,
+                               kind="annulus_band", radii=(1.0, 2.5))
+             for s in (seed, seed + 1))
     if system == "hodge_heat":
         return solve_hodge_heat(f, u0, 1.0, 8)
     if system == "hodge_stokes":
@@ -585,8 +587,8 @@ def test_malformed_config_value_is_config_error(tmp_path, monkeypatch, capsys,
 
 
 @pytest.mark.parametrize("command, payload, key", [
-    ("solve", {"grid": {"n": True}}, "n"),
-    ("maxreg", {"grid": {"points": 16.9}}, "points"),
+    ("solve", {"grid": {"n": True}}, "grid.n"),
+    ("maxreg", {"grid": {"points": 16.9}}, "grid.points"),
     ("normtable", {"seed": 2.9}, "seed"),
     ("solve", {"M": 4.7}, "M"),
     ("solve", {"M": True}, "M"),
@@ -608,6 +610,114 @@ def test_integer_config_key_takes_only_integers(tmp_path, capsys, command,
     assert capsys.readouterr().err.startswith(
         f"configuration error: config key {key!r} is malformed: ")
     assert not out.exists()
+
+
+# small base configs, so that a value the readers let through runs quickly
+_BASE = {"verify": {}, "decompose": {},
+         "solve": {"grid": {"n": 2, "points": 16, "length": 8.0},
+                   "T": 0.1, "M": 2},
+         "maxreg": {"grid": {"n": 2, "points": 32, "length": 8.0},
+                    "spq": [[0.0, 2.0, 1.0]], "T": [1.0, 2.0], "M": 8},
+         "normtable": {"grid": {"n": 2, "points": 32, "length": 8.0},
+                       "corpus_size": 1}}
+
+
+@pytest.mark.parametrize("command, payload, message", [
+    ("solve", {"T": "0.1"}, "config key 'T' is malformed: '0.1' is not a "
+                            "number"),
+    ("solve", {"grid": {"n": 2, "points": 16, "length": "8"}},
+     "config key 'grid.length' is malformed: '8' is not a number"),
+    ("maxreg", {"tol_scale": "2"}, "config key 'tol_scale' is malformed: "),
+    ("maxreg", {"radii": ["1", "1.3"]}, "config key 'radii' is malformed: "),
+    ("maxreg", {"spq": [["0", "2", "1"]]}, "config key 'spq' is malformed: "),
+    ("solve", {"T": True}, "config key 'T' is malformed: True is not a "
+                           "number"),
+    ("solve", {"grid": {"n": 2, "points": 16, "length": True}},
+     "config key 'grid.length' is malformed: "),
+    ("solve", {"save_snapshots": "no"},
+     "config key 'save_snapshots' is malformed: 'no' is not true or false"),
+    ("solve", {"forcing": "zero"}, "unknown forcing 'zero'; choose from "
+                                   "random, none"),
+    ("normtable", {"norms": [{"s": 0.0, "p": 2.0, "homogeneous": "false"}]},
+     "config key 'norms.homogeneous' is malformed: "),
+    ("normtable", {"norms": [{"s": 0.0, "p": 2.0, "qq": 3}]},
+     "config key 'norms.qq' is not read by normtable"),
+    ("normtable", {"norms": [{"p": 2.0}]}, "config key 'norms.s' is missing"),
+    ("maxreg", {"bank": [0, 1, 2]}, "config key 'bank' is malformed: "
+                                    "[0, 1, 2] is not a pair of integers"),
+    ("solve", {"radii": [1.0]}, "config key 'radii' is malformed: [1.0] is "
+                                "not a pair of numbers"),
+    ("verify", {"suites": []}, "config key 'suites' is malformed: names no "
+                               "suite"),
+    ("normtable", {"norms": []}, "config key 'norms' is malformed: "),
+    ("normtable", {"corpus_size": 0}, "config key 'corpus_size' is "
+                                      "malformed: 0 is not a positive"),
+    ("maxreg", {"bank": []}, "config key 'bank' is malformed: "),
+], ids=["T-string", "length-string", "tol_scale-string", "radii-strings",
+        "spq-strings", "T-bool", "length-bool", "save_snapshots-string",
+        "forcing-unknown", "homogeneous-string", "norms-unread-key",
+        "norms-no-s", "bank-triple", "radii-single", "suites-empty",
+        "norms-empty", "corpus_size-zero", "bank-empty"])
+def test_config_value_read_wrongly_is_refused(tmp_path, capsys, command,
+                                              payload, message):
+    # each was read as something else: a string or a bool as a number, "no"
+    # as true, any forcing but "none" as random; or named no key, or ran
+    # nothing and exited 0
+    cfg = write_config(tmp_path, dict(_BASE[command], **payload))
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"configuration error: "
+                                              f"{message}")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, flags, options", [
+    ("decompose", ["--tol-scale", "nan"], {}),
+    ("decompose", [], {"tol_scale": math.nan}),
+    ("decompose", ["--tol-scale", "2"], {"tol_scale": math.inf}),
+    ("maxreg", ["--tol-scale", "nan"], {}),
+    ("maxreg", [], {"tol_scale": math.nan}),
+    ("verify", ["--suite", "algebra", "--tol-scale", "nan"], {}),
+], ids=["decompose-flag", "decompose-key", "decompose-inf", "maxreg-flag",
+        "maxreg-key", "verify-flag"])
+def test_tolerance_scale_not_finite_is_refused(tmp_path, capsys, command,
+                                               flags, options):
+    # "x > 1e-8 * nan" is False, so a NaN scale would pass every check
+    if command == "decompose":
+        cfg = _stored_half_field(tmp_path, Grid(2, 32, 8.0), seed=1)
+        options = dict(json.loads(Path(cfg).read_text()), **options)
+    cfg = write_config(tmp_path, dict(_BASE[command], **options))
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out), *flags]) == 2
+    assert capsys.readouterr().err.startswith(
+        "configuration error: tolerance scale (--tol-scale times config key "
+        "'tol_scale') must be finite and positive, got ")
+    assert not out.exists()
+
+
+def test_readme_key_table_is_each_command_table():
+    # README lists every command's keys with their defaults; a JSON default,
+    # read by the key's reader, is the table's default
+    from hodgehalf.cli import TABLES
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Command line\n")[1].split("\n## ")[0]
+    listed = {name: {} for name in TABLES}
+    for key, commands, default in re.findall(
+            r"^\| `(\w+)` \| ([a-z, ]+) \| .*? \| ([^|]+) \|$", section,
+            re.M):
+        for name in TABLES if commands == "all" else commands.split(", "):
+            assert key not in listed[name], (name, key)
+            listed[name][key] = default
+    assert {name: set(keys) for name, keys in listed.items()} == \
+        {name: set(table) for name, table in TABLES.items()}
+    for name, keys in listed.items():
+        for key, default in keys.items():
+            reader, want = TABLES[name][key]
+            if default.startswith("`"):
+                assert reader(json.loads(default.strip("`"))) == want, key
+            else:  # "required", or no value
+                assert want is ... or want is None, key
 
 
 @pytest.mark.parametrize("command, payload, key", [
@@ -923,9 +1033,11 @@ def test_parser_is_built_once_and_reused(tmp_path, monkeypatch):
                             lambda cfg: seen.append(cfg) or 0)
     assert main(["normtable", "--seed", "4", "--out", str(tmp_path)]) == 0
     assert main(["verify", "--suite", "algebra", "--tol-scale", "2"]) == 0
-    assert [c.command for c in seen] == ["normtable", "verify"]
-    assert (seen[0].seed, seen[0].out_dir, seen[0].tol_scale) == \
-        (4, str(tmp_path), 1.0)
-    assert (seen[1].seed, seen[1].suites, seen[1].tol_scale) == \
-        (0, ["algebra"], 2.0)
+    # each run reads exactly its command's table
+    assert [set(c) for c in seen] == [set(cli.TABLES["normtable"]),
+                                      set(cli.TABLES["verify"])]
+    assert (seen[0]["seed"], seen[0]["out"]) == (4, str(tmp_path))
+    assert "tol_scale" not in seen[0]  # normtable reads no tolerance
+    assert (seen[1]["seed"], seen[1]["suites"], seen[1]["tol_scale"],
+            seen[1]["out"]) == (0, ("algebra",), 2.0, ".")
     assert cli._parser() is cli._parser()

@@ -29,6 +29,15 @@ def test_grid_validation():
         Grid(5, 64, 16.0)
 
 
+@pytest.mark.parametrize("length", [math.nan, math.inf])
+def test_grid_refuses_a_length_not_finite_and_positive(length):
+    # a NaN length has no order, so "length <= 0" would let it through, and
+    # an infinite one would fail later, deep in a draw or a bank
+    with pytest.raises(ValueError, match="half length must be finite and "
+                                         "positive"):
+        Grid(2, 16, length)
+
+
 def test_grid_lattice(grid2):
     x = grid2.axis_coords()
     assert x[0] == -16.0 and abs(x[-1] - (16.0 - grid2.spacing)) < 1e-14
