@@ -1,32 +1,13 @@
 """Spectral exterior calculus on the torus and the half-space.
 
-Subpackages by topic: ``algebra`` (exact exterior algebra), ``fields``
-(grids, FFT transport, test functions, serialization), ``operators``
-(Fourier-multiplier calculus and the whole-space Hodge decomposition),
-``littlewood_paley`` (dyadic filter banks and Besov / Sobolev norms),
-``halfspace`` (reflection extensions, traces, half-space Hodge machinery),
-``evolution`` (heat / Stokes / Navier-slip solvers and regularity reports),
-``cli`` (the command-line driver).
+Import from the submodules, by topic: ``algebra`` (exact exterior
+algebra), ``fields`` (grids, FFT transport, test inputs through
+``random_form``, serialization), ``operators`` (Fourier-multiplier calculus
+and the whole-space Hodge decomposition), ``littlewood_paley`` (dyadic
+filter banks and Besov / Sobolev norms), ``halfspace`` (reflection
+extensions, traces, half-space Hodge machinery), ``evolution`` (heat /
+Stokes / Navier-slip solvers and regularity reports), ``verify`` (the
+verification suites), ``cli`` (the command-line driver).
 """
-
-from .algebra import (AlgebraElement, hodge_star, inner, interior,
-                      multi_indices, wedge)
-from .fields import (FormField, Grid, SpectralField, TestFunctionSpec,
-                     forward_fft, inverse_fft, load_field, random_form,
-                     save_field, synthesize)
-from .operators import (SectorPoint, d, delta, frac_laplacian, heat,
-                        hodge_dirac, laplacian, leray_wholespace, resolvent,
-                        riesz, sector_sweep)
-from .littlewood_paley import (FilterBank, SpaceParams, besov_norm, build_bank,
-                               completeness_ok, default_bank, dyadic_block,
-                               sobolev_norm)
-from .halfspace import (BoundaryForm, HalfField, d_half, delta_half, extend,
-                        hodge_heat, hodge_resolvent, hodge_stokes_apply,
-                        leray_halfspace, navier_slip_residual, normal_trace,
-                        q_projector, random_half_field, restrict, symmetrize,
-                        tangential_trace)
-from .evolution import (MaxRegReport, TimeGrid, Trajectory, max_reg_report,
-                        solve_hodge_heat, solve_hodge_stokes,
-                        solve_navier_slip, streaming_max_reg)
 
 __version__ = "0.1.0"

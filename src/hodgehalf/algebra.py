@@ -35,18 +35,6 @@ def multi_indices(n: int, k: int) -> list[tuple[int, ...]]:
     return sorted(out)
 
 
-def mask_of(axes) -> int:
-    """Bitmask of a strictly increasing axis tuple."""
-    mask = 0
-    prev = -1
-    for a in axes:
-        if a <= prev:
-            raise ValueError("multi-index axes must be strictly increasing")
-        mask |= 1 << a
-        prev = a
-    return mask
-
-
 def axes_of(mask: int) -> tuple[int, ...]:
     """Strictly increasing axis tuple of a bitmask."""
     return tuple(a for a in range(mask.bit_length()) if mask >> a & 1)
@@ -131,12 +119,6 @@ class AlgebraElement:
         return out
 
     @classmethod
-    def scalar(cls, n: int, value: complex) -> "AlgebraElement":
-        out = cls.zero(n)
-        out.coeffs[0] = value
-        return out
-
-    @classmethod
     def one_form(cls, components) -> "AlgebraElement":
         comps = np.asarray(components, dtype=complex)
         out = cls.zero(comps.size)
@@ -146,17 +128,9 @@ class AlgebraElement:
 
     # -- structure ----------------------------------------------------------
 
-    def degrees(self) -> list[int]:
-        return sorted({degree(m) for m in range(1 << self.n)
-                       if self.coeffs[m] != 0})
-
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
         self._check(other)
         return AlgebraElement(self.n, self.coeffs + other.coeffs)
-
-    def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
-        self._check(other)
-        return AlgebraElement(self.n, self.coeffs - other.coeffs)
 
     def __mul__(self, c) -> "AlgebraElement":
         return AlgebraElement(self.n, self.coeffs * c)

@@ -60,6 +60,13 @@ def _count(value) -> int:
     return int(value)
 
 
+def _seed(value) -> int:
+    """A non-negative integer: the draws seed generators with it."""
+    if _int(value) < 0:
+        raise TypeError(f"{value!r} is not a non-negative integer")
+    return int(value)
+
+
 def _num(value) -> float:
     """An int or a float, never a bool or a string.  A non-finite number is
     read as it is: the value it builds (Grid, TimeGrid, SpaceParams) refuses
@@ -135,6 +142,15 @@ def _spq(value) -> SpaceParams:
     return SpaceParams(*_list(_num, "an (s, p, q) triple", 3)(value))
 
 
+def _radii(value) -> tuple:
+    """An annulus r0 <= |xi| <= r1 with 0 <= r0 < r1; the draw refuses an r1
+    past the grid's band."""
+    r0, r1 = _list(_num, "a pair of numbers", 2)(value)
+    if not 0 <= r0 < r1:
+        raise TypeError(f"{value!r} is not a pair 0 <= r0 < r1")
+    return r0, r1
+
+
 _grid = _object(Grid, {"n": (_int, 2), "points": (_int, 128),
                        "length": (_num, 16.0)}, "grid.")
 _norm = _object(SpaceParams, {  # one normtable entry
@@ -144,26 +160,25 @@ _norm = _object(SpaceParams, {  # one normtable entry
 _GRID = (_grid, _grid({}))
 _SYSTEM = (_one_of("system", SYSTEMS), "hodge_stokes")
 _BANK = (_list(_int, "a pair of integers", 2), None)  # None: default_bank
-_RADII = _list(_num, "a pair of numbers", 2)
 
 # each command's keys, "out" included
 TABLES = {
     "verify": {"suites": (_list(_one_of("suite", SUITES), "suite"), SUITES),
-               "seed": (_int, 0), "tol_scale": (_num, 1.0)},
+               "seed": (_seed, 0), "tol_scale": (_num, 1.0)},
     "decompose": {"field": (_str, ...), "tol_scale": (_num, 1.0)},
-    "solve": {"grid": _GRID, "seed": (_int, 0), "system": _SYSTEM,
+    "solve": {"grid": _GRID, "seed": (_seed, 0), "system": _SYSTEM,
               "T": (_num, 1.0), "M": (_int, 64),
               "flavor": (_one_of("flavor", FLAVORS), "Ht"),
               "forcing": (_one_of("forcing", ("random", "none")), "random"),
-              "save_snapshots": (_bool, False), "radii": (_RADII, (1.0, 2.5))},
-    "maxreg": {"grid": _GRID, "seed": (_int, 0), "tol_scale": (_num, 1.0),
+              "save_snapshots": (_bool, False), "radii": (_radii, (1.0, 2.5))},
+    "maxreg": {"grid": _GRID, "seed": (_seed, 0), "tol_scale": (_num, 1.0),
                "system": _SYSTEM,
                "spq": (_list(_spq, "(s, p, q)"), (SpaceParams(0.0, 2.0),)),
                "T": (_list(_num, "final time"), (1.0, 10.0, 100.0)),
-               "M": (_int, 256), "bank": _BANK, "radii": (_RADII, (1.0, 1.3))},
-    "normtable": {"grid": _GRID, "seed": (_int, 0), "bank": _BANK,
+               "M": (_int, 256), "bank": _BANK, "radii": (_radii, (1.0, 1.3))},
+    "normtable": {"grid": _GRID, "seed": (_seed, 0), "bank": _BANK,
                   "norms": (_list(_norm, "norm"), (SpaceParams(0.0, 2.0),)),
-                  "corpus_size": (_count, 3), "radii": (_RADII, (1.0, 2.5))},
+                  "corpus_size": (_count, 3), "radii": (_radii, (1.0, 2.5))},
 }
 for _table in TABLES.values():
     _table["out"] = (_str, ".")

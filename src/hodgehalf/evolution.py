@@ -117,11 +117,6 @@ class Trajectory:
     u: list
     f: list
 
-    @property
-    def u0(self) -> HalfField:
-        """The node-0 field, the datum as the solver steps it."""
-        return self.u[0]
-
 
 class _Stepper:
     """Shared spectral stepping core working on extended spectra.
@@ -305,7 +300,7 @@ def solve_hodge_stokes(f, u0: HalfField, horizon: float, steps: int,
     The datum and the forcing are split in spectra and stepped from there
     (_projected_datum, _split_forcing): once if the forcing is constant, once
     per evaluation of a callable.  ``observer`` acts as in solve_hodge_heat;
-    a Trajectory's u0 is the projected datum.
+    a Trajectory's u[0] is the projected datum.
     """
     return _solve(TimeGrid(horizon, steps), _projected_datum(u0, auto_project),
                   _split_forcing(f, keep_gradients=False), u0.flavor,
@@ -657,7 +652,7 @@ def max_reg_report(traj: Trajectory, params: SpaceParams, system: str,
     of the two sides is the reported quantity.
     """
     tg = traj.time_grid
-    interp = _report_space(params, traj.u0.grid.n)
+    interp = _report_space(params, traj.u[0].grid.n)
     # a constant forcing is stored as one object at every node: transform,
     # guard and measure it once
     forcings = {}
@@ -669,7 +664,7 @@ def max_reg_report(traj: Trajectory, params: SpaceParams, system: str,
             forcings[id(fm)] = fhat, _lq_aggregate(
                 params, block_norms(params, fhat.values(), bank, energy), bank)
 
-    neg_absq = -traj.u0.grid.freq_sq()
+    neg_absq = -traj.u[0].grid.freq_sq()
     norms, rhs = [], []
     for m, (um, fm) in enumerate(zip(traj.u, traj.f)):
         fhat, norm = (None, 0.0) if fm is None else forcings[id(fm)]

@@ -9,6 +9,11 @@ Conventions.  The forward FFT is unnormalized (numpy's), the inverse carries
 so multiplier formulas use the true |xi|.  The coefficient at xi = 0 is the
 grid sum, i.e. N^n times the mean.
 
+Test inputs.  random_form(grid, masks, seed=..., kind=...) is the one way to
+draw one: a Gaussian bump, a lattice mode or a random band, each component
+from its own generator seeded with seed * 1009 + i.  halfspace's
+random_half_field symmetrizes the same draw.
+
 Band draws (annulus_band, random_band) invert only the lattice lines that
 can hold a coefficient.  An annulus r0 <= |xi| <= r1 has none outside the
 per-axis slabs |xi_a| <= r1, two wrap-around runs of lines per axis; the
@@ -286,68 +291,35 @@ def inverse_fft(uh: SpectralField) -> FormField:
 
 
 # ---------------------------------------------------------------------------
-# test-function synthesis
+# test-function draws
 # ---------------------------------------------------------------------------
 
-@dataclass
-class TestFunctionSpec:
-    """Recipe for an analytic or randomized test input.
-
-    kinds:
-      gaussian_bump  exp(-|x - center|^2 / width^2); width is the 1/e radius,
-                     so samples beyond 6 widths sit below 1e-12 of the peak
-      single_mode    exp(i x . mode), mode on the frequency lattice
-      annulus_band   random spectrum supported in radii[0] <= |xi| <= radii[1]
-      random_band    random spectrum with Gaussian envelope exp(-|xi|^2 w^2/2)
-    """
-
-    __test__ = False  # not a pytest class, despite the name
-
-    kind: str
-    center: tuple = ()
-    width: float = 2.0
-    radii: tuple = (0.75, 4.0 / 3.0)
-    mode: tuple = ()
-    seed: int = 0
-    mean_free: bool = True
-    amplitude: complex = 1.0
-
-
-def synthesize(spec: TestFunctionSpec, grid: Grid, masks=(0,)) -> FormField:
-    """Realize a TestFunctionSpec as a FormField with the given components,
-    drawn in turn from one generator seeded with ``spec.seed``."""
-    rng = np.random.default_rng(spec.seed)
-    draw = _component_draw(spec, grid)
-    return FormField(grid, {mask: draw(rng, first=i == 0)
-                            for i, mask in enumerate(masks)})
-
-
-def _component_draw(spec: TestFunctionSpec, grid: Grid):
-    """The samples of one component of ``spec`` as a function of a generator
-    and of whether it is the first component drawn.  A band kind makes its
-    slabs and envelope here, once for every component drawn with it.  A
-    later bump or mode takes a phase from the generator, and a bump also a
-    centre offset of up to half a width per axis, so that no two components
-    of one draw are equal."""
-    if spec.kind == "gaussian_bump":
+def _component_draw(grid: Grid, kind: str, *, center=(), width: float = 2.0,
+                    radii=(0.75, 4.0 / 3.0), mode=(), mean_free: bool = True):
+    """The samples of one component of a ``kind`` draw (see random_form) as a
+    function of a generator and of whether it is the first component drawn.
+    A band kind makes its slabs and envelope here, once for every component
+    drawn with it.  A later bump or mode takes a phase from the generator,
+    and a bump also a centre offset of up to half a width per axis, so that
+    no two components of one draw are equal."""
+    if kind == "gaussian_bump":
         def bump(rng, first):
             if first:
-                return spec.amplitude * _gaussian(grid, spec.center, spec.width)
-            center = np.add(spec.center or (0.0,) * grid.n,
-                            spec.width * rng.uniform(-0.5, 0.5, grid.n))
-            return (spec.amplitude * _phase(rng)
-                    * _gaussian(grid, tuple(center), spec.width))
+                return _gaussian(grid, center, width)
+            shifted = np.add(center or (0.0,) * grid.n,
+                             width * rng.uniform(-0.5, 0.5, grid.n))
+            return _phase(rng) * _gaussian(grid, tuple(shifted), width)
         return bump
-    if spec.kind == "single_mode":
-        def mode(rng, first):
-            samples = spec.amplitude * _single_mode(grid, spec.mode)
+    if kind == "single_mode":
+        def single(rng, first):
+            samples = _single_mode(grid, mode)
             return samples if first else _phase(rng) * samples
-        return mode
-    if spec.kind == "annulus_band":
-        return _BandDraw(grid, spec.radii, None)
-    if spec.kind == "random_band":
-        return _BandDraw(grid, None, spec.width, spec.mean_free)
-    raise ValueError(f"unknown test-function kind {spec.kind!r}")
+        return single
+    if kind == "annulus_band":
+        return _BandDraw(grid, radii, None)
+    if kind == "random_band":
+        return _BandDraw(grid, None, width, mean_free)
+    raise ValueError(f"unknown test-function kind {kind!r}")
 
 
 def _phase(rng) -> complex:
@@ -411,6 +383,9 @@ class _BandDraw:
         xi = grid.freq_axis()
         if radii is not None:
             r0, r1 = map(float, radii)
+            if not 0 <= r0 < r1:
+                raise ValueError(f"annulus radii must satisfy 0 <= r0 < r1, "
+                                 f"got {r0}, {r1}")
             # the lattice's largest |xi|, read from the per-axis extremes: the
             # rounded sum of squares is monotone in every term
             top = 0.0
@@ -470,17 +445,29 @@ class _BandDraw:
 def _random_components(grid: Grid, masks, seed: int = 0,
                        kind: str = "random_band", **kwargs) -> dict:
     """The raw, unchecked component arrays of random_form, by mask."""
-    draw = _component_draw(TestFunctionSpec(kind=kind, **kwargs), grid)
+    draw = _component_draw(grid, kind, **kwargs)
     return {mask: draw(np.random.default_rng(seed * 1009 + i), first=i == 0)
             for i, mask in enumerate(sorted(masks))}
 
 
 def random_form(grid: Grid, masks, seed: int = 0, kind: str = "random_band",
                 **kwargs) -> FormField:
-    """Random smooth field with independent components, seeded per component
-    (seed * 1009 + i for the i-th mask in sorted order).  A band kind's slabs
-    and envelope are made once for all components; the components are
-    checked once, by the one FormField built from them."""
+    """Smooth test field with independent components, seeded per component
+    (seed * 1009 + i for the i-th mask in sorted order).  The keywords are
+    those of ``kind``:
+
+      gaussian_bump  exp(-|x - center|^2 / width^2); width is the 1/e radius,
+                     so samples beyond 6 widths sit below 1e-12 of the peak
+      single_mode    exp(i x . mode), mode on the frequency lattice
+      annulus_band   random spectrum supported in radii[0] <= |xi| <= radii[1],
+                     with 0 <= radii[0] < radii[1]
+      random_band    random spectrum with Gaussian envelope exp(-|xi|^2 w^2/2),
+                     w = width; mean_free=False keeps the xi = 0 coefficient
+
+    The first component of a bump or mode takes no number from its generator,
+    so a one-mask draw is the closed form itself.  A band kind's slabs and
+    envelope are made once for all components; the components are checked
+    once, by the one FormField built from them."""
     return FormField(grid, _random_components(grid, masks, seed, kind,
                                               **kwargs))
 

@@ -442,7 +442,7 @@ def momentum_residual_ratios(grid: Grid, seed: int = 0, steps0: int = 16,
     gap = (extend_spectra(grad_g) - extend_spectra(g)).comps
     half_absq = 0.5 * grid.freq_sq()
 
-    def amplitude(t):
+    def profile(t):
         return 1.0 + 0.5 * np.sin(2.0 * np.pi * t)
 
     residuals = []
@@ -452,14 +452,14 @@ def momentum_residual_ratios(grid: Grid, seed: int = 0, steps0: int = 16,
 
         def observer(m, t, state):
             if m:
-                c = amplitude(times[m - 1] + 0.5 * tg.dt)
+                c = profile(times[m - 1] + 0.5 * tg.dt)
                 worst.append(half_l2_norm_from_spectra(SpectralField(grid, {
                     k: (1.0 / tg.dt) * (a - previous[k])
                     + half_absq * (a + previous[k]) + c * gap[k]
                     for k, a in state.items()})))
             previous.update((k, a.copy()) for k, a in state.items())
 
-        solve_hodge_stokes(lambda t: amplitude(t) * g, u0, tg.horizon,
+        solve_hodge_stokes(lambda t: profile(t) * g, u0, tg.horizon,
                            tg.steps, observer=observer)
         residuals.append(max(worst))
     return [residuals[i] / residuals[i + 1] for i in range(doublings)]

@@ -653,21 +653,56 @@ _BASE = {"verify": {}, "decompose": {},
     ("normtable", {"corpus_size": 0}, "config key 'corpus_size' is "
                                       "malformed: 0 is not a positive"),
     ("maxreg", {"bank": []}, "config key 'bank' is malformed: "),
+    *[(command, {"radii": radii}, f"config key 'radii' is malformed: "
+                                  f"{radii} is not a pair 0 <= r0 < r1")
+      for command in ("solve", "maxreg", "normtable")
+      for radii in ([2.5, 1.0], [1.0, 1.0], [-0.5, 1.0])],
+    ("solve", {"seed": -1}, "config key 'seed' is malformed: -1 is not a "
+                            "non-negative integer"),
+    ("normtable", {"seed": -1}, "config key 'seed' is malformed: -1 is not a "
+                                "non-negative integer"),
 ], ids=["T-string", "length-string", "tol_scale-string", "radii-strings",
         "spq-strings", "T-bool", "length-bool", "save_snapshots-string",
         "forcing-unknown", "homogeneous-string", "norms-unread-key",
         "norms-no-s", "bank-triple", "radii-single", "suites-empty",
-        "norms-empty", "corpus_size-zero", "bank-empty"])
+        "norms-empty", "corpus_size-zero", "bank-empty",
+        *[f"{command}-radii-{case}"
+          for command in ("solve", "maxreg", "normtable")
+          for case in ("reversed", "equal", "negative")],
+        "solve-seed-negative", "normtable-seed-negative"])
 def test_config_value_read_wrongly_is_refused(tmp_path, capsys, command,
                                               payload, message):
     # each was read as something else: a string or a bool as a number, "no"
-    # as true, any forcing but "none" as random; or named no key, or ran
-    # nothing and exited 0
+    # as true, any forcing but "none" as random; or named no key (a negative
+    # seed, refused inside the draw), or ran nothing and exited 0 (radii
+    # whose annulus is empty drew an all-zero datum and forcing)
     cfg = write_config(tmp_path, dict(_BASE[command], **payload))
     out = tmp_path / "out"
     assert main([command, "--config", cfg, "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith(f"configuration error: "
                                               f"{message}")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["solve", "normtable"])
+def test_negative_seed_flag_is_refused_before_any_work(tmp_path, capsys,
+                                                       monkeypatch, command):
+    # --seed is read as the key is; the draw used to refuse it, unnamed,
+    # after normtable had built its bank and solve had checked its time grid
+    from hodgehalf import cli
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work began before the seed was read")
+
+    monkeypatch.setattr(cli, "default_bank", no_work)
+    monkeypatch.setattr(cli, "TimeGrid", no_work)
+    cfg = write_config(tmp_path, _BASE[command])
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out),
+                 "--seed", "-1"]) == 2
+    assert capsys.readouterr().err == ("configuration error: config key "
+                                       "'seed' is malformed: -1 is not a "
+                                       "non-negative integer\n")
     assert not out.exists()
 
 

@@ -11,7 +11,7 @@ from hodgehalf.evolution import (SpaceParams, TimeGrid, _Stepper,
                                  refusal, solve_hodge_heat, solve_hodge_stokes,
                                  solve_navier_slip, steady_sweep_spectra,
                                  streaming_max_reg, sweep_spectra)
-from hodgehalf.fields import Grid, SpectralField, synthesize, TestFunctionSpec
+from hodgehalf.fields import Grid, SpectralField, random_form
 from hodgehalf.halfspace import (HalfField, d_half, delta_half, extend,
                                  extend_spectra, leray_halfspace,
                                  leray_halfspace_hat, random_half_field,
@@ -69,7 +69,7 @@ def test_heat_decoupled_boundary_conditions(grid):
 def test_heat_single_mode_closed_form(grid):
     # constant forcing, zero start: u(t) = (1 - exp(-t |xi|^2)) f / |xi|^2
     xi0 = (np.pi / 8 * 2, np.pi / 8 * 3)
-    mode = synthesize(TestFunctionSpec("single_mode", mode=xi0), grid, (0,))
+    mode = random_form(grid, [0], kind="single_mode", mode=xi0)
     f = restrict(mode, "N")
     u0 = HalfField.zero(grid, "N", [0])
     horizon, steps = 1.0, 128
@@ -212,8 +212,8 @@ def test_projected_datum_guard_sits_at_1e_9(grid, eps, accepted):
         traj = solve(None, datum, 1.0, 4)
         want = leray_halfspace(datum)[0]
         for mask in want.masks():
-            assert np.array_equal(traj.u0.component(mask), want.component(mask))
-        assert (traj.u0 - (1.0 / pu.l2_norm()) * pu).l2_norm() <= 1e-14
+            assert np.array_equal(traj.u[0].component(mask), want.component(mask))
+        assert (traj.u[0] - (1.0 / pu.l2_norm()) * pu).l2_norm() <= 1e-14
 
 
 def test_stokes_rejects_nonsolenoidal_start(grid):
@@ -991,38 +991,49 @@ def test_closed_form_refuses_a_non_tangential_flavor(grid, system):
 # a transform-free reference at p != 2
 # ---------------------------------------------------------------------------
 
-# The Neumann half-space mode e^{i xi'.x'} cos(xi_n x_n) extends evenly to the
-# same expression on the torus, and every block of it, of its Hessian and of
-# its unforced heat flow's du/dt = -|xi|^2 u is its symbol at |xi| times the
-# field, whose modulus depends on x_n alone.  So the reports of a sweep are
-# e^{-t |xi|^2} times sums of known samples, with no transform
+# The Neumann half-space mode e^{i xi'.x'} cos(xi_n x_n) extends evenly, and
+# its Dirichlet twin e^{i xi'.x'} sin(xi_n x_n) oddly, to the same expression
+# on the torus.  Every block of either, of its Hessian and of its unforced
+# heat flow's du/dt = -|xi|^2 u is its symbol at |xi| times the field, whose
+# modulus depends on x_n alone.  So the reports of a sweep are e^{-t |xi|^2}
+# times sums of known samples, with no transform: at p = 3 against the
+# stepped blocks, at p = 2 against the closed form's shell sums.  Each report
+# number is held to HALF_MODE_TOL = 1e-13 relative, the round-off of the
+# block sums (a few hundred terms of O(1) relative error 1e-16 each).
 HALF_MODES = [(Grid(2, 64, 8.0), (3, 4)), (Grid(3, 16, 4.0), (1, 2, 2))]
 HALF_MODE_PARAMS = [SpaceParams(0.0, 3.0, 1.0),
-                    SpaceParams(-0.5, 3.0, 2.0, homogeneous=False)]
+                    SpaceParams(-0.5, 3.0, 2.0, homogeneous=False),
+                    SpaceParams(-0.25, 2.0, 2.0)]
 HALF_MODE_TOL = 1e-13
+# the normal profile of each flavor and, for the mixed Hessian entries
+# d_a d_n, of its derivative: cos and sin swap
+HALF_MODE_FLAVORS = {"N": (np.cos, np.sin), "D": (np.sin, np.cos)}
 
 
-def half_mode(grid, k):
+def half_mode(grid, k, flavor):
     xi = [math.pi / grid.length * kk for kk in k]
     phase = sum(a * x for a, x in zip(xi[:-1], grid.coords()[:-1]))
     rows = grid.spacing * np.arange(grid.points // 2 + 1)
-    return HalfField(grid, "N", {0: np.exp(1j * phase) * np.cos(xi[-1] * rows)})
+    profile = HALF_MODE_FLAVORS[flavor][0]
+    return HalfField(grid, flavor,
+                     {0: np.exp(1j * phase) * profile(xi[-1] * rows)})
 
 
-def half_mode_reference(grid, k, params, bank, horizon, steps):
-    """The report numbers of the unforced heat flow of half_mode(grid, k)."""
+def half_mode_reference(grid, k, flavor, params, bank, horizon, steps):
+    """The report numbers of the unforced heat flow of
+    half_mode(grid, k, flavor)."""
     from hodgehalf.littlewood_paley import radial_cutoff
 
     xi = [math.pi / grid.length * kk for kk in k]
     tangential, normal = sum(a * a for a in xi[:-1]), xi[-1] ** 2
     lam = tangential + normal
     x = grid.axis_coords()
-    cos, sin = np.abs(np.cos(xi[-1] * x)), np.abs(np.sin(xi[-1] * x))
+    profile, mixed = (np.abs(f(xi[-1] * x)) for f in HALF_MODE_FLAVORS[flavor])
     # |u|, |Hessian| (each off-diagonal entry counted twice) and |du/dt| along
-    # x_n; the mixed tangential-normal entries carry sin
-    mags = {"u": cos, "dt": lam * cos,
-            "hess": np.sqrt((tangential ** 2 + normal ** 2) * cos ** 2
-                            + 2.0 * tangential * normal * sin ** 2)}
+    # x_n; the mixed tangential-normal entries carry the other profile
+    mags = {"u": profile, "dt": lam * profile,
+            "hess": np.sqrt((tangential ** 2 + normal ** 2) * profile ** 2
+                            + 2.0 * tangential * normal * mixed ** 2)}
     cells = grid.cell_volume * grid.points ** (grid.n - 1)
     lp = {key: (cells * np.sum(m ** params.p)) ** (1.0 / params.p)
           for key, m in mags.items()}
@@ -1054,22 +1065,22 @@ def half_mode_reference(grid, k, params, bank, horizon, steps):
             "ratio": (interp.max() + lhs_lq) / interp[0]}
 
 
-def half_mode_misses():
+def half_mode_misses(flavor):
     """(grid, k, params, T, field, got, want) of every report number of
     max_reg_sweep off half_mode_reference by more than HALF_MODE_TOL
-    relative, on banks built at the call."""
+    relative, for the ``flavor`` mode, on banks built at the call."""
     missed = []
     horizons, steps = [0.25, 1.0], 4
     for grid_, k in HALF_MODES:
         bank = default_bank(grid_)
-        spectra = sweep_spectra("hodge_heat", None, half_mode(grid_, k))
+        spectra = sweep_spectra("hodge_heat", None, half_mode(grid_, k, flavor))
         for params in HALF_MODE_PARAMS:
             reports = max_reg_sweep("hodge_heat", *spectra, horizons, steps,
                                     [params], bank)
             for horizon, rep in zip(horizons, reports):
                 assert rep.rhs_forcing_norm == 0.0
-                want = half_mode_reference(grid_, k, params, bank, horizon,
-                                           steps)
+                want = half_mode_reference(grid_, k, flavor, params, bank,
+                                           horizon, steps)
                 missed += [(grid_, k, params, horizon, key, getattr(rep, key),
                             value) for key, value in want.items()
                            if not abs(getattr(rep, key) - value)
@@ -1078,12 +1089,15 @@ def half_mode_misses():
 
 
 def test_p3_sweep_of_a_half_space_mode():
-    assert half_mode_misses() == []
+    # and the p = 2 set, for the Neumann mode and its Dirichlet twin
+    for flavor in HALF_MODE_FLAVORS:
+        assert half_mode_misses(flavor) == [], flavor
 
 
 @pytest.mark.parametrize("row", ["hessian_sqrt2", "moved_block"])
 def test_half_space_mode_reference_catches_a_mutant(row):
     # the off-diagonal second derivatives counted once, not twice; psi_1
-    # built as psi_0, one octave down
+    # built as psi_0, one octave down; each seen on both flavors
     with mutants.applied(mutants.ROWS[row]):
-        assert half_mode_misses()
+        for flavor in HALF_MODE_FLAVORS:
+            assert half_mode_misses(flavor), flavor

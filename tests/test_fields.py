@@ -1,4 +1,4 @@
-"""Grid, FFT transport, test-function synthesis, norms, and serialization."""
+"""Grid, FFT transport, test-function draws, norms, and serialization."""
 
 import itertools
 import json
@@ -9,9 +9,8 @@ import struct
 import numpy as np
 import pytest
 
-from hodgehalf.fields import (FormField, Grid, TestFunctionSpec, forward_fft,
-                              inverse_fft, load_field, random_form, save_field,
-                              synthesize)
+from hodgehalf.fields import (FormField, Grid, forward_fft, inverse_fft,
+                              load_field, random_form, save_field)
 from hodgehalf.halfspace import BoundaryForm
 
 
@@ -66,7 +65,7 @@ def test_constant_spectrum(grid2):
 
 def test_single_mode_spectrum(grid2):
     xi0 = (np.pi / 16.0 * 3, np.pi / 16.0 * -5)
-    u = synthesize(TestFunctionSpec("single_mode", mode=xi0), grid2, (0,))
+    u = random_form(grid2, [0], kind="single_mode", mode=xi0)
     uh = forward_fft(u)
     mags = np.abs(uh.comps[0])
     assert (mags > 1e-6).sum() == 1
@@ -108,7 +107,7 @@ def test_translation_is_unimodular_phase(grid2):
 
 
 # ---------------------------------------------------------------------------
-# synthesis
+# test-function draws
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("kind, options", [
@@ -119,18 +118,16 @@ def test_no_two_components_of_a_draw_are_equal(kind, options):
     # a check that pairs two components sees a rule that swaps them only if
     # they differ; the first component is the one-mask draw
     grid, masks = Grid(3, 16, 8.0), list(range(1, 8))
-    spec = TestFunctionSpec(kind, seed=3, **options)
-    for draw in (lambda m: random_form(grid, m, seed=3, kind=kind, **options),
-                 lambda m: synthesize(spec, grid, m)):
-        u = draw(masks)
-        for a, b in itertools.combinations(masks, 2):
-            assert not np.allclose(u.comps[a], u.comps[b]), (a, b)
-        assert np.array_equal(u.comps[1], draw([1]).comps[1])
+    u = random_form(grid, masks, seed=3, kind=kind, **options)
+    for a, b in itertools.combinations(masks, 2):
+        assert not np.allclose(u.comps[a], u.comps[b]), (a, b)
+    one = random_form(grid, [1], seed=3, kind=kind, **options)
+    assert np.array_equal(u.comps[1], one.comps[1])
 
 
 def test_gaussian_decay(grid2):
     width = 1.5
-    u = synthesize(TestFunctionSpec("gaussian_bump", width=width), grid2, (0,))
+    u = random_form(grid2, [0], kind="gaussian_bump", width=width)
     peak = np.abs(u.comps[0]).max()
     r2 = np.zeros(grid2.shape)
     for x in grid2.coords():
@@ -140,14 +137,22 @@ def test_gaussian_decay(grid2):
 
 
 def test_annulus_band_support(grid2):
-    u = synthesize(TestFunctionSpec("annulus_band", radii=(0.75, 4 / 3), seed=3),
-                   grid2, (0,))
+    u = random_form(grid2, [0], seed=3, kind="annulus_band",
+                    radii=(0.75, 4 / 3))
     uh = forward_fft(u).comps[0]
     absxi = np.sqrt(grid2.freq_sq())
     outside = (absxi < 0.75 - 1e-12) | (absxi > 4 / 3 + 1e-12)
     assert np.abs(uh[outside]).max() < 1e-12 * np.abs(uh).max()
     # zero mode vanishes up to FFT round trip: S_0 class
     assert abs(uh[0, 0]) < 1e-12 * np.abs(uh).max()
+
+
+@pytest.mark.parametrize("radii", [(2.5, 1.0), (1.0, 1.0), (-0.5, 1.0)],
+                         ids=["reversed", "equal", "negative"])
+def test_annulus_band_refuses_radii_out_of_order(grid2, radii):
+    # reversed or equal radii made the annulus empty and the draw all zero
+    with pytest.raises(ValueError, match=r"0 <= r0 < r1"):
+        random_form(grid2, [0], kind="annulus_band", radii=radii)
 
 
 BANDS = [("annulus_band", {"radii": (1.0, 2.5)}),
@@ -328,15 +333,15 @@ def test_band_draw_transforms_only_the_slab_lines(fft_counts, monkeypatch,
 
 def test_single_mode_rejects_off_lattice(grid2):
     with pytest.raises(ValueError):
-        synthesize(TestFunctionSpec("single_mode", mode=(0.1, 0.0)), grid2, (0,))
+        random_form(grid2, [0], kind="single_mode", mode=(0.1, 0.0))
     big = np.pi / 16.0 * 100
     with pytest.raises(ValueError):
-        synthesize(TestFunctionSpec("single_mode", mode=(big, 0.0)), grid2, (0,))
+        random_form(grid2, [0], kind="single_mode", mode=(big, 0.0))
 
 
-def test_synthesize_unknown_kind(grid2):
-    with pytest.raises(ValueError):
-        synthesize(TestFunctionSpec("box"), grid2, (0,))
+def test_random_form_unknown_kind(grid2):
+    with pytest.raises(ValueError, match="unknown test-function kind 'box'"):
+        random_form(grid2, [0], kind="box")
 
 
 # ---------------------------------------------------------------------------
@@ -363,8 +368,7 @@ def test_lp_norm_homogeneity(grid2):
 def test_lp_norm_gaussian_value():
     # |exp(-|x|^2/2)|_L2 over R^2 equals sqrt(pi); width sqrt(2) realizes it
     grid = Grid(2, 128, 16.0)
-    u = synthesize(TestFunctionSpec("gaussian_bump", width=math.sqrt(2.0)),
-                   grid, (0,))
+    u = random_form(grid, [0], kind="gaussian_bump", width=math.sqrt(2.0))
     assert abs(u.lp_norm(2.0) - math.sqrt(math.pi)) < 1e-8
 
 

@@ -8,8 +8,8 @@ import pytest
 import mutants
 from hodgehalf.algebra import degree, lowering, raising
 from hodgehalf.evolution import make_a_regular
-from hodgehalf.fields import (Grid, SpectralField, TestFunctionSpec,
-                              forward_fft, inverse_fft, random_form, synthesize)
+from hodgehalf.fields import (Grid, SpectralField, forward_fft, inverse_fft,
+                              random_form)
 from hodgehalf import halfspace
 from hodgehalf.halfspace import (FLAVORS, HalfField, NodeReader,
                                  component_parity, d_half, delta_half, extend,
@@ -142,8 +142,8 @@ def test_extend_restrict_identity_on_symmetric(grid2):
 
 def test_extension_of_interior_support_is_mirror_pair(grid2):
     # data supported away from the boundary extends to two disjoint copies
-    spec = TestFunctionSpec("gaussian_bump", center=(0.0, 8.0), width=1.0)
-    full = synthesize(spec, grid2, (0,))
+    full = random_form(grid2, [0], kind="gaussian_bump", center=(0.0, 8.0),
+                       width=1.0)
     u = restrict(full, "Ht")
     U = extend(u)
     half = grid2.points // 2
@@ -280,8 +280,8 @@ def test_half_domain_integral_oracle(grid2):
     # separable erf closed form for a shifted gaussian over the half-domain
     from math import erf, pi, sqrt
 
-    spec = TestFunctionSpec("gaussian_bump", center=(1.0, 2.0), width=2.0)
-    g = synthesize(spec, grid2, (0,))
+    g = random_form(grid2, [0], kind="gaussian_bump", center=(1.0, 2.0),
+                    width=2.0)
     got = half_domain_integral(g.comps[0], grid2)
 
     def gauss_between(a, b, c, w):

@@ -210,6 +210,24 @@ def test_besov_leakage_rejected(grid, bank):
         besov_norm(SpaceParams(0.0, 2.0, 2.0), u, bank)
 
 
+def test_leakage_is_the_mass_fraction_outside_the_window():
+    # two lattice modes of known amplitude: one at |xi| = 5 pi/8 inside the
+    # window [0, 2], one at |xi| = sqrt(2) pi/8 < 2^0 below it.  Homogeneous,
+    # the one below leaks: exactly a_out^2 / (a_in^2 + a_out^2), here to
+    # 1e-14 relative.  Inhomogeneous, the low-pass block holds it and only
+    # the transform's round-off leaks (5e-32 measured, bound 1e-28).
+    grid = Grid(2, 64, 8.0)
+    bank = build_bank(grid, 0, 2)
+    step = np.pi / grid.length
+    a_in, a_out = 2.0, 0.5
+    u = (a_in * random_form(grid, [0], kind="single_mode", mode=(5 * step, 0.0))
+         + a_out * random_form(grid, [0], kind="single_mode",
+                               mode=(step, -step)))
+    want = a_out ** 2 / (a_in ** 2 + a_out ** 2)
+    assert abs(bank.leakage(u) - want) <= 1e-14 * want
+    assert bank.leakage(u, homogeneous=False) <= 1e-28
+
+
 # the p = 2 evaluator, block_norms from shell energies and _lq_aggregate,
 # against a point-by-point lattice sum; the 3-d window
 # [0, 1] needs pi/L in [2/3, 3/4] on a 16-point axis

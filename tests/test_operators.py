@@ -5,8 +5,7 @@ import pytest
 
 import mutants
 from hodgehalf.algebra import AlgebraElement, inner, interior, wedge
-from hodgehalf.fields import (FormField, Grid, TestFunctionSpec, forward_fft,
-                              random_form, synthesize)
+from hodgehalf.fields import FormField, Grid, forward_fft, random_form
 from hodgehalf.operators import (SectorPoint, d, delta, frac_laplacian,
                                  grad_l2, heat, hess_l2, hodge_dirac,
                                  hodge_star_field, interior_const, laplacian,
@@ -40,7 +39,7 @@ def test_d_constant_is_zero(grid2):
 
 def test_d_single_mode_closed_form(grid2):
     xi0 = (np.pi / 16 * 4, np.pi / 16 * -6)
-    u = synthesize(TestFunctionSpec("single_mode", mode=xi0), grid2, (0,))
+    u = random_form(grid2, [0], kind="single_mode", mode=xi0)
     du = d(u)
     for axis in range(2):
         expected = 1j * xi0[axis] * u.comps[0]
@@ -108,7 +107,7 @@ def test_dirac_single_mode_algebra_oracle(grid2):
     coeff = AlgebraElement.zero(2)
     rng = np.random.default_rng(7)
     coeff.coeffs[:] = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-    mode = synthesize(TestFunctionSpec("single_mode", mode=tuple(xi0)), grid2, (0,))
+    mode = random_form(grid2, [0], kind="single_mode", mode=tuple(xi0))
     u = FormField(grid2, {m: coeff.coeffs[m] * mode.comps[0] for m in range(4)})
     expected_coeff = (wedge(AlgebraElement.one_form(1j * xi0), coeff)
                       + (-1j) * interior(xi0, coeff))
@@ -141,7 +140,7 @@ def test_sector_point_validation():
 
 def test_resolvent_single_mode(grid2):
     xi0 = (np.pi / 16 * 2, np.pi / 16 * 2)
-    f = synthesize(TestFunctionSpec("single_mode", mode=xi0), grid2, (0,))
+    f = random_form(grid2, [0], kind="single_mode", mode=xi0)
     lam = 2.0 * np.exp(0.7j)
     u = resolvent(lam, f)
     expected = f.comps[0] / (lam + xi0[0] ** 2 + xi0[1] ** 2)
@@ -239,7 +238,7 @@ def test_frac_laplacian_inverse_pair(grid2):
 
 def test_frac_laplacian_single_mode(grid2):
     xi0 = (np.pi / 16 * 4, 0.0)
-    u = synthesize(TestFunctionSpec("single_mode", mode=xi0), grid2, (0,))
+    u = random_form(grid2, [0], kind="single_mode", mode=xi0)
     got = frac_laplacian(0.5, u)
     expected = (xi0[0] ** 2) ** 0.25 * u.comps[0]
     assert np.abs(got.comps[0] - expected).max() < 1e-12
@@ -277,7 +276,7 @@ def test_riesz_factorization_of_d(grid3):
 
 def test_riesz_single_mode(grid2):
     xi0 = (np.pi / 16 * 3, np.pi / 16 * -4)
-    u = synthesize(TestFunctionSpec("single_mode", mode=xi0), grid2, (0,))
+    u = random_form(grid2, [0], kind="single_mode", mode=xi0)
     got = riesz(0, u)
     absxi = np.hypot(*xi0)
     expected = 1j * xi0[0] / absxi * u.comps[0]
@@ -395,7 +394,7 @@ def _mode_case(op, n, seed=7):
     rng = np.random.default_rng(seed + n)
     coeff = AlgebraElement(n, rng.standard_normal(1 << n)
                            + 1j * rng.standard_normal(1 << n))
-    mode = synthesize(TestFunctionSpec("single_mode", mode=tuple(xi0)), grid, (0,))
+    mode = random_form(grid, [0], kind="single_mode", mode=tuple(xi0))
     u = FormField(grid, {m: coeff.coeffs[m] * mode.comps[0] for m in range(1 << n)})
     if op is d:
         expected = wedge(AlgebraElement.one_form(1j * xi0), coeff)
