@@ -143,8 +143,8 @@ def _spq(value) -> SpaceParams:
 
 
 def _radii(value) -> tuple:
-    """An annulus r0 <= |xi| <= r1 with 0 <= r0 < r1; the draw refuses an r1
-    past the grid's band."""
+    """An annulus r0 <= |xi| <= r1, 0 <= r0 < r1.  RunConfig.from_args
+    refuses an r1 past the grid's band, the draw one with no lattice point."""
     r0, r1 = _list(_num, "a pair of numbers", 2)(value)
     if not 0 <= r0 < r1:
         raise TypeError(f"{value!r} is not a pair 0 <= r0 < r1")
@@ -213,6 +213,10 @@ class RunConfig(dict):
         except KeyError as exc:
             raise ConfigError(f"config key {exc.args[0]!r} is not read by "
                               f"{command}") from None
+        if "radii" in cfg and cfg["radii"][1] > cfg["grid"].abs_freq_max:
+            raise ConfigError(f"config key 'radii' is malformed: "
+                              f"{list(cfg['radii'])} reaches past the grid's "
+                              f"largest |xi|, {cfg['grid'].abs_freq_max:.6g}")
         if "tol_scale" in cfg:
             cfg["tol_scale"] *= args.tol_scale
             if not 0 < cfg["tol_scale"] < math.inf:

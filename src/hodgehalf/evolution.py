@@ -50,7 +50,10 @@ homogeneity and horizon with the bank's block weights (_block_table), take
 the monomials a^2, ab and b^2 of a block of nodes to the block energies of
 u, its Hessian (by sum_{a,b} |xi_a xi_b|^2 = |xi|^4, |xi|^4 E_u) and du/dt
 in one matrix product, and only the Parseval step block_l2_norms turns
-them into block norms.  There du/dt is written in the basis (r, f),
+them into block norms.  A shell with t lam >= 60 ln 2 has relaxed (a <=
+2^-60, b = 1.0): a block of nodes adds its steady-state b^2 energy and
+forms the monomials of the live shells only, within 2^-59 of node 0's
+and the relaxed energy.  There du/dt is written in the basis (r, f),
 r = u0 - f / |xi|^2 the datum less the steady state, since in the basis
 (u0, f) a steady datum leaves du/dt as the difference of O(1) terms.  At
 p != 2 one copy of the datum spectra, stepped per horizon, serves every
@@ -459,10 +462,12 @@ def _report(system: str, params: SpaceParams, interp: SpaceParams,
                         lhs_sup, lhs_lq, rhs_f, rhs_u0, ratio)
 
 
-# nodes x shells entries per block of the closed-form monomials (three per
-# shell), about the size of one lattice array
+# nodes x live shells entries per block of the closed-form monomials (three
+# per shell), about the size of one lattice array
 _BLOCK_ENTRIES = 1 << 14
 _EXP_FLOOR = 350.0
+# t lam from which a = e^{-t lam} <= 2^-60 and b = 1 - a rounds to 1.0
+_RELAXED = 60.0 * math.log(2.0)
 
 
 def _x_over_sinh(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -568,27 +573,29 @@ def _closed_form(lam: np.ndarray, dt: float, gram: _ShellGrams) -> _ClosedForm:
 
 
 def _monomials(t: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    """Rows (a^2, ab, b^2 on each shell of ``lam``, then t, t^2) at the node
-    times ``t``, a column: a = e^{-t lam} and b = 1 - a = -expm1(-t lam).
+    """Rows (t, t^2, then a^2, ab, b^2 shell by shell) at the node times
+    ``t``, a column: a = e^{-t lam} and b = 1 - a = -expm1(-t lam).  The
+    rows of a prefix of ``lam`` are a prefix of the rows.
 
     -t lam is floored at -_EXP_FLOOR.  An a below e^{-350} ~ 1e-152 moves
     a block energy by under 1e-152 of node 0's or of the node's own b^2
     terms, far below what a double resolves; floored there, a^2 stays a
     normal number, where np.exp and the products would take their subnormal
-    path, tens of times slower per element.
+    path, tens of times slower per element.  The floor stays, as a block's
+    later nodes reach it on shells live at its first (_closed_form_energies).
     """
-    shells = lam.size
-    out = np.empty((t.shape[0], 3 * shells + 2))
-    b = np.multiply(-t, lam)
+    # built transposed, so each monomial's row per shell is written whole
+    out = np.empty((3 * lam.size + 2, t.shape[0]))
+    out[:2] = t.T ** np.arange(1, 3)[:, None]
+    b = np.multiply(-lam[:, None], t.T)
     np.maximum(b, -_EXP_FLOOR, out=b)
     a = np.exp(b)
     np.expm1(b, out=b)
     np.negative(b, out=b)
-    np.multiply(a, a, out=out[:, :shells])
-    np.multiply(a, b, out=out[:, shells:2 * shells])
-    np.multiply(b, b, out=out[:, 2 * shells:3 * shells])
-    out[:, -2:] = t ** np.arange(1, 3)
-    return out
+    np.multiply(a, a, out=out[2::3])
+    np.multiply(a, b, out=out[3::3])
+    np.multiply(b, b, out=out[4::3])
+    return out.T
 
 
 def _block_table(form: _ClosedForm, weights: np.ndarray,
@@ -603,9 +610,9 @@ def _block_table(form: _ClosedForm, weights: np.ndarray,
     blocks = weights.shape[0]
     coef = np.stack((form.u, lam ** 2 * form.u, form.dt), axis=-1)
     table = np.zeros((coef.shape[0] * coef.shape[1] + 2, 3, blocks))
-    table[:-2] = (coef[..., None]
-                  * weights.T[:, None, :]).reshape(-1, 3, blocks)
-    table[-2:, 0] = form.flat[:, None] * weights[:, 0]
+    table[2:] = (coef.swapaxes(0, 1)[..., None]
+                 * weights.T[:, None, None, :]).reshape(-1, 3, blocks)
+    table[:2, 0] = form.flat[:, None] * weights[:, 0]
     return table.reshape(table.shape[0], 3 * blocks)
 
 
@@ -618,15 +625,30 @@ def _closed_form_energies(bank: FilterBank, tg: TimeGrid, gram: _ShellGrams,
     evaluated, as no block weighs the others.  One matrix product per block
     of nodes, their monomials by _block_table, gives the energies of every
     block of u, its Hessian and du/dt.
+
+    A shell with t lam >= _RELAXED at a block's first node has relaxed at
+    all its nodes (a <= 2^-60, b = 1.0) and adds only its b^2 row, its
+    steady-state energy.  window_absq ascends from the zero shell, always
+    live, so the relaxed shells are a suffix, summed by one reversed running
+    sum (tail), and the block's monomials cover its live prefix only.  By
+    Cauchy-Schwarz on the Gram sums, |c_ab| <= c_a + c_b, so a block energy
+    moves by at most 2^-59 (node 0's energy, sum c_a, plus the node's relaxed
+    b^2 energy, sum c_b).
     """
     lam = bank.window_absq
     table = _block_table(_closed_form(lam, tg.dt, gram), weights, lam)
+    tail = np.cumsum(table[:1:-3], axis=0)[::-1]  # tail[k]: b^2 rows k..
     times = tg.nodes()
     out = np.empty((times.size, table.shape[1]))
-    block = max(1, _BLOCK_ENTRIES // lam.size)
-    for m0 in range(0, times.size, block):
-        np.matmul(_monomials(times[m0:m0 + block, None], lam), table,
-                  out=out[m0:m0 + block])
+    m0 = 0
+    while m0 < times.size:
+        live = int(np.searchsorted(times[m0] * lam, _RELAXED))
+        m1 = m0 + max(1, _BLOCK_ENTRIES // live)
+        np.matmul(_monomials(times[m0:m1, None], lam[:live]),
+                  table[:3 * live + 2], out=out[m0:m1])
+        if live < lam.size:
+            out[m0:m1] += tail[live]
+        m0 = m1
     # round-off can take a near-zero block energy below 0
     np.maximum(out, 0.0, out=out)
     return out.reshape(times.size, 3, weights.shape[0])

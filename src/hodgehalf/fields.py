@@ -122,6 +122,12 @@ class Grid:
         """Largest resolvable per-axis frequency magnitude."""
         return np.pi / self.length * (self.points // 2)
 
+    @property
+    def abs_freq_max(self) -> float:
+        """The lattice's largest |xi|, read from the per-axis extremes: the
+        rounded sum of squares is monotone in every term."""
+        return float(np.sqrt(sum([(self.freq_axis() ** 2).max()] * self.n)))
+
 
 def read_only(a: np.ndarray) -> np.ndarray:
     """``a``, made non-writeable: a table shared by every caller."""
@@ -386,12 +392,7 @@ class _BandDraw:
             if not 0 <= r0 < r1:
                 raise ValueError(f"annulus radii must satisfy 0 <= r0 < r1, "
                                  f"got {r0}, {r1}")
-            # the lattice's largest |xi|, read from the per-axis extremes: the
-            # rounded sum of squares is monotone in every term
-            top = 0.0
-            for _ in range(n):
-                top = top + (xi ** 2).max()
-            if r1 > np.sqrt(top):
+            if r1 > grid.abs_freq_max:
                 raise ValueError("annulus exceeds the resolvable band")
             slabs = _slabs(np.flatnonzero(np.abs(xi) <= r1))
         else:
@@ -412,6 +413,9 @@ class _BandDraw:
                 envelope = np.exp(-absxi ** 2 * float(width) ** 2 / 2.0)
             envelope.flags.writeable = False
             self.blocks.append((block, envelope))
+        if radii is not None and not any(e.any() for _, e in self.blocks):
+            raise ValueError(f"annulus radii {[r0, r1]} enclose no lattice "
+                             f"point of the grid: the draw would be 0")
         # the one-axis inverse passes, last axis first as in ifftn: along
         # axis a only the lines whose earlier coordinates lie in the slabs
         # (the later axes are already transformed, so every line of them)

@@ -136,6 +136,8 @@ HALF_MODE = gate("test_evolution::test_p3_sweep_of_a_half_space_mode")
 MAX_REG_STREAMING = gate("test_evolution::"
                          "test_max_reg_report_matches_streaming",
                          EVOLUTION_GRID)
+CLOSED_FORM_MATCH = ("test_evolution::"
+                     "test_closed_form_report_matches_the_stepped_trajectory")
 WINDOW_SHELLS = gate("test_littlewood_paley::"
                      "test_window_shells_are_the_weighed_shells",
                      Grid(2, 128, 16.0), 885, 1621)
@@ -280,6 +282,16 @@ MUTANTS = (
            (gate("test_evolution::"
                  "test_closed_form_report_matches_the_stepped_trajectory",
                  EVOLUTION_GRID, 100.0),)),
+    # on the README grid's 885 shells the 33 nodes make two blocks, the
+    # second from t = 0.56 T: the cases' shells (|xi| in [1, 2.2]) have all
+    # relaxed there at T = 100, and at T = 10 none has, but 6 ln 2 cuts them
+    Mutant("relaxed_tail_dropped", "hodgehalf.evolution:_closed_form_energies",
+           "            out[m0:m1] += tail[live]\n", "            pass\n",
+           (gate(CLOSED_FORM_MATCH, Grid(2, 128, 16.0), 100.0),)),
+    Mutant("relaxed_cut_early", "hodgehalf.evolution:_closed_form_energies",
+           "np.searchsorted(times[m0] * lam, _RELAXED)",
+           "np.searchsorted(times[m0] * lam, 6.0 * math.log(2.0))",
+           (gate(CLOSED_FORM_MATCH, Grid(2, 128, 16.0), 10.0),)),
     Mutant("weight_row", "hodgehalf.evolution:_block_table",
            "blocks = weights.shape[0]\n",
            "weights = weights.copy()\n    weights[1] = 0.0\n"

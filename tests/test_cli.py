@@ -661,6 +661,14 @@ _BASE = {"verify": {}, "decompose": {},
                             "non-negative integer"),
     ("normtable", {"seed": -1}, "config key 'seed' is malformed: -1 is not a "
                                 "non-negative integer"),
+    # no lattice point (step pi/8 on both grids) lies inside the annulus
+    *[(command, {"radii": [0.05, 0.1]}, "annulus radii [0.05, 0.1] enclose "
+                                        "no lattice point of the grid")
+      for command in ("solve", "maxreg", "normtable")],
+    *[(command, {"radii": [1.0, 100.0]}, "config key 'radii' is malformed: "
+                                         "[1.0, 100.0] reaches past the "
+                                         "grid's largest |xi|")
+      for command in ("solve", "maxreg", "normtable")],
 ], ids=["T-string", "length-string", "tol_scale-string", "radii-strings",
         "spq-strings", "T-bool", "length-bool", "save_snapshots-string",
         "forcing-unknown", "homogeneous-string", "norms-unread-key",
@@ -669,13 +677,17 @@ _BASE = {"verify": {}, "decompose": {},
         *[f"{command}-radii-{case}"
           for command in ("solve", "maxreg", "normtable")
           for case in ("reversed", "equal", "negative")],
-        "solve-seed-negative", "normtable-seed-negative"])
+        "solve-seed-negative", "normtable-seed-negative",
+        *[f"{command}-radii-{case}"
+          for case in ("empty", "past-band")
+          for command in ("solve", "maxreg", "normtable")]])
 def test_config_value_read_wrongly_is_refused(tmp_path, capsys, command,
                                               payload, message):
     # each was read as something else: a string or a bool as a number, "no"
     # as true, any forcing but "none" as random; or named no key (a negative
-    # seed, refused inside the draw), or ran nothing and exited 0 (radii
-    # whose annulus is empty drew an all-zero datum and forcing)
+    # seed or an r1 past the band, refused inside the draw), or ran nothing
+    # and exited 0 (radii whose annulus is empty, or holds no lattice point,
+    # drew an all-zero datum and forcing)
     cfg = write_config(tmp_path, dict(_BASE[command], **payload))
     out = tmp_path / "out"
     assert main([command, "--config", cfg, "--out", str(out)]) == 2
@@ -703,6 +715,25 @@ def test_negative_seed_flag_is_refused_before_any_work(tmp_path, capsys,
     assert capsys.readouterr().err == ("configuration error: config key "
                                        "'seed' is malformed: -1 is not a "
                                        "non-negative integer\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["solve", "maxreg", "normtable"])
+def test_radii_past_the_band_are_refused_before_any_work(tmp_path, capsys,
+                                                         monkeypatch, command):
+    # the draw used to refuse them, unnamed, after normtable had built its
+    # bank and solve and maxreg had checked their time grids
+    from hodgehalf import cli
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work began before r1 was checked")
+
+    monkeypatch.setattr(cli, "default_bank", no_work)
+    monkeypatch.setattr(cli, "TimeGrid", no_work)
+    cfg = write_config(tmp_path, dict(_BASE[command], radii=[1.0, 100.0]))
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert "config key 'radii'" in capsys.readouterr().err
     assert not out.exists()
 
 

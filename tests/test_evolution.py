@@ -708,9 +708,9 @@ def test_closed_form_time_derivative_against_long_double():
     lam = bank.window_absq
     form = _closed_form(lam, tg.dt, _shell_grams(bank, u_hat, f_hat).on(
         bank.window_shells))
-    monomials = _monomials(tg.nodes()[:, None], lam)[:, :-2].reshape(
-        -1, 3, lam.size)
-    closed = np.einsum("ks,mks->ms", form.dt, monomials)
+    monomials = _monomials(tg.nodes()[:, None], lam)[:, 2:].reshape(
+        -1, lam.size, 3)
+    closed = np.einsum("ks,msk->ms", form.dt, monomials)
 
     absq = grid.freq_sq()
     stepped = []
@@ -740,6 +740,96 @@ def test_closed_form_time_derivative_against_long_double():
 
     assert error(closed) <= 2.0 * error(stepped)
     assert error(closed) < 1e-7
+
+
+README_GRID = Grid(2, 128, 16.0)  # the README's maxreg grid, 885 window shells
+
+
+def _relaxed_cases():
+    """(u_hat, f_hat) comps on README_GRID: a forced steady datum, the same
+    datum unforced (every b^2 coefficient 0) and the steady datum moved off
+    equilibrium."""
+    f = random_half_field(README_GRID, "Ht", [0b01, 0b10], seed=37,
+                          kind="annulus_band", radii=(1.0, 1.3))
+    u_hat, f_hat = steady_sweep_spectra("hodge_stokes", f)
+    w = random_half_field(README_GRID, "Ht", [0b01, 0b10], seed=38,
+                          kind="annulus_band", radii=(0.5, 2.0))
+    w_hat = sweep_spectra("hodge_stokes", None, w)[0].comps
+    moved = {k: a + 1e-3 * w_hat[k] for k, a in u_hat.comps.items()}
+    return {"steady": (u_hat.comps, f_hat.comps),
+            "unforced": (u_hat.comps, {}),
+            "non_steady": (moved, f_hat.comps)}
+
+
+@pytest.mark.parametrize("homogeneous", [True, False])
+@pytest.mark.parametrize("horizon", [1.0, 100.0])
+def test_relaxed_shells_move_block_energies_within_the_bound(horizon,
+                                                             homogeneous):
+    # against every shell summed from _closed_form and _monomials, a block
+    # energy moves by at most 2^-59 (node 0's energy + the node's relaxed b^2
+    # energy), plus n eps of the summed magnitudes for each route's round-off
+    from hodgehalf.evolution import (_RELAXED, _closed_form,
+                                     _closed_form_energies, _monomials,
+                                     _shell_grams)
+    from hodgehalf.littlewood_paley import shell_block_weights
+
+    bank = default_bank(README_GRID)
+    weights = shell_block_weights(homogeneous, bank)
+    lam = bank.window_absq
+    tg = TimeGrid(horizon, 256)
+    times = tg.nodes()
+    monomials = _monomials(times[:, None], lam)
+    flat, shells = monomials[:, :2], monomials[:, 2:].reshape(
+        -1, lam.size, 3)
+    relaxed = times[:, None] * lam >= _RELAXED
+    roundoff = 2.0 * (3 * lam.size + 4) * np.finfo(float).eps
+    for name, (u_hat, f_hat) in _relaxed_cases().items():
+        gram = _shell_grams(bank, u_hat, f_hat).on(bank.window_shells)
+        got = _closed_form_energies(bank, tg, gram, weights)
+        form = _closed_form(lam, tg.dt, gram)
+        terms = []
+        for coef in (form.u, lam ** 2 * form.u, form.dt):
+            energy = np.einsum("ks,msk->ms", coef, shells)
+            size = np.einsum("ks,msk->ms", np.abs(coef), shells)
+            steady = coef[2] * relaxed
+            if coef is form.u:
+                energy[:, 0] += flat @ form.flat
+                size[:, 0] += flat @ np.abs(form.flat)
+            terms.append((energy @ weights.T, size @ weights.T,
+                          steady @ weights.T))
+        want, size, steady = (np.stack(rows, axis=1) for rows in zip(*terms))
+        bound = 2.0 ** -59 * (want[:1] + steady) + roundoff * size
+        assert np.all(np.abs(got - np.maximum(want, 0.0)) <= bound), name
+        if name == "unforced":
+            assert not steady.any()
+    # the cut is taken: at T = 100 most (node, shell) pairs are relaxed
+    assert relaxed.mean() > (0.5 if horizon == 100.0 else 0.1)
+
+
+def test_closed_form_forms_the_monomials_of_live_shells_only(monkeypatch):
+    # each block of nodes forms the monomials of the shells live at its
+    # first node: on the README grid at T = 100, a fifth of the (node, shell)
+    # entries at most
+    from hodgehalf import evolution
+    from hodgehalf.littlewood_paley import shell_block_weights
+
+    bank = default_bank(README_GRID)
+    u_hat, f_hat = _relaxed_cases()["steady"]
+    gram = evolution._shell_grams(bank, u_hat, f_hat).on(bank.window_shells)
+    entries = []
+    monomials = evolution._monomials
+
+    def counted(t, lam):
+        entries.append(t.shape[0] * lam.size)
+        return monomials(t, lam)
+
+    monkeypatch.setattr(evolution, "_monomials", counted)
+    tg = TimeGrid(100.0, 256)
+    evolution._closed_form_energies(bank, tg, gram,
+                                    shell_block_weights(True, bank))
+    shells = bank.window_absq.size
+    assert shells == 885
+    assert sum(entries) <= (tg.steps + 1) * shells / 5
 
 
 def test_closed_form_fft_count_does_not_grow_with_steps(grid, monkeypatch):

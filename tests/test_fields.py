@@ -155,6 +155,22 @@ def test_annulus_band_refuses_radii_out_of_order(grid2, radii):
         random_form(grid2, [0], kind="annulus_band", radii=radii)
 
 
+def test_annulus_band_refuses_an_annulus_without_lattice_points(grid2):
+    # the lattice step is pi / L: an annulus between two lattice shells, or
+    # at the origin, leaves the envelope 0 on every coefficient
+    step = np.pi / grid2.length
+    for radii in ((0.1 * step, 0.9 * step), (1.1 * step, 1.2 * step)):
+        with pytest.raises(ValueError, match="enclose no lattice point"):
+            random_form(grid2, [0], kind="annulus_band", radii=radii)
+    # one lattice shell inside is enough
+    u = random_form(grid2, [0], kind="annulus_band",
+                    radii=(0.5 * step, 1.5 * step))
+    assert np.abs(u.comps[0]).max() > 0.0
+    with pytest.raises(ValueError, match="exceeds the resolvable band"):
+        random_form(grid2, [0], kind="annulus_band",
+                    radii=(1.0, 1.001 * grid2.abs_freq_max))
+
+
 BANDS = [("annulus_band", {"radii": (1.0, 2.5)}),
          ("random_band", {"width": 1.5})]
 

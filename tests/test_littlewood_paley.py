@@ -312,6 +312,16 @@ def test_window_shells_are_the_weighed_shells(grid_, weighed, shells):
 
 @pytest.mark.parametrize("grid_", [Grid(2, 128, 16.0), Grid(3, 32, 8.0)],
                          ids=["2d", "3d"])
+def test_window_absq_ascends_from_the_zero_shell(grid_):
+    # the p = 2 closed form takes a node's relaxed shells (t |xi|^2 past its
+    # cut) as a suffix of window_absq
+    absq = default_bank(grid_).window_absq
+    assert absq[0] == 0.0
+    assert np.all(np.diff(absq) > 0.0)
+
+
+@pytest.mark.parametrize("grid_", [Grid(2, 128, 16.0), Grid(3, 32, 8.0)],
+                         ids=["2d", "3d"])
 def test_shell_index_is_the_sorted_unique_index(grid_):
     # the presence-table index numbers the shells as np.unique's inverse does
     bank = default_bank(grid_)
