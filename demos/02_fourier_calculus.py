@@ -50,8 +50,8 @@ print(f"  curl-free       |d Gu|        = {d(gu).l2_norm():.3e}")
 print(f"  orthogonality   |<Pu, Gu>|    = {abs(pu.l2_inner(gu)):.3e}")
 
 print("\n== resolvent-estimate sweep over the sector ==")
-rows = sector_sweep(random_form(grid, [0], seed=4, kind="annulus_band",
-                                radii=(1.5, 2.5)))
+f = random_form(grid, [0], seed=4, kind="annulus_band", radii=(1.5, 2.5))
+rows = sector_sweep(lambda lam: resolvent(lam, f), f)
 ratios = [r["ratio"] for r in rows]
 print(f"  {len(rows)} samples: ratio range [{min(ratios):.3f}, {max(ratios):.3f}], "
       f"spread {max(ratios) / min(ratios):.3f}")

@@ -377,12 +377,13 @@ def run_maxreg(cfg: RunConfig) -> int:
     """Sweep maximal-regularity reports over (s, p, q) and T; emit CSV.
 
     The configuration is checked before any transform.  The forcing is
-    drawn and steady_sweep_spectra takes its extension spectra once and
-    forms the steady datum on the spectra the system steps (A^{-1} P f,
-    split in spectra, for the Stokes-type systems; A^{-1} f for hodge_heat),
-    never as a half-field.  One max_reg_sweep call measures every accepted
-    (s, p, q) on those spectra: one set of Gram sums serves the p = 2 sets
-    and one stepped pass per horizon all the others.
+    drawn before any set is refused, so that its draw refuses what it cannot
+    draw whether or not a set runs.  steady_sweep_spectra takes its
+    extension spectra once and forms the steady datum on the spectra the
+    system steps (A^{-1} P f, split in spectra, for the Stokes-type systems;
+    A^{-1} f for hodge_heat), never as a half-field.  One max_reg_sweep call
+    measures every accepted (s, p, q) on those spectra: one set of Gram sums
+    serves the p = 2 sets and one stepped pass per horizon all the others.
     """
     grid, system, spq = cfg["grid"], cfg["system"], cfg["spq"]
     horizons, steps = cfg["T"], cfg["M"]
@@ -390,6 +391,7 @@ def run_maxreg(cfg: RunConfig) -> int:
         TimeGrid(horizon, steps)  # refuses T <= 0, T not finite and M < 1
     bank = (build_bank(grid, *cfg["bank"]) if cfg["bank"]
             else default_bank(grid))
+    forcing = _corpus_field(cfg, "Ht", cfg["seed"] + 1)
 
     rows = []
     accepted = []
@@ -404,7 +406,6 @@ def run_maxreg(cfg: RunConfig) -> int:
             accepted.append(params)
     done = []
     if accepted:
-        forcing = _corpus_field(cfg, "Ht", cfg["seed"] + 1)
         done = [dict(report.row(), status="ok", reason="")
                 for report in max_reg_sweep(
                     system, *steady_sweep_spectra(system, forcing), horizons,
@@ -453,10 +454,18 @@ def run_normtable(cfg: RunConfig) -> int:
 
 # ---------------------------------------------------------------------------
 
-_FLAGS = {"--suite": {"help": "restrict verify to one suite"},
-          "--seed": {"type": int, "help": "corpus seed"},
-          "--tol-scale": {"type": float, "default": 1.0,
-                          "help": "multiply every tolerance by this factor"}}
+# the flag of each key a flag may set, added to every command whose table
+# has the key
+_FLAGS = {"suites": ("--suite", {"help": "restrict verify to one suite"}),
+          "seed": ("--seed", {"type": int, "help": "corpus seed"}),
+          "tol_scale": ("--tol-scale", {
+              "type": float, "default": 1.0,
+              "help": "multiply every tolerance by this factor"})}
+_HELP = {"verify": "run identity-check suites",
+         "decompose": "Hodge-split a stored half-space field",
+         "solve": "run an evolution system and emit diagnostics",
+         "maxreg": "maximal-regularity ratio sweep",
+         "normtable": "emit a Besov/Sobolev norm table"}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -464,23 +473,16 @@ def build_parser() -> argparse.ArgumentParser:
         prog="hodgehalf",
         description="spectral exterior-calculus verification and solver driver")
     sub = parser.add_subparsers(dest="command", required=True)
-    # besides --config and --out, each command takes the flags it reads; an
-    # absent flag reads as its default
-    for name, help_text, flags in [
-            ("verify", "run identity-check suites", _FLAGS),
-            ("decompose", "Hodge-split a stored half-space field",
-             ["--tol-scale"]),
-            ("solve", "run an evolution system and emit diagnostics",
-             ["--seed"]),
-            ("maxreg", "maximal-regularity ratio sweep",
-             ["--seed", "--tol-scale"]),
-            ("normtable", "emit a Besov/Sobolev norm table", ["--seed"])]:
-        p = sub.add_parser(name, help=help_text)
+    # besides --config and --out, each command takes the flags of the keys
+    # its table reads; an absent flag reads as its default
+    for name, table in TABLES.items():
+        p = sub.add_parser(name, help=_HELP[name])
         p.add_argument("--config", default=None, help="JSON configuration path")
         p.add_argument("--out", default=None, help="output directory")
         p.set_defaults(suite=None, seed=None, tol_scale=1.0)
-        for flag in flags:
-            p.add_argument(flag, **_FLAGS[flag])
+        for key, (flag, spec) in _FLAGS.items():
+            if key in table:
+                p.add_argument(flag, **spec)
     return parser
 
 

@@ -301,7 +301,7 @@ def inverse_fft(uh: SpectralField) -> FormField:
 # ---------------------------------------------------------------------------
 
 def _component_draw(grid: Grid, kind: str, *, center=(), width: float = 2.0,
-                    radii=(0.75, 4.0 / 3.0), mode=(), mean_free: bool = True):
+                    radii=(0.75, 4.0 / 3.0), mode=()):
     """The samples of one component of a ``kind`` draw (see random_form) as a
     function of a generator and of whether it is the first component drawn.
     A band kind makes its slabs and envelope here, once for every component
@@ -324,7 +324,7 @@ def _component_draw(grid: Grid, kind: str, *, center=(), width: float = 2.0,
     if kind == "annulus_band":
         return _BandDraw(grid, radii, None)
     if kind == "random_band":
-        return _BandDraw(grid, None, width, mean_free)
+        return _BandDraw(grid, None, width)
     raise ValueError(f"unknown test-function kind {kind!r}")
 
 
@@ -384,7 +384,7 @@ class _BandDraw:
     point, and adding squares only increases the sum).
     """
 
-    def __init__(self, grid: Grid, radii, width, mean_free: bool = True):
+    def __init__(self, grid: Grid, radii, width):
         n = grid.n
         xi = grid.freq_axis()
         if radii is not None:
@@ -398,7 +398,6 @@ class _BandDraw:
         else:
             slabs = [slice(0, grid.points)]
         self.shape = grid.shape
-        self.zero_mean = mean_free or radii is not None
         self.blocks = []
         for block in itertools.product(slabs, repeat=n):
             # |xi|^2 summed axis by axis, in the order of Grid.freq_sq
@@ -427,7 +426,8 @@ class _BandDraw:
     def __call__(self, rng, first: bool) -> np.ndarray:
         """One component: ifftn(coeff * envelope) / max over the torus, bit
         for bit, with the coefficients' real and imaginary parts the
-        generator's next two shape-sized standard normal draws.  The first
+        generator's next two shape-sized standard normal draws and the
+        xi = 0 coefficient 0, so that the component is mean-free.  The first
         component is drawn as every other one."""
         normals = self._normals
         rng.standard_normal(out=normals)  # the stream of two shape-sized draws
@@ -435,8 +435,7 @@ class _BandDraw:
         for block, envelope in self.blocks:
             np.multiply(normals[0][block], envelope, out=u.real[block])
             np.multiply(normals[1][block], envelope, out=u.imag[block])
-        if self.zero_mean:
-            u[(0,) * u.ndim] = 0.0
+        u[(0,) * u.ndim] = 0.0
         for axis, lines in self.passes:
             view = u[lines]
             np.fft.ifftn(view, axes=(axis,), out=view)
@@ -466,7 +465,7 @@ def random_form(grid: Grid, masks, seed: int = 0, kind: str = "random_band",
       annulus_band   random spectrum supported in radii[0] <= |xi| <= radii[1],
                      with 0 <= radii[0] < radii[1]
       random_band    random spectrum with Gaussian envelope exp(-|xi|^2 w^2/2),
-                     w = width; mean_free=False keeps the xi = 0 coefficient
+                     w = width, and no xi = 0 coefficient
 
     The first component of a bump or mode takes no number from its generator,
     so a one-mask draw is the closed form itself.  A band kind's slabs and

@@ -343,23 +343,18 @@ def hess_l2(u: FormField) -> float:
     return float(np.sqrt(total * scale))
 
 
-def resolvent_ratio(lam, f: FormField) -> float:
-    """(|lam| |u|_2 + |lam|^(1/2) |grad u|_2 + |hess u|_2) / |f|_2 for the resolvent."""
-    lam = _lam_value(lam)
-    u = resolvent(lam, f)
+def sector_sweep(solve, f: FormField) -> list[dict]:
+    """The resolvent estimate over a sector sample, decade radii 1e-2 .. 1e2
+    and nine angles |theta| <= 3 pi/4: per lambda, the ratio (|lam| |u|_2 +
+    |lam|^(1/2) |grad u|_2 + |hess u|_2) / |f|_2 of u = solve(lam), the
+    resolvent of f."""
     nf = f.l2_norm()
-    return (abs(lam) * u.l2_norm() + abs(lam) ** 0.5 * grad_l2(u) + hess_l2(u)) / nf
-
-
-def sector_sweep(f: FormField) -> list[dict]:
-    """Resolvent-estimate sweep over a sector sample; returns one row per lambda.
-
-    The sample: decade radii 1e-2 .. 1e2 and nine angles |theta| <= 3 pi/4.
-    """
     rows = []
     for r in [10.0 ** e for e in range(-2, 3)]:
         for th in np.linspace(-3 * np.pi / 4, 3 * np.pi / 4, 9):
             lam = r * np.exp(1j * th)
-            rows.append({"radius": r, "angle": th, "lam": lam,
-                         "ratio": resolvent_ratio(lam, f)})
+            u = solve(lam)
+            ratio = (abs(lam) * u.l2_norm() + abs(lam) ** 0.5 * grad_l2(u)
+                     + hess_l2(u)) / nf
+            rows.append({"radius": r, "angle": th, "ratio": ratio})
     return rows

@@ -3,10 +3,15 @@
 A check records, case by case, its residual against a tolerance together with
 the scale of the quantities it compared; the outcome keeps the worst residual
 and the largest scale.  A check whose scale is exactly 0 compared nothing (0
-with 0, or a result with no components) and fails as vacuous.  The identity
-routines own their formulas, scales and tolerances; the acceptance criteria
-call them at their stated grids.  Tolerances scale uniformly with the
-outcome's tol_scale, so a caller can tighten or loosen a whole run.
+with 0, or a result with no components) and fails as vacuous.  Tolerances
+scale uniformly with the outcome's tol_scale, so a caller can tighten or
+loosen a whole run.
+
+Each identity the suites and the acceptance criteria share has one routine
+with its bound in TOLERANCES: check_algebra, check_fd_derivatives,
+check_nilpotency, check_wholespace_split, check_resolvent,
+check_resolvent_sweep, check_decoupling, check_half_split,
+check_tangential_duality, check_normal_duality, check_self_convergence.
 """
 
 from __future__ import annotations
@@ -19,10 +24,11 @@ import numpy as np
 
 from . import algebra as alg
 from .fields import Grid, SpectralField, random_form
-from .halfspace import (NodeReader, d_half, extend, extend_spectra,
-                        half_l2_inner, half_l2_norm_from_spectra,
-                        hodge_resolvent, leray_halfspace, normal_trace,
-                        random_half_field, restrict_spectra, tangential_trace)
+from .halfspace import (HalfField, NodeReader, d_half, delta_half, extend,
+                        extend_spectra, half_l2_inner,
+                        half_l2_norm_from_spectra, hodge_resolvent,
+                        leray_halfspace, normal_trace, random_half_field,
+                        restrict_spectra, tangential_trace)
 from .operators import (_lam_value, d, delta, grad_l2, hess_l2,
                         leray_wholespace, resolvent, sector_sweep)
 
@@ -36,17 +42,23 @@ TOLERANCES = {
     "wedge_anticommutativity": 1e-12, "star_involution_sign": 1e-12,
     "wedge_interior_adjointness": 1e-12, "lagrange_identity": 1e-12,
     "nilpotence": 1e-12,
+    # derivative symbols (criterion 02)
+    "d_vs_fd8": 1e-6, "d_squared_zero": 1e-10, "delta_squared_zero": 1e-10,
     # whole-space split (criterion 03)
     "split_reconstructs": 1e-14, "p_part_divergence_free": 1e-10,
     "g_part_curl_free": 1e-10, "orthogonality": 1e-10,
-    # hodge_resolvent (criteria 04 and 06)
+    # hodge_resolvent (criteria 04 and 06); the resolvent estimate's max / min
+    # ratio over the sector (criterion 05)
     "reflection_identity": 1e-12, "boundary_conditions": 1e-8,
-    "neumann_dirichlet_decoupling": 1e-10,
+    "neumann_dirichlet_decoupling": 1e-10, "resolvent_sweep_spread": 3.0,
     # half-space split (criterion 06)
     "half_split_reconstructs": 1e-13, "half_orthogonality": 1e-8,
     "half_idempotence": 1e-9, "half_p_boundary": 1e-8,
+    "half_p_divergence_free": 1e-9, "half_g_curl_free": 1e-9,
     # trace duality (criterion 07)
     "tangential_trace_duality": 1e-6, "normal_trace_duality": 1e-6,
+    # time-stepping self-convergence, |factor - 4| (criterion 10)
+    "self_convergence": 0.4,
 }
 
 
@@ -147,6 +159,52 @@ def check_algebra(out: VerifyOutcome, avec, vvec):
         out.record("nilpotence", max(_max_abs(nil_w), _max_abs(nil_i)), vnorm2)
 
 
+def fd8(arr: np.ndarray, axis: int, spacing: float) -> np.ndarray:
+    """8th-order centred finite difference along ``axis`` of a periodic array."""
+    w = np.array([1 / 280, -4 / 105, 1 / 5, -4 / 5, 0.0,
+                  4 / 5, -1 / 5, 4 / 105, -1 / 280])
+    out = np.zeros_like(arr)
+    for off, c in zip(range(-4, 5), w):
+        if c:
+            out += c * np.roll(arr, -off, axis=axis)
+    return out / spacing
+
+
+def check_fd_derivatives(out: VerifyOutcome, u):
+    """d and delta of u against fd8, the formulas written out, not read from
+    the sign tables: the gradient (du)_i = d_i u of the 0-form component,
+    and the curl (du)_ij = d_i u_j - d_j u_i, i < j, and divergence
+    (delta u)_0 = -sum_i d_i u_i of the 1-form part; relative to max |fd8|."""
+    n, h = u.grid.n, u.grid.spacing
+    du = d(u)
+
+    def case(got, oracle):
+        size = _max_abs(oracle)
+        out.record("d_vs_fd8", _rel(_max_abs(got - oracle), size), size)
+
+    if 0 in u.comps:
+        for i in range(n):
+            case(du.component(1 << i), fd8(u.comps[0], i, h))
+    if 1 in u.degrees():
+        for i, j in itertools.combinations(range(n), 2):
+            case(du.component((1 << i) | (1 << j)),
+                 fd8(u.component(1 << j), i, h) - fd8(u.component(1 << i), j, h))
+        case(-delta(u).component(0),
+             sum(fd8(u.component(1 << i), i, h) for i in range(n)))
+
+
+def check_nilpotency(out: VerifyOutcome, w):
+    """d o d = 0 and delta o delta = 0 on w, relative to |w| + |grad w| +
+    |hess w|, which bounds the mixed partials that must cancel.  Each
+    compares something where w has a component of every degree 0..n."""
+    size = w.l2_norm() + grad_l2(w) + hess_l2(w)
+    ddw, eew = d(d(w)), delta(delta(w))
+    out.record("d_squared_zero", _rel(ddw.l2_norm(), size),
+               _zero_scale(ddw, size))
+    out.record("delta_squared_zero", _rel(eew.l2_norm(), size),
+               _zero_scale(eew, size))
+
+
 def check_wholespace_split(out: VerifyOutcome, u):
     """The whole-space Hodge split u = Pu + Gu: it reconstructs u, delta Pu
     and d Gu vanish against |grad u|, and the parts are orthogonal.  Returns
@@ -179,6 +237,21 @@ def check_resolvent(out: VerifyOutcome, lam, f):
                max(_zero_scale(trace_u, nu), _zero_scale(trace_du, nu)))
 
 
+def check_resolvent_sweep(out: VerifyOutcome, f) -> list[dict]:
+    """The spread max / min of the resolvent estimate's ratio over the sector
+    (sector_sweep): a FormField f by resolvent, a HalfField by
+    hodge_resolvent on the extensions.  Returns the sweep's rows."""
+    if isinstance(f, HalfField):
+        rows = sector_sweep(lambda lam: extend(hodge_resolvent(lam, f)),
+                            extend(f))
+    else:
+        rows = sector_sweep(lambda lam: resolvent(lam, f), f)
+    ratios = [row["ratio"] for row in rows]
+    out.record("resolvent_sweep_spread", max(ratios) / min(ratios),
+               max(ratios))
+    return rows
+
+
 def check_decoupling(out: VerifyOutcome, lam, f):
     """Componentwise Dirichlet / Neumann decoupling of hodge_resolvent, against
     a sine / cosine series solve along the normal axis that never forms the
@@ -194,8 +267,8 @@ def check_decoupling(out: VerifyOutcome, lam, f):
 
 def check_half_split(out: VerifyOutcome, u):
     """The half-space Hodge split of a tangential half-field: it reconstructs
-    u, its parts are orthogonal, P is idempotent and Pu has no tangential
-    trace.  Returns (Pu, Gu)."""
+    u, its parts are orthogonal, P is idempotent, Pu has no divergence and
+    no tangential trace, and Gu has no curl."""
     pu, gu = leray_halfspace(u)
     nu = u.l2_norm()
     out.record("half_split_reconstructs", _rel((pu + gu - u).l2_norm(), nu), nu)
@@ -206,7 +279,11 @@ def check_half_split(out: VerifyOutcome, u):
     trace_pu = tangential_trace(pu)
     out.record("half_p_boundary", _rel(trace_pu.l2_norm(), nu),
                _zero_scale(trace_pu, nu))
-    return pu, gu
+    div_pu, curl_gu = delta_half(pu), d_half(gu)
+    out.record("half_p_divergence_free", _rel(div_pu.l2_norm(), nu),
+               _zero_scale(div_pu, nu))
+    out.record("half_g_curl_free", _rel(curl_gu.l2_norm(), nu),
+               _zero_scale(curl_gu, nu))
 
 
 def _boundary_rows(psi) -> dict:
@@ -265,51 +342,23 @@ def suite_algebra(out: VerifyOutcome, seed: int = 0):
         check_algebra(out, avec, rng.standard_normal(n))
 
 
-def fd8(arr: np.ndarray, axis: int, spacing: float) -> np.ndarray:
-    """8th-order centred finite difference along ``axis`` of a periodic array."""
-    w = np.array([1 / 280, -4 / 105, 1 / 5, -4 / 5, 0.0,
-                  4 / 5, -1 / 5, 4 / 105, -1 / 280])
-    out = np.zeros_like(arr)
-    for off, c in zip(range(-4, 5), w):
-        if c:
-            out += c * np.roll(arr, -off, axis=axis)
-    return out / spacing
-
-
 def suite_symbols(out: VerifyOutcome, seed: int = 0):
     grid = Grid(2, 128, 16.0)
     u = random_form(grid, [0], seed=seed, width=2.0)
     v = random_form(grid, [1, 2], seed=seed + 1, width=2.0)
-
-    # d of a scalar against 8th-order finite differences
-    du = d(u)
-    for axis in range(2):
-        oracle = fd8(u.comps[0], axis, grid.spacing)
-        out.record("d_vs_fd8", _rel(_max_abs(du.component(1 << axis) - oracle),
-                                    _max_abs(oracle)),
-                   _max_abs(oracle), tol=1e-6)
-
-    # d o d from 0-forms to 2-forms: the mixed partials must cancel
-    ddu = d(du)
-    surrogate_u = u.l2_norm() + grad_l2(u) + hess_l2(u)
-    out.record("d_squared_zero", _rel(ddu.l2_norm(), surrogate_u),
-               _zero_scale(ddu, surrogate_u), tol=1e-10)
-    dde = delta(delta(d(v)))
-    surrogate_v = v.l2_norm() + grad_l2(v) + hess_l2(v)
-    out.record("delta_squared_zero", _rel(dde.l2_norm(), surrogate_v),
-               _zero_scale(dde, surrogate_v), tol=1e-10)
+    check_fd_derivatives(out, u + v)
+    check_nilpotency(out, random_form(grid, [0, 1, 3], seed=seed + 3,
+                                      width=2.0))
 
     # <du, v> = <u, delta v> for the 0-form u and the 1-form v
-    lhs = du.l2_inner(v)
+    lhs = d(u).l2_inner(v)
     rhs = u.l2_inner(delta(v))
     out.record("d_delta_adjoint", _rel(abs(lhs - rhs), u.l2_norm() * v.l2_norm()),
                max(abs(lhs), abs(rhs)), tol=1e-10)
 
-    rows = sector_sweep(random_form(grid, [0], seed=seed + 2,
-                                    kind="annulus_band", radii=(1.5, 2.5)))
-    ratios = [r["ratio"] for r in rows]
-    out.record("resolvent_sweep_spread", max(ratios) / min(ratios),
-               max(ratios), tol=3.0)
+    check_resolvent_sweep(out, random_form(grid, [0], seed=seed + 2,
+                                           kind="annulus_band",
+                                           radii=(1.5, 2.5)))
 
 
 def suite_decomposition(out: VerifyOutcome, seed: int = 0):
@@ -400,10 +449,7 @@ def suite_evolution(out: VerifyOutcome, seed: int = 0):
         out.record("pressure_curl_free", _rel(curl.l2_norm(), gp.l2_norm()),
                    _zero_scale(curl, gp.l2_norm()), tol=1e-9)
 
-    # second-order self-convergence of the momentum residual
-    ratios = momentum_residual_ratios(grid, seed=seed, steps0=16)
-    for i, r in enumerate(ratios):
-        out.record(f"self_convergence_doubling_{i}", abs(r - 4.0), r, tol=0.4)
+    check_self_convergence(out, grid, seed)
 
     # semigroup consistency with f = 0: two half-horizon legs, the second
     # restarted from the first one's end as a half-field, against one leg
@@ -421,9 +467,18 @@ def suite_evolution(out: VerifyOutcome, seed: int = 0):
                half_l2_norm_from_spectra(one_leg), tol=1e-10)
 
 
-def momentum_residual_ratios(grid: Grid, seed: int = 0, steps0: int = 16,
-                             doublings: int = 2) -> list[float]:
-    """Momentum-residual reduction factors under time-step doubling, T = 1.
+def check_self_convergence(out: VerifyOutcome, grid: Grid,
+                           seed: int) -> list[float]:
+    """Second-order time stepping: each factor of momentum_residual_ratios
+    is 4 up to the bound.  Returns the factors."""
+    ratios = momentum_residual_ratios(grid, seed=seed)
+    for r in ratios:
+        out.record("self_convergence", abs(r - 4.0), r)
+    return ratios
+
+
+def momentum_residual_ratios(grid: Grid, seed: int = 0) -> list[float]:
+    """Momentum-residual reduction factors from 16 to 32 to 64 steps, T = 1.
 
     Over step m of the Stokes solve forced by c(t) g, the residual of
     du/dt - Delta u + grad p - f at the midpoint is R = (S_{m+1} - S_m) / dt
@@ -446,8 +501,8 @@ def momentum_residual_ratios(grid: Grid, seed: int = 0, steps0: int = 16,
         return 1.0 + 0.5 * np.sin(2.0 * np.pi * t)
 
     residuals = []
-    for level in range(doublings + 1):
-        tg = TimeGrid(1.0, steps0 * 2 ** level)
+    for steps in (16, 32, 64):
+        tg = TimeGrid(1.0, steps)
         times, previous, worst = tg.nodes(), {}, []
 
         def observer(m, t, state):
@@ -462,7 +517,7 @@ def momentum_residual_ratios(grid: Grid, seed: int = 0, steps0: int = 16,
         solve_hodge_stokes(lambda t: profile(t) * g, u0, tg.horizon,
                            tg.steps, observer=observer)
         residuals.append(max(worst))
-    return [residuals[i] / residuals[i + 1] for i in range(doublings)]
+    return [residuals[0] / residuals[1], residuals[1] / residuals[2]]
 
 
 def run_suite(name: str, seed: int = 0, tol_scale: float = 1.0) -> VerifyOutcome:

@@ -271,7 +271,8 @@ MUTANTS = (
     Mutant("dt_cross_sign", "hodgehalf.evolution:_closed_form",
            "-2.0 * lam * rest * gram.rf", "2.0 * lam * rest * gram.rf",
            (gate("test_evolution::"
-                 "test_closed_form_time_derivative_against_long_double"),)),
+                 "test_closed_form_time_derivative_against_long_double"),
+            gate("test_evolution::test_forced_sweep_of_a_half_space_mode"))),
     Mutant("u_cross_factor", "hodgehalf.evolution:_closed_form",
            "2.0 * rho_over_lam * gram.uf", "rho_over_lam * gram.uf",
            (MAX_REG_STREAMING,)),

@@ -1,15 +1,14 @@
 """Acceptance criteria, one test per criterion, each printing a PASS/FAIL line.
 
 Run with ``pytest tests/test_acceptance.py -s`` to see the per-criterion
-lines as they complete.  No tolerance is configurable.  Criteria 01, 03, 04,
-06 and 07 run the identity routines of ``hodgehalf verify``, whose
-tolerances live in ``hodgehalf.verify.TOLERANCES``; every other bound is
-stated beside its criterion.  Every printout line shows each bound next to
-the value it limits.
+lines as they complete.  No tolerance is configurable.  Criteria 01-07 and
+10 run the identity routines of ``hodgehalf verify``, whose tolerances live
+in ``hodgehalf.verify.TOLERANCES``; every other bound is stated beside its
+criterion.  Every printout line shows each bound next to the value it
+limits.
 """
 
 import csv
-import itertools
 import time
 
 import numpy as np
@@ -18,17 +17,18 @@ import pytest
 from hodgehalf import algebra as alg
 from hodgehalf.evolution import SpaceParams, max_reg_sweep, sweep_spectra
 from hodgehalf.fields import Grid, random_form
-from hodgehalf.halfspace import (d_half, delta_half, extend,
-                                 hodge_bc_residual, hodge_resolvent,
+from hodgehalf.halfspace import (extend, hodge_bc_residual, hodge_resolvent,
                                  leray_halfspace, navier_slip_residual,
                                  random_half_field, restrict)
 from hodgehalf.littlewood_paley import default_bank
-from hodgehalf.operators import (d, delta, frac_laplacian, grad_l2, hess_l2,
-                                 leray_wholespace, resolvent, resolvent_ratio)
-from hodgehalf.verify import (VerifyOutcome, _zero_scale, check_algebra,
-                              check_decoupling, check_half_split,
-                              check_resolvent, check_wholespace_split, fd8,
-                              momentum_residual_ratios, trace_duality)
+from hodgehalf.operators import (d, delta, frac_laplacian, leray_wholespace,
+                                 resolvent)
+from hodgehalf.verify import (VerifyOutcome, _rel as rel, check_algebra,
+                              check_decoupling, check_fd_derivatives,
+                              check_half_split, check_nilpotency,
+                              check_resolvent, check_resolvent_sweep,
+                              check_self_convergence, check_wholespace_split,
+                              trace_duality)
 
 
 def report(number, name, passed, detail):
@@ -41,10 +41,6 @@ def checks(outcome):
     """Each check of an outcome: its worst residual and its tolerance."""
     return ", ".join(f"{check} {info['residual']:.2e} (tol {info['tol']:.0e})"
                      for check, info in outcome.worst.items())
-
-
-def rel(a, b):
-    return a / max(b, 1e-300)
 
 
 # ---------------------------------------------------------------------------
@@ -63,47 +59,19 @@ def test_criterion_01_exterior_algebra_exhaustive():
 
 def test_criterion_02_derivative_symbols_vs_finite_differences():
     start = time.monotonic()
-    worst_fd = 0.0
-    # d o d and delta o delta of a form with one component of each degree
-    # 0..n, so that each case compares something; an empty result reads
-    # vacuous
-    nilpotency = VerifyOutcome("criterion 02")
-    configs = [(2, 128, 3.0), (3, 64, 5.0)]
-    for n, points, width in configs:
+    outcome = VerifyOutcome("criterion 02")
+    for n, points, width in [(2, 128, 3.0), (3, 64, 5.0)]:
         grid = Grid(n, points, 16.0)
-        masks = [1 << a for a in range(n)]
         for seed in range(3):
-            center = tuple(0.5 * (seed - 1) for _ in range(n))
-            u = random_form(grid, masks, seed=seed, kind="gaussian_bump",
-                            width=width, center=center)
-            du, eu = d(u), delta(u)
-            h = grid.spacing
-            # degree-2 components of du against the antisymmetrized FD:
-            # (du)_{ij} = d_i u_j - d_j u_i for i < j
-            for mi, mj in itertools.combinations(range(n), 2):
-                got = du.component((1 << mi) | (1 << mj))
-                oracle = (fd8(u.comps[1 << mj], mi, h)
-                          - fd8(u.comps[1 << mi], mj, h))
-                worst_fd = max(worst_fd,
-                               rel(float(np.abs(got - oracle).max()),
-                                   float(np.abs(oracle).max())))
-            div_oracle = sum(fd8(u.comps[1 << m], m, h) for m in range(n))
-            worst_fd = max(worst_fd,
-                           rel(float(np.abs(eu.component(0) + div_oracle).max()),
-                               float(np.abs(div_oracle).max())))
-            w = random_form(grid, [(1 << k) - 1 for k in range(n + 1)],
-                            seed=seed,
-                            kind="gaussian_bump", width=width, center=center)
-            surrogate = w.l2_norm() + grad_l2(w) + hess_l2(w)
-            for check, twice in (("d_squared_zero", d(d(w))),
-                                 ("delta_squared_zero", delta(delta(w)))):
-                nilpotency.record(check, rel(twice.l2_norm(), surrogate),
-                                  _zero_scale(twice, surrogate), tol=1e-10)
+            bump = {"seed": seed, "kind": "gaussian_bump", "width": width,
+                    "center": tuple(0.5 * (seed - 1) for _ in range(n))}
+            check_fd_derivatives(outcome, random_form(
+                grid, [1 << a for a in range(n)], **bump))
+            check_nilpotency(outcome, random_form(
+                grid, [(1 << k) - 1 for k in range(n + 1)], **bump))
     elapsed = time.monotonic() - start
-    report(2, "derivative symbols", worst_fd < 1e-6
-           and nilpotency.status == "ok" and elapsed < 30.0,
-           f"fd residual {worst_fd:.2e} (tol 1e-06), {checks(nilpotency)}, "
-           f"runtime {elapsed:.1f}s (limit 30s)")
+    report(2, "derivative symbols", outcome.status == "ok" and elapsed < 30.0,
+           f"{checks(outcome)}, runtime {elapsed:.1f}s (limit 30s)")
 
 
 def test_criterion_03_wholespace_hodge_decomposition():
@@ -142,39 +110,25 @@ def test_criterion_04_reflection_identity():
 
 def test_criterion_05_resolvent_estimate_uniformity(tmp_path):
     grid = Grid(2, 128, 16.0)
-    radii = [10.0 ** e for e in range(-2, 3)]
-    angles = list(np.linspace(-3 * np.pi / 4, 3 * np.pi / 4, 9))
-    rows = []
-
-    f_full = random_form(grid, [0b01, 0b10], seed=5, kind="annulus_band",
-                         radii=(1.5, 2.5))
-    f_half = random_half_field(grid, "Ht", [0b01, 0b10], seed=6,
-                               kind="annulus_band", radii=(1.5, 2.5))
-    for r in radii:
-        for th in angles:
-            lam = r * np.exp(1j * th)
-            rows.append({"domain": "whole", "radius": r, "angle": th,
-                         "ratio": resolvent_ratio(lam, f_full)})
-            uh = hodge_resolvent(lam, f_half)
-            U, F = extend(uh), extend(f_half)
-            ratio_h = (abs(lam) * U.l2_norm() + abs(lam) ** 0.5 * grad_l2(U)
-                       + hess_l2(U)) / F.l2_norm()
-            rows.append({"domain": "half", "radius": r, "angle": th,
-                         "ratio": ratio_h})
+    band = {"kind": "annulus_band", "radii": (1.5, 2.5)}
+    data = {"whole": random_form(grid, [0b01, 0b10], seed=5, **band),
+            "half": random_half_field(grid, "Ht", [0b01, 0b10], seed=6, **band)}
+    outcomes = {domain: VerifyOutcome(f"criterion 05 {domain}")
+                for domain in data}
+    rows = [{"domain": domain, **row} for domain, f in data.items()
+            for row in check_resolvent_sweep(outcomes[domain], f)]
     csv_path = tmp_path / "resolvent_sweep.csv"
     with open(csv_path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=["domain", "radius", "angle",
-                                                "ratio"])
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
         writer.writeheader()
         writer.writerows(rows)
-    spreads = {}
-    for domain in ("whole", "half"):
-        vals = [r["ratio"] for r in rows if r["domain"] == domain]
-        spreads[domain] = max(vals) / min(vals)
+    spread = {domain: out.worst["resolvent_sweep_spread"]
+              for domain, out in outcomes.items()}
     report(5, "resolvent-estimate uniformity",
-           all(s < 3.0 for s in spreads.values()),
-           f"spread whole {spreads['whole']:.3f}, half {spreads['half']:.3f} "
-           f"(tol 3), csv {csv_path}")
+           all(out.status == "ok" for out in outcomes.values()),
+           f"spread whole {spread['whole']['residual']:.3f}, half "
+           f"{spread['half']['residual']:.3f} (tol {spread['half']['tol']:g}), "
+           f"csv {csv_path}")
 
 
 def test_criterion_06_halfspace_hodge_decomposition():
@@ -183,14 +137,9 @@ def test_criterion_06_halfspace_hodge_decomposition():
         grid = Grid(n, points, 16.0)
         masks = [m for m in range(1 << n) if alg.degree(m) == 1]
         for seed in range(5):
-            u = random_half_field(grid, "Ht", masks, seed=seed,
-                                  kind="annulus_band", radii=(1.0, 3.0))
-            pu, gu = check_half_split(outcome, u)
-            nu = u.l2_norm()
-            outcome.record("half_p_divergence_free",
-                           rel(delta_half(pu).l2_norm(), nu), nu, tol=1e-9)
-            outcome.record("half_g_curl_free", rel(d_half(gu).l2_norm(), nu),
-                           nu, tol=1e-9)
+            check_half_split(outcome, random_half_field(
+                grid, "Ht", masks, seed=seed, kind="annulus_band",
+                radii=(1.0, 3.0)))
         f = random_half_field(grid, "Ht",
                               [m for m in range(1 << n)
                                if alg.degree(m) in (1, 2)],
@@ -291,9 +240,8 @@ def test_criterion_09_maxreg_uniformity():
 
 
 def test_criterion_10_time_stepping_self_convergence():
-    grid = Grid(2, 64, 8.0)
-    ratios = momentum_residual_ratios(grid, seed=4, steps0=16, doublings=2)
-    ok = all(3.6 <= r <= 4.4 for r in ratios)
-    report(10, "time-stepping self-convergence", ok,
+    outcome = VerifyOutcome("criterion 10")
+    ratios = check_self_convergence(outcome, Grid(2, 64, 8.0), seed=4)
+    report(10, "time-stepping self-convergence", outcome.status == "ok",
            "doubling factors " + ", ".join(f"{r:.2f}" for r in ratios)
-           + " (tol [3.6, 4.4])")
+           + f", {checks(outcome)}")

@@ -669,6 +669,10 @@ _BASE = {"verify": {}, "decompose": {},
                                          "[1.0, 100.0] reaches past the "
                                          "grid's largest |xi|")
       for command in ("solve", "maxreg", "normtable")],
+    # the one set, the default, fails the completeness gate in dimension 2:
+    # the forcing is drawn, and refused, all the same
+    ("maxreg", {"spq": [[0.0, 2.0, 2.0]], "radii": [0.05, 0.1]},
+     "annulus radii [0.05, 0.1] enclose no lattice point of the grid"),
 ], ids=["T-string", "length-string", "tol_scale-string", "radii-strings",
         "spq-strings", "T-bool", "length-bool", "save_snapshots-string",
         "forcing-unknown", "homogeneous-string", "norms-unread-key",
@@ -680,7 +684,8 @@ _BASE = {"verify": {}, "decompose": {},
         "solve-seed-negative", "normtable-seed-negative",
         *[f"{command}-radii-{case}"
           for case in ("empty", "past-band")
-          for command in ("solve", "maxreg", "normtable")]])
+          for command in ("solve", "maxreg", "normtable")],
+        "maxreg-radii-empty-every-set-rejected"])
 def test_config_value_read_wrongly_is_refused(tmp_path, capsys, command,
                                               payload, message):
     # each was read as something else: a string or a bool as a number, "no"
@@ -1044,14 +1049,21 @@ def test_maxreg_bad_config_is_refused_before_any_work(tmp_path, fft_counts,
     assert not os.path.exists(tmp_path / "maxreg.csv")
 
 
-def test_maxreg_with_every_set_rejected_draws_nothing(tmp_path, fft_counts):
+def test_maxreg_with_every_set_rejected_transforms_only_its_draw(tmp_path,
+                                                                fft_counts):
+    # the forcing is drawn before any set is refused, so that its draw
+    # refuses what it cannot draw; no set runs, so nothing else transforms
     cfg = write_config(tmp_path, {
         "grid": {"n": 2, "points": 32, "length": 8.0},
         "spq": [[0.0, 2.0, 2.0], [-2.0, 2.0, math.inf]], "T": [1.0], "M": 8})
     assert main(["maxreg", "--config", cfg, "--out", str(tmp_path)]) == 0
     assert [r["status"] for r in read_csv(tmp_path / "maxreg.csv")] == \
         ["rejected"] * 2
-    assert not fft_counts
+    ran = list(fft_counts.calls)
+    fft_counts.clear()
+    random_half_field(Grid(2, 32, 8.0), "Ht", [0b01, 0b10], seed=1,
+                      kind="annulus_band", radii=(1.0, 1.3))
+    assert ran == fft_counts.calls
 
 
 def test_maxreg_data_outside_bank_window_is_config_error(tmp_path, capsys):
@@ -1088,6 +1100,23 @@ def test_a_flag_its_command_never_reads_is_refused(command, flag, value,
         main([command, flag, value])
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["verify", "decompose", "solve", "maxreg",
+                                     "normtable"])
+def test_each_command_takes_the_flags_of_its_table(command, capsys):
+    # --config and --out, and a flag for each key of the table that one sets
+    from hodgehalf import cli
+
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    usage = capsys.readouterr().out.split("\n\n")[0]
+    want = {"--config", "--out"} | {
+        flag for key, flag in (("suites", "--suite"), ("seed", "--seed"),
+                               ("tol_scale", "--tol-scale"))
+        if key in cli.TABLES[command]}
+    assert set(re.findall(r"\[(--[a-z-]+)", usage)) == want
 
 
 def test_parser_is_built_once_and_reused(tmp_path, monkeypatch):

@@ -188,12 +188,11 @@ def _formula_envelope(grid, kind, kwargs):
 
 def _formula_draw(grid, kind, kwargs, seed, envelope):
     """ifftn(coeff * envelope) / max, coefficients from a generator seeded
-    with ``seed``, on the full lattice."""
+    with ``seed`` and no xi = 0 coefficient, on the full lattice."""
     rng = np.random.default_rng(seed)
     spectrum = (rng.standard_normal(grid.shape)
                 + 1j * rng.standard_normal(grid.shape)) * envelope
-    if kind == "annulus_band" or kwargs.get("mean_free", True):
-        spectrum[(0,) * grid.n] = 0.0
+    spectrum[(0,) * grid.n] = 0.0
     want = np.fft.ifftn(spectrum)
     return want / np.abs(want).max()
 
@@ -282,8 +281,7 @@ PRUNED = [
     (Grid(3, 16, 8.0), "random_band", {"width": 1.5}, 16, 1),
     (Grid(4, 8, 4.0), "annulus_band", {"radii": (0.5, 3.5)}, 8, 1),
     (Grid(4, 8, 4.0), "annulus_band", {"radii": (1.0, 2.0)}, 5, 2),
-    (Grid(4, 8, 4.0), "random_band", {"width": 1.0, "mean_free": False},
-     8, 1),
+    (Grid(4, 8, 4.0), "random_band", {"width": 1.0}, 8, 1),
 ]
 
 
@@ -358,6 +356,12 @@ def test_single_mode_rejects_off_lattice(grid2):
 def test_random_form_unknown_kind(grid2):
     with pytest.raises(ValueError, match="unknown test-function kind 'box'"):
         random_form(grid2, [0], kind="box")
+
+
+def test_band_draw_takes_no_mean_keyword(grid2):
+    # every band draw is mean-free; no keyword keeps the xi = 0 coefficient
+    with pytest.raises(TypeError, match="mean_free"):
+        random_form(grid2, [0], kind="random_band", mean_free=False)
 
 
 # ---------------------------------------------------------------------------

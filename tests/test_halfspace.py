@@ -439,11 +439,8 @@ def make_tangential_field(grid, seed):
 def test_leray_halfspace_properties(grid2):
     u = make_tangential_field(grid2, 17)
     outcome = VerifyOutcome("probe")
-    pu, gu = check_half_split(outcome, u)
-    assert len(outcome.worst) == 4 and outcome.status == "ok", outcome.worst
-    nu = u.l2_norm()
-    assert delta_half(pu).l2_norm() <= 1e-9 * nu
-    assert d_half(gu).l2_norm() <= 1e-9 * nu
+    check_half_split(outcome, u)
+    assert len(outcome.worst) == 6 and outcome.status == "ok", outcome.worst
 
 
 def test_leray_halfspace_fixes_solenoidal(grid2):

@@ -10,8 +10,9 @@ from hodgehalf.operators import (SectorPoint, d, delta, frac_laplacian,
                                  grad_l2, heat, hess_l2, hodge_dirac,
                                  hodge_star_field, interior_const, laplacian,
                                  leray_wholespace, resolvent, riesz,
-                                 sector_sweep, wedge_const)
-from hodgehalf.verify import VerifyOutcome, check_wholespace_split, fd8
+                                 wedge_const)
+from hodgehalf.verify import (VerifyOutcome, check_resolvent_sweep,
+                              check_wholespace_split, fd8)
 
 
 def h2_surrogate(u):
@@ -165,10 +166,11 @@ def test_resolvent_zero_lambda_needs_mean_free(grid2):
 
 def test_resolvent_estimate_sweep_bounded(grid2):
     f = random_form(grid2, [0], seed=12, kind="annulus_band", radii=(1.5, 2.5))
-    rows = sector_sweep(f)
-    ratios = np.array([r["ratio"] for r in rows])
-    assert np.all(np.isfinite(ratios))
-    assert ratios.max() / ratios.min() < 3.0
+    out = VerifyOutcome("probe")
+    rows = check_resolvent_sweep(out, f)
+    assert len(rows) == 45
+    assert np.all(np.isfinite([r["ratio"] for r in rows]))
+    assert out.status == "ok"
 
 
 # ---------------------------------------------------------------------------

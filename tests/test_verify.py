@@ -1,5 +1,8 @@
 """Verification suites: every check compares nonzero quantities."""
 
+import ast
+import pathlib
+
 import numpy as np
 import pytest
 
@@ -50,18 +53,35 @@ def test_record_keeps_the_worst_case_of_each_check():
 
 
 def test_shared_tolerances_are_the_criteria_bounds():
-    # the bounds criteria 01, 03, 04, 06 and 07 state; the suites and the
-    # criteria read them from verify
+    # the bounds criteria 01-07 and 10 print; the suites and the criteria
+    # read them from verify
     assert TOLERANCES == {
         "wedge_anticommutativity": 1e-12, "star_involution_sign": 1e-12,
         "wedge_interior_adjointness": 1e-12, "lagrange_identity": 1e-12,
-        "nilpotence": 1e-12, "split_reconstructs": 1e-14,
+        "nilpotence": 1e-12, "d_vs_fd8": 1e-6, "d_squared_zero": 1e-10,
+        "delta_squared_zero": 1e-10, "split_reconstructs": 1e-14,
         "p_part_divergence_free": 1e-10, "g_part_curl_free": 1e-10,
         "orthogonality": 1e-10, "reflection_identity": 1e-12,
         "boundary_conditions": 1e-8, "neumann_dirichlet_decoupling": 1e-10,
-        "half_split_reconstructs": 1e-13, "half_orthogonality": 1e-8,
-        "half_idempotence": 1e-9, "half_p_boundary": 1e-8,
-        "tangential_trace_duality": 1e-6, "normal_trace_duality": 1e-6}
+        "resolvent_sweep_spread": 3.0, "half_split_reconstructs": 1e-13,
+        "half_orthogonality": 1e-8, "half_idempotence": 1e-9,
+        "half_p_boundary": 1e-8, "half_p_divergence_free": 1e-9,
+        "half_g_curl_free": 1e-9, "tangential_trace_duality": 1e-6,
+        "normal_trace_duality": 1e-6, "self_convergence": 0.4}
+
+
+def test_every_shared_check_reads_its_bound_from_the_one_table():
+    # the records without tol= name exactly the TOLERANCES keys, so no
+    # bound is stated twice or left unread
+    tree = ast.parse(pathlib.Path(verify.__file__).read_text())
+    untolled = [node.args[0] for node in ast.walk(tree)
+                if isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "record"
+                and not any(kw.arg == "tol" for kw in node.keywords)]
+    assert all(isinstance(arg, ast.Constant) for arg in untolled), \
+        [ast.unparse(arg) for arg in untolled]
+    assert {arg.value for arg in untolled} == set(TOLERANCES)
 
 
 def test_nilpotence_past_the_top_degree_is_vacuous():
@@ -214,9 +234,12 @@ def test_momentum_residual_catches_a_mutant():
     # mutation: the stepper weighs the midpoint forcing by dt e^{-dt |xi|^2},
     # a first-order quadrature, so halving dt only halves the residual
     grid = Grid(2, 64, 8.0)
-    for r in verify.momentum_residual_ratios(grid, seed=0):
-        assert 3.6 <= r <= 4.4
+    out = VerifyOutcome("probe")
+    verify.check_self_convergence(out, grid, seed=0)
+    assert out.status == "ok"
     with mutants.applied(mutants.ROWS["first_order_forcing"]):
-        ratios = verify.momentum_residual_ratios(grid, seed=0)
-        assert all(not 3.6 <= r <= 4.4 for r in ratios), ratios
+        out = VerifyOutcome("probe")
+        ratios = verify.check_self_convergence(out, grid, seed=0)
+        assert all(r < 3.0 for r in ratios), ratios
+        assert out.status == "fail"
         assert run_suite("evolution", seed=0).status == "fail"
