@@ -186,7 +186,7 @@ def _formula_envelope(grid, kind, kwargs):
     return np.exp(-absxi ** 2 * kwargs["width"] ** 2 / 2.0)
 
 
-def _formula_draw(grid, kind, kwargs, seed, envelope):
+def _formula_draw(grid, seed, envelope):
     """ifftn(coeff * envelope) / max, coefficients from a generator seeded
     with ``seed`` and no xi = 0 coefficient, on the full lattice."""
     rng = np.random.default_rng(seed)
@@ -228,7 +228,7 @@ def test_band_draws_share_one_read_only_envelope(grid2, monkeypatch, kind,
     # the draws are those of the formula on the full lattice
     envelope = _formula_envelope(grid2, kind, kwargs)
     for i, m in enumerate(masks):
-        want = _formula_draw(grid2, kind, kwargs, 4 * 1009 + i, envelope)
+        want = _formula_draw(grid2, 4 * 1009 + i, envelope)
         assert np.array_equal(u.comps[m], want)
     # one envelope serves all four components: the formula's on the blocks
     # of the slab lines' product, and exactly 0 on every other lattice point
@@ -341,7 +341,7 @@ def test_band_draw_transforms_only_the_slab_lines(fft_counts, monkeypatch,
     monkeypatch.setattr(np.fft, "ifftn", ifftn)
     envelope = _formula_envelope(grid, kind, kwargs)
     for i, m in enumerate(masks):
-        want = _formula_draw(grid, kind, kwargs, 6 * 1009 + i, envelope)
+        want = _formula_draw(grid, 6 * 1009 + i, envelope)
         assert np.array_equal(u.comps[m], want), m
 
 
